@@ -41,11 +41,33 @@ DEFAULT_TOLERANCES = {
     "position": 1e-6,
 }
 POSITION_TASK_TOLERANCES = {"mutator": 1e-10, "family": 1e-9}
+# least admissible value of each integer task parameter
+TASK_INT_MINIMA = {
+    "bicoherent": {"n_r": 1, "n_theta": 1},
+    "resolution": {"K_mom": 2, "n_pairs": 1},
+}
 
 
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
+
+def _parse_int(value, path: str) -> int:
+    try:
+        out = int(value)
+        if out == float(value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{path}: not an integer ({value!r})")
+
+
+def _parse_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: not a number ({value!r})") from None
+
 
 def _parse_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)):
@@ -89,18 +111,37 @@ def _normalize_tasks(raw, path: str) -> list[dict]:
     return tasks
 
 
+def _validate_task_params(task: dict, path: str, q: float) -> None:
+    """Parse and range-check, in place, the task parameters the config sets."""
+    for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
+        if key in task:
+            task[key] = _parse_int(task[key], f"{path}.{key}")
+            if task[key] < least:
+                raise ConfigError(f"{path}.{key}: must be at least {least}, "
+                                  f"got {task[key]}")
+    if task["task"] == "bicoherent" and "r_frac" in task:
+        task["r_frac"] = _parse_float(task["r_frac"], f"{path}.r_frac")
+        if not 0.0 < task["r_frac"] < 1.0:
+            raise ConfigError(f"{path}.r_frac: must lie in (0, 1), "
+                              f"got {task['r_frac']}")
+    if task["task"] == "resolution":
+        try:
+            resolution.atom_count(q)
+        except ValueError as exc:
+            raise ConfigError(f"q: {exc}") from None
+        try:
+            resolution.check_moment_range(q, task.get("K_mom", 12))
+        except ValueError as exc:
+            raise ConfigError(f"{path}.K_mom: {exc}") from None
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
-    out: dict = {}
-    try:
-        out["q"] = float(cfg["q"])
-    except KeyError:
-        raise ConfigError("q: missing") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"q: not a number ({cfg.get('q')!r})") from None
-
-    out["K"] = int(cfg.get("K", 64))
+    if "q" not in cfg:
+        raise ConfigError("q: missing")
+    out: dict = {"q": _parse_float(cfg["q"], "q")}
+    out["K"] = _parse_int(cfg.get("K", 64), "K")
     if out["K"] < 2:
         raise ConfigError(f"K: must be at least 2, got {out['K']}")
 
@@ -124,7 +165,7 @@ def validate_config(cfg: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"family: {exc}") from None
     elif kind == "position":
-        out["family"]["gamma"] = float(fam.get("gamma", 0.0))
+        out["family"]["gamma"] = _parse_float(fam.get("gamma", 0.0), "family.gamma")
 
     tasks = _normalize_tasks(cfg.get("tasks"), "tasks")
     allowed = POSITION_TASKS if kind == "position" else FOCK_TASKS
@@ -138,21 +179,21 @@ def validate_config(cfg: dict) -> dict:
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
+        _validate_task_params(task, f"tasks[{i}]", out["q"])
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
-    for key, value in tol.items():
+    for key in tol:
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{key}: unknown task")
-        try:
-            tol[key] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"tolerances.{key}: not a number") from None
-    out["tolerances"] = tol
-    out["seed"] = int(cfg.get("seed", selftest.DEFAULT_SEED))
+    out["tolerances"] = {key: _parse_float(value, f"tolerances.{key}")
+                         for key, value in tol.items()}
+    out["seed"] = _parse_int(cfg.get("seed", selftest.DEFAULT_SEED), "seed")
+    if out["seed"] < 0:
+        raise ConfigError(f"seed: must be nonnegative, got {out['seed']}")
     return out
 
 
@@ -332,8 +373,7 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
     n_theta = int(task.get("n_theta", 64))
     n_pairs = int(task.get("n_pairs", 20))
     support = int(task.get("support", min(6, k_mom // 2)))
-    quad = resolution.solve_moment_measure(ws.cfg["q"],
-                                           qcore.disc_radius(ws.cfg["q"]), k_mom)
+    quad = resolution.solve_moment_measure(ws.cfg["q"], k_mom)
     worst = 0.0
     for _ in range(n_pairs):
         f = np.zeros(ws.family.K, dtype=complex)

@@ -1,31 +1,40 @@
-"""Radial measures matching the coherent-state moment condition.
+"""Radial measure for the weak resolution of identity.
 
-The weak resolution of identity requires a measure on [0, rho) whose even
-moments are (beta_{k-1}!)^2 / (2 pi).  No closed form is known, so the
-measure is realized as quadrature atoms: a Gauss rule derived from the
-moment sequence where the Hankel matrices allow it, with a nonnegative
-least-squares fit on a boundary-refined grid as fallback.  Infeasible
-moment data (rho too small for the growth of the moments) is reported
-through a flag and per-moment residuals, never papered over.
+The weak resolution of identity requires a radial measure whose even
+moments are m_k = (beta_{k-1}!)^2 / (2 pi) = [k]! / (2 pi).  In the scaled
+variable s = r^2 that is the q-Gamma moment problem, solved in closed form
+by Jackson's q-integral (Gasper & Rahman, ch. 1; Arik & Coon 1976):
+
+    [k]! = sum_{j >= 0} q^j (q^{j+1}; q)_inf  s_j^k,   s_j = q^j / (1 - q).
+
+So the measure is a sequence of atoms at r_j = rho q^{j/2}, rho the disc
+radius 1/sqrt(1-q), accumulating at the origin.  It lives on [0, rho] with
+one atom (j = 0) on the rim itself; that is harmless because the
+resolution check evaluates the N-cancelled integrand, a polynomial in z
+and conj(z).  The atoms j >= J are dropped, with J the smallest index whose
+dropped-mass bound q^J / (1 - q) is below double-precision roundoff; the
+dropped share of every moment is at most that bound.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, ClassVar
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .pseudoquon import BiorthogonalFamily
-from .qcore import BetaSequence, q_factorial_sq, validate_q_disc
+from .qcore import BetaSequence, disc_radius, q_factorial_sq, validate_q_disc
 
 __all__ = [
-    "MomentConditioningError",
     "SupportError",
     "RadialQuadrature",
+    "MAX_ATOMS",
+    "atom_count",
+    "check_moment_range",
     "moment",
     "solve_moment_measure",
     "resolution_check",
@@ -33,21 +42,18 @@ __all__ = [
     "residual_report",
 ]
 
-MAX_STABLE_KMOM = 24
-MOMENT_TOL = 1e-10
-
-
-class MomentConditioningError(RuntimeError):
-    """The moment system is too ill-conditioned for double precision."""
+ROUNDOFF = np.finfo(float).eps / 2.0
+# J grows like log(1 / (roundoff (1 - q))) / (1 - q); this admits q <= 0.99995
+MAX_ATOMS = 1_000_000
 
 
 class SupportError(ValueError):
-    """Vector support exceeds the range covered by the matched moments."""
+    """Vector support exceeds the range covered by the verified moments."""
 
 
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Atoms r_j, w_j matching the first K_mom radial moments."""
+    """Jackson atoms r_j, w_j; residuals verified for the first K_mom moments."""
 
     q: float
     rho: float
@@ -55,8 +61,8 @@ class RadialQuadrature:
     weights: np.ndarray = field(repr=False)
     K_mom: int
     residuals: np.ndarray = field(repr=False)
-    feasible: bool = True
-    method: str = "gauss"
+    tail_bound: float
+    method: ClassVar[str] = "jackson"
 
     @property
     def max_residual(self) -> float:
@@ -68,116 +74,50 @@ def moment(q: float, k: int) -> float:
     return q_factorial_sq(q, k - 1) / (2.0 * math.pi)
 
 
-def _gauss_from_scaled_moments(mu: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes/weights on the scaled variable from moments mu_0..mu_{2m-1}."""
-    h0 = np.array([[mu[i + j] for j in range(m)] for i in range(m)])
-    h1 = np.array([[mu[i + j + 1] for j in range(m)] for i in range(m)])
-    chol = np.linalg.cholesky(h0)
-    chol_inv = np.linalg.inv(chol)
-    jac = chol_inv @ h1 @ chol_inv.T
-    jac = 0.5 * (jac + jac.T)
-    s, vecs = np.linalg.eigh(jac)
-    w = mu[0] * vecs[0, :] ** 2
-    return s, w
+def atom_count(q: float) -> int:
+    """Smallest J with dropped-mass bound q^J / (1 - q) below roundoff."""
+    q = validate_q_disc(q)
+    n_atoms = int(math.log(ROUNDOFF * (1.0 - q)) / math.log(q)) + 1
+    if n_atoms > MAX_ATOMS:
+        raise ValueError(f"q={q} needs {n_atoms} Jackson atoms, more than "
+                         f"{MAX_ATOMS}")
+    return n_atoms
 
 
-def _newton_polish(mu: np.ndarray, s: np.ndarray, w: np.ndarray,
-                   max_iter: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Refine nodes/weights on the full moment system; keep only improvements."""
-    kmom, m = len(mu), len(s)
+def check_moment_range(q: float, K_mom: int) -> None:
+    """Raise ValueError unless m_0 .. m_{K_mom - 1} fit in double precision.
 
-    def rel_res(s_, w_):
-        return np.max(np.abs(np.array([np.sum(w_ * s_ ** k) for k in range(kmom)]) - mu) / mu)
-
-    best_s, best_w, best = s.copy(), w.copy(), rel_res(s, w)
-    cur_s, cur_w = s.copy(), w.copy()
-    for _ in range(max_iter):
-        f = np.array([np.sum(cur_w * cur_s ** k) for k in range(kmom)]) - mu
-        jacobian = np.zeros((kmom, 2 * m))
-        for k in range(kmom):
-            if k > 0:
-                jacobian[k, :m] = k * cur_w * cur_s ** (k - 1)
-            jacobian[k, m:] = cur_s ** k
-        scale = mu[:, None]
-        step, *_ = np.linalg.lstsq(jacobian / scale, -f / mu, rcond=None)
-        cur_s = cur_s + step[:m]
-        cur_w = cur_w + step[m:]
-        if np.any(cur_w < 0) or np.any(cur_s < 0) or np.any(cur_s >= 1.0 + 1e-9):
-            break
-        r = rel_res(cur_s, cur_w)
-        if r < best:
-            best_s, best_w, best = cur_s.copy(), cur_w.copy(), r
-        if r < 1e-15:
-            break
-    return best_s, best_w
-
-
-def _nnls_measure(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-mismatch nonnegative atoms on a boundary-refined grid of [0, 1)."""
-    kmom = len(mu)
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, 0.9, 600),
-        1.0 - np.logspace(-14, -1, 1400),
-    ]))
-    a = np.vstack([grid ** k / mu[k] for k in range(kmom)])
-    w, _ = nnls(a, np.ones(kmom))
-    support = w > 0
-    return grid[support], w[support]
-
-
-def solve_moment_measure(q: float, rho: float, K_mom: int = 12,
-                         moment_tol: float = MOMENT_TOL) -> RadialQuadrature:
-    """Construct atoms on [0, rho) matching moments m_0 .. m_{K_mom - 1}.
-
-    Works on the scaled variable s = (r / rho)^2 in [0, 1).  When the
-    scaled moments grow (rho smaller than the moment growth allows) the
-    problem is infeasible; the least-mismatch measure is returned with
-    ``feasible=False`` and the residuals populated.
+    The bound is on rho^{2k} = (1 - q)^{-k}, which is at least 2 pi m_k,
+    so the moments and the atom powers r_j^{2k} stay finite as well.
     """
     q = validate_q_disc(q)
     if K_mom < 2:
         raise ValueError(f"K_mom={K_mom} must be at least 2")
-    if K_mom > MAX_STABLE_KMOM:
-        raise MomentConditioningError(
-            f"moment system of size K_mom={K_mom} exceeds the numerically "
-            f"stable range ({MAX_STABLE_KMOM}) in double precision")
-    if not (rho > 0):
-        raise ValueError(f"rho={rho} must be positive")
+    if (K_mom - 1) * -math.log1p(-q) >= math.log(sys.float_info.max):
+        raise ValueError(f"moment m_{K_mom - 1} overflows double at q={q}")
 
-    n_atoms = (K_mom + 1) // 2
-    m_target = np.array([moment(q, k) for k in range(2 * n_atoms)])
-    mu_ext = m_target / rho ** (2 * np.arange(2 * n_atoms))
-    mu = mu_ext[:K_mom]
-    # necessary condition: mu_k <= mu_0 (mass times sup s^k on [0, 1))
-    feasible_precheck = bool(np.all(mu[1:] <= mu[0] * (1.0 + 1e-9)))
 
-    s = w = None
-    method = "gauss"
-    if feasible_precheck:
-        try:
-            s, w = _gauss_from_scaled_moments(mu_ext, n_atoms)
-            s, w = _newton_polish(mu, s, w)
-            if np.any(w < 0) or np.any(s < 0) or np.max(s) > 1.0 + 1e-9:
-                s = w = None
-        except np.linalg.LinAlgError:
-            s = w = None
-    if s is None:
-        method = "nnls"
-        s, w = _nnls_measure(mu)
-        s, w = _newton_polish(mu, s, w)
+def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
+    """Jackson atoms on [0, rho], with moments m_0 .. m_{K_mom - 1} verified.
 
-    s = np.clip(s, 0.0, np.nextafter(1.0, 0.0))
-    nodes = rho * np.sqrt(s)
+    Residuals are relative, taken on the scaled variable (r / rho)^2 in
+    [0, 1] so that the atom powers stay at most one.
+    """
+    q = validate_q_disc(q)
+    check_moment_range(q, K_mom)
+    n_atoms = atom_count(q)
+
+    rho = disc_radius(q)
+    t = q ** np.arange(n_atoms)                        # (r_j / rho)^2
+    # (q^{j+1}; q)_inf as a reverse running product of 1 - q^i, i = j+1..J
+    tail_products = np.cumprod((1.0 - q * t)[::-1])[::-1]
+    weights = t * tail_products / (2.0 * math.pi)
+    mu = np.array([moment(q, k) / rho ** (2 * k) for k in range(K_mom)])
     residuals = np.abs(np.array(
-        [np.sum(w * s ** k) for k in range(K_mom)]) - mu) / mu
-    feasible = feasible_precheck and bool(np.max(residuals) <= moment_tol)
-    if feasible_precheck and not feasible and method == "gauss":
-        raise MomentConditioningError(
-            f"moment matching stalled at relative residual "
-            f"{np.max(residuals):.2e} for K_mom={K_mom}")
-    return RadialQuadrature(q=q, rho=rho, nodes=nodes, weights=w,
-                            K_mom=K_mom, residuals=residuals,
-                            feasible=feasible, method=method)
+        [weights @ t ** k for k in range(K_mom)]) - mu) / mu
+    return RadialQuadrature(q=q, rho=rho, nodes=rho * np.sqrt(t),
+                            weights=weights, K_mom=K_mom, residuals=residuals,
+                            tail_bound=q ** n_atoms / (1.0 - q))
 
 
 def _overlap_coefficients(family: BiorthogonalFamily, f: np.ndarray,
@@ -194,11 +134,11 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
                      n_theta: int, f: np.ndarray, g: np.ndarray) -> complex:
     """Discretized weak resolution integral; must reproduce <f, g>.
 
-    Radial atoms come from ``quad``; the angular rule is the uniform
-    n_theta-point trapezoid on [0, 2 pi), exact for the trigonometric
-    degrees present.  The normalization N(|z|)^{-2} cancels against the
-    two N factors carried by phi(z) and psi(z), so the integrand is
-    evaluated in the cancelled form (identical value, no rim-tail noise).
+    The N-cancelled integrand N^{-1}<f, phi(z)> N^{-1}<psi(z), g> is
+    sum_{k,l} a_k b_l r^{k+l} e^{i(k-l)theta}, so its sum over the radial
+    atoms and the uniform n_theta-point trapezoid rule on [0, 2 pi) is the
+    contraction a^T (E o M) b with E_kl = sum_theta e^{i(k-l)theta} and
+    M_kl = sum_j w_j r_j^{k+l}.  E is evaluated, not assumed diagonal.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -221,15 +161,13 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
         raise ValueError(f"n_theta={n_theta} too small for maximal index "
                          f"difference {k_max} (need n_theta > {2 * k_max})")
 
-    kcut = k_max + 1
+    idx = np.arange(k_max + 1)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    total = 0.0 + 0.0j
-    for r_j, w_j in zip(quad.nodes, quad.weights):
-        z = r_j * np.exp(1j * theta)
-        powers = z[:, None] ** np.arange(kcut)[None, :]
-        f_series = powers @ a_k[:kcut]            # N^{-1} <f, phi(z)>
-        g_series = powers.conj() @ b_l[:kcut]     # N^{-1} <psi(z), g>
-        total += w_j * np.sum(f_series * g_series)
+    angular = np.exp(1j * np.multiply.outer(np.subtract.outer(idx, idx), theta))
+    radial = np.array([quad.weights @ quad.nodes ** p
+                       for p in range(2 * k_max + 1)])
+    kernel = angular.sum(axis=2) * radial[np.add.outer(idx, idx)]
+    total = a_k[:k_max + 1] @ kernel @ b_l[:k_max + 1]
     return complex(total * (2.0 * math.pi / n_theta))
 
 
@@ -246,8 +184,8 @@ def residual_report(quad: RadialQuadrature) -> dict:
         "rho": quad.rho,
         "K_mom": quad.K_mom,
         "method": quad.method,
-        "feasible": quad.feasible,
         "n_atoms": int(len(quad.nodes)),
+        "tail_bound": quad.tail_bound,
         "max_relative_residual": quad.max_residual,
         "relative_residuals": [float(r) for r in quad.residuals],
     }

@@ -177,7 +177,7 @@ def check_radii(rng) -> list[CheckResult]:
 
 def check_resolution(rng) -> list[CheckResult]:
     q, dim = 0.5, 64
-    quad = resolution.solve_moment_measure(q, qcore.disc_radius(q), 12)
+    quad = resolution.solve_moment_measure(q, 12)
     worst = 0.0
     for build in (_identity_family, _worked_family):
         _, family, _, _ = build(q, dim)

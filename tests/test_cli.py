@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biquon
 from biquon.cli import ConfigError, main, run_config, validate_config
 
 WORKED_CONFIG = {
@@ -65,11 +70,73 @@ class TestValidation:
                            "u": [[0, 1.0, 0.0]], "v": [[0, 2.0, 0.0]]},
                 "tasks": ["mutator"]})
 
+    def test_tolerances_copied_not_rewritten(self):
+        tolerances = {"mutator": "1e-3"}
+        cfg = validate_config({"q": 0.5, "family": {"kind": "identity"},
+                               "tasks": ["mutator"], "tolerances": tolerances})
+        assert cfg["tolerances"] == {"mutator": 1e-3}
+        assert tolerances == {"mutator": "1e-3"}
+
     def test_unknown_tolerance_key(self):
         with pytest.raises(ConfigError, match="tolerances"):
             validate_config({"q": 0.5, "family": {"kind": "identity"},
                              "tasks": ["mutator"],
                              "tolerances": {"nonsense": 1.0}})
+
+
+BAD_CONFIGS = {
+    "K-not-integer": ({"K": "abc"}, "K"),
+    "K-fractional": ({"K": 64.5}, "K"),
+    "seed-not-integer": ({"seed": "x"}, "seed"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "gamma-not-number": ({"family": {"kind": "position", "gamma": "x"},
+                          "tasks": ["mutator"]}, "family.gamma"),
+    "bicoherent-n_r": ({"tasks": [{"task": "bicoherent", "n_r": 0}]},
+                       r"tasks\[0\].n_r"),
+    "bicoherent-n_theta": ({"tasks": [{"task": "bicoherent", "n_theta": 0}]},
+                           r"tasks\[0\].n_theta"),
+    "bicoherent-r_frac": ({"tasks": [{"task": "bicoherent", "r_frac": 1.2}]},
+                          r"tasks\[0\].r_frac"),
+    "resolution-K_mom-small": ({"tasks": [{"task": "resolution", "K_mom": 1}]},
+                               r"tasks\[0\].K_mom"),
+    "resolution-K_mom-overflow": ({"tasks": [{"task": "resolution",
+                                              "K_mom": 5000}]},
+                                  r"tasks\[0\].K_mom"),
+    "resolution-n_pairs": ({"tasks": [{"task": "resolution", "n_pairs": 0}]},
+                           r"tasks\[0\].n_pairs"),
+    "resolution-q-near-one": ({"q": 0.999999, "tasks": ["resolution"]}, "q"),
+}
+
+
+class TestExitCodeContract:
+    """Malformed configs exit 2 with the offending field path, never 1."""
+
+    @pytest.mark.parametrize("patch,path", BAD_CONFIGS.values(),
+                             ids=BAD_CONFIGS.keys())
+    def test_bad_config_exits_2(self, patch, path, tmp_path, capsys):
+        cfg = {"q": 0.5, "K": 32, "family": {"kind": "identity"},
+               "tasks": ["mutator"], **patch}
+        with pytest.raises(ConfigError, match=f"^{path}:"):
+            validate_config(cfg)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_resolution_beyond_old_moment_cap_exits_0(self, capsys):
+        assert main(["resolution", "--q", "0.5", "--k-mom", "30"]) == 0
+        report = json.loads(capsys.readouterr().out)["tasks"]["resolution"]
+        assert report["quadrature"]["method"] == "jackson"
+        assert report["moment_residual"] <= 1e-13
+
+
+def test_cli_import_does_not_load_scipy():
+    path = [str(Path(biquon.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    subprocess.run([sys.executable, "-c",
+                    "import sys, biquon.cli; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
 
 
 class TestRunConfig:

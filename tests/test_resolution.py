@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquon import qcore
 from biquon.pseudoquon import (
@@ -14,10 +16,12 @@ from biquon.pseudoquon import (
     worked_deformation,
 )
 from biquon.resolution import (
-    MomentConditioningError,
+    ROUNDOFF,
     SupportError,
+    _overlap_coefficients,
     moment,
     quadrature_to_csv,
+    residual_report,
     resolution_check,
     solve_moment_measure,
 )
@@ -40,57 +44,86 @@ class TestMoments:
 
 class TestSolver:
     def test_total_mass_matched(self):
-        quad = solve_moment_measure(0.5, qcore.disc_radius(0.5), 12)
+        quad = solve_moment_measure(0.5, 12)
         assert quad_moment(quad, 0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
     def test_gauss_path_residuals(self, q):
-        quad = solve_moment_measure(q, qcore.disc_radius(q), 8)
-        assert quad.feasible
+        quad = solve_moment_measure(q, 8)
+        assert quad.method == "jackson"
         assert quad.max_residual < 1e-10
         for k in range(8):
             assert quad_moment(quad, k) == pytest.approx(
                 moment(q, k), rel=2e-10)
 
-    def test_small_q_uses_fallback(self):
-        quad = solve_moment_measure(0.1, qcore.disc_radius(0.1), 12)
-        assert quad.method == "nnls"
-        assert quad.feasible
-        assert quad.max_residual < 1e-10
+    @pytest.mark.parametrize("k_mom", [12, 24, 60])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_moment_residuals_at_roundoff(self, q, k_mom):
+        quad = solve_moment_measure(q, k_mom)
+        assert len(quad.residuals) == k_mom
+        assert quad.max_residual <= 1e-13
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.99])
+    def test_truncation_is_first_index_below_roundoff(self, q):
+        quad = solve_moment_measure(q, 12)
+        n_atoms = len(quad.nodes)
+        assert quad.tail_bound == pytest.approx(q ** n_atoms / (1.0 - q), rel=1e-12)
+        assert quad.tail_bound < ROUNDOFF
+        assert q ** (n_atoms - 1) / (1.0 - q) >= ROUNDOFF
+        report = residual_report(quad)
+        assert report["tail_bound"] == quad.tail_bound
+        assert report["n_atoms"] == n_atoms
+        assert report["method"] == "jackson"
+
+    def test_atoms_are_jackson_points(self):
+        q = 0.3
+        quad = solve_moment_measure(q, 12)
+        j = np.arange(len(quad.nodes))
+        assert np.allclose(quad.nodes, qcore.disc_radius(q) * q ** (j / 2.0),
+                           rtol=1e-14, atol=0.0)
+        # w_j = q^j (q^{j+1}; q)_inf / (2 pi), the infinite product taken
+        # far past the truncation
+        expected = [q ** i * np.prod(1.0 - q ** np.arange(i + 1, 200))
+                    / (2.0 * math.pi) for i in j]
+        assert np.allclose(quad.weights, expected, rtol=1e-14, atol=0.0)
 
     def test_weights_nonnegative_nodes_inside(self):
         for q in (0.1, 0.5, 0.9):
-            quad = solve_moment_measure(q, qcore.disc_radius(q), 12)
+            quad = solve_moment_measure(q, 12)
             assert np.all(quad.weights >= 0.0)
             assert np.all(quad.nodes >= 0.0)
-            assert np.all(quad.nodes < quad.rho)
+            # the measure lives on [0, rho]: only the j = 0 atom is on the rim
+            assert quad.nodes[0] == quad.rho
+            assert np.all(quad.nodes[1:] < quad.rho)
 
     def test_near_boson_moments(self):
         # close to q = 1 the matched moments approach k!/(2 pi)
         q = 0.999
-        quad = solve_moment_measure(q, qcore.disc_radius(q), 10)
+        quad = solve_moment_measure(q, 10)
         for k in range(5):
             assert quad_moment(quad, k) == pytest.approx(
                 math.factorial(k) / (2.0 * math.pi), rel=1e-2)
 
-    def test_infeasible_radius_flagged(self):
-        # the smaller disc cannot carry the moment growth; the solver must
-        # say so rather than fake success
-        quad = solve_moment_measure(0.5, math.sqrt(0.5), 12)
-        assert not quad.feasible
-        assert quad.max_residual > 1e-2
-        assert np.all(quad.weights >= 0.0)
+    def test_large_kmom_accepted(self):
+        quad = solve_moment_measure(0.5, 30)
+        assert quad.max_residual <= 1e-13
 
-    def test_oversized_system_rejected(self):
-        with pytest.raises(MomentConditioningError):
-            solve_moment_measure(0.5, qcore.disc_radius(0.5), 30)
+    def test_overflowing_kmom_rejected(self):
+        # rho^{2k} = 2^k leaves double range at k = 1024
+        solve_moment_measure(0.5, 1024)
+        with pytest.raises(ValueError, match="overflows"):
+            solve_moment_measure(0.5, 1026)
+
+    def test_q_too_close_to_one_rejected(self):
+        with pytest.raises(ValueError, match="atoms"):
+            solve_moment_measure(1.0 - 1e-6, 12)
 
     def test_small_kmom_rejected(self):
         with pytest.raises(ValueError):
-            solve_moment_measure(0.5, 1.0, 1)
+            solve_moment_measure(0.5, 1)
 
     def test_csv_export(self):
-        quad = solve_moment_measure(0.5, qcore.disc_radius(0.5), 8)
+        quad = solve_moment_measure(0.5, 8)
         buf = io.StringIO()
         quadrature_to_csv(quad, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -112,7 +145,7 @@ class TestAngularExactness:
 @pytest.fixture(scope="module")
 def setup():
     q, dim = 0.5, 64
-    quad = solve_moment_measure(q, qcore.disc_radius(q), 12)
+    quad = solve_moment_measure(q, 12)
     identity = build_family(IdentitySimilarity(), q, dim)
     worked = build_family(RankOneSimilarity(worked_deformation(1j)), q, dim)
     return q, dim, quad, identity, worked
@@ -188,3 +221,45 @@ class TestResolutionCheck:
         with pytest.raises(ValueError):
             resolution_check(other, quad, 64, self.basis(dim, 0),
                              self.basis(dim, 0))
+
+
+def per_atom_resolution(family, quad, n_theta, f, g) -> complex:
+    """Reference: the resolution sum evaluated atom by atom and angle by angle."""
+    a_k, b_l = _overlap_coefficients(family, np.asarray(f, dtype=complex),
+                                     np.asarray(g, dtype=complex))
+    kcut = quad.K_mom // 2
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    total = 0.0 + 0.0j
+    for r_j, w_j in zip(quad.nodes, quad.weights):
+        z = r_j * np.exp(1j * theta)
+        powers = z[:, None] ** np.arange(kcut)[None, :]
+        f_series = powers @ a_k[:kcut]            # N^{-1} <f, phi(z)>
+        g_series = powers.conj() @ b_l[:kcut]     # N^{-1} <psi(z), g>
+        total += w_j * np.sum(f_series * g_series)
+    return complex(total * (2.0 * math.pi / n_theta))
+
+
+class TestJacksonProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.05, 0.99), k=st.integers(0, 39))
+    def test_moments_match_targets(self, q, k):
+        quad = solve_moment_measure(q, 40)
+        assert quad_moment(quad, k) == pytest.approx(moment(q, k), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.floats(0.05, 0.99), seed=st.integers(0, 2 ** 32 - 1),
+           worked=st.booleans())
+    def test_contraction_matches_per_atom_loop(self, q, seed, worked):
+        dim = 16
+        source = RankOneSimilarity(worked_deformation(1j)) if worked \
+            else IdentitySimilarity()
+        family = build_family(source, q, dim)
+        quad = solve_moment_measure(q, 12)
+        rng = np.random.default_rng(seed)
+        f = np.zeros(dim, dtype=complex)
+        g = np.zeros(dim, dtype=complex)
+        f[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        g[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        expected = per_atom_resolution(family, quad, 64, f, g)
+        assert abs(resolution_check(family, quad, 64, f, g) - expected) \
+            <= 1e-12 * max(1.0, abs(expected))
