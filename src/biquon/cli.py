@@ -44,8 +44,10 @@ POSITION_TASK_TOLERANCES = {"mutator": 1e-10, "family": 1e-9}
 # least admissible value of each integer task parameter
 TASK_INT_MINIMA = {
     "bicoherent": {"n_r": 1, "n_theta": 1},
-    "resolution": {"K_mom": 2, "n_pairs": 1},
+    "resolution": {"K_mom": 2, "n_pairs": 1, "support": 1, "n_theta": 1},
 }
+# position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
+GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ def _normalize_tasks(raw, path: str) -> list[dict]:
     return tasks
 
 
-def _validate_task_params(task: dict, path: str, q: float) -> None:
+def _validate_task_params(task: dict, path: str, q: float, dim: int) -> None:
     """Parse and range-check, in place, the task parameters the config sets."""
     for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
         if key in task:
@@ -129,10 +131,19 @@ def _validate_task_params(task: dict, path: str, q: float) -> None:
             resolution.atom_count(q)
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
+        k_mom = task.get("K_mom", 12)
         try:
-            resolution.check_moment_range(q, task.get("K_mom", 12))
+            resolution.check_moment_range(q, k_mom)
         except ValueError as exc:
             raise ConfigError(f"{path}.K_mom: {exc}") from None
+        support = task.get("support", min(6, k_mom // 2))
+        if support > min(k_mom // 2, dim):
+            raise ConfigError(f"{path}.support: must be at most min(K_mom // 2, K) "
+                              f"= {min(k_mom // 2, dim)}, got {support}")
+        n_theta = task.get("n_theta", 64)
+        if n_theta <= 2 * (support - 1):
+            raise ConfigError(f"{path}.n_theta: must exceed 2 (support - 1) = "
+                              f"{2 * (support - 1)}, got {n_theta}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -164,8 +175,16 @@ def validate_config(cfg: dict) -> dict:
                     pseudoquon.RankOneDeformation.from_alpha(u, v, alpha)
             except ValueError as exc:
                 raise ConfigError(f"family: {exc}") from None
+        extent = out["family"]["deformation"].support_extent
+        if out["K"] < extent + 3:
+            raise ConfigError(f"K: must be at least support extent + 3 = "
+                              f"{extent + 3} to leave a safe block, got {out['K']}")
     elif kind == "position":
-        out["family"]["gamma"] = _parse_float(fam.get("gamma", 0.0), "family.gamma")
+        gamma = _parse_float(fam.get("gamma", 0.0), "family.gamma")
+        if not abs(gamma) < GAMMA_MAX:
+            raise ConfigError(f"family.gamma: |gamma| must stay below {GAMMA_MAX:.4g}, "
+                              f"where ||phi_n||^2 ~ exp(gamma^2) overflows; got {gamma}")
+        out["family"]["gamma"] = gamma
 
     tasks = _normalize_tasks(cfg.get("tasks"), "tasks")
     allowed = POSITION_TASKS if kind == "position" else FOCK_TASKS
@@ -179,7 +198,7 @@ def validate_config(cfg: dict) -> dict:
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
-        _validate_task_params(task, f"tasks[{i}]", out["q"])
+        _validate_task_params(task, f"tasks[{i}]", out["q"], out["K"])
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
@@ -260,7 +279,7 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
         states = list(positionrep.build_families(ws.params, 3)[0])
         resid = positionrep.qmutation_grid_check(ws.params, states)
-        return _finish(ws, "mutator", {"realization": "grid"}, resid, tol)
+        return _finish(ws, "mutator", {"realization": "analytic"}, resid, tol)
     resid = qmutator_residual(ws.a, ws.b, ws.cfg["q"], ws.family.safe_dim)
     if task.get("dump_operators"):
         for op, name in ((ws.a, "a.csv"), (ws.b, "b.csv")):
@@ -304,7 +323,7 @@ def _task_theta(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
         states = positionrep.build_families(ws.params, 2)[0]
         resid = positionrep.theta_conjugacy_check(ws.params, states)
-        return _finish(ws, "theta", {"realization": "grid"}, resid, tol)
+        return _finish(ws, "theta", {"realization": "analytic"}, resid, tol)
     theta = pseudoquon.build_theta(ws.family)
     closed = pseudoquon.closed_form_theta(ws.source, ws.family.K)
     series_dev = float(np.max(np.abs(theta.matrix - closed.matrix)))
@@ -416,13 +435,13 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
     ladder = positionrep.ladder_check(ws.params, min(n_max, 6))
     vacuum = positionrep.vacuum_check(ws.params)
     if task.get("dump_states"):
-        grid = positionrep.default_grid(ws.params.gamma)
+        x = positionrep.default_grid(ws.params.gamma)
         for n in range(n_max + 1):
             stream = ws.open_csv(f"phi_{n}.csv")
             if stream:
                 with stream:
                     positionrep.state_to_csv(
-                        positionrep.phi_state(ws.params, n, table), grid, stream)
+                        positionrep.phi_state(ws.params, n, table), x, stream)
     report = {
         "norm_formula_max_rel": norm_rep["max_rel_err"],
         "norm_symmetry": norm_rep["norm_symmetry"],

@@ -1,4 +1,4 @@
-"""Grid realization of the shifted multiplication-operator example.
+"""Symbolic realization of the shifted multiplication-operator example.
 
 The deformed pair acts on real-line functions through multiplication by
 complex exponentials and the imaginary translation f(x) -> f(x + i alpha).
@@ -7,9 +7,7 @@ On the analytic family
     f(x) = sum_j P_j(x) exp(-x^2/2 + w_j x),        P_j polynomial, w_j complex,
 
 both ingredients act by exact parameter substitution, so states are stored
-symbolically and the grid enters only through inner products (trapezoid
-rule, superalgebraically accurate for these Gaussian-localized analytic
-integrands).
+symbolically and inner products are closed-form Gaussian integrals.
 
 Conventions: alpha = sqrt(-log(q)/2) so that q = exp(-2 alpha^2); the
 similarity between the shifted family and the undeformed one is the
@@ -28,11 +26,8 @@ import numpy as np
 from .qcore import BetaSequence, q_number_factorial
 
 __all__ = [
-    "SupportEscapeError",
     "PositionParams",
     "AnalyticState",
-    "Grid",
-    "GridFunction",
     "default_grid",
     "vacuum_phi",
     "vacuum_psi",
@@ -46,7 +41,7 @@ __all__ = [
     "CoefficientTable",
     "coefficient_recursion",
     "inner",
-    "grid_norm",
+    "norm",
     "qmutation_grid_check",
     "ladder_check",
     "vacuum_check",
@@ -60,12 +55,7 @@ __all__ = [
     "state_to_csv",
 ]
 
-BOUNDARY_DECAY_TOL = 1e-14
 MERGE_TOL = 1e-9
-
-
-class SupportEscapeError(ValueError):
-    """A sampled state does not decay inside the grid window."""
 
 
 @dataclass(frozen=True)
@@ -161,74 +151,51 @@ class AnalyticState:
         return vals
 
 
-@dataclass
-class Grid:
-    """Uniform sampling window for inner products."""
-
-    x_min: float
-    x_max: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 16 or self.x_max <= self.x_min:
-            raise ValueError("grid must have at least 16 points and positive extent")
-        self.x = np.linspace(self.x_min, self.x_max, self.n)
-        self.dx = self.x[1] - self.x[0]
-
-
-@dataclass
-class GridFunction:
-    """Sampled values of a state on a grid, with the decay check applied."""
-
-    grid: Grid
-    values: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: AnalyticState, grid: Grid,
-                   check_decay: bool = True) -> "GridFunction":
-        vals = state.sample(grid.x)
-        if check_decay and (abs(vals[0]) > BOUNDARY_DECAY_TOL
-                            or abs(vals[-1]) > BOUNDARY_DECAY_TOL):
-            raise SupportEscapeError(
-                f"state magnitude at grid boundary is "
-                f"{max(abs(vals[0]), abs(vals[-1])):.2e} > {BOUNDARY_DECAY_TOL}")
-        return cls(grid, vals)
-
-
-def default_grid(gamma: float = 0.0, n: int = 4096) -> Grid:
+def default_grid(gamma: float = 0.0, n: int = 4096) -> np.ndarray:
+    """Sample points for pointwise comparisons and state export."""
     half = 12.0 + abs(gamma)
-    return Grid(-half, half, n)
+    return np.linspace(-half, half, n)
 
 
-def _trapezoid(y: np.ndarray, dx: float) -> complex:
-    return complex(dx * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+def _stacked(state: AnalyticState) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded coefficient rows (terms x degree) and exponents of a state."""
+    width = max((len(p) for p, _ in state.terms), default=1)
+    coeffs = np.zeros((len(state.terms), width), dtype=complex)
+    for row, (p, _) in zip(coeffs, state.terms):
+        row[:len(p)] = p
+    return coeffs, np.array([w for _, w in state.terms], dtype=complex)
 
 
-def _as_values(f, grid: Grid) -> np.ndarray:
-    if isinstance(f, AnalyticState):
-        vals = f.sample(grid.x)
-        # quadrature is only trustworthy when the state has decayed at the
-        # window edges; the envelope makes this a factor ~exp(-70) normally
-        peak = float(np.max(np.abs(vals), initial=0.0))
-        if max(abs(vals[0]), abs(vals[-1])) > 1e-12 * (1.0 + peak):
-            raise SupportEscapeError(
-                f"state has not decayed at the grid boundary "
-                f"(edge magnitude {max(abs(vals[0]), abs(vals[-1])):.2e})")
-        return vals
-    if isinstance(f, GridFunction):
-        return f.values
-    return np.asarray(f, dtype=complex)
+def inner(f: AnalyticState, g: AnalyticState) -> complex:
+    """<f, g> in closed form (conjugate-linear in the first slot).
+
+    Terms P exp(-x^2/2 + w x) and Q exp(-x^2/2 + v x) pair to
+    sqrt(pi) exp(s^2/4) sum_{i,l} conj(p_i) q_l m_{i+l}(s/2) with
+    s = conj(w) + v, where m_j(mu) = E[(mu + Y)^j] for Y ~ N(0, 1/2):
+    m_0 = 1, m_1 = mu, m_j = mu m_{j-1} + (j-1)/2 m_{j-2}.  All term pairs
+    are evaluated at once.  Roundoff is relative to the term magnitudes,
+    so terms with distinct but nearly equal w that nearly cancel lose
+    relative accuracy; terms with w within MERGE_TOL are merged first.
+    """
+    p, w = _stacked(f)
+    c, v = _stacked(g)
+    s = np.add.outer(w.conj(), v)
+    mu = s / 2.0
+    moments = [np.ones_like(mu), mu]
+    for j in range(2, p.shape[1] + c.shape[1] - 1):
+        moments.append(mu * moments[-1] + (j - 1) / 2.0 * moments[-2])
+    m = np.array(moments)[np.add.outer(np.arange(p.shape[1]),
+                                       np.arange(c.shape[1]))]
+    poly = np.einsum("ai,bl,ilab->ab", p.conj(), c, m)
+    return complex(math.sqrt(math.pi) * np.sum(np.exp(s * s / 4.0) * poly))
 
 
-def inner(grid: Grid, f, g) -> complex:
-    """<f, g> by the trapezoid rule (conjugate-linear in the first slot)."""
-    fv, gv = _as_values(f, grid), _as_values(g, grid)
-    return _trapezoid(fv.conj() * gv, grid.dx)
+def norm(f: AnalyticState) -> float:
+    return math.sqrt(abs(inner(f, f)))
 
 
-def grid_norm(grid: Grid, f) -> float:
-    fv = _as_values(f, grid)
-    return math.sqrt(abs(_trapezoid(np.abs(fv) ** 2, grid.dx)))
+# the benchmark tracer (bench/spans.py) times the norm layer under this name
+grid_norm = norm
 
 
 # ---------------------------------------------------------------------------
@@ -370,84 +337,75 @@ def _state_from_row(params: PositionParams, n: int, gamma: float,
 # identity and formula checks
 # ---------------------------------------------------------------------------
 
-def qmutation_grid_check(params: PositionParams, states: Sequence[AnalyticState],
-                         grid: Grid | None = None) -> float:
-    """max grid-norm residual of (a b - q b a) f - f over the test states."""
-    if grid is None:
-        grid = default_grid(params.gamma)
+def qmutation_grid_check(params: PositionParams,
+                         states: Sequence[AnalyticState]) -> float:
+    """max norm of the residual (a b - q b a) f - f over the test states."""
     worst = 0.0
     for f in states:
         ab = apply_a(params, apply_b(params, f))
         ba = apply_b(params, apply_a(params, f))
-        resid = ab - params.q * ba - f
-        worst = max(worst, grid_norm(grid, resid))
+        worst = max(worst, norm(ab - params.q * ba - f))
     return worst
 
 
-def ladder_check(params: PositionParams, n_max: int,
-                 grid: Grid | None = None) -> dict:
-    """Grid residuals of the four ladder relations for n <= n_max."""
-    if grid is None:
-        grid = default_grid(params.gamma)
+def ladder_check(params: PositionParams, n_max: int) -> dict:
+    """Residual norms of the four ladder relations for n <= n_max."""
     bs = BetaSequence(params.q, n_max + 2)
     phis, psis = build_families(params, n_max + 1)
     raise_phi = lower_phi = raise_psi = lower_psi = 0.0
     zero = AnalyticState([])
     for n in range(n_max + 1):
-        raise_phi = max(raise_phi, grid_norm(
-            grid, apply_b(params, phis[n]) - bs.beta(n) * phis[n + 1]))
-        raise_psi = max(raise_psi, grid_norm(
-            grid, apply_a_dagger(params, psis[n]) - bs.beta(n) * psis[n + 1]))
+        raise_phi = max(raise_phi, norm(
+            apply_b(params, phis[n]) - bs.beta(n) * phis[n + 1]))
+        raise_psi = max(raise_psi, norm(
+            apply_a_dagger(params, psis[n]) - bs.beta(n) * psis[n + 1]))
         below_phi = phis[n - 1] if n >= 1 else zero
         below_psi = psis[n - 1] if n >= 1 else zero
-        lower_phi = max(lower_phi, grid_norm(
-            grid, apply_a(params, phis[n]) - bs.beta(n - 1) * below_phi))
-        lower_psi = max(lower_psi, grid_norm(
-            grid, apply_b_dagger(params, psis[n]) - bs.beta(n - 1) * below_psi))
+        lower_phi = max(lower_phi, norm(
+            apply_a(params, phis[n]) - bs.beta(n - 1) * below_phi))
+        lower_psi = max(lower_psi, norm(
+            apply_b_dagger(params, psis[n]) - bs.beta(n - 1) * below_psi))
     report = {"raise_phi": raise_phi, "lower_phi": lower_phi,
               "raise_psi": raise_psi, "lower_psi": lower_psi, "n_max": n_max}
     report["max_residual"] = max(raise_phi, lower_phi, raise_psi, lower_psi)
     return report
 
 
-def vacuum_check(params: PositionParams, grid: Grid | None = None) -> dict:
+def vacuum_check(params: PositionParams) -> dict:
     """Annihilation residuals of the vacua and their mutual pairing."""
-    if grid is None:
-        grid = default_grid(params.gamma)
     phi0, psi0 = vacuum_phi(params), vacuum_psi(params)
     return {
-        "a_phi0": grid_norm(grid, apply_a(params, phi0)),
-        "bdag_psi0": grid_norm(grid, apply_b_dagger(params, psi0)),
-        "pairing": inner(grid, phi0, psi0),
+        "a_phi0": norm(apply_a(params, phi0)),
+        "bdag_psi0": norm(apply_b_dagger(params, psi0)),
+        "pairing": inner(phi0, psi0),
     }
 
 
-def similarity_check(params: PositionParams, n_max: int,
-                     grid: Grid | None = None) -> dict:
+def similarity_check(params: PositionParams, n_max: int) -> dict:
     """Pointwise check of the multiplication-similarity structure.
 
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
-    phi_n, psi_n must equal exp(-gamma x) times it, and the two families
-    must be biorthogonal under the grid inner product.
+    phi_n, psi_n must equal exp(-gamma x) times it (compared on the
+    sample points of :func:`default_grid`), and the two families must be
+    biorthogonal.
     """
-    if grid is None:
-        grid = default_grid(params.gamma)
+    x = default_grid(params.gamma)
     base = PositionParams(params.q, 0.0)
     table = coefficient_recursion(params, n_max)
-    egx = np.exp(params.gamma * grid.x)
+    egx = np.exp(params.gamma * x)
     dev_phi = dev_psi = 0.0
     for n in range(n_max + 1):
-        ref = phi_state(base, n, table).sample(grid.x)
+        ref = phi_state(base, n, table).sample(x)
         dev_phi = max(dev_phi, float(np.max(np.abs(
-            phi_state(params, n, table).sample(grid.x) - egx * ref))))
+            phi_state(params, n, table).sample(x) - egx * ref))))
         dev_psi = max(dev_psi, float(np.max(np.abs(
-            psi_state(params, n, table).sample(grid.x) - ref / egx))))
+            psi_state(params, n, table).sample(x) - ref / egx))))
     gram_dev = 0.0
     phis = [phi_state(params, n, table) for n in range(n_max + 1)]
     psis = [psi_state(params, n, table) for n in range(n_max + 1)]
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            val = inner(grid, phis[n], psis[m])
+            val = inner(phis[n], psis[m])
             gram_dev = max(gram_dev, abs(val - (1.0 if n == m else 0.0)))
     return {"similarity_phi": dev_phi, "similarity_psi": dev_psi,
             "biorthogonality": gram_dev, "n_max": n_max}
@@ -474,18 +432,15 @@ def norm_sq_formula(params: PositionParams, n: int) -> float:
         * (1.0 - params.q) ** (-n) * lv.real
 
 
-def norm_formula_check(params: PositionParams, n_max: int,
-                       grid: Grid | None = None) -> dict:
-    """Grid-quadrature norms against the closed formula, plus its side claims."""
-    if grid is None:
-        grid = default_grid(params.gamma)
+def norm_formula_check(params: PositionParams, n_max: int) -> dict:
+    """Exact norms against the closed formula, plus its side claims."""
     table = coefficient_recursion(params, n_max)
     rows = []
     max_rel = symm_dev = l_imag = 0.0
     bound_ok = True
     for n in range(n_max + 1):
-        nphi = grid_norm(grid, phi_state(params, n, table))
-        npsi = grid_norm(grid, psi_state(params, n, table))
+        nphi = norm(phi_state(params, n, table))
+        npsi = norm(psi_state(params, n, table))
         lv = l_value(params, n)
         formula = norm_sq_formula(params, n)
         rel = abs(nphi ** 2 - formula) / abs(formula)
@@ -493,55 +448,45 @@ def norm_formula_check(params: PositionParams, n_max: int,
         symm_dev = max(symm_dev, abs(nphi - npsi) / nphi)
         l_imag = max(l_imag, abs(lv.imag) / abs(lv))
         bound_ok = bound_ok and (lv.real <= (n + 1) ** 2 + 1e-12)
-        rows.append({"n": n, "grid_norm_sq": nphi ** 2, "formula": formula,
+        rows.append({"n": n, "norm_sq": nphi ** 2, "formula": formula,
                      "rel_err": rel, "L": lv.real})
     return {"rows": rows, "max_rel_err": max_rel, "norm_symmetry": symm_dev,
             "L_imag_rel": l_imag, "L_bound_ok": bound_ok}
 
 
-def family_norms(params: PositionParams, n_max: int,
-                 grid: Grid | None = None) -> np.ndarray:
-    """Measured ||phi_n|| for n = 0..n_max (input to the radius machinery)."""
-    if grid is None:
-        grid = default_grid(params.gamma)
+def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
+    """Exact ||phi_n|| for n = 0..n_max (input to the radius machinery)."""
     table = coefficient_recursion(params, n_max)
-    return np.array([grid_norm(grid, phi_state(params, n, table))
+    return np.array([norm(phi_state(params, n, table))
                      for n in range(n_max + 1)])
 
 
 def theta_conjugacy_check(params: PositionParams,
-                          states: Sequence[AnalyticState],
-                          grid: Grid | None = None) -> float:
+                          states: Sequence[AnalyticState]) -> float:
     """Residual of a f = Theta^{-1} b^dag Theta f with Theta = exp(-2 gamma x).
 
-    Checked only on analytic states, whose decay keeps the unbounded
-    multiplication operators harmless on the grid window.
+    Checked only on analytic states, on which the unbounded multiplication
+    operators act by shifting exponents.
     """
-    if grid is None:
-        grid = default_grid(params.gamma)
     worst = 0.0
     for f in states:
         lhs = apply_a(params, f)
         rhs = apply_b_dagger(params, f.shift_exponent(-2.0 * params.gamma)) \
             .shift_exponent(2.0 * params.gamma)
-        worst = max(worst, grid_norm(grid, lhs - rhs))
+        worst = max(worst, norm(lhs - rhs))
     return worst
 
 
-def gram_condition(params: PositionParams, n_max: int,
-                   grid: Grid | None = None) -> float:
+def gram_condition(params: PositionParams, n_max: int) -> float:
     """Condition number of the phi-family Gram matrix (basis-quality evidence)."""
-    if grid is None:
-        grid = default_grid(params.gamma)
     table = coefficient_recursion(params, n_max)
     states = [phi_state(params, n, table) for n in range(n_max + 1)]
-    g = np.array([[inner(grid, fi, fj) for fj in states] for fi in states])
+    g = np.array([[inner(fi, fj) for fj in states] for fi in states])
     return float(np.linalg.cond(g))
 
 
-def state_to_csv(state: AnalyticState, grid: Grid, stream: IO[str]) -> None:
+def state_to_csv(state: AnalyticState, x: np.ndarray, stream: IO[str]) -> None:
     writer = csv.writer(stream)
     writer.writerow(["x", "re", "im"])
-    vals = state.sample(grid.x)
-    for x, v in zip(grid.x, vals):
-        writer.writerow([f"{x:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+    for xi, v in zip(x, state.sample(x)):
+        writer.writerow([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])

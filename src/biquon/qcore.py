@@ -145,7 +145,14 @@ class BetaSequence:
         if nmax < 0:
             raise ValueError(f"nmax={nmax} must be nonnegative")
         self.nmax = int(nmax)
-        self._sq = np.array([beta_sq(q, n) for n in range(-1, nmax + 1)])
+        k = np.arange(self.nmax + 2)        # beta_{k-1}^2 = [k], with [0] = 0
+        if self.q == 1.0:
+            self._sq = k.astype(float)
+        else:
+            with np.errstate(over="ignore"):
+                self._sq = (1.0 - self.q ** k) / (1.0 - self.q)
+            if not np.isfinite(self._sq[-1]):
+                raise OverflowError(f"beta_{self.nmax}^2 overflows at q={self.q}")
         self._beta = np.sqrt(self._sq)
         self._fact: np.ndarray | None = None       # built on first use; the
         self._fact_sq: np.ndarray | None = None    # products overflow well

@@ -91,6 +91,12 @@ BAD_CONFIGS = {
     "seed-negative": ({"seed": -1}, "seed"),
     "gamma-not-number": ({"family": {"kind": "position", "gamma": "x"},
                           "tasks": ["mutator"]}, "family.gamma"),
+    "gamma-27-overflows": ({"family": {"kind": "position", "gamma": 27},
+                            "tasks": ["mutator"]}, "family.gamma"),
+    "gamma-30-overflows": ({"family": {"kind": "position", "gamma": -30},
+                            "tasks": ["mutator"]}, "family.gamma"),
+    "rank_one-K-below-extent": ({"K": 4, "family": {"kind": "rank_one"}}, "K"),
+    "rank_one-K-no-safe-block": ({"K": 8, "family": {"kind": "rank_one"}}, "K"),
     "bicoherent-n_r": ({"tasks": [{"task": "bicoherent", "n_r": 0}]},
                        r"tasks\[0\].n_r"),
     "bicoherent-n_theta": ({"tasks": [{"task": "bicoherent", "n_theta": 0}]},
@@ -105,6 +111,12 @@ BAD_CONFIGS = {
     "resolution-n_pairs": ({"tasks": [{"task": "resolution", "n_pairs": 0}]},
                            r"tasks\[0\].n_pairs"),
     "resolution-q-near-one": ({"q": 0.999999, "tasks": ["resolution"]}, "q"),
+    "resolution-support-0": ({"tasks": [{"task": "resolution", "support": 0}]},
+                             r"tasks\[0\].support"),
+    "resolution-support-7": ({"tasks": [{"task": "resolution", "support": 7}]},
+                             r"tasks\[0\].support"),
+    "resolution-n_theta": ({"tasks": [{"task": "resolution", "n_theta": 4}]},
+                           r"tasks\[0\].n_theta"),
 }
 
 
@@ -122,6 +134,9 @@ class TestExitCodeContract:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_largest_finite_gamma_runs_without_exception(self, capsys):
+        assert main(["position", "--gamma", "26"]) in (0, 1)
 
     def test_resolution_beyond_old_moment_cap_exits_0(self, capsys):
         assert main(["resolution", "--q", "0.5", "--k-mom", "30"]) == 0

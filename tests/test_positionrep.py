@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquon import bicoherent, qcore
 from biquon.positionrep import (
     AnalyticState,
-    Grid,
-    GridFunction,
     PositionParams,
-    SupportEscapeError,
     apply_a,
     apply_a_dagger,
     apply_b,
@@ -21,10 +20,10 @@ from biquon.positionrep import (
     default_grid,
     family_norms,
     gram_condition,
-    grid_norm,
     inner,
     l_value,
     ladder_check,
+    norm,
     norm_formula_check,
     norm_sq_formula,
     phi_state,
@@ -39,7 +38,14 @@ from biquon.positionrep import (
 )
 
 PARAMS = PositionParams(0.5, 0.7)
-GRID = default_grid(PARAMS.gamma)
+X = default_grid(PARAMS.gamma)
+
+
+def trapezoid(f, g, gamma=PARAMS.gamma):
+    """Reference <f, g>: the trapezoid rule on the 4096-point sample grid."""
+    x = default_grid(gamma)
+    y = f.sample(x).conj() * g.sample(x)
+    return complex((x[1] - x[0]) * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
 class TestParams:
@@ -63,36 +69,69 @@ class TestAnalyticState:
 
     def test_exponent_shift(self):
         state = vacuum_phi(PARAMS)
-        x = GRID.x
-        assert np.allclose(state.shift_exponent(0.3).sample(x),
-                           np.exp(0.3 * x) * state.sample(x), atol=1e-12)
+        assert np.allclose(state.shift_exponent(0.3).sample(X),
+                           np.exp(0.3 * X) * state.sample(X), atol=1e-12)
 
     def test_merge_cancels_opposite_terms(self):
         p = np.array([1.0 + 0j])
         state = AnalyticState([(p, 0.5), (-p, 0.5)])
         assert state.terms == []
 
-    def test_boundary_escape_detected(self):
-        wide = AnalyticState.gaussian(1.0, 0.0)
-        narrow = Grid(-2.0, 2.0, 64)
-        with pytest.raises(SupportEscapeError):
-            GridFunction.from_state(wide, narrow)
-        GridFunction.from_state(wide, default_grid(0.0))   # must not raise
+
+def _oracle_pairs():
+    phis, psis = build_families(PARAMS, 4)
+    poly = AnalyticState([(np.array([0.2, 0.0, 1.0]), 0.3 + 0.1j)])
+    hermite_like = AnalyticState([(np.array([0.0, 0.0, 1.0]), 0.0)])
+    pairs = [pytest.param(vacuum_phi(PARAMS), vacuum_psi(PARAMS), id="vacuum"),
+             pytest.param(poly, hermite_like, id="poly"),
+             pytest.param(poly, phis[2], id="poly-phi2")]
+    pairs += [pytest.param(phis[n], psis[m], id=f"family-{n}{m}")
+              for n in range(5) for m in range(5)]
+    pairs += [pytest.param(phis[n], phis[n], id=f"phi-{n}") for n in range(5)]
+    return pairs
+
+
+# coefficient magnitudes stay above 1e-6: near 1e-308, ||f||^2 underflows to 0
+# and the relative bound below loses its scale
+_COEFF = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0,
+                            allow_nan=False, allow_infinity=False)
+_TERM = st.tuples(st.lists(_COEFF, min_size=1, max_size=4),
+                  st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
+_STATES = st.lists(_TERM, min_size=1, max_size=4).map(lambda terms: AnalyticState(
+    [(np.array(p), complex(re, im)) for p, re, im in terms]))
+
+
+class TestExactInner:
+    @pytest.mark.parametrize("f,g", _oracle_pairs())
+    def test_matches_trapezoid(self, f, g):
+        assert abs(inner(f, g) - trapezoid(f, g)) <= 1e-12 * norm(f) * norm(g)
+
+    def test_empty_state(self):
+        assert inner(AnalyticState([]), vacuum_phi(PARAMS)) == 0.0
+        assert norm(AnalyticState([])) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=_STATES, g=_STATES)
+    def test_random_states(self, f, g):
+        scale = norm(f) * norm(g)
+        exact = inner(f, g)
+        assert abs(exact - trapezoid(f, g, 0.0)) <= 1e-12 * scale
+        assert abs(exact - inner(g, f).conjugate()) <= 1e-14 * scale
 
 
 class TestVacua:
     def test_annihilation_is_exact(self):
-        rep = vacuum_check(PARAMS, GRID)
+        rep = vacuum_check(PARAMS)
         assert rep["a_phi0"] < 1e-12
         assert rep["bdag_psi0"] < 1e-12
 
     def test_pairing_normalized(self):
-        rep = vacuum_check(PARAMS, GRID)
+        rep = vacuum_check(PARAMS)
         assert abs(rep["pairing"] - 1.0) < 1e-10
 
     def test_vacuum_norm_squared(self):
         # ||phi_0||^2 = e^{gamma^2} since L_0 = 1
-        got = grid_norm(GRID, vacuum_phi(PARAMS)) ** 2
+        got = norm(vacuum_phi(PARAMS)) ** 2
         assert got == pytest.approx(math.exp(PARAMS.gamma ** 2), rel=1e-12)
 
 
@@ -108,26 +147,26 @@ class TestLadderAction:
             (np.array([-pref * math.pi ** -0.25 * math.exp(-al * al)]),
              PARAMS.gamma + 1.5j * al),
         ])
-        assert grid_norm(GRID, got - expected) < 1e-12
+        assert norm(got - expected) < 1e-12
 
     def test_gamma_zero_collapses_to_adjoint_pair(self):
         p0 = PositionParams(0.5, 0.0)
         f = AnalyticState([(np.array([0.2, 0.0, 1.0]), 0.3 + 0.1j)])
-        x = default_grid(0.0).x
+        x = default_grid(0.0)
         assert np.allclose(apply_b(p0, f).sample(x),
                            apply_a_dagger(p0, f).sample(x), atol=1e-13)
         assert np.allclose(apply_a(p0, f).sample(x),
                            apply_b_dagger(p0, f).sample(x), atol=1e-13)
 
     def test_ladder_relations_on_grid(self):
-        rep = ladder_check(PARAMS, 6, GRID)
+        rep = ladder_check(PARAMS, 6)
         assert rep["max_residual"] < 1e-10
 
     def test_qmutation_identity(self):
         phis, _ = build_families(PARAMS, 2)
         hermite_like = AnalyticState([(np.array([0.0, 0.0, 1.0]), 0.0)])
         resid = qmutation_grid_check(
-            PARAMS, [phis[0], hermite_like, phis[2]], GRID)
+            PARAMS, [phis[0], hermite_like, phis[2]])
         assert resid < 1e-10
 
 
@@ -171,8 +210,8 @@ class TestCoefficients:
         phis, psis = build_families(PARAMS, 4)
         table = coefficient_recursion(PARAMS, 4)
         for n in range(5):
-            assert grid_norm(GRID, phis[n] - phi_state(PARAMS, n, table)) < 1e-12
-            assert grid_norm(GRID, psis[n] - psi_state(PARAMS, n, table)) < 1e-12
+            assert norm(phis[n] - phi_state(PARAMS, n, table)) < 1e-12
+            assert norm(psis[n] - psi_state(PARAMS, n, table)) < 1e-12
 
 
 class TestSimilarity:
@@ -193,9 +232,9 @@ class TestSimilarity:
     def test_specific_level(self):
         p = PositionParams(0.5, 0.7)
         base = PositionParams(0.5, 0.0)
-        g = default_grid(p.gamma)
-        got = phi_state(p, 2).sample(g.x)
-        ref = np.exp(p.gamma * g.x) * phi_state(base, 2).sample(g.x)
+        x = default_grid(p.gamma)
+        got = phi_state(p, 2).sample(x)
+        ref = np.exp(p.gamma * x) * phi_state(base, 2).sample(x)
         assert np.max(np.abs(got - ref)) < 1e-11
 
 
@@ -207,8 +246,7 @@ class TestNormFormula:
 
     def test_first_level_quadrature_vs_formula(self):
         p = PositionParams(0.5, 0.3)
-        g = default_grid(p.gamma)
-        got = grid_norm(g, phi_state(p, 1)) ** 2
+        got = norm(phi_state(p, 1)) ** 2
         assert abs(got - norm_sq_formula(p, 1)) / norm_sq_formula(p, 1) < 1e-6
 
     @pytest.mark.parametrize("q", [0.3, 0.6])
@@ -253,11 +291,11 @@ class TestRadius:
 class TestTheta:
     def test_conjugacy_on_decaying_states(self):
         phis, _ = build_families(PARAMS, 3)
-        assert theta_conjugacy_check(PARAMS, phis, GRID) < 1e-10
+        assert theta_conjugacy_check(PARAMS, phis) < 1e-10
 
 
 def test_gram_condition_is_finite_evidence():
-    cond = gram_condition(PARAMS, 6, GRID)
+    cond = gram_condition(PARAMS, 6)
     assert 1.0 <= cond < 1e6
 
 
@@ -265,17 +303,8 @@ def test_state_csv(tmp_path):
     table = coefficient_recursion(PARAMS, 1)
     out = tmp_path / "phi1.csv"
     with out.open("w", newline="") as fh:
-        state_to_csv(phi_state(PARAMS, 1, table), GRID, fh)
+        state_to_csv(phi_state(PARAMS, 1, table), X, fh)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,re,im"
-    assert len(lines) == GRID.n + 1
+    assert len(lines) == len(X) + 1
 
-
-def test_inner_accepts_mixed_arguments():
-    phi0 = vacuum_phi(PARAMS)
-    vals = phi0.sample(GRID.x)
-    direct = inner(GRID, phi0, phi0)
-    mixed = inner(GRID, vals, phi0)
-    assert direct == pytest.approx(mixed, rel=1e-14)
-    gf = GridFunction.from_state(vacuum_psi(PARAMS), GRID)
-    assert inner(GRID, gf, gf).real > 0

@@ -126,6 +126,17 @@ class TestBetaSequence:
         bs = qcore.BetaSequence(0.5, 5)
         assert np.allclose(bs.betas(), [qcore.beta(0.5, n) for n in range(6)])
 
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 0.3, 0.99, 1.0, 1.5])
+    def test_vectorised_closed_form_matches_scalar(self, q):
+        # one ulp of pow in q^k is amplified by at most 1/(1-q) = 100 in 1 - q^k
+        bs = qcore.BetaSequence(q, 300)
+        np.testing.assert_allclose(
+            bs.betas(), [qcore.beta(q, n) for n in range(301)], rtol=1e-14, atol=0)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            qcore.BetaSequence(2.0, 2000)
+
 
 def test_disc_radius():
     assert qcore.disc_radius(0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
