@@ -203,12 +203,18 @@ def pairing(state: BiCoherentState) -> complex:
 
 
 def eigen_check(state: BiCoherentState, a, b) -> tuple[float, float]:
-    """Eigenvalue residuals (||a phi(z) - z phi(z)||, ||b^dag psi(z) - z psi(z)||)."""
+    """Relative eigenvalue residuals of phi(z) under a and of psi(z) under b^dag.
+
+    ||a phi(z) - z phi(z)|| / ||phi(z)|| and ||b^dag psi(z) - z psi(z)|| /
+    ||psi(z)||: judged against the scale of the states, a state whose
+    normalization underflows cannot pass.
+    """
     if a.dim != len(state.phi_z) or b.dim != len(state.psi_z):
         raise ValueError("operator dimension does not match state")
-    r_phi = float(np.linalg.norm(a.matrix @ state.phi_z - state.z * state.phi_z))
-    r_psi = float(np.linalg.norm(b.matrix.conj().T @ state.psi_z - state.z * state.psi_z))
-    return r_phi, r_psi
+    phi, psi = state.phi_z, state.psi_z
+    r_phi = np.linalg.norm(a.matrix @ phi - state.z * phi) / np.linalg.norm(phi)
+    r_psi = np.linalg.norm(b.matrix.conj().T @ psi - state.z * psi) / np.linalg.norm(psi)
+    return float(r_phi), float(r_psi)
 
 
 @dataclass(frozen=True)
@@ -338,23 +344,26 @@ class UncertaintyResult:
     dp_sq: complex
 
 
-def uncertainty_product(family: BiorthogonalFamily, a, b, z: complex,
-                        terms: int | None = None) -> UncertaintyResult:
-    """Compute Delta Q Delta P at z against the closed form (|z|^2 (q-1) + 1)/2.
+def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
+    """Compute Delta Q Delta P at state.z against the closed form (|z|^2 (q-1) + 1)/2.
 
     Q = (b + a)/sqrt(2), P = i (b - a)/sqrt(2), and expectations are the
-    pseudo-expectations <T> = <psi(z), T phi(z)>.
+    pseudo-expectations <T> = <psi(z), T phi(z)>.  Q^2 phi(z) and P^2 phi(z)
+    come from six matrix-vector products, never from Q^2 or P^2 as matrices.
     """
-    state = bicoherent_state(family, z, terms=terms)
-    qm = (b.matrix + a.matrix) / math.sqrt(2.0)
-    pm = 1j * (b.matrix - a.matrix) / math.sqrt(2.0)
+    root2 = math.sqrt(2.0)
+    a_phi, b_phi = a.matrix @ state.phi_z, b.matrix @ state.phi_z
+    q_phi = (b_phi + a_phi) / root2
+    p_phi = 1j * (b_phi - a_phi) / root2
+    q2_phi = (b.matrix @ q_phi + a.matrix @ q_phi) / root2
+    p2_phi = 1j * (b.matrix @ p_phi - a.matrix @ p_phi) / root2
 
-    def pexp(m: np.ndarray) -> complex:
-        return complex(np.vdot(state.psi_z, m @ state.phi_z))
+    def pexp(vec: np.ndarray) -> complex:
+        return complex(np.vdot(state.psi_z, vec))
 
-    dq_sq = pexp(qm @ qm) - pexp(qm) ** 2
-    dp_sq = pexp(pm @ pm) - pexp(pm) ** 2
+    dq_sq = pexp(q2_phi) - pexp(q_phi) ** 2
+    dp_sq = pexp(p2_phi) - pexp(p_phi) ** 2
     product = complex(np.sqrt(dq_sq) * np.sqrt(dp_sq))
-    predicted = 0.5 * (abs(z) ** 2 * (family.q - 1.0) + 1.0)
+    predicted = 0.5 * (abs(state.z) ** 2 * (state.q - 1.0) + 1.0)
     return UncertaintyResult(product=product, predicted=predicted,
                              dq_sq=dq_sq, dp_sq=dp_sq)

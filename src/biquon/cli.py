@@ -9,6 +9,7 @@ their own key and are the only nondeterministic field).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -17,11 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bicoherent, positionrep, pseudoquon, qcore, resolution, selftest
+from . import bicoherent, positionrep, pseudoquon, qcore, resolution
 from .fock import operator_to_csv, qmutator_residual
 from .qcore import BetaSequence
 
-__all__ = ["main", "ConfigError", "run_config"]
+__all__ = ["main", "ConfigError", "run_config", "DEFAULT_SEED"]
+
+DEFAULT_SEED = 1234
 
 
 class ConfigError(Exception):
@@ -32,19 +35,28 @@ FOCK_TASKS = {"mutator", "family", "theta", "bicoherent", "resolution"}
 POSITION_TASKS = {"mutator", "family", "theta", "position"}
 TASK_ORDER = ["family", "mutator", "theta", "bicoherent", "resolution", "position"]
 
-DEFAULT_TOLERANCES = {
+# Every bound a task applies.  "task" is its bound, "task.<family kind>" its
+# bound on that kind, and "task.<metric>" the bound of a metric judged on
+# its own.  tolerances.<task> replaces the task's bound and scales its metric
+# bounds in proportion; --tolerance-scale multiplies every bound.
+TOLERANCES = {
     "mutator": 1e-12,
+    "mutator.position": 1e-10,
     "family": 1e-11,
+    "family.position": 1e-9,
     "theta": 1e-10,
     "bicoherent": 1e-9,
+    "bicoherent.uncertainty_residual": 1e-7,
     "resolution": 1e-8,
     "position": 1e-6,
+    "position.ladder_residual": 1e-10,
 }
-POSITION_TASK_TOLERANCES = {"mutator": 1e-10, "family": 1e-9}
 # least admissible value of each integer task parameter
 TASK_INT_MINIMA = {
+    "family": {"n_max": 0},
     "bicoherent": {"n_r": 1, "n_theta": 1},
     "resolution": {"K_mom": 2, "n_pairs": 1, "support": 1, "n_theta": 1},
+    "position": {"n_max": 0},
 }
 # position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
 GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
@@ -69,6 +81,13 @@ def _parse_float(value, path: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: not a number ({value!r})") from None
+
+
+def _parse_positive(value, path: str) -> float:
+    out = _parse_float(value, path)
+    if not 0.0 < out < math.inf:
+        raise ConfigError(f"{path}: must be positive and finite, got {out}")
+    return out
 
 
 def _parse_complex(value, path: str) -> complex:
@@ -185,6 +204,13 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"family.gamma: |gamma| must stay below {GAMMA_MAX:.4g}, "
                               f"where ||phi_n||^2 ~ exp(gamma^2) overflows; got {gamma}")
         out["family"]["gamma"] = gamma
+    try:
+        if kind == "position":
+            qcore.validate_q_disc(out["q"])
+        else:   # q >= -1 and finite, and beta_K^2 finite for build_family
+            qcore.BetaSequence(out["q"], out["K"])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"q: {exc}") from None
 
     tasks = _normalize_tasks(cfg.get("tasks"), "tasks")
     allowed = POSITION_TASKS if kind == "position" else FOCK_TASKS
@@ -206,11 +232,11 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
     for key in tol:
-        if key not in DEFAULT_TOLERANCES:
+        if key not in TASK_ORDER:
             raise ConfigError(f"tolerances.{key}: unknown task")
-    out["tolerances"] = {key: _parse_float(value, f"tolerances.{key}")
+    out["tolerances"] = {key: _parse_positive(value, f"tolerances.{key}")
                          for key, value in tol.items()}
-    out["seed"] = _parse_int(cfg.get("seed", selftest.DEFAULT_SEED), "seed")
+    out["seed"] = _parse_int(cfg.get("seed", DEFAULT_SEED), "seed")
     if out["seed"] < 0:
         raise ConfigError(f"seed: must be nonnegative, got {out['seed']}")
     return out
@@ -221,7 +247,7 @@ def validate_config(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Shared state built once per run: family, operators, rng, output dir."""
+    """Shared state built once per run: family, rng, output dir."""
 
     def __init__(self, cfg: dict, out_dir: Path | None, tol_scale: float):
         self.cfg = cfg
@@ -230,28 +256,23 @@ class _Workspace:
         self.rng = np.random.default_rng(cfg["seed"])
         self.kind = cfg["family"]["kind"]
         self.csv_rows: list[tuple[str, str, float]] = []
+        self.params = self.family = None
         if self.kind == "position":
             self.params = positionrep.PositionParams(cfg["q"], cfg["family"]["gamma"])
-            self.source = self.family = self.a = self.b = None
         else:
             if self.kind == "identity":
-                self.source = pseudoquon.IdentitySimilarity()
+                source = pseudoquon.IdentitySimilarity()
             else:
-                self.source = pseudoquon.RankOneSimilarity(cfg["family"]["deformation"])
-            self.family = pseudoquon.build_family(self.source, cfg["q"], cfg["K"])
-            self.a, self.b = pseudoquon.make_pair(self.source, cfg["q"], cfg["K"])
-            self.params = None
+                source = pseudoquon.RankOneSimilarity(cfg["family"]["deformation"])
+            self.family = pseudoquon.build_family(source, cfg["q"], cfg["K"])
 
-    def tolerance(self, task: str) -> float:
-        base = self.cfg["tolerances"].get(task)
-        if base is None:
-            base = DEFAULT_TOLERANCES[task]
-            if self.kind == "position":
-                base = POSITION_TASK_TOLERANCES.get(task, base)
-        return base * self.tol_scale
-
-    def record(self, task: str, metric: str, value: float) -> None:
-        self.csv_rows.append((task, metric, float(value)))
+    def bound(self, task: str, metric: str | None = None) -> float:
+        """The bound this run applies to a task, or to one of its metrics."""
+        default = TOLERANCES.get(f"{task}.{self.kind}", TOLERANCES[task])
+        tol = self.cfg["tolerances"].get(task, default) * self.tol_scale
+        if metric is None:
+            return tol
+        return TOLERANCES[f"{task}.{metric}"] * (tol / default)
 
     def write_text(self, name: str, text: str) -> None:
         if self.out is not None:
@@ -264,74 +285,77 @@ class _Workspace:
 
 
 def _finish(ws: _Workspace, task: str, report: dict, residual: float,
-            tolerance: float) -> dict:
+            *own_bound: str) -> dict:
+    """Judge residual against the task's bound, and each report metric named
+    in own_bound against its own bound, which report["bounds"] records."""
     report["max_residual"] = residual
-    report["tolerance"] = tolerance
-    report["passed"] = bool(residual <= tolerance)
+    report["tolerance"] = ws.bound(task)
+    report["passed"] = bool(residual <= report["tolerance"])
+    if own_bound:
+        report["bounds"] = {m: ws.bound(task, m) for m in own_bound}
+        report["passed"] &= all(report[m] <= b for m, b in report["bounds"].items())
     for key, value in report.items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            ws.record(task, key, value)
+            ws.csv_rows.append((task, key, float(value)))
     return report
 
 
 def _task_mutator(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("mutator")
     if ws.kind == "position":
         states = list(positionrep.build_families(ws.params, 3)[0])
         resid = positionrep.qmutation_grid_check(ws.params, states)
-        return _finish(ws, "mutator", {"realization": "analytic"}, resid, tol)
-    resid = qmutator_residual(ws.a, ws.b, ws.cfg["q"], ws.family.safe_dim)
+        return _finish(ws, "mutator", {"realization": "analytic"}, resid)
+    fam = ws.family
+    resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
     if task.get("dump_operators"):
-        for op, name in ((ws.a, "a.csv"), (ws.b, "b.csv")):
+        for op, name in ((fam.a, "a.csv"), (fam.b, "b.csv")):
             stream = ws.open_csv(name)
             if stream:
                 with stream:
                     operator_to_csv(op, stream)
-    report = {"realization": "fock", "safe_dim": ws.family.safe_dim}
-    return _finish(ws, "mutator", report, resid, tol)
+    report = {"realization": "fock", "safe_dim": fam.safe_dim}
+    return _finish(ws, "mutator", report, resid)
 
 
 def _task_family(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("family")
     if ws.kind == "position":
         n_max = int(task.get("n_max", 6))
         rep = positionrep.similarity_check(ws.params, n_max)
         resid = max(rep["similarity_phi"], rep["similarity_psi"],
                     rep["biorthogonality"])
-        return _finish(ws, "family", rep, resid, tol)
-    ladder = pseudoquon.check_ladder(ws.family, ws.a, ws.b)
+        return _finish(ws, "family", rep, resid)
+    fam = ws.family
+    ladder = pseudoquon.check_ladder(fam)
     report = {
-        "gram_deviation": pseudoquon.gram_deviation(ws.family),
-        "iteration_deviation": ws.family.iteration_deviation,
+        "gram_deviation": pseudoquon.gram_deviation(fam),
+        "iteration_deviation": fam.iteration_deviation,
         **{k: v for k, v in ladder.items() if k != "safe_dim"},
         "safe_dim": ladder["safe_dim"],
     }
     resid = max(report["gram_deviation"], ladder["max_residual"])
-    number = pseudoquon.number_eigencheck(ws.family, ws.a, ws.b)
+    number = pseudoquon.number_eigencheck(fam)
     report["number_residual_phi"] = number["residual_phi"]
     report["number_residual_psi"] = number["residual_psi"]
     resid = max(resid, number["residual_phi"], number["residual_psi"])
     stream = ws.open_csv("family.json")
     if stream:
         with stream:
-            pseudoquon.family_to_json(ws.family, stream, residual_report=report)
-    return _finish(ws, "family", report, resid, tol)
+            pseudoquon.family_to_json(fam, stream, residual_report=report)
+    return _finish(ws, "family", report, resid)
 
 
 def _task_theta(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("theta")
     if ws.kind == "position":
         states = positionrep.build_families(ws.params, 2)[0]
         resid = positionrep.theta_conjugacy_check(ws.params, states)
-        return _finish(ws, "theta", {"realization": "analytic"}, resid, tol)
-    theta = pseudoquon.build_theta(ws.family)
-    closed = pseudoquon.closed_form_theta(ws.source, ws.family.K)
+        return _finish(ws, "theta", {"realization": "analytic"}, resid)
+    fam = ws.family
+    theta = pseudoquon.build_theta(fam)
+    closed = pseudoquon.closed_form_theta(fam.source, fam.K)
     series_dev = float(np.max(np.abs(theta.matrix - closed.matrix)))
-    conj = pseudoquon.check_theta_conjugate(ws.a, ws.b, theta,
-                                            ws.family.safe_dim, ws.family)
-    inv = pseudoquon.build_theta_inverse(ws.family)
-    inv_dev = float(np.max(np.abs(
-        theta.matrix @ inv.matrix - np.eye(ws.family.K))))
+    conj = pseudoquon.check_theta_conjugate(fam.a, fam.b, theta, fam.safe_dim, fam)
+    inv = pseudoquon.build_theta_inverse(fam)
+    inv_dev = float(np.max(np.abs(theta.matrix @ inv.matrix - np.eye(fam.K))))
     report = {
         "series_vs_closed": series_dev,
         "conjugation_residual": conj["conjugation_residual"],
@@ -339,11 +363,10 @@ def _task_theta(ws: _Workspace, task: dict) -> dict:
         "inverse_residual": inv_dev,
     }
     return _finish(ws, "theta", report,
-                   max(series_dev, conj["conjugation_residual"], inv_dev), tol)
+                   max(series_dev, conj["conjugation_residual"], inv_dev))
 
 
 def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("bicoherent")
     n_r = int(task.get("n_r", 4))
     n_theta = int(task.get("n_theta", 8))
     # reaching 0.9 of the disc radius needs K around 256; the default grid
@@ -357,9 +380,9 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
         for ang in 2 * np.pi * np.arange(n_theta) / n_theta:
             z = frac * rho * np.exp(1j * ang)
             state = bicoherent.bicoherent_state(ws.family, z)
-            r_phi, r_psi = bicoherent.eigen_check(state, ws.a, ws.b)
+            r_phi, r_psi = bicoherent.eigen_check(state, ws.family.a, ws.family.b)
             pair = bicoherent.pairing(state)
-            unc = bicoherent.uncertainty_product(ws.family, ws.a, ws.b, z)
+            unc = bicoherent.uncertainty_product(state, ws.family.a, ws.family.b)
             worst_eig = max(worst_eig, r_phi, r_psi)
             worst_pair = max(worst_pair, abs(pair - 1.0))
             worst_unc = max(worst_unc, abs(unc.product - unc.predicted))
@@ -367,9 +390,8 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
                          pair.real, pair.imag, unc.product.real,
                          unc.product.imag, unc.predicted])
     if stream:
-        import csv as _csv
         with stream:
-            writer = _csv.writer(stream)
+            writer = csv.writer(stream)
             writer.writerow(["re_z", "im_z", "norm_const", "eigen_phi",
                              "eigen_psi", "pairing_re", "pairing_im",
                              "uncertainty_re", "uncertainty_im",
@@ -382,12 +404,11 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
         "pairing_residual": worst_pair,
         "uncertainty_residual": worst_unc,
     }
-    resid = max(worst_eig, worst_pair, worst_unc / 100.0)
-    return _finish(ws, "bicoherent", report, resid, tol)
+    return _finish(ws, "bicoherent", report, max(worst_eig, worst_pair),
+                   "uncertainty_residual")
 
 
 def _task_resolution(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("resolution")
     k_mom = int(task.get("K_mom", 12))
     n_theta = int(task.get("n_theta", 64))
     n_pairs = int(task.get("n_pairs", 20))
@@ -415,18 +436,16 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
         "moment_residual": quad.max_residual,
         "n_pairs": n_pairs,
     }
-    return _finish(ws, "resolution", report, worst, tol)
+    return _finish(ws, "resolution", report, worst)
 
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
-    tol = ws.tolerance("position")
     n_max = int(task.get("n_max", 5))
     table = positionrep.coefficient_recursion(ws.params, n_max)
     stream = ws.open_csv("coefficients.csv")
     if stream:
-        import csv as _csv
         with stream:
-            writer = _csv.writer(stream)
+            writer = csv.writer(stream)
             writer.writerow(["n", "k", "re", "im"])
             for n in range(n_max + 1):
                 for k, c in enumerate(table.row(n)):
@@ -452,10 +471,8 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
         "vacuum_pairing_error": abs(vacuum["pairing"] - 1.0),
         "n_max": n_max,
     }
-    resid = max(norm_rep["max_rel_err"],
-                ladder["max_residual"] / 1e-4,
-                0.0 if norm_rep["L_bound_ok"] else math.inf)
-    return _finish(ws, "position", report, resid, tol)
+    resid = norm_rep["max_rel_err"] if norm_rep["L_bound_ok"] else math.inf
+    return _finish(ws, "position", report, resid, "ladder_residual")
 
 
 TASK_RUNNERS = {
@@ -472,6 +489,7 @@ def run_config(cfg: dict, out_dir: Path | None = None,
                tol_scale: float = 1.0) -> tuple[dict, int]:
     """Execute every task; returns (summary, exit_code)."""
     cfg = validate_config(cfg)
+    tol_scale = _parse_positive(tol_scale, "--tolerance-scale")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     ws = _Workspace(cfg, out_dir, tol_scale)
@@ -497,8 +515,7 @@ def run_config(cfg: dict, out_dir: Path | None = None,
             json.dump({**summary, "timings": timings}, fh, sort_keys=True, indent=2)
             fh.write("\n")
         with (out_dir / "residuals.csv").open("w", newline="") as fh:
-            import csv as _csv
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["task", "metric", "value"])
             for row in ws.csv_rows:
                 writer.writerow([row[0], row[1], f"{row[2]:.17g}"])
@@ -521,8 +538,12 @@ def _mini_config(args, tasks: list) -> dict:
 
 
 def _cmd_beta(args) -> int:
-    qcore.validate_q_algebraic(args.q)
-    bs = BetaSequence(args.q, args.n_max)
+    if args.n_max < 0:
+        raise ConfigError(f"n_max: must be nonnegative, got {args.n_max}")
+    try:
+        bs = BetaSequence(args.q, args.n_max)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"q: {exc}") from None
     lines = ["n,beta,beta_factorial" + (",log_number" if 0 < args.q < 1 else "")]
     for n in range(args.n_max + 1):
         row = f"{n},{bs.beta(n):.17g},{bs.factorial(n):.17g}"
@@ -539,27 +560,18 @@ def _cmd_beta(args) -> int:
 
 
 def _run_and_report(cfg: dict, args) -> int:
-    try:
-        summary, code = run_config(cfg, Path(args.out) if args.out else None,
-                                   args.tolerance_scale)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    summary, code = run_config(cfg, Path(args.out) if args.out else None,
+                               args.tolerance_scale)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return code
 
 
-def _cmd_simple_task(task_name):
+def _cmd_simple_task(task_name: str, options: list[str]):
     def cmd(args) -> int:
         task: dict = {"task": task_name}
-        for attr in ("n_r", "n_theta", "k_mom", "n_pairs", "n_max", "r_frac"):
-            if getattr(args, attr, None) is not None:
-                key = "K_mom" if attr == "k_mom" else attr
-                task[key] = getattr(args, attr)
-        if getattr(args, "dump_states", False):
-            task["dump_states"] = True
-        if getattr(args, "dump_operators", False):
-            task["dump_operators"] = True
+        for opt in options:
+            if getattr(args, opt) is not None:
+                task["K_mom" if opt == "k_mom" else opt] = getattr(args, opt)
         return _run_and_report(_mini_config(args, [task]), args)
     return cmd
 
@@ -567,21 +579,20 @@ def _cmd_simple_task(task_name):
 def _cmd_run(args) -> int:
     path = Path(args.config)
     if not path.exists():
-        print(f"config error: no such file {path}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--config: no such file {path}")
     try:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON ({exc})", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--config: invalid JSON ({exc})") from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     return _run_and_report(cfg, args)
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest      # selftest runs its criteria through this module
     results = selftest.run_all(seed=args.seed if args.seed is not None
-                               else selftest.DEFAULT_SEED)
+                               else DEFAULT_SEED)
     print(selftest.format_results(results))
     unexpected = [r for r in results if r.unexpected_failure]
     expected = [r for r in results if r.known_discrepancy and not r.passed]
@@ -595,7 +606,7 @@ def _add_common(parser: argparse.ArgumentParser, with_family=True) -> None:
     parser.add_argument("--q", type=float, default=0.5)
     parser.add_argument("--out", type=str, default=None,
                         help="directory for JSON/CSV artifacts")
-    parser.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--tolerance-scale", type=float, default=1.0)
     if with_family:
         parser.add_argument("--dim", type=int, default=64)
@@ -627,25 +638,15 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=f"run the {name} checks")
         _add_common(p)
-        if "n_r" in extra:
-            p.add_argument("--n-r", type=int, default=None)
-        if "n_theta" in extra:
-            p.add_argument("--n-theta", type=int, default=None)
-        if "k_mom" in extra:
-            p.add_argument("--k-mom", type=int, default=None)
-        if "n_pairs" in extra:
-            p.add_argument("--n-pairs", type=int, default=None)
-        if "n_max" in extra:
-            p.add_argument("--n-max", type=int, default=None)
-        if "r_frac" in extra:
-            p.add_argument("--r-frac", type=float, default=None)
-        if "dump_states" in extra:
-            p.add_argument("--dump-states", action="store_true")
-        if "dump_operators" in extra:
-            p.add_argument("--dump-operators", action="store_true")
+        for opt in extra:
+            flag = "--" + opt.replace("_", "-")
+            if opt.startswith("dump_"):
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=float if opt == "r_frac" else int)
         if name == "position":
             p.set_defaults(family="position")
-        p.set_defaults(func=_cmd_simple_task(name))
+        p.set_defaults(func=_cmd_simple_task(name, extra))
 
     p = sub.add_parser("run", help="execute a full experiment config")
     p.add_argument("--config", type=str, required=True)
@@ -662,7 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -189,13 +189,16 @@ def worked_deformation(alpha_def: complex = 1j) -> RankOneDeformation:
 
 @dataclass(frozen=True)
 class BiorthogonalFamily:
-    """Row-stacked families phi[n] = S e_n and psi[n] = (S^dag)^{-1} e_n."""
+    """Row-stacked families phi[n] = S e_n and psi[n] = (S^dag)^{-1} e_n,
+    with the pair (a, b) they are built from."""
 
     K: int
     q: float
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     source: SimilarityOperator = field(repr=False)
+    a: TruncatedOperator = field(repr=False)
+    b: TruncatedOperator = field(repr=False)
     iteration_deviation: float = 0.0
 
     @property
@@ -251,7 +254,8 @@ def build_family(source: SimilarityOperator, q: float, dim: int) -> Biorthogonal
 
     phi_n = S e_n is the direct route; phi_n = b phi_{n-1} / beta_{n-1}
     is the iterated route starting from the vacuum phi_0 (annihilated by a).
-    The maximal deviation between the two over the safe block is recorded.
+    The maximal deviation between the two over the safe block is recorded,
+    and the family keeps the pair (a, b).
     """
     validate_q_algebraic(q)
     s = source.matrix(dim)
@@ -267,7 +271,8 @@ def build_family(source: SimilarityOperator, q: float, dim: int) -> Biorthogonal
     for n in range(1, safe):
         cur = b.matrix @ cur / bs.beta(n - 1)
         dev = max(dev, float(np.linalg.norm(cur - phi[n])))
-    return BiorthogonalFamily(dim, q, phi, psi, source, iteration_deviation=float(dev))
+    return BiorthogonalFamily(dim, q, phi, psi, source, a, b,
+                              iteration_deviation=float(dev))
 
 
 def gram_matrix(family: BiorthogonalFamily) -> np.ndarray:
@@ -281,19 +286,17 @@ def gram_deviation(family: BiorthogonalFamily) -> float:
     return float(np.max(np.abs(g - np.eye(family.K))))
 
 
-def check_ladder(family: BiorthogonalFamily,
-                 a: TruncatedOperator, b: TruncatedOperator,
-                 safe_dim: int | None = None) -> dict:
-    """Residual maxima of the four ladder relations over the safe block.
+def check_ladder(family: BiorthogonalFamily) -> dict:
+    """Residual maxima of the four ladder relations of the family's pair over
+    the safe block.
 
     b phi_n = beta_n phi_{n+1};  a phi_n = beta_{n-1} phi_{n-1};
     a^dag psi_n = beta_n psi_{n+1};  b^dag psi_n = beta_{n-1} psi_{n-1};
     with phi_{-1} = psi_{-1} = 0.
     """
-    K = family.K
-    safe = family.safe_dim if safe_dim is None else safe_dim
+    K, safe = family.K, family.safe_dim
     bs = BetaSequence(family.q, K)
-    phi, psi = family.phi, family.psi
+    phi, psi, a, b = family.phi, family.psi, family.a, family.b
     adag = a.matrix.conj().T
     bdag = b.matrix.conj().T
 
@@ -321,17 +324,16 @@ def check_ladder(family: BiorthogonalFamily,
     return report
 
 
-def number_eigencheck(family: BiorthogonalFamily,
-                      a: TruncatedOperator, b: TruncatedOperator,
-                      safe_dim: int | None = None) -> dict:
-    """Eigenvalue residuals of N = ba on phi_n and of N^dag on psi_n.
+def number_eigencheck(family: BiorthogonalFamily) -> dict:
+    """Eigenvalue residuals of N = ba on phi_n and of N^dag on psi_n, with
+    (a, b) the family's pair.
 
     The eigenvalue is beta_{n-1}^2 (squared), the value the ladder
     relations force; reports carry the convention explicitly.
     """
-    safe = family.safe_dim if safe_dim is None else safe_dim
+    safe = family.safe_dim
     bs = BetaSequence(family.q, family.K)
-    nmat = b.matrix @ a.matrix
+    nmat = family.b.matrix @ family.a.matrix
     ndag = nmat.conj().T
     r_phi = r_psi = 0.0
     for n in range(safe):

@@ -1,7 +1,10 @@
 """Acceptance suite: every numbered contract check, with its tolerance.
 
 Each check produces a :class:`CheckResult`; the CLI prints them and the
-test suite asserts them one by one.  A result may be marked
+test suite asserts them one by one.  A criterion that a ``biquon run`` task
+computes reads its value, and the bound the task applies, from the report
+of :func:`biquon.cli.run_config` on the equivalent config, so ``biquon
+selftest`` and ``biquon run`` print the same numbers.  A result may be marked
 ``known_discrepancy`` when the check is expected to fail for a documented
 mathematical reason; such results are reported loudly but excluded from
 the process exit status.
@@ -10,16 +13,18 @@ the process exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bicoherent, positionrep, pseudoquon, qcore, resolution
-from .fock import qmutator_residual
+from . import bicoherent, cli, positionrep, pseudoquon, qcore
+from .cli import DEFAULT_SEED
 
 __all__ = ["CheckResult", "run_all", "format_results", "DEFAULT_SEED"]
 
-DEFAULT_SEED = 1234
+IDENTITY = {"kind": "identity"}
+WORKED = {"kind": "rank_one", "preset": "worked", "alpha_def": [0.0, 1.0]}
+WORKED_SOURCE = pseudoquon.RankOneSimilarity(pseudoquon.worked_deformation(1j))
 
 
 @dataclass
@@ -30,7 +35,6 @@ class CheckResult:
     passed: bool
     known_discrepancy: bool = False
     note: str = ""
-    detail: dict = field(default_factory=dict)
 
     @property
     def unexpected_failure(self) -> bool:
@@ -42,108 +46,94 @@ def _result(criterion: str, value: float, tolerance: float, **kw) -> CheckResult
                        tolerance=tolerance, passed=bool(value <= tolerance), **kw)
 
 
-def _worked_family(q: float, dim: int):
-    source = pseudoquon.RankOneSimilarity(pseudoquon.worked_deformation(1j))
-    family = pseudoquon.build_family(source, q, dim)
-    a, b = pseudoquon.make_pair(source, q, dim)
-    return source, family, a, b
+def _reports(task: dict, families, qs, K: int = 64,
+             seed: int = DEFAULT_SEED) -> list[dict]:
+    """The ``task`` report of one ``biquon run`` per (family, q)."""
+    return [cli.run_config({"q": q, "K": K, "family": fam, "tasks": [task],
+                            "seed": seed})[0]["tasks"][task["task"]]
+            for fam in families for q in qs]
 
 
-def _identity_family(q: float, dim: int):
-    source = pseudoquon.IdentitySimilarity()
-    family = pseudoquon.build_family(source, q, dim)
-    a, b = pseudoquon.make_pair(source, q, dim)
-    return source, family, a, b
+def _task_result(criterion: str, reports: list[dict], *metrics: str,
+                 tolerance: float | None = None) -> CheckResult:
+    """Worst of the metrics over the reports, against the bound the task
+    applied to them unless a tighter ``tolerance`` is given."""
+    value = max(r[m] for r in reports for m in metrics)
+    if tolerance is None:
+        tolerance = reports[0].get("bounds", {}).get(metrics[0],
+                                                     reports[0]["tolerance"])
+    return _result(criterion, value, tolerance)
 
 
-def check_qmutator(rng) -> list[CheckResult]:
-    worst = 0.0
-    for q in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for build in (_identity_family, _worked_family):
-            source, family, a, b = build(q, 64)
-            worst = max(worst, qmutator_residual(a, b, q, family.safe_dim))
-    return [_result("01-qmutator-identity", worst, 1e-12)]
+def check_qmutator(seed) -> list[CheckResult]:
+    reports = _reports({"task": "mutator"}, (IDENTITY, WORKED),
+                       (0.1, 0.3, 0.5, 0.7, 0.9))
+    return [_task_result("01-qmutator-identity", reports, "max_residual")]
 
 
-def check_biorthogonality(rng) -> list[CheckResult]:
-    _, family, _, _ = _worked_family(0.4, 64)
-    return [_result("02-biorthogonality", pseudoquon.gram_deviation(family), 1e-11)]
+def check_biorthogonality(seed) -> list[CheckResult]:
+    reports = _reports({"task": "family"}, (WORKED,), (0.4,))
+    return [_task_result("02-biorthogonality", reports, "gram_deviation")]
 
 
-def check_ladder(rng) -> list[CheckResult]:
-    worst = 0.0
-    for q in (0.3, 0.7):
-        for build in (_identity_family, _worked_family):
-            _, family, a, b = build(q, 64)
-            worst = max(worst, pseudoquon.check_ladder(family, a, b)["max_residual"])
-    out = [_result("03a-ladder-fock", worst, 1e-11)]
-    pos = positionrep.ladder_check(positionrep.PositionParams(0.5, 0.6), 6)
-    out.append(_result("03b-ladder-position", pos["max_residual"], 1e-10))
-    return out
+def check_ladder(seed) -> list[CheckResult]:
+    reports = _reports({"task": "family"}, (IDENTITY, WORKED), (0.3, 0.7))
+    position = _reports({"task": "position", "n_max": 6},
+                        ({"kind": "position", "gamma": 0.6},), (0.5,))
+    return [
+        _task_result("03a-ladder-fock", reports,
+                     "raise_phi", "lower_phi", "raise_psi", "lower_psi"),
+        _task_result("03b-ladder-position", position, "ladder_residual"),
+    ]
 
 
-def check_number_operator(rng) -> list[CheckResult]:
-    worst = 0.0
+def check_number_operator(seed) -> list[CheckResult]:
+    reports = _reports({"task": "family"}, (WORKED,), (0.3, 0.7))
     spec_dev = 0.0
     for q in (0.3, 0.7):
-        _, family, a, b = _worked_family(q, 64)
-        rep = pseudoquon.number_eigencheck(family, a, b)
-        worst = max(worst, rep["residual_phi"], rep["residual_psi"])
+        family = pseudoquon.build_family(WORKED_SOURCE, q, 64)
         safe = family.safe_dim
-        nmat = (b.matrix @ a.matrix)[:safe, :safe]
+        nmat = (family.b.matrix @ family.a.matrix)[:safe, :safe]
         ev = np.linalg.eigvals(nmat)
         ev_dag = np.linalg.eigvals(nmat.conj().T)
         spec_dev = max(spec_dev,
                        float(np.max(np.abs(np.sort(ev.real) - np.sort(ev_dag.real)))),
                        float(np.max(np.abs(ev.imag))))
     return [
-        _result("04a-number-eigenvalues", worst, 1e-11),
+        _task_result("04a-number-eigenvalues", reports,
+                     "number_residual_phi", "number_residual_psi"),
         _result("04b-number-isospectral", spec_dev, 1e-9),
     ]
 
 
-def check_theta(rng) -> list[CheckResult]:
-    q = 0.4
-    source, family, a, b = _worked_family(q, 64)
-    theta = pseudoquon.build_theta(family)
-    theta_inv = pseudoquon.build_theta_inverse(family)
-    closed = pseudoquon.closed_form_theta(source, 64)
-    series_dev = float(np.max(np.abs(theta.matrix - closed.matrix)))
-    conj = pseudoquon.check_theta_conjugate(a, b, theta, family.safe_dim, family)
-    inv_dev = float(np.max(np.abs(theta.matrix @ theta_inv.matrix - np.eye(64))))
+def check_theta(seed) -> list[CheckResult]:
+    reports = _reports({"task": "theta"}, (WORKED,), (0.4,))
+    theta = pseudoquon.build_theta(pseudoquon.build_family(WORKED_SOURCE, 0.4, 64))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (theta.matrix + theta.matrix.conj().T))))
     return [
-        _result("05a-theta-series-vs-closed", series_dev, 1e-11),
-        _result("05b-theta-conjugation", conj["conjugation_residual"], 1e-10),
-        _result("05c-theta-inverse", inv_dev, 1e-11),
+        _task_result("05a-theta-series-vs-closed", reports, "series_vs_closed",
+                     tolerance=1e-11),
+        _task_result("05b-theta-conjugation", reports, "conjugation_residual"),
+        _task_result("05c-theta-inverse", reports, "inverse_residual", tolerance=1e-11),
         CheckResult("05d-theta-positive", eigmin, 0.0, passed=eigmin > 0.0,
                     note="value is the smallest eigenvalue; must be positive"),
     ]
 
 
-def check_bicoherent_eigen(rng) -> list[CheckResult]:
-    q, dim = 0.5, 256
-    _, family, a, b = _worked_family(q, dim)
-    rho = bicoherent.family_radius(family)
-    worst_eig = worst_pair = 0.0
-    for frac in np.linspace(0.18, 0.9, 5):
-        for theta in 2 * np.pi * np.arange(8) / 8:
-            z = frac * rho * np.exp(1j * theta)
-            state = bicoherent.bicoherent_state(family, z)
-            r_phi, r_psi = bicoherent.eigen_check(state, a, b)
-            worst_eig = max(worst_eig, r_phi, r_psi)
-            worst_pair = max(worst_pair, abs(bicoherent.pairing(state) - 1.0))
+def check_bicoherent_eigen(seed) -> list[CheckResult]:
+    reports = _reports({"task": "bicoherent", "n_r": 5, "n_theta": 8, "r_frac": 0.9},
+                       (WORKED,), (0.5,), K=256)
     return [
-        _result("06a-bicoherent-eigen", worst_eig, 1e-9),
-        _result("06b-bicoherent-pairing", worst_pair, 1e-9),
+        _task_result("06a-bicoherent-eigen", reports, "eigen_residual"),
+        _task_result("06b-bicoherent-pairing", reports, "pairing_residual"),
     ]
 
 
-def check_radii(rng) -> list[CheckResult]:
+def check_radii(seed) -> list[CheckResult]:
     worst_rank_one = worst_pos = 0.0
     worst_emp_rank_one = worst_emp_pos = 0.0
     for q in (0.3, 0.5, 0.8):
-        _, family, _, _ = _worked_family(q, 48)
+        family = pseudoquon.build_family(WORKED_SOURCE, q, 48)
         norms = np.linalg.norm(family.phi, axis=1)
         norms_psi = np.linalg.norm(family.psi, axis=1)
         rep = bicoherent.radius_report(norms, norms_psi, q, "riesz")
@@ -175,42 +165,31 @@ def check_radii(rng) -> list[CheckResult]:
     ]
 
 
-def check_resolution(rng) -> list[CheckResult]:
-    q, dim = 0.5, 64
-    quad = resolution.solve_moment_measure(q, 12)
-    worst = 0.0
-    for build in (_identity_family, _worked_family):
-        _, family, _, _ = build(q, dim)
-        for _ in range(20):
-            f = np.zeros(dim, dtype=complex)
-            g = np.zeros(dim, dtype=complex)
-            f[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            g[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            val = resolution.resolution_check(family, quad, 64, f, g)
-            worst = max(worst, abs(val - np.vdot(f, g)))
-    return [_result("08-resolution-identity", worst, 1e-8,
-                    detail={"quadrature_method": quad.method,
-                            "moment_residual": quad.max_residual})]
+def check_resolution(seed) -> list[CheckResult]:
+    reports = _reports({"task": "resolution"}, (IDENTITY, WORKED), (0.5,), seed=seed)
+    return [_task_result("08-resolution-identity", reports, "max_residual")]
 
 
-def check_uncertainty(rng) -> list[CheckResult]:
+def check_uncertainty(seed) -> list[CheckResult]:
     worst = 0.0
     for q in (0.5, 0.9):
-        _, family, a, b = _worked_family(q, 256)
+        family = pseudoquon.build_family(WORKED_SOURCE, q, 256)
         rho = bicoherent.family_radius(family)
         for frac in (0.0, 0.3, 0.6):
-            z = frac * rho * np.exp(0.4j)
-            res = bicoherent.uncertainty_product(family, a, b, z)
+            state = bicoherent.bicoherent_state(family, frac * rho * np.exp(0.4j))
+            res = bicoherent.uncertainty_product(state, family.a, family.b)
             worst = max(worst, abs(res.product - res.predicted))
-    _, fam1, a1, b1 = _identity_family(1.0 - 1e-6, 64)
-    res1 = bicoherent.uncertainty_product(fam1, a1, b1, 0.9 + 0.2j)
+    fam1 = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), 1.0 - 1e-6, 64)
+    res1 = bicoherent.uncertainty_product(
+        bicoherent.bicoherent_state(fam1, 0.9 + 0.2j), fam1.a, fam1.b)
     return [
-        _result("09a-uncertainty-product", worst, 1e-7),
+        _result("09a-uncertainty-product", worst,
+                cli.TOLERANCES["bicoherent.uncertainty_residual"]),
         _result("09b-uncertainty-boson-limit", abs(res1.product - 0.5), 1e-4),
     ]
 
 
-def check_position_example(rng) -> list[CheckResult]:
+def check_position_example(seed) -> list[CheckResult]:
     coeff_dev = 0.0
     for q in (0.3, 0.6):
         params = positionrep.PositionParams(q, 0.5)
@@ -244,11 +223,11 @@ def check_position_example(rng) -> list[CheckResult]:
     ]
 
 
-def check_closed_form_states(rng) -> list[CheckResult]:
+def check_closed_form_states(seed) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
     q, dim = 0.45, 128
-    deformation = pseudoquon.worked_deformation(1j)
-    source = pseudoquon.RankOneSimilarity(deformation)
-    family = pseudoquon.build_family(source, q, dim)
+    deformation = WORKED_SOURCE.deformation
+    family = pseudoquon.build_family(WORKED_SOURCE, q, dim)
     rho = bicoherent.family_radius(family)
     bs = qcore.BetaSequence(q, dim)
     fact = np.array([bs.factorial(k - 1) for k in range(dim)])
@@ -272,9 +251,9 @@ def check_closed_form_states(rng) -> list[CheckResult]:
     return [_result("11-closed-form-bicoherent", worst, 1e-10)]
 
 
-def check_limits(rng) -> list[CheckResult]:
+def check_limits(seed) -> list[CheckResult]:
     q = 1.0 - 1e-6
-    _, family, _, _ = _identity_family(q, 64)
+    family = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), q, 64)
     state = bicoherent.bicoherent_state(family, 0.8)
     boson = np.exp(-0.5 * 0.8 ** 2) * np.array(
         [0.8 ** k / math.sqrt(math.factorial(k)) for k in range(21)])
@@ -305,10 +284,9 @@ ALL_CHECKS = [
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     for check in ALL_CHECKS:
-        results.extend(check(rng))
+        results.extend(check(seed))
     return results
 
 

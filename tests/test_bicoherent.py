@@ -24,7 +24,6 @@ from biquon.pseudoquon import (
     IdentitySimilarity,
     RankOneSimilarity,
     build_family,
-    make_pair,
     worked_deformation,
 )
 
@@ -86,8 +85,29 @@ def worked_256():
     source = RankOneSimilarity(worked_deformation(1j))
     q = 0.5
     family = build_family(source, q, 256)
-    a, b = make_pair(source, q, 256)
-    return family, a, b
+    return family, family.a, family.b
+
+
+def dense_uncertainty(state, a, b) -> complex:
+    """Oracle: Delta Q Delta P with Q^2 and P^2 formed as matrices."""
+    qm = (b.matrix + a.matrix) / math.sqrt(2.0)
+    pm = 1j * (b.matrix - a.matrix) / math.sqrt(2.0)
+
+    def pexp(m):
+        return complex(np.vdot(state.psi_z, m @ state.phi_z))
+
+    dq_sq = pexp(qm @ qm) - pexp(qm) ** 2
+    dp_sq = pexp(pm @ pm) - pexp(pm) ** 2
+    return complex(np.sqrt(dq_sq) * np.sqrt(dp_sq))
+
+
+def uncertainty_at(family, z):
+    """uncertainty_product at z, checked against the dense oracle."""
+    state = bicoherent_state(family, z)
+    res = uncertainty_product(state, family.a, family.b)
+    want = dense_uncertainty(state, family.a, family.b)
+    assert abs(res.product - want) <= 1e-12 * abs(want)
+    return res
 
 
 class TestStates:
@@ -128,9 +148,8 @@ class TestStates:
     def test_eigen_identity_family(self):
         q = 0.5
         family = build_family(IdentitySimilarity(), q, 200)
-        a, b = make_pair(IdentitySimilarity(), q, 200)
         state = bicoherent_state(family, 0.4)
-        r_phi, r_psi = eigen_check(state, a, b)
+        r_phi, r_psi = eigen_check(state, family.a, family.b)
         assert max(r_phi, r_psi) < 1e-10
 
     def test_eigen_worked_family(self, worked_256):
@@ -139,12 +158,23 @@ class TestStates:
         r_phi, r_psi = eigen_check(state, a, b)
         assert max(r_phi, r_psi) < 1e-9
 
+    def test_underflowing_state_does_not_pass(self):
+        # at q = 0.999 the K = 64 truncation is far from converged and
+        # N(|z|) ~ 1e-81: the absolute residual reads ~1e-81, the relative
+        # one is of order one
+        q = 0.999
+        family = build_family(IdentitySimilarity(), q, 64)
+        z = 0.7 * family_radius(family) * np.exp(0.3j)
+        state = bicoherent_state(family, z)
+        assert state.norm_const < 1e-60
+        assert min(eigen_check(state, family.a, family.b)) > 1.0
+
     def test_residual_scales_with_truncation(self):
         # doubling the truncation must shrink the residual at least by the
         # geometric factor prod |z|/beta_j over the added terms
         q = 0.9
         family = build_family(IdentitySimilarity(), q, 128)
-        a, b = make_pair(IdentitySimilarity(), q, 128)
+        a, b = family.a, family.b
         z = 0.85 * family_radius(family)
         r32 = max(eigen_check(bicoherent_state(family, z, terms=32), a, b))
         r64 = max(eigen_check(bicoherent_state(family, z, terms=64), a, b))
@@ -220,41 +250,35 @@ class TestRadii:
 
 class TestUncertainty:
     def test_at_origin(self, worked_256):
-        family, a, b = worked_256
-        res = uncertainty_product(family, a, b, 0.0)
+        family, _, _ = worked_256
+        res = uncertainty_at(family, 0.0)
         assert abs(res.product - 0.5) < 1e-12
         assert res.predicted == 0.5
 
     def test_identity_family_formula_point(self):
-        q = 0.5
-        family = build_family(IdentitySimilarity(), q, 128)
-        a, b = make_pair(IdentitySimilarity(), q, 128)
-        res = uncertainty_product(family, a, b, 0.6)
+        family = build_family(IdentitySimilarity(), 0.5, 128)
+        res = uncertainty_at(family, 0.6)
         assert res.predicted == pytest.approx(0.41, abs=1e-15)
         assert abs(res.product - 0.41) < 1e-8
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_matches_prediction_across_disc(self, q):
-        source = RankOneSimilarity(worked_deformation(1j))
-        family = build_family(source, q, 256)
-        a, b = make_pair(source, q, 256)
+        family = build_family(RankOneSimilarity(worked_deformation(1j)), q, 256)
         rho = family_radius(family)
         for frac in (0.0, 0.3, 0.6):
-            res = uncertainty_product(family, a, b, frac * rho * np.exp(1.1j))
+            res = uncertainty_at(family, frac * rho * np.exp(1.1j))
             assert abs(res.product - res.predicted) < 1e-7
 
     def test_boson_limit(self):
-        q = 1.0 - 1e-6
-        family = build_family(IdentitySimilarity(), q, 64)
-        a, b = make_pair(IdentitySimilarity(), q, 64)
-        res = uncertainty_product(family, a, b, 0.9 + 0.2j)
+        family = build_family(IdentitySimilarity(), 1.0 - 1e-6, 64)
+        res = uncertainty_at(family, 0.9 + 0.2j)
         assert abs(res.product - 0.5) < 1e-4
 
     def test_squared_deviations_are_real_positive_here(self, worked_256):
         # not a paper guarantee; recorded as observed behavior of the
         # pseudo-expectation on these families
-        family, a, b = worked_256
-        res = uncertainty_product(family, a, b, 0.4 + 0.3j)
+        family, _, _ = worked_256
+        res = uncertainty_at(family, 0.4 + 0.3j)
         assert res.dq_sq.real > 0
         assert abs(res.dq_sq.imag) < 1e-10
         assert abs(res.dp_sq.imag) < 1e-10

@@ -84,7 +84,19 @@ class TestValidation:
                              "tolerances": {"nonsense": 1.0}})
 
 
+POSITION = {"kind": "position", "gamma": 0.5}
+
 BAD_CONFIGS = {
+    "q-nan": ({"q": float("nan")}, "q"),
+    "q-inf": ({"q": float("inf")}, "q"),
+    "q-below-minus-one": ({"q": -2}, "q"),
+    "q-beta-overflow": ({"q": 3, "K": 4000}, "q"),
+    "position-q-above-one": ({"q": 1.5, "family": POSITION}, "q"),
+    "position-q-zero": ({"q": 0, "family": POSITION}, "q"),
+    "position-n_max": ({"family": POSITION, "tasks": [{"task": "position", "n_max": -1}]},
+                       r"tasks\[0\].n_max"),
+    "family-n_max": ({"tasks": [{"task": "family", "n_max": -1}]}, r"tasks\[0\].n_max"),
+    "tolerance-negative": ({"tolerances": {"mutator": -1e-3}}, "tolerances.mutator"),
     "K-not-integer": ({"K": "abc"}, "K"),
     "K-fractional": ({"K": 64.5}, "K"),
     "seed-not-integer": ({"seed": "x"}, "seed"),
@@ -120,6 +132,22 @@ BAD_CONFIGS = {
 }
 
 
+BAD_ARGS = {
+    "mutator-q-nan": (["mutator", "--q", "nan"], "q"),
+    "mutator-q-below-minus-one": (["mutator", "--q", "-2"], "q"),
+    "position-q-above-one": (["position", "--q", "1.5"], "q"),
+    "position-family-q-zero": (["mutator", "--family", "position", "--q", "0"], "q"),
+    "mutator-beta-overflow": (["mutator", "--q", "3", "--dim", "4000"], "q"),
+    "position-n-max": (["position", "--n-max", "-1"], r"tasks[0].n_max"),
+    "beta-q-nan": (["beta", "--q", "nan"], "q"),
+    "beta-n-max": (["beta", "--n-max", "-1"], "n_max"),
+    "beta-overflow": (["beta", "--q", "1.5", "--n-max", "5000"], "q"),
+    "tolerance-scale-zero": (["mutator", "--tolerance-scale", "0"], "--tolerance-scale"),
+    "tolerance-scale-nan": (["mutator", "--tolerance-scale", "nan"], "--tolerance-scale"),
+    "selftest-seed-negative": (["selftest", "--seed", "-1"], "seed"),
+}
+
+
 class TestExitCodeContract:
     """Malformed configs exit 2 with the offending field path, never 1."""
 
@@ -134,6 +162,11 @@ class TestExitCodeContract:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,path", BAD_ARGS.values(), ids=BAD_ARGS.keys())
+    def test_bad_arguments_exit_2(self, argv, path, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
     def test_largest_finite_gamma_runs_without_exception(self, capsys):
         assert main(["position", "--gamma", "26"]) in (0, 1)

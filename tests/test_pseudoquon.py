@@ -137,12 +137,11 @@ class TestBuildFamily:
 class TestLadder:
     def test_identity_residuals(self):
         family = build_family(IdentitySimilarity(), Q, 32)
-        a, b = make_pair(IdentitySimilarity(), Q, 32)
-        assert check_ladder(family, a, b)["max_residual"] < 1e-13
+        assert check_ladder(family)["max_residual"] < 1e-13
 
     def test_worked_residuals(self, worked):
         _, family, a, b = worked
-        assert check_ladder(family, a, b)["max_residual"] < 1e-11
+        assert check_ladder(family)["max_residual"] < 1e-11
 
     def test_vacua_annihilated(self, worked):
         _, family, a, b = worked
@@ -172,7 +171,7 @@ class TestNumberOperator:
 
     def test_residual_report(self, worked):
         _, family, a, b = worked
-        rep = number_eigencheck(family, a, b)
+        rep = number_eigencheck(family)
         assert rep["residual_phi"] < 1e-11
         assert rep["residual_psi"] < 1e-11
         assert rep["eigenvalue_convention"] == "beta_{n-1}^2"
