@@ -12,11 +12,9 @@ from .qcore import (
     q_number_factorial,
 )
 from .fock import (
-    TruncatedOperator,
-    make_identity,
+    FockOperator,
+    identity_plus,
     make_quon_c,
-    norm_growth_probe,
-    qmutator,
     qmutator_residual,
 )
 from .pseudoquon import (
@@ -26,16 +24,12 @@ from .pseudoquon import (
     RankOneSimilarity,
     build_family,
     build_theta,
-    build_theta_inverse,
     check_ladder,
     check_theta_conjugate,
     closed_form_theta,
-    expanded_pair,
     gram_deviation,
-    gram_matrix,
     make_pair,
     number_eigencheck,
-    weak_resolution_check,
     worked_deformation,
 )
 from .bicoherent import (

@@ -182,12 +182,13 @@ def bicoherent_state(family: BiorthogonalFamily, z: complex,
         raise ValueError(f"terms={terms} outside [1, K={family.K}]")
 
     nconst = normalization(q, abs(z))
-    coeffs = coherent_coefficients(q, z, terms)
-    phi_z = nconst * (coeffs @ family.phi[:terms])
-    psi_z = nconst * (coeffs @ family.psi[:terms])
+    coeffs = np.zeros(family.K, dtype=complex)
+    coeffs[:terms] = coherent_coefficients(q, z, terms)
+    phi_z = nconst * (family.phi @ coeffs)      # N (e(z) + alpha <u, e(z)> v)
+    psi_z = nconst * (family.psi @ coeffs)
 
-    a_phi = float(np.max(np.linalg.norm(family.phi, axis=1)))
-    a_psi = float(np.max(np.linalg.norm(family.psi, axis=1)))
+    a_phi = float(np.max(family.phi.column_norms(family.K)))
+    a_psi = float(np.max(family.psi.column_norms(family.K)))
     tail = _coefficient_tail(q, abs(z), terms)
     return BiCoherentState(
         z=z, q=q, terms=terms, norm_const=nconst,
@@ -212,8 +213,8 @@ def eigen_check(state: BiCoherentState, a, b) -> tuple[float, float]:
     if a.dim != len(state.phi_z) or b.dim != len(state.psi_z):
         raise ValueError("operator dimension does not match state")
     phi, psi = state.phi_z, state.psi_z
-    r_phi = np.linalg.norm(a.matrix @ phi - state.z * phi) / np.linalg.norm(phi)
-    r_psi = np.linalg.norm(b.matrix.conj().T @ psi - state.z * psi) / np.linalg.norm(psi)
+    r_phi = np.linalg.norm(a @ phi - state.z * phi) / np.linalg.norm(phi)
+    r_psi = np.linalg.norm(b.adjoint() @ psi - state.z * psi) / np.linalg.norm(psi)
     return float(r_phi), float(r_psi)
 
 
@@ -352,11 +353,11 @@ def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
     come from six matrix-vector products, never from Q^2 or P^2 as matrices.
     """
     root2 = math.sqrt(2.0)
-    a_phi, b_phi = a.matrix @ state.phi_z, b.matrix @ state.phi_z
+    a_phi, b_phi = a @ state.phi_z, b @ state.phi_z
     q_phi = (b_phi + a_phi) / root2
     p_phi = 1j * (b_phi - a_phi) / root2
-    q2_phi = (b.matrix @ q_phi + a.matrix @ q_phi) / root2
-    p2_phi = 1j * (b.matrix @ p_phi - a.matrix @ p_phi) / root2
+    q2_phi = (b @ q_phi + a @ q_phi) / root2
+    p2_phi = 1j * (b @ p_phi - a @ p_phi) / root2
 
     def pexp(vec: np.ndarray) -> complex:
         return complex(np.vdot(state.psi_z, vec))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bicoherent, positionrep, pseudoquon, qcore, resolution
-from .fock import operator_to_csv, qmutator_residual
+from .fock import identity_plus, operator_to_csv, qmutator_residual
 from .qcore import BetaSequence
 
 __all__ = ["main", "ConfigError", "run_config", "DEFAULT_SEED"]
@@ -221,6 +221,9 @@ def validate_config(cfg: dict) -> dict:
         if name not in allowed:
             raise ConfigError(f"tasks[{i}]: task {name!r} is not valid for "
                               f"family kind {kind!r}")
+        if name == "family" and kind != "position" and "n_max" in task:
+            raise ConfigError(f"tasks[{i}].n_max: only the position family "
+                              f"reads n_max, not family kind {kind!r}")
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
@@ -352,10 +355,10 @@ def _task_theta(ws: _Workspace, task: dict) -> dict:
     fam = ws.family
     theta = pseudoquon.build_theta(fam)
     closed = pseudoquon.closed_form_theta(fam.source, fam.K)
-    series_dev = float(np.max(np.abs(theta.matrix - closed.matrix)))
+    series_dev = (theta - closed).max_abs()
     conj = pseudoquon.check_theta_conjugate(fam.a, fam.b, theta, fam.safe_dim, fam)
-    inv = pseudoquon.build_theta_inverse(fam)
-    inv_dev = float(np.max(np.abs(theta.matrix @ inv.matrix - np.eye(fam.K))))
+    # Theta^{-1} from its own series sum_n |phi_n><phi_n| = S S^dag
+    inv_dev = (theta @ (fam.phi @ fam.phi.adjoint()) - identity_plus(fam.K)).max_abs()
     report = {
         "series_vs_closed": series_dev,
         "conjugation_residual": conj["conjugation_residual"],
@@ -671,4 +674,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # as a script this file is a second module; run_config raises the
+    # ConfigError of biquon.cli
+    from biquon.cli import main as package_main
+    sys.exit(package_main())

@@ -1,10 +1,20 @@
-"""Truncated Fock-space engine.
+"""Truncated Fock-space engine in structured form.
 
-Dense K x K matrices for the ladder operators, the q-mutator, and the
-residual probes that quantify how far a truncated pair is from satisfying
-the deformed commutation identity.  Truncation necessarily breaks the
-identity on the top basis vectors, so every residual check takes a
-``safe_dim`` argument restricting it to the leading block.
+Every operator the library builds on span{e_0, ..., e_{K-1}} is one band
+plus a small dense block on the leading indices,
+
+    X e_n = d_n e_{n+s} + B e_n,
+
+with s the shift of the band (0 for the identity, -1 for the lowering
+operator c, +1 for the raising operator c^dag, their sums for products).
+A compactly supported deformation of the quon pair keeps that form, with
+a block a few indices past the support extent, so storage, products,
+matvecs and residuals all cost O(K) plus the block.  Dense rows are made
+only by :meth:`FockOperator.dense`, for exports and small-K checks.
+
+Truncation breaks the q-mutation identity on the top basis vectors, so
+every residual check takes a ``safe_dim`` argument restricting it to the
+leading columns.
 """
 
 from __future__ import annotations
@@ -18,110 +28,169 @@ import numpy as np
 from .qcore import BetaSequence, validate_q_algebraic
 
 __all__ = [
-    "TruncatedOperator",
+    "FockOperator",
+    "identity_plus",
     "make_quon_c",
-    "make_identity",
-    "qmutator",
     "qmutator_residual",
-    "norm_growth_probe",
     "operator_to_csv",
 ]
 
 DEFAULT_SAFE_MARGIN = 2
+EMPTY = np.zeros((0, 0), dtype=complex)
+
+
+def _shifted(v: np.ndarray, s: int) -> np.ndarray:
+    """w with w[n + s] = v[n]; entries moved past either end are dropped."""
+    w = np.zeros_like(v)
+    k = len(v)
+    if s >= 0:
+        w[s:] = v[:max(k - s, 0)]
+    elif -s < k:
+        w[:k + s] = v[-s:]
+    return w
+
+
+def _padded(block: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros((p, p), dtype=block.dtype)
+    out[:len(block), :len(block)] = block
+    return out
 
 
 @dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense complex matrix acting on span{e_0, ..., e_{K-1}}."""
+class FockOperator:
+    """X e_n = diag[n] e_{n+shift} + block e_n, the block acting on the
+    leading len(block) indices.
 
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-    label: str = ""
+    diag[n] is zero wherever n + shift leaves [0, K), so the band never
+    crosses the truncation edge.
+    """
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dim={self.dim}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValueError("matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", m)
+    shift: int
+    diag: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    __array_ufunc__ = None      # numpy scalars defer to __rmul__
 
-    def adjoint(self, label: str | None = None) -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.matrix.conj().T,
-                                 label if label is not None else self.label + "^dag")
+    @property
+    def dim(self) -> int:
+        return len(self.diag)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
+    def __matmul__(self, other):
+        """Product with another operator, or matvec on a vector or a column batch."""
+        if isinstance(other, FockOperator):
+            return self._compose(other)
+        x = np.asarray(other)
+        d = self.diag if x.ndim == 1 else self.diag[:, None]
+        out = _shifted(d * x, self.shift).astype(
+            np.result_type(d, x, self.block), copy=False)
+        p = len(self.block)
+        out[:p] += self.block @ x[:p]
+        return out
 
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return TruncatedOperator(self.dim, self.matrix @ other.matrix,
-                                 f"{self.label}*{other.label}")
+    def _compose(self, y: "FockOperator") -> "FockOperator":
+        if self.dim != y.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {y.dim}")
+        # XY = D_x D_y + D_x B_y + B_x Y; the last two live on a window of
+        # w indices, which the bands widen by at most one step each
+        px, py = len(self.block), len(y.block)
+        w = min(self.dim, max(py + max(self.shift, 0), px + max(-y.shift, 0)))
+        block = self._band_window(w) @ _padded(y.block, w) \
+            + _padded(self.block, w) @ y.dense(w)
+        diag = y.diag * _shifted(self.diag, -y.shift)
+        return FockOperator(self.shift + y.shift, diag, block)
+
+    def __add__(self, other: "FockOperator") -> "FockOperator":
+        if self.dim != other.dim or self.shift != other.shift:
+            raise ValueError("sum of operators with different dims or band shifts")
+        p = max(len(self.block), len(other.block))
+        return FockOperator(self.shift, self.diag + other.diag,
+                            _padded(self.block, p) + _padded(other.block, p))
+
+    def __rmul__(self, scalar) -> "FockOperator":
+        return FockOperator(self.shift, scalar * self.diag, scalar * self.block)
+
+    def __neg__(self) -> "FockOperator":
+        return -1 * self
+
+    def __sub__(self, other: "FockOperator") -> "FockOperator":
+        return self + -other
+
+    def adjoint(self) -> "FockOperator":
+        return FockOperator(-self.shift, _shifted(self.diag.conj(), self.shift),
+                            self.block.conj().T)
+
+    def _band_window(self, n: int) -> np.ndarray:
+        out = np.zeros((n, n), dtype=self.diag.dtype)
+        j = np.arange(n)
+        i = j + self.shift
+        keep = (i >= 0) & (i < n)
+        out[i[keep], j[keep]] = self.diag[:n][keep]
+        return out
+
+    def dense(self, n: int | None = None) -> np.ndarray:
+        """The leading n x n window as a dense array (the whole matrix by default)."""
+        n = self.dim if n is None else n
+        out = self._band_window(n).astype(
+            np.result_type(self.diag, self.block), copy=False)
+        p = min(n, len(self.block))
+        out[:p, :p] += self.block[:p, :p]
+        return out
+
+    def column_norms(self, n: int) -> np.ndarray:
+        """||X e_j|| for j < n: the block columns from a dense window, the
+        rest from the band alone."""
+        p = min(len(self.block), n)
+        w = min(self.dim, len(self.block) + max(self.shift, 0))
+        head = np.linalg.norm(self.dense(w)[:, :p], axis=0)
+        return np.concatenate([head, np.abs(self.diag[p:n])])
+
+    def max_abs(self) -> float:
+        """Largest entry modulus."""
+        p = len(self.block)
+        w = min(self.dim, p + abs(self.shift))
+        return float(max(np.abs(self.dense(w)).max(initial=0.0),
+                         np.abs(self.diag[p:]).max(initial=0.0)))
 
 
-def make_quon_c(q: float, dim: int) -> TruncatedOperator:
+def identity_plus(dim: int, block: np.ndarray = EMPTY) -> FockOperator:
+    """1 + B with B dense on the leading len(B) indices."""
+    if len(block) > dim:
+        raise ValueError(f"support extent {len(block)} exceeds dim={dim}")
+    return FockOperator(0, np.ones(dim), np.asarray(block))
+
+
+def make_quon_c(q: float, dim: int) -> FockOperator:
     """K x K truncation of the lowering operator: entries c[k, k+1] = beta_k.
 
-    Its conjugate transpose is the truncation of the raising operator, so
+    Its adjoint is the truncation of the raising operator, so
     c e_m = beta_{m-1} e_{m-1} and c^dag e_n = beta_n e_{n+1} (n < K-1).
+    The band diag[m] = beta_{m-1} is the beta array every Fock check reads.
     """
     validate_q_algebraic(q)
     if dim < 2:
         raise ValueError(f"dim={dim} must be at least 2")
-    bs = BetaSequence(q, dim - 2)
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        m[k, k + 1] = bs.beta(k)
-    return TruncatedOperator(dim, m, "c")
+    beta = np.concatenate(([0.0], BetaSequence(q, dim - 2).betas()))
+    return FockOperator(-1, beta, EMPTY)
 
 
-def make_identity(dim: int) -> TruncatedOperator:
-    return TruncatedOperator(dim, np.eye(dim, dtype=complex), "I")
-
-
-def qmutator(x: TruncatedOperator, y: TruncatedOperator, q: float) -> TruncatedOperator:
-    """Deformed bracket [X, Y]_q = XY - q YX."""
-    validate_q_algebraic(q)
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    m = x.matrix @ y.matrix - q * (y.matrix @ x.matrix)
-    return TruncatedOperator(x.dim, m, f"[{x.label},{y.label}]_q")
-
-
-def qmutator_residual(x: TruncatedOperator, y: TruncatedOperator, q: float,
+def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
                       safe_dim: int | None = None) -> float:
     """max_n || (XY - q YX - I) e_n || over the safe block n < safe_dim.
 
     The default safe_dim = K - 2 excludes the columns where the truncation
-    edge corrupts the identity.
+    edge corrupts the identity.  Past the blocks each column is a single
+    band entry, beta_n^2 - q beta_{n-1}^2 - 1 for a quon pair.
     """
+    validate_q_algebraic(q)
     if safe_dim is None:
         safe_dim = x.dim - DEFAULT_SAFE_MARGIN
     if not (0 < safe_dim < x.dim):
         raise ValueError(f"safe_dim={safe_dim} outside (0, dim={x.dim})")
-    r = qmutator(x, y, q).matrix - np.eye(x.dim)
-    return float(np.max(np.linalg.norm(r[:, :safe_dim], axis=0)))
+    r = x @ y - q * (y @ x) - identity_plus(x.dim)
+    return float(np.max(r.column_norms(safe_dim)))
 
 
-def norm_growth_probe(x: TruncatedOperator, family) -> np.ndarray:
-    """Lower-bound sequence beta_{n-1}^2 (||phi_{n-1}|| / ||phi_n||)^2 for ||X||^2.
-
-    A bounded sequence is consistent with X being bounded; divergence
-    diagnoses unboundedness.  This is a trend probe, not a proof.
-    """
-    if family.K != x.dim:
-        raise ValueError(f"family dim {family.K} does not match operator dim {x.dim}")
-    norms = np.linalg.norm(family.phi, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("family contains a zero-norm vector")
-    bs = BetaSequence(family.q, family.K)
-    b2 = np.array([bs.beta(n - 1) ** 2 for n in range(1, family.K)])
-    return b2 * (norms[:-1] / norms[1:]) ** 2
-
-
-def operator_to_csv(op: TruncatedOperator, stream: IO[str]) -> None:
+def operator_to_csv(op: FockOperator, stream: IO[str]) -> None:
     """Row-major dump; each cell is the quoted pair "re,im"."""
     writer = csv.writer(stream)
-    for row in op.matrix:
+    for row in op.dense():
         writer.writerow([f"{z.real:.17g},{z.imag:.17g}" for z in row])

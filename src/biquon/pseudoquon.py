@@ -9,6 +9,11 @@ S^dag S != 1.  The eigenvector families
 are biorthogonal, and the metric operator Theta built from the psi series
 maps one family onto the other.  On the truncation all of this is exact
 linear algebra away from the edge rows touched by the deformation.
+
+A compactly supported S is the identity plus a block on its support, so
+S, S^{-dag}, the pair and Theta are all :class:`~biquon.fock.FockOperator`
+values: a band plus a leading block.  Every check below is a product of
+such operators whose safe columns are read in O(K), never a K x K array.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import IO
 
 import numpy as np
 
-from .fock import TruncatedOperator, make_quon_c
-from .qcore import BetaSequence, validate_q_algebraic
+from .fock import EMPTY, FockOperator, identity_plus, make_quon_c
+from .qcore import validate_q_algebraic
 
 __all__ = [
     "SimilarityOperator",
@@ -30,17 +35,13 @@ __all__ = [
     "worked_deformation",
     "BiorthogonalFamily",
     "make_pair",
-    "expanded_pair",
     "build_family",
-    "gram_matrix",
     "gram_deviation",
     "check_ladder",
     "number_eigencheck",
     "build_theta",
-    "build_theta_inverse",
     "closed_form_theta",
     "check_theta_conjugate",
-    "weak_resolution_check",
     "family_to_json",
 ]
 
@@ -48,21 +49,15 @@ PAIR_CONSTRAINT_TOL = 1e-14
 
 
 class SimilarityOperator:
-    """Factory for the four matrix realizations of S on a K-dim truncation."""
+    """S = 1 + B_S with S^{-1} = 1 + B_inv, both blocks on the leading
+    support_extent indices."""
 
     kind = "abstract"
+    support_extent = 0
 
-    def matrix(self, dim: int) -> np.ndarray:
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks B_S and B_inv."""
         raise NotImplementedError
-
-    def inverse(self, dim: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, dim: int) -> np.ndarray:
-        return self.matrix(dim).conj().T
-
-    def adjoint_inverse(self, dim: int) -> np.ndarray:
-        return self.inverse(dim).conj().T
 
     def safe_dim(self, dim: int) -> int:
         """Leading block on which truncated products reproduce the exact algebra."""
@@ -77,10 +72,8 @@ class IdentitySimilarity(SimilarityOperator):
 
     kind = "identity"
 
-    def matrix(self, dim: int) -> np.ndarray:
-        return np.eye(dim, dtype=complex)
-
-    inverse = matrix
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return EMPTY, EMPTY
 
 
 @dataclass(frozen=True)
@@ -131,29 +124,22 @@ class RankOneSimilarity(SimilarityOperator):
 
     def __init__(self, deformation: RankOneDeformation):
         self.deformation = deformation
+        self.support_extent = deformation.support_extent
 
-    def _embed(self, vec: np.ndarray, dim: int) -> np.ndarray:
-        if len(vec) > dim:
-            raise ValueError(f"support extent {len(vec)} exceeds dim={dim}")
-        out = np.zeros(dim, dtype=complex)
-        out[:len(vec)] = vec
-        return out
-
-    def _rank_one(self, coeff: complex, dim: int) -> np.ndarray:
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         d = self.deformation
-        u = self._embed(d.u, dim)
-        v = self._embed(d.v, dim)
-        return np.eye(dim, dtype=complex) + coeff * np.outer(v, u.conj())
-
-    def matrix(self, dim: int) -> np.ndarray:
-        return self._rank_one(self.deformation.alpha_def, dim)
-
-    def inverse(self, dim: int) -> np.ndarray:
-        return self._rank_one(self.deformation.beta_def, dim)
+        u = np.zeros(self.support_extent, dtype=complex)
+        v = np.zeros(self.support_extent, dtype=complex)
+        u[:len(d.u)] = d.u
+        v[:len(d.v)] = d.v
+        rank_one = np.outer(v, u.conj())
+        # array times scalar: the operand order the dense K x K construction
+        # took, so exported rows keep their last bits
+        return rank_one * d.alpha_def, rank_one * d.beta_def
 
     def safe_dim(self, dim: int) -> int:
         # the deformation couples rows up to one ladder step past the supports
-        return dim - 2 - self.deformation.support_extent
+        return dim - 2 - self.support_extent
 
     def describe(self) -> dict:
         d = self.deformation
@@ -172,33 +158,26 @@ def worked_deformation(alpha_def: complex = 1j) -> RankOneDeformation:
     The blocks c0 (indices 0, 1, unit norm), c1 (indices 2, 3) and c2
     (indices 4, 5) are disjoint, so <u, v> = ||c0||^2 = 1 automatically.
     """
-    c0 = {0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)}
-    c1 = {2: 0.4, 3: -0.3 + 0.2j}
-    c2 = {4: 0.5j, 5: -0.2}
-    u = np.zeros(6, dtype=complex)
-    v = np.zeros(6, dtype=complex)
-    for k, g in c0.items():
-        u[k] = g
-        v[k] = g
-    for k, g in c1.items():
-        u[k] = g
-    for k, g in c2.items():
-        v[k] = g
+    h = 1 / np.sqrt(2)
+    u = np.array([h, h, 0.4, -0.3 + 0.2j, 0.0, 0.0])
+    v = np.array([h, h, 0.0, 0.0, 0.5j, -0.2])
     return RankOneDeformation.from_alpha(u, v, alpha_def)
 
 
 @dataclass(frozen=True)
 class BiorthogonalFamily:
-    """Row-stacked families phi[n] = S e_n and psi[n] = (S^dag)^{-1} e_n,
-    with the pair (a, b) they are built from."""
+    """phi_n = phi e_n and psi_n = psi e_n with phi = S and psi = S^{-dag},
+    the plain lowering operator c (its band is the family's beta array) and
+    the pair (a, b) built from S and c."""
 
     K: int
     q: float
-    phi: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
+    phi: FockOperator = field(repr=False)
+    psi: FockOperator = field(repr=False)
     source: SimilarityOperator = field(repr=False)
-    a: TruncatedOperator = field(repr=False)
-    b: TruncatedOperator = field(repr=False)
+    c: FockOperator = field(repr=False)
+    a: FockOperator = field(repr=False)
+    b: FockOperator = field(repr=False)
     iteration_deviation: float = 0.0
 
     @property
@@ -206,47 +185,29 @@ class BiorthogonalFamily:
         return self.source.safe_dim(self.K)
 
 
+def _similarity(source: SimilarityOperator, dim: int
+                ) -> tuple[FockOperator, FockOperator]:
+    """S and S^{-1} on the K-dim truncation."""
+    s_block, inv_block = source.blocks()
+    return identity_plus(dim, s_block), identity_plus(dim, inv_block)
+
+
+def _deviation(x: FockOperator) -> float:
+    """Largest entry of X - 1."""
+    return (x - identity_plus(x.dim)).max_abs()
+
+
 def make_pair(source: SimilarityOperator, q: float, dim: int
-              ) -> tuple[TruncatedOperator, TruncatedOperator]:
+              ) -> tuple[FockOperator, FockOperator]:
     """Build a = S c S^{-1} and b = S c^dag S^{-1} on the truncation."""
     validate_q_algebraic(q)
-    s = source.matrix(dim)
-    s_inv = source.inverse(dim)
-    resid = np.max(np.abs(s @ s_inv - np.eye(dim)))
+    s, s_inv = _similarity(source, dim)
+    resid = _deviation(s @ s_inv)
     if resid > 1e-12:
         raise ValueError(f"similarity operator not invertible on truncation "
                          f"(S S^-1 deviates from 1 by {resid:.2e})")
-    c = make_quon_c(q, dim).matrix
-    a = TruncatedOperator(dim, s @ c @ s_inv, "a")
-    b = TruncatedOperator(dim, s @ c.conj().T @ s_inv, "b")
-    return a, b
-
-
-def expanded_pair(source: RankOneSimilarity, q: float, dim: int
-                  ) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Same pair assembled from the explicit projector expansion.
-
-    a = c + alpha P_{c^dag u, v} + beta P_{u, c v} + alpha beta <u, c v> P_{u, v}
-    and the mirrored expression for b.  Kept as an independent construction
-    against which the similarity products are cross-checked.
-    """
-    d = source.deformation
-    alpha, bet = d.alpha_def, d.beta_def
-    u = source._embed(d.u, dim)
-    v = source._embed(d.v, dim)
-    c = make_quon_c(q, dim).matrix
-    cdag = c.conj().T
-
-    def proj(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # P_{left, right} f = <left, f> right
-        return np.outer(right, left.conj())
-
-    a = c + alpha * proj(cdag @ u, v) + bet * proj(u, c @ v) \
-        + alpha * bet * np.vdot(u, c @ v) * proj(u, v)
-    b = cdag + alpha * proj(c @ u, v) + bet * proj(u, cdag @ v) \
-        + alpha * bet * np.vdot(u, cdag @ v) * proj(u, v)
-    return (TruncatedOperator(dim, a, "a_expanded"),
-            TruncatedOperator(dim, b, "b_expanded"))
+    c = make_quon_c(q, dim)
+    return s @ c @ s_inv, s @ c.adjoint() @ s_inv
 
 
 def build_family(source: SimilarityOperator, q: float, dim: int) -> BiorthogonalFamily:
@@ -254,36 +215,33 @@ def build_family(source: SimilarityOperator, q: float, dim: int) -> Biorthogonal
 
     phi_n = S e_n is the direct route; phi_n = b phi_{n-1} / beta_{n-1}
     is the iterated route starting from the vacuum phi_0 (annihilated by a).
-    The maximal deviation between the two over the safe block is recorded,
-    and the family keeps the pair (a, b).
+    The iteration runs while b differs from c^dag on phi_{n-1}; past that
+    phi_{n-1} = e_{n-1} and the step is the plain c^dag, whose residual is
+    check_ladder's raise_phi.  The maximal deviation between the two routes
+    is recorded, and the family keeps the pair (a, b).
     """
     validate_q_algebraic(q)
-    s = source.matrix(dim)
-    phi = s.T.copy()                       # phi[n] = S e_n
-    psi = source.adjoint_inverse(dim).T.copy()
-
+    s, s_inv = _similarity(source, dim)
     a, b = make_pair(source, q, dim)
-    bs = BetaSequence(q, dim)
-    safe = max(source.safe_dim(dim), 1)
-    vac_resid = np.linalg.norm(a.matrix @ phi[0])
-    dev = vac_resid
-    cur = phi[0]
-    for n in range(1, safe):
-        cur = b.matrix @ cur / bs.beta(n - 1)
-        dev = max(dev, float(np.linalg.norm(cur - phi[n])))
-    return BiorthogonalFamily(dim, q, phi, psi, source, a, b,
-                              iteration_deviation=float(dev))
-
-
-def gram_matrix(family: BiorthogonalFamily) -> np.ndarray:
-    """G[n, m] = <phi_n, psi_m>."""
-    return family.phi.conj() @ family.psi.T
+    c = make_quon_c(q, dim)
+    basis = np.eye(dim, min(dim, len(b.block) + 1)).T   # rows e_0, e_1, ...
+    cur = s @ basis[0]
+    dev = float(np.linalg.norm(a @ cur))
+    for n in range(1, min(max(source.safe_dim(dim), 1), len(basis))):
+        cur = b @ cur / c.diag[n]
+        dev = max(dev, float(np.linalg.norm(cur - s @ basis[n])))
+    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b,
+                              iteration_deviation=dev)
 
 
 def gram_deviation(family: BiorthogonalFamily) -> float:
-    """Max-entry deviation of the Gram matrix from the identity."""
-    g = gram_matrix(family)
-    return float(np.max(np.abs(g - np.eye(family.K))))
+    """Max-entry deviation of the Gram matrix G[n, m] = <phi_n, psi_m>,
+    that is of S^dag S^{-dag}, from the identity."""
+    return _deviation(family.phi.adjoint() @ family.psi)
+
+
+def _worst_columns(residual: FockOperator, n: int) -> float:
+    return float(np.max(residual.column_norms(n), initial=0.0))
 
 
 def check_ladder(family: BiorthogonalFamily) -> dict:
@@ -292,35 +250,20 @@ def check_ladder(family: BiorthogonalFamily) -> dict:
 
     b phi_n = beta_n phi_{n+1};  a phi_n = beta_{n-1} phi_{n-1};
     a^dag psi_n = beta_n psi_{n+1};  b^dag psi_n = beta_{n-1} psi_{n-1};
-    with phi_{-1} = psi_{-1} = 0.
+    with phi_{-1} = psi_{-1} = 0.  In operator form the residual of
+    b phi_n = beta_n phi_{n+1} is column n of b S - S c^dag, and so on.
     """
-    K, safe = family.K, family.safe_dim
-    bs = BetaSequence(family.q, K)
-    phi, psi, a, b = family.phi, family.psi, family.a, family.b
-    adag = a.matrix.conj().T
-    bdag = b.matrix.conj().T
-
-    raise_phi = lower_phi = raise_psi = lower_psi = 0.0
-    for n in range(safe):
-        if n + 1 < K:
-            raise_phi = max(raise_phi, float(np.linalg.norm(
-                b.matrix @ phi[n] - bs.beta(n) * phi[n + 1])))
-            raise_psi = max(raise_psi, float(np.linalg.norm(
-                adag @ psi[n] - bs.beta(n) * psi[n + 1])))
-        below_phi = phi[n - 1] if n >= 1 else np.zeros(K)
-        below_psi = psi[n - 1] if n >= 1 else np.zeros(K)
-        lower_phi = max(lower_phi, float(np.linalg.norm(
-            a.matrix @ phi[n] - bs.beta(n - 1) * below_phi)))
-        lower_psi = max(lower_psi, float(np.linalg.norm(
-            bdag @ psi[n] - bs.beta(n - 1) * below_psi)))
-    report = {
-        "raise_phi": raise_phi,
-        "lower_phi": lower_phi,
-        "raise_psi": raise_psi,
-        "lower_psi": lower_psi,
-        "safe_dim": safe,
+    phi, psi, a, b, c = family.phi, family.psi, family.a, family.b, family.c
+    cdag = c.adjoint()
+    residuals = {
+        "raise_phi": b @ phi - phi @ cdag,
+        "lower_phi": a @ phi - phi @ c,
+        "raise_psi": a.adjoint() @ psi - psi @ cdag,
+        "lower_psi": b.adjoint() @ psi - psi @ c,
     }
-    report["max_residual"] = max(raise_phi, lower_phi, raise_psi, lower_psi)
+    report = {key: _worst_columns(r, family.safe_dim) for key, r in residuals.items()}
+    report["safe_dim"] = family.safe_dim
+    report["max_residual"] = max(report[key] for key in residuals)
     return report
 
 
@@ -329,104 +272,81 @@ def number_eigencheck(family: BiorthogonalFamily) -> dict:
     (a, b) the family's pair.
 
     The eigenvalue is beta_{n-1}^2 (squared), the value the ladder
-    relations force; reports carry the convention explicitly.
+    relations force, here the diagonal c^dag c; reports carry the
+    convention explicitly.
     """
+    n_op = family.b @ family.a
+    eigen = family.c.adjoint() @ family.c
     safe = family.safe_dim
-    bs = BetaSequence(family.q, family.K)
-    nmat = family.b.matrix @ family.a.matrix
-    ndag = nmat.conj().T
-    r_phi = r_psi = 0.0
-    for n in range(safe):
-        ev = bs.beta(n - 1) ** 2
-        r_phi = max(r_phi, float(np.linalg.norm(nmat @ family.phi[n] - ev * family.phi[n])))
-        r_psi = max(r_psi, float(np.linalg.norm(ndag @ family.psi[n] - ev * family.psi[n])))
     return {
-        "residual_phi": r_phi,
-        "residual_psi": r_psi,
+        "residual_phi": _worst_columns(n_op @ family.phi - family.phi @ eigen, safe),
+        "residual_psi": _worst_columns(
+            n_op.adjoint() @ family.psi - family.psi @ eigen, safe),
         "safe_dim": safe,
         "eigenvalue_convention": "beta_{n-1}^2",
     }
 
 
-def build_theta(family: BiorthogonalFamily) -> TruncatedOperator:
+def build_theta(family: BiorthogonalFamily) -> FockOperator:
     """Metric operator from the series Theta = sum_n |psi_n><psi_n|."""
-    m = family.psi.T @ family.psi.conj()
-    return TruncatedOperator(family.K, m, "Theta")
+    return family.psi @ family.psi.adjoint()
 
 
-def build_theta_inverse(family: BiorthogonalFamily) -> TruncatedOperator:
-    """Series inverse Theta^{-1} = sum_n |phi_n><phi_n|."""
-    m = family.phi.T @ family.phi.conj()
-    return TruncatedOperator(family.K, m, "Theta^-1")
+def _inverse(x: FockOperator) -> FockOperator:
+    """(1 + B)^{-1} = 1 + B' with (1 + B) B' = -B solved on the block."""
+    if x.shift != 0 or np.any(x.diag != 1.0):
+        raise ValueError("operator is not the identity plus a leading block")
+    p = len(x.block)
+    return identity_plus(x.dim, np.linalg.solve(x.dense(p), -x.block))
 
 
-def closed_form_theta(source: SimilarityOperator, dim: int) -> TruncatedOperator:
+def closed_form_theta(source: SimilarityOperator, dim: int) -> FockOperator:
     """(S S^dag)^{-1}, the closed form the series must reproduce."""
-    s = source.matrix(dim)
-    m = np.linalg.inv(s @ s.conj().T)
-    return TruncatedOperator(dim, m, "Theta_closed")
+    s, _ = _similarity(source, dim)
+    return _inverse(s @ s.adjoint())
 
 
-def check_theta_conjugate(a: TruncatedOperator, b: TruncatedOperator,
-                          theta: TruncatedOperator, safe_dim: int,
+def check_theta_conjugate(a: FockOperator, b: FockOperator,
+                          theta: FockOperator, safe_dim: int,
                           family: BiorthogonalFamily | None = None) -> dict:
     """Residual of a = Theta^{-1} b^dag Theta on the safe basis block.
 
-    When a family is supplied, also verifies the equivalent criterion
-    psi_n = Theta phi_n.
+    Theta must be the identity plus a leading block.  When a family is
+    supplied, also verifies the equivalent criterion psi_n = Theta phi_n.
     """
     if not (0 < safe_dim <= a.dim):
         raise ValueError(f"safe_dim={safe_dim} outside (0, {a.dim}]")
-    theta_inv = np.linalg.inv(theta.matrix)
-    conj = theta_inv @ b.matrix.conj().T @ theta.matrix
-    diff = (a.matrix - conj)[:, :safe_dim]
-    report = {"conjugation_residual": float(np.max(np.linalg.norm(diff, axis=0))),
+    conj = a - _inverse(theta) @ b.adjoint() @ theta
+    report = {"conjugation_residual": _worst_columns(conj, safe_dim),
               "safe_dim": safe_dim}
     if family is not None:
-        r = 0.0
-        for n in range(min(safe_dim, family.K)):
-            r = max(r, float(np.linalg.norm(
-                theta.matrix @ family.phi[n] - family.psi[n])))
-        report["mapping_residual"] = r
+        report["mapping_residual"] = _worst_columns(
+            theta @ family.phi - family.psi, min(safe_dim, family.K))
     return report
 
 
-def weak_resolution_check(family: BiorthogonalFamily,
-                          f: np.ndarray, g: np.ndarray) -> tuple[complex, complex]:
-    """Both orderings of the weak completeness sum for <f, g>.
-
-    Returns (sum_n <f,phi_n><psi_n,g>, sum_n <f,psi_n><phi_n,g>); each must
-    reproduce <f, g>.  f and g must be supported inside the safe block.
-    """
-    K, safe = family.K, family.safe_dim
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if f.shape != (K,) or g.shape != (K,):
-        raise ValueError("vector length does not match family dimension")
-    if np.any(np.abs(f[safe:]) > 0) or np.any(np.abs(g[safe:]) > 0):
-        raise ValueError(f"vectors must be supported in indices < safe_dim={safe}")
-    f_phi = family.phi.conj() @ f    # <phi_n, f>
-    f_psi = family.psi.conj() @ f
-    g_phi = family.phi.conj() @ g
-    g_psi = family.psi.conj() @ g
-    first = complex(np.sum(f_phi.conj() * g_psi))
-    second = complex(np.sum(f_psi.conj() * g_phi))
-    return first, second
+def _rows(m: np.ndarray) -> list:
+    """[[[re, im], ...], ...]; tolist() gives the floats json writes as repr."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def family_to_json(family: BiorthogonalFamily, stream: IO[str] | None = None,
                    residual_report: dict | None = None) -> dict:
-    """JSON document with the family data and an optional residual report."""
+    """JSON document with the family data and an optional residual report.
+
+    The rows are phi_n = S e_n and psi_n = conj of row n of S^{-1}, made
+    dense only here, and the document is written in one json.dumps call.
+    """
     doc = {
         "K": family.K,
         "q": family.q,
         "source": family.source.describe(),
         "iteration_deviation": family.iteration_deviation,
-        "phi": [[[z.real, z.imag] for z in row] for row in family.phi],
-        "psi": [[[z.real, z.imag] for z in row] for row in family.psi],
+        "phi": _rows(family.phi.dense().T),
+        "psi": _rows(family.psi.adjoint().dense().conj()),
     }
     if residual_report is not None:
         doc["residuals"] = residual_report
     if stream is not None:
-        json.dump(doc, stream, sort_keys=True)
+        stream.write(json.dumps(doc, sort_keys=True))
     return doc

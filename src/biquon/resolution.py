@@ -27,7 +27,7 @@ from typing import IO, ClassVar
 import numpy as np
 
 from .pseudoquon import BiorthogonalFamily
-from .qcore import BetaSequence, disc_radius, q_factorial_sq, validate_q_disc
+from .qcore import disc_radius, q_factorial_sq, validate_q_disc
 
 __all__ = [
     "SupportError",
@@ -123,10 +123,10 @@ def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
 def _overlap_coefficients(family: BiorthogonalFamily, f: np.ndarray,
                           g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Series coefficients <f, phi_k>/beta_{k-1}! and <psi_k, g>/beta_{k-1}!."""
-    bs = BetaSequence(family.q, family.K)
-    fact = np.array([bs.factorial(k - 1) for k in range(family.K)])
-    f_phi = family.phi @ f.conj()       # <f, phi_k>
-    psi_g = family.psi.conj() @ g       # <psi_k, g>
+    # beta_{k-1}! from the family's beta array c.diag[k] = beta_{k-1}
+    fact = np.concatenate(([1.0, 1.0], np.cumprod(family.c.diag[2:])))
+    f_phi = (family.phi.adjoint() @ f).conj()   # <f, phi_k>
+    psi_g = family.psi.adjoint() @ g            # <psi_k, g>
     return f_phi / fact, psi_g / fact
 
 

@@ -93,7 +93,7 @@ def check_number_operator(seed) -> list[CheckResult]:
     for q in (0.3, 0.7):
         family = pseudoquon.build_family(WORKED_SOURCE, q, 64)
         safe = family.safe_dim
-        nmat = (family.b.matrix @ family.a.matrix)[:safe, :safe]
+        nmat = (family.b @ family.a).dense(safe)
         ev = np.linalg.eigvals(nmat)
         ev_dag = np.linalg.eigvals(nmat.conj().T)
         spec_dev = max(spec_dev,
@@ -108,8 +108,8 @@ def check_number_operator(seed) -> list[CheckResult]:
 
 def check_theta(seed) -> list[CheckResult]:
     reports = _reports({"task": "theta"}, (WORKED,), (0.4,))
-    theta = pseudoquon.build_theta(pseudoquon.build_family(WORKED_SOURCE, 0.4, 64))
-    eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (theta.matrix + theta.matrix.conj().T))))
+    theta = pseudoquon.build_theta(pseudoquon.build_family(WORKED_SOURCE, 0.4, 64)).dense()
+    eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (theta + theta.conj().T))))
     return [
         _task_result("05a-theta-series-vs-closed", reports, "series_vs_closed",
                      tolerance=1e-11),
@@ -134,8 +134,8 @@ def check_radii(seed) -> list[CheckResult]:
     worst_emp_rank_one = worst_emp_pos = 0.0
     for q in (0.3, 0.5, 0.8):
         family = pseudoquon.build_family(WORKED_SOURCE, q, 48)
-        norms = np.linalg.norm(family.phi, axis=1)
-        norms_psi = np.linalg.norm(family.psi, axis=1)
+        norms = family.phi.column_norms(family.K)
+        norms_psi = family.psi.column_norms(family.K)
         rep = bicoherent.radius_report(norms, norms_psi, q, "riesz")
         target = qcore.disc_radius(q)
         worst_rank_one = max(worst_rank_one, abs(rep.rho - target) / target)

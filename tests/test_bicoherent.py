@@ -90,8 +90,8 @@ def worked_256():
 
 def dense_uncertainty(state, a, b) -> complex:
     """Oracle: Delta Q Delta P with Q^2 and P^2 formed as matrices."""
-    qm = (b.matrix + a.matrix) / math.sqrt(2.0)
-    pm = 1j * (b.matrix - a.matrix) / math.sqrt(2.0)
+    qm = (b.dense() + a.dense()) / math.sqrt(2.0)
+    pm = 1j * (b.dense() - a.dense()) / math.sqrt(2.0)
 
     def pexp(m):
         return complex(np.vdot(state.psi_z, m @ state.phi_z))
@@ -114,8 +114,8 @@ class TestStates:
     def test_center_state_is_vacuum_pair(self, worked_256):
         family, _, _ = worked_256
         state = bicoherent_state(family, 0.0)
-        assert np.allclose(state.phi_z, family.phi[0], atol=1e-15)
-        assert np.allclose(state.psi_z, family.psi[0], atol=1e-15)
+        assert np.allclose(state.phi_z, family.phi.dense()[:, 0], atol=1e-15)
+        assert np.allclose(state.psi_z, family.psi.dense()[:, 0], atol=1e-15)
         assert state.norm_const == 1.0
 
     def test_identity_family_reduces_to_quon_state(self):
@@ -195,8 +195,8 @@ class TestStates:
 class TestRadii:
     def test_riesz_policy(self, worked_256):
         family, _, _ = worked_256
-        norms_phi = np.linalg.norm(family.phi[:48], axis=1)
-        norms_psi = np.linalg.norm(family.psi[:48], axis=1)
+        norms_phi = family.phi.column_norms(48)
+        norms_psi = family.psi.column_norms(48)
         rep = radius_report(norms_phi, norms_psi, family.q, "riesz")
         assert rep.rho == pytest.approx(qcore.disc_radius(family.q), rel=1e-14)
         assert rep.r_phi == 1.0
@@ -205,7 +205,7 @@ class TestRadii:
 
     def test_empirical_matches_for_riesz_family(self, worked_256):
         family, _, _ = worked_256
-        norms = np.linalg.norm(family.phi[:48], axis=1)
+        norms = family.phi.column_norms(48)
         rep = radius_report(norms, norms, family.q, "riesz")
         target = qcore.disc_radius(family.q)
         assert abs(rep.empirical_rho_phi - target) / target < 0.05

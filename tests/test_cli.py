@@ -96,6 +96,9 @@ BAD_CONFIGS = {
     "position-n_max": ({"family": POSITION, "tasks": [{"task": "position", "n_max": -1}]},
                        r"tasks\[0\].n_max"),
     "family-n_max": ({"tasks": [{"task": "family", "n_max": -1}]}, r"tasks\[0\].n_max"),
+    "fock-family-n_max": ({"family": {"kind": "rank_one"},
+                           "tasks": [{"task": "family", "n_max": 3}]},
+                          r"tasks\[0\].n_max"),
     "tolerance-negative": ({"tolerances": {"mutator": -1e-3}}, "tolerances.mutator"),
     "K-not-integer": ({"K": "abc"}, "K"),
     "K-fractional": ({"K": 64.5}, "K"),
@@ -145,6 +148,8 @@ BAD_ARGS = {
     "tolerance-scale-zero": (["mutator", "--tolerance-scale", "0"], "--tolerance-scale"),
     "tolerance-scale-nan": (["mutator", "--tolerance-scale", "nan"], "--tolerance-scale"),
     "selftest-seed-negative": (["selftest", "--seed", "-1"], "seed"),
+    "family-rank_one-n-max": (["family", "--family", "rank_one", "--n-max", "3"],
+                              "tasks[0].n_max"),
 }
 
 
@@ -178,13 +183,25 @@ class TestExitCodeContract:
         assert report["moment_residual"] <= 1e-13
 
 
-def test_cli_import_does_not_load_scipy():
+def _package_env() -> dict:
     path = [str(Path(biquon.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_module_entry_point_keeps_exit_code_contract():
+    proc = subprocess.run([sys.executable, "-m", "biquon.cli", "selftest", "--seed", "-1"],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: seed:")
+
+
+def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import sys, biquon.cli; assert 'scipy' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+                   env=_package_env(), check=True, timeout=60)
 
 
 class TestRunConfig:

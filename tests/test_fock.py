@@ -4,21 +4,22 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquon import qcore
 from biquon.fock import (
-    TruncatedOperator,
-    make_identity,
+    FockOperator,
+    identity_plus,
     make_quon_c,
-    norm_growth_probe,
     operator_to_csv,
-    qmutator,
     qmutator_residual,
 )
 from biquon.pseudoquon import (
     IdentitySimilarity,
     RankOneSimilarity,
     build_family,
+    make_pair,
     worked_deformation,
 )
 
@@ -32,7 +33,7 @@ def basis(dim, n):
 class TestQuonMatrix:
     def test_two_by_two(self):
         c = make_quon_c(0.5, 2)
-        assert np.allclose(c.matrix, [[0, 1], [0, 0]])
+        assert np.allclose(c.dense(), [[0, 1], [0, 0]])
 
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
@@ -42,56 +43,64 @@ class TestQuonMatrix:
     def test_lowering_action(self, q):
         dim = 16
         c = make_quon_c(q, dim)
-        assert np.allclose(c.apply(basis(dim, 0)), 0.0)
+        assert np.allclose(c @ basis(dim, 0), 0.0)
         for m in range(1, dim):
             expected = qcore.beta(q, m - 1) * basis(dim, m - 1)
-            assert np.allclose(c.apply(basis(dim, m)), expected, atol=1e-15)
+            assert np.allclose(c @ basis(dim, m), expected, atol=1e-15)
 
     def test_raising_action(self):
         dim, q = 16, 0.6
         cdag = make_quon_c(q, dim).adjoint()
         for n in range(dim - 1):
             expected = qcore.beta(q, n) * basis(dim, n + 1)
-            assert np.allclose(cdag.apply(basis(dim, n)), expected, atol=1e-15)
+            assert np.allclose(cdag @ basis(dim, n), expected, atol=1e-15)
 
     def test_adjoint_is_exact_conjugate_transpose(self):
         c = make_quon_c(0.3, 12)
-        assert np.array_equal(c.adjoint().matrix, c.matrix.conj().T)
+        assert np.array_equal(c.adjoint().dense(), c.dense().conj().T)
+        a, _ = make_pair(RankOneSimilarity(worked_deformation(0.3 + 0.7j)), 0.3, 12)
+        assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
 
     def test_number_operator_diagonal(self):
         dim, q = 24, 0.45
         c = make_quon_c(q, dim)
-        n0 = c.adjoint().matrix @ c.matrix
+        n0 = (c.adjoint() @ c).dense()
         for m in range(dim):
             expected = qcore.beta_sq(q, m - 1) * basis(dim, m)
             assert np.linalg.norm(n0 @ basis(dim, m) - expected) < 1e-13
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            TruncatedOperator(2, np.array([[np.inf, 0], [0, 0]]))
+        # beta_K^2 overflows double at q = 3, K = 4000
+        with pytest.raises(OverflowError):
+            make_quon_c(3.0, 4000)
+
+
+def qmutator(x, y, q):
+    """Deformed bracket [X, Y]_q = XY - q YX."""
+    return x @ y - q * (y @ x)
 
 
 class TestQMutator:
     def test_identity_block_and_corner(self):
         q, dim = 0.7, 10
         c = make_quon_c(q, dim)
-        m = qmutator(c, c.adjoint(), q).matrix
+        m = qmutator(c, c.adjoint(), q).dense()
         assert np.allclose(m[:dim - 1, :dim - 1], np.eye(dim - 1), atol=1e-14)
         corner = -q * qcore.beta_sq(q, dim - 2)
         assert m[dim - 1, dim - 1] == pytest.approx(corner, rel=1e-14)
 
     def test_two_by_two_value(self):
         c = make_quon_c(0.5, 2)
-        m = qmutator(c, c.adjoint(), 0.5).matrix
+        m = qmutator(c, c.adjoint(), 0.5).dense()
         assert np.allclose(m, np.diag([1.0, -0.5]))
 
     def test_commuting_identity(self):
-        i = make_identity(5)
-        assert np.allclose(qmutator(i, i, 1.0).matrix, 0.0)
+        i = identity_plus(5)
+        assert np.allclose(qmutator(i, i, 1.0).dense(), 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qmutator(make_identity(4), make_identity(5), 0.5)
+            qmutator(identity_plus(4), identity_plus(5), 0.5)
 
 
 class TestResidual:
@@ -106,7 +115,9 @@ class TestResidual:
 
     def test_wrong_pair_fails_loudly(self):
         c = make_quon_c(0.5, 16)
-        assert qmutator_residual(c, c, 0.5, 14) >= 0.99
+        assert qmutator_residual(c.adjoint(), c, 0.5, 14) >= 0.99
+        with pytest.raises(ValueError, match="shift"):
+            qmutator_residual(c, c, 0.5, 14)
 
     def test_rejects_bad_safe_dim(self):
         c = make_quon_c(0.5, 8)
@@ -114,51 +125,39 @@ class TestResidual:
             qmutator_residual(c, c.adjoint(), 0.5, 8)
 
     def test_deformed_pair(self):
-        from biquon.pseudoquon import make_pair
         source = RankOneSimilarity(worked_deformation(1j))
         a, b = make_pair(source, 0.3, 64)
         assert qmutator_residual(a, b, 0.3, source.safe_dim(64)) < 1e-12
 
 
+def norm_growth(family):
+    """Lower-bound sequence beta_{n-1}^2 (||phi_{n-1}|| / ||phi_n||)^2 for
+    ||X||^2: bounded when X is bounded, divergent when it is not."""
+    norms = family.phi.column_norms(family.K)
+    return family.c.diag[1:] ** 2 * (norms[:-1] / norms[1:]) ** 2
+
+
 class TestNormGrowthProbe:
     def test_undeformed_family_converges(self):
         q, dim = 0.5, 64
-        family = build_family(IdentitySimilarity(), q, dim)
-        c = make_quon_c(q, dim)
-        probe = norm_growth_probe(c, family)
+        probe = norm_growth(build_family(IdentitySimilarity(), q, dim))
         expected = [qcore.beta_sq(q, n - 1) for n in range(1, dim)]
         assert np.allclose(probe, expected, rtol=1e-12)
         assert abs(probe[-1] - 1.0 / (1.0 - q)) < 1e-8
 
     def test_bosonic_divergence(self):
-        family = build_family(IdentitySimilarity(), 1.0, 48)
-        c = make_quon_c(1.0, 48)
-        probe = norm_growth_probe(c, family)
+        probe = norm_growth(build_family(IdentitySimilarity(), 1.0, 48))
         assert np.allclose(probe, np.arange(1, 48), rtol=1e-12)
         assert probe[-1] > probe[0]
 
     def test_deformed_family_stays_bounded(self):
         q, dim = 0.5, 64
-        source = RankOneSimilarity(worked_deformation(1j))
-        family = build_family(source, q, dim)
-        from biquon.pseudoquon import make_pair
-        a, _ = make_pair(source, q, dim)
-        probe = norm_growth_probe(a, family)
-        s = source.matrix(dim)
-        s_inv = source.inverse(dim)
-        c = make_quon_c(q, dim)
-        bound = (np.linalg.norm(s, 2) * np.linalg.norm(c.matrix, 2)
-                 * np.linalg.norm(s_inv, 2)) ** 2
+        family = build_family(RankOneSimilarity(worked_deformation(1j)), q, dim)
+        probe = norm_growth(family)
+        bound = (np.linalg.norm(family.phi.dense(), 2)
+                 * np.linalg.norm(family.c.dense(), 2)
+                 * np.linalg.norm(family.psi.dense(), 2)) ** 2
         assert np.all(probe <= bound + 1e-12)
-
-    def test_zero_norm_vector_rejected(self):
-        family = build_family(IdentitySimilarity(), 0.5, 8)
-        broken = family.phi.copy()
-        broken[3] = 0.0
-        import dataclasses
-        bad = dataclasses.replace(family, phi=broken)
-        with pytest.raises(ValueError):
-            norm_growth_probe(make_quon_c(0.5, 8), bad)
 
 
 def test_csv_dump_round_trip():
@@ -170,4 +169,52 @@ def test_csv_dump_round_trip():
     assert len(rows) == 3
     parsed = np.array([[complex(*map(float, cell.split(","))) for cell in row]
                        for row in rows])
-    assert np.allclose(parsed, c.matrix)
+    assert np.allclose(parsed, c.dense())
+
+
+def random_operator(rng, dim, shift, p):
+    """A band of the given shift (zero where it would cross the edge) plus a
+    random p x p leading block."""
+    diag = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    keep = (np.arange(dim) + shift >= 0) & (np.arange(dim) + shift < dim)
+    block = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    return FockOperator(shift, np.where(keep, diag, 0), block)
+
+
+operators = st.tuples(st.integers(2, 20), st.integers(0, 2 ** 32 - 1)).flatmap(
+    lambda dk: st.tuples(st.just(dk[0]), st.just(np.random.default_rng(dk[1])),
+                         st.lists(st.tuples(st.integers(-1, 1),
+                                            st.integers(0, dk[0])),
+                                  min_size=2, max_size=2)))
+
+
+class TestStructuredAlgebra:
+    """Every FockOperator operation against the same operation on dense()."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operators)
+    def test_operations_match_dense(self, drawn):
+        dim, rng, ((sx, px), (sy, py)) = drawn
+        x = random_operator(rng, dim, sx, px)
+        y = random_operator(rng, dim, sy, py)
+        dx, dy = x.dense(), y.dense()
+        scale = max(1.0, np.abs(dx).max() * np.abs(dy).max())
+        assert np.abs((x @ y).dense() - dx @ dy).max() <= 1e-13 * scale * dim
+        assert np.array_equal(x.adjoint().dense(), dx.conj().T)
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        batch = rng.standard_normal((dim, 3))
+        assert np.allclose(x @ vec, dx @ vec, rtol=1e-13, atol=1e-13)
+        assert np.allclose(x @ batch, dx @ batch, rtol=1e-13, atol=1e-13)
+        n = int(rng.integers(0, dim + 1))
+        assert np.allclose(x.column_norms(n), np.linalg.norm(dx[:, :n], axis=0),
+                           rtol=1e-14, atol=0)
+        assert x.max_abs() == np.abs(dx).max()
+        if sx == sy:
+            assert np.allclose((x - 0.5 * y).dense(), dx - 0.5 * dy, rtol=1e-15)
+        else:
+            with pytest.raises(ValueError):
+                x + y
+
+    def test_window_matches_whole(self):
+        a, _ = make_pair(RankOneSimilarity(worked_deformation(1j)), 0.4, 32)
+        assert np.array_equal(a.dense(10), a.dense()[:10, :10])
