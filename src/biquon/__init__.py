@@ -48,7 +48,6 @@ from .bicoherent import (
 )
 from .resolution import (
     RadialQuadrature,
-    moment,
     resolution_check,
     solve_moment_measure,
 )

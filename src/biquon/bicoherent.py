@@ -87,10 +87,10 @@ def norm_series(q: float, r: float, terms: int | None = None,
                 break
     ratio = r * r / bs.beta(k) ** 2 if r > 0 else 0.0
     tail = t / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if tail > tail_tol * total:
+    if not tail <= tail_tol * total < math.inf:
         raise ConvergenceError(
             f"tail bound {tail:.3e} exceeds {tail_tol:.1e} x partial sum "
-            f"after {k} terms (r={r}, q={q})")
+            f"{total:.3e} after {k} terms (r={r}, q={q})")
     return total, tail, k
 
 

@@ -132,37 +132,44 @@ def _normalize_tasks(raw, path: str) -> list[dict]:
     return tasks
 
 
-def _validate_task_params(task: dict, path: str, q: float, dim: int) -> None:
-    """Parse and range-check, in place, the task parameters the config sets."""
+def _validate_task_params(task: dict, path: str, q: float, dim: int,
+                          extent: int) -> None:
+    """Parse and range-check, in place, the task parameters the config sets;
+    extent is the support extent of the family's deformation."""
     for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
         if key in task:
             task[key] = _parse_int(task[key], f"{path}.{key}")
             if task[key] < least:
                 raise ConfigError(f"{path}.{key}: must be at least {least}, "
                                   f"got {task[key]}")
-    if task["task"] == "bicoherent" and "r_frac" in task:
-        task["r_frac"] = _parse_float(task["r_frac"], f"{path}.r_frac")
-        if not 0.0 < task["r_frac"] < 1.0:
-            raise ConfigError(f"{path}.r_frac: must lie in (0, 1), "
-                              f"got {task['r_frac']}")
+    if task["task"] == "bicoherent":
+        if "r_frac" in task:
+            task["r_frac"] = _parse_float(task["r_frac"], f"{path}.r_frac")
+            if not 0.0 < task["r_frac"] < 1.0:
+                raise ConfigError(f"{path}.r_frac: must lie in (0, 1), "
+                                  f"got {task['r_frac']}")
+        # the largest |z| of the sweep; N(|z|) converges more slowly with |z|
+        try:
+            bicoherent.normalization(q, task.get("r_frac", 0.7) * qcore.disc_radius(q))
+        except bicoherent.ConvergenceError as exc:
+            raise ConfigError(f"{path}.r_frac: {exc}") from None
     if task["task"] == "resolution":
         try:
             resolution.atom_count(q)
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
-        k_mom = task.get("K_mom", 12)
-        try:
-            resolution.check_moment_range(q, k_mom)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.K_mom: {exc}") from None
-        support = task.get("support", min(6, k_mom // 2))
-        if support > min(k_mom // 2, dim):
-            raise ConfigError(f"{path}.support: must be at most min(K_mom // 2, K) "
-                              f"= {min(k_mom // 2, dim)}, got {support}")
+        for key in ("K_mom", "support"):
+            if task.get(key, 0) > dim:
+                raise ConfigError(f"{path}.{key}: must be at most K = {dim}, "
+                                  f"got {task[key]}")
+        # the overlaps of f, g with the family reach past their support to
+        # the end of the deformation's block
+        reach = max(task.get("support", min(6, dim)), extent)
         n_theta = task.get("n_theta", 64)
-        if n_theta <= 2 * (support - 1):
-            raise ConfigError(f"{path}.n_theta: must exceed 2 (support - 1) = "
-                              f"{2 * (support - 1)}, got {n_theta}")
+        if n_theta <= 2 * (reach - 1):
+            raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "
+                              f"support extent) - 1) = {2 * (reach - 1)}, "
+                              f"got {n_theta}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -182,6 +189,7 @@ def validate_config(cfg: dict) -> dict:
     if kind not in ("identity", "rank_one", "position"):
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     out["family"] = {"kind": kind}
+    extent = 0
     if kind == "rank_one":
         alpha = _parse_complex(fam.get("alpha_def", [0.0, 1.0]), "family.alpha_def")
         if fam.get("preset") == "worked" or ("u" not in fam and "v" not in fam):
@@ -227,7 +235,7 @@ def validate_config(cfg: dict) -> dict:
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
-        _validate_task_params(task, f"tasks[{i}]", out["q"], out["K"])
+        _validate_task_params(task, f"tasks[{i}]", out["q"], out["K"], extent)
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
@@ -412,10 +420,10 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
 
 
 def _task_resolution(ws: _Workspace, task: dict) -> dict:
-    k_mom = int(task.get("K_mom", 12))
+    k_mom = int(task.get("K_mom", min(12, ws.family.K)))
     n_theta = int(task.get("n_theta", 64))
     n_pairs = int(task.get("n_pairs", 20))
-    support = int(task.get("support", min(6, k_mom // 2)))
+    support = int(task.get("support", min(6, ws.family.K)))
     quad = resolution.solve_moment_measure(ws.cfg["q"], k_mom)
     worst = 0.0
     for _ in range(n_pairs):

@@ -217,8 +217,9 @@ def build_family(source: SimilarityOperator, q: float, dim: int) -> Biorthogonal
     is the iterated route starting from the vacuum phi_0 (annihilated by a).
     The iteration runs while b differs from c^dag on phi_{n-1}; past that
     phi_{n-1} = e_{n-1} and the step is the plain c^dag, whose residual is
-    check_ladder's raise_phi.  The maximal deviation between the two routes
-    is recorded, and the family keeps the pair (a, b).
+    check_ladder's raise_phi.  At q = -1 it stops at the first
+    beta_{n-1} = 0, where the fermionic ladder ends.  The maximal deviation
+    between the two routes is recorded, and the family keeps the pair (a, b).
     """
     validate_q_algebraic(q)
     s, s_inv = _similarity(source, dim)
@@ -228,6 +229,8 @@ def build_family(source: SimilarityOperator, q: float, dim: int) -> Biorthogonal
     cur = s @ basis[0]
     dev = float(np.linalg.norm(a @ cur))
     for n in range(1, min(max(source.safe_dim(dim), 1), len(basis))):
+        if c.diag[n] == 0.0:    # beta_{n-1} = 0 ends the ladder (q = -1)
+            break
         cur = b @ cur / c.diag[n]
         dev = max(dev, float(np.linalg.norm(cur - s @ basis[n])))
     return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b,

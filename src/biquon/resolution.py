@@ -1,41 +1,55 @@
-"""Radial measure for the weak resolution of identity.
+"""Radial measure for the weak resolution of identity, and the check it feeds.
 
 The weak resolution of identity requires a radial measure whose even
 moments are m_k = (beta_{k-1}!)^2 / (2 pi) = [k]! / (2 pi).  In the scaled
-variable s = r^2 that is the q-Gamma moment problem, solved in closed form
-by Jackson's q-integral (Gasper & Rahman, ch. 1; Arik & Coon 1976):
+variable t = (r / rho)^2, rho = 1/sqrt(1-q) the disc radius, the moments
+are (q; q)_k / (2 pi), and Jackson's q-integral gives that measure in
+closed form (Gasper & Rahman, ch. 1; Arik & Coon 1976):
 
-    [k]! = sum_{j >= 0} q^j (q^{j+1}; q)_inf  s_j^k,   s_j = q^j / (1 - q).
+    (q; q)_k = sum_{j >= 0} q^j (q^{j+1}; q)_inf  t_j^k,   t_j = q^j.
 
-So the measure is a sequence of atoms at r_j = rho q^{j/2}, rho the disc
-radius 1/sqrt(1-q), accumulating at the origin.  It lives on [0, rho] with
-one atom (j = 0) on the rim itself; that is harmless because the
-resolution check evaluates the N-cancelled integrand, a polynomial in z
+So the measure is a sequence of atoms at r_j = rho q^{j/2}, accumulating at
+the origin, with weights w_j = q^j (q^{j+1}; q)_inf / (2 pi).  It lives on
+[0, rho] with one atom (j = 0) on the rim itself; that is harmless because
+the resolution check evaluates the N-cancelled integrand, a polynomial in z
 and conj(z).  The atoms j >= J are dropped, with J the smallest index whose
 dropped-mass bound q^J / (1 - q) is below double-precision roundoff; the
 dropped share of every moment is at most that bound.
+
+Every check reads the scaled moments
+
+    rho_k = 2 pi sum_j w_j t_j^k / (q; q)_k,
+
+which equal 1 for every k and stay near 1 in floating point: no power of
+rho is ever formed.  The moment residuals are |rho_k - 1|.  The resolution
+integral of N^{-1}<f, phi(z)> N^{-1}<psi(z), g> over the atoms and the
+uniform n_theta-point rule in the angle is
+
+    sum_{k,l} <f, phi_k><psi_l, g> / (beta_{k-1}! beta_{l-1}!)
+        sum_j w_j r_j^{k+l}  (2 pi / n_theta) sum_theta e^{i(k-l) theta}.
+
+For k, l < n with n_theta > 2 (n - 1) the angular sum is n_theta delta_kl,
+the discrete orthogonality of the n_theta-th roots of unity (the trapezoid
+rule is exact on trigonometric polynomials; Trefethen & Weideman, SIAM Rev.
+56, 2014), so the integral is sum_{k < n} <f, phi_k><psi_k, g> rho_k.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import IO, ClassVar
 
 import numpy as np
 
 from .pseudoquon import BiorthogonalFamily
-from .qcore import disc_radius, q_factorial_sq, validate_q_disc
+from .qcore import disc_radius, validate_q_disc
 
 __all__ = [
-    "SupportError",
     "RadialQuadrature",
     "MAX_ATOMS",
     "atom_count",
-    "check_moment_range",
-    "moment",
     "solve_moment_measure",
     "resolution_check",
     "quadrature_to_csv",
@@ -47,13 +61,9 @@ ROUNDOFF = np.finfo(float).eps / 2.0
 MAX_ATOMS = 1_000_000
 
 
-class SupportError(ValueError):
-    """Vector support exceeds the range covered by the verified moments."""
-
-
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Jackson atoms r_j, w_j; residuals verified for the first K_mom moments."""
+    """Jackson atoms r_j, w_j; residuals |rho_k - 1| for the first K_mom moments."""
 
     q: float
     rho: float
@@ -69,11 +79,6 @@ class RadialQuadrature:
         return float(np.max(self.residuals))
 
 
-def moment(q: float, k: int) -> float:
-    """Target radial moment m_k = (beta_{k-1}!)^2 / (2 pi)."""
-    return q_factorial_sq(q, k - 1) / (2.0 * math.pi)
-
-
 def atom_count(q: float) -> int:
     """Smallest J with dropped-mass bound q^J / (1 - q) below roundoff."""
     q = validate_q_disc(q)
@@ -84,61 +89,45 @@ def atom_count(q: float) -> int:
     return n_atoms
 
 
-def check_moment_range(q: float, K_mom: int) -> None:
-    """Raise ValueError unless m_0 .. m_{K_mom - 1} fit in double precision.
+def _scaled_moments(q: float, weights: np.ndarray, n: int) -> np.ndarray:
+    """rho_k = 2 pi sum_j w_j t_j^k / (q; q)_k for k < n.
 
-    The bound is on rho^{2k} = (1 - q)^{-k}, which is at least 2 pi m_k,
-    so the moments and the atom powers r_j^{2k} stay finite as well.
+    w_j t_j^k is a running product over k, so no J x n array is formed.
     """
-    q = validate_q_disc(q)
-    if K_mom < 2:
-        raise ValueError(f"K_mom={K_mom} must be at least 2")
-    if (K_mom - 1) * -math.log1p(-q) >= math.log(sys.float_info.max):
-        raise ValueError(f"moment m_{K_mom - 1} overflows double at q={q}")
+    t = q ** np.arange(len(weights))
+    q_pochhammer = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1, n))))
+    out = np.empty(n)
+    terms = 2.0 * math.pi * weights
+    for k in range(n):
+        out[k] = terms.sum()
+        terms *= t
+    return out / q_pochhammer[:n]
 
 
 def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
-    """Jackson atoms on [0, rho], with moments m_0 .. m_{K_mom - 1} verified.
-
-    Residuals are relative, taken on the scaled variable (r / rho)^2 in
-    [0, 1] so that the atom powers stay at most one.
-    """
+    """Jackson atoms on [0, rho], with moments m_0 .. m_{K_mom - 1} verified."""
     q = validate_q_disc(q)
-    check_moment_range(q, K_mom)
+    if K_mom < 2:
+        raise ValueError(f"K_mom={K_mom} must be at least 2")
     n_atoms = atom_count(q)
-
     rho = disc_radius(q)
     t = q ** np.arange(n_atoms)                        # (r_j / rho)^2
     # (q^{j+1}; q)_inf as a reverse running product of 1 - q^i, i = j+1..J
     tail_products = np.cumprod((1.0 - q * t)[::-1])[::-1]
     weights = t * tail_products / (2.0 * math.pi)
-    mu = np.array([moment(q, k) / rho ** (2 * k) for k in range(K_mom)])
-    residuals = np.abs(np.array(
-        [weights @ t ** k for k in range(K_mom)]) - mu) / mu
+    residuals = np.abs(_scaled_moments(q, weights, K_mom) - 1.0)
     return RadialQuadrature(q=q, rho=rho, nodes=rho * np.sqrt(t),
                             weights=weights, K_mom=K_mom, residuals=residuals,
                             tail_bound=q ** n_atoms / (1.0 - q))
-
-
-def _overlap_coefficients(family: BiorthogonalFamily, f: np.ndarray,
-                          g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Series coefficients <f, phi_k>/beta_{k-1}! and <psi_k, g>/beta_{k-1}!."""
-    # beta_{k-1}! from the family's beta array c.diag[k] = beta_{k-1}
-    fact = np.concatenate(([1.0, 1.0], np.cumprod(family.c.diag[2:])))
-    f_phi = (family.phi.adjoint() @ f).conj()   # <f, phi_k>
-    psi_g = family.psi.adjoint() @ g            # <psi_k, g>
-    return f_phi / fact, psi_g / fact
 
 
 def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
                      n_theta: int, f: np.ndarray, g: np.ndarray) -> complex:
     """Discretized weak resolution integral; must reproduce <f, g>.
 
-    The N-cancelled integrand N^{-1}<f, phi(z)> N^{-1}<psi(z), g> is
-    sum_{k,l} a_k b_l r^{k+l} e^{i(k-l)theta}, so its sum over the radial
-    atoms and the uniform n_theta-point trapezoid rule on [0, 2 pi) is the
-    contraction a^T (E o M) b with E_kl = sum_theta e^{i(k-l)theta} and
-    M_kl = sum_j w_j r_j^{k+l}.  E is evaluated, not assumed diagonal.
+    The integral is sum_{k < n} <f, phi_k><psi_k, g> rho_k (see the module
+    docstring), with n the reach: one plus the last index at which either
+    overlap is nonzero.  n_theta must exceed 2 (n - 1).
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -147,28 +136,14 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     if family.q != quad.q:
         raise ValueError("family and quadrature deformation parameters differ")
 
-    a_k, b_l = _overlap_coefficients(family, f, g)
-    k_supported = np.flatnonzero(np.abs(a_k) > 1e-13)
-    l_supported = np.flatnonzero(np.abs(b_l) > 1e-13)
-    k_max = int(max(k_supported.max(initial=0), l_supported.max(initial=0)))
-    moment_range = quad.K_mom // 2
-    if k_supported.max(initial=-1) >= moment_range or \
-            l_supported.max(initial=-1) >= moment_range:
-        raise SupportError(
-            f"overlap coefficients reach index {k_max}, beyond the matched "
-            f"moment range k < {moment_range}")
-    if n_theta <= 2 * k_max:
-        raise ValueError(f"n_theta={n_theta} too small for maximal index "
-                         f"difference {k_max} (need n_theta > {2 * k_max})")
-
-    idx = np.arange(k_max + 1)
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    angular = np.exp(1j * np.multiply.outer(np.subtract.outer(idx, idx), theta))
-    radial = np.array([quad.weights @ quad.nodes ** p
-                       for p in range(2 * k_max + 1)])
-    kernel = angular.sum(axis=2) * radial[np.add.outer(idx, idx)]
-    total = a_k[:k_max + 1] @ kernel @ b_l[:k_max + 1]
-    return complex(total * (2.0 * math.pi / n_theta))
+    f_phi = (family.phi.adjoint() @ f).conj()   # <f, phi_k>
+    psi_g = family.psi.adjoint() @ g            # <psi_k, g>
+    reach = int(np.flatnonzero((f_phi != 0) | (psi_g != 0)).max(initial=-1)) + 1
+    if n_theta <= 2 * (reach - 1):
+        raise ValueError(f"n_theta={n_theta} too small for overlaps reaching "
+                         f"index {reach - 1} (need n_theta > {2 * (reach - 1)})")
+    rho_k = _scaled_moments(quad.q, quad.weights, reach)
+    return complex(f_phi[:reach] @ (psi_g[:reach] * rho_k))
 
 
 def quadrature_to_csv(quad: RadialQuadrature, stream: IO[str]) -> None:

@@ -70,6 +70,12 @@ class TestNormalization:
         with pytest.raises(ConvergenceError):
             norm_series(q, r, max_terms=64)
 
+    def test_overflowing_partial_sum_raises(self):
+        # at q = 0.9999 and |z| = 0.7 rho the terms grow past double range
+        # before they start to fall; an infinite sum must not pass its tail test
+        with pytest.raises(ConvergenceError, match="partial sum inf"):
+            norm_series(0.9999, 0.7 * qcore.disc_radius(0.9999))
+
 
 class TestCoefficients:
     def test_first_values(self):

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biquon
 from biquon.cli import ConfigError, main, run_config, validate_config
@@ -85,6 +88,11 @@ class TestValidation:
 
 
 POSITION = {"kind": "position", "gamma": 0.5}
+# u = e_0 + 0.3 e_6 + (0.2 + 0.1i) e_11, v = e_0 + (0.1 + 0.2i) e_8: the
+# resolution overlaps reach index 11, past the default support of 6
+COMPACT = {"kind": "rank_one", "alpha_def": [0, 1],
+           "u": [[0, 1, 0], [6, 0.3, 0], [11, 0.2, 0.1]],
+           "v": [[0, 1, 0], [8, 0.1, 0.2]]}
 
 BAD_CONFIGS = {
     "q-nan": ({"q": float("nan")}, "q"),
@@ -118,6 +126,8 @@ BAD_CONFIGS = {
                            r"tasks\[0\].n_theta"),
     "bicoherent-r_frac": ({"tasks": [{"task": "bicoherent", "r_frac": 1.2}]},
                           r"tasks\[0\].r_frac"),
+    "bicoherent-norm-overflow": ({"q": 0.9999, "tasks": ["bicoherent"]},
+                                 r"tasks\[0\].r_frac"),
     "resolution-K_mom-small": ({"tasks": [{"task": "resolution", "K_mom": 1}]},
                                r"tasks\[0\].K_mom"),
     "resolution-K_mom-overflow": ({"tasks": [{"task": "resolution",
@@ -128,10 +138,14 @@ BAD_CONFIGS = {
     "resolution-q-near-one": ({"q": 0.999999, "tasks": ["resolution"]}, "q"),
     "resolution-support-0": ({"tasks": [{"task": "resolution", "support": 0}]},
                              r"tasks\[0\].support"),
-    "resolution-support-7": ({"tasks": [{"task": "resolution", "support": 7}]},
-                             r"tasks\[0\].support"),
+    "resolution-support-above-K": ({"tasks": [{"task": "resolution", "support": 33}]},
+                                   r"tasks\[0\].support"),
     "resolution-n_theta": ({"tasks": [{"task": "resolution", "n_theta": 4}]},
                            r"tasks\[0\].n_theta"),
+    "resolution-n_theta-below-extent": ({"K": 64, "family": COMPACT,
+                                         "tasks": [{"task": "resolution", "K_mom": 24,
+                                                    "n_theta": 12}]},
+                                        r"tasks\[0\].n_theta"),
 }
 
 
@@ -150,6 +164,8 @@ BAD_ARGS = {
     "selftest-seed-negative": (["selftest", "--seed", "-1"], "seed"),
     "family-rank_one-n-max": (["family", "--family", "rank_one", "--n-max", "3"],
                               "tasks[0].n_max"),
+    "bicoherent-r-frac-rim": (["bicoherent", "--q", "0.5", "--r-frac", "0.999"],
+                              "tasks[0].r_frac"),
 }
 
 
@@ -181,6 +197,12 @@ class TestExitCodeContract:
         report = json.loads(capsys.readouterr().out)["tasks"]["resolution"]
         assert report["quadrature"]["method"] == "jackson"
         assert report["moment_residual"] <= 1e-13
+
+    def test_resolution_overlaps_past_support_exit_0(self):
+        summary, code = run_config({"q": 0.5, "K": 64, "family": COMPACT,
+                                    "tasks": [{"task": "resolution", "K_mom": 12}]})
+        assert code == 0
+        assert summary["tasks"]["resolution"]["max_residual"] <= 1e-8
 
 
 def _package_env() -> dict:
@@ -308,3 +330,88 @@ class TestMainEntry:
         assert "01-qmutator-identity" in out
         assert "FAIL(expected)" in out      # the documented radius discrepancy
         assert "\nFAIL " not in out
+
+
+
+@st.composite
+def _fock_family(draw) -> tuple[dict, int]:
+    """A Fock family config and the support extent of its deformation."""
+    kind = draw(st.sampled_from(["identity", "worked", "compact"]))
+    if kind == "identity":
+        return {"kind": "identity"}, 0
+    theta = draw(st.floats(-2.5, 2.5))      # alpha_def = e^{i theta}
+    family = {"kind": "rank_one", "alpha_def": [math.cos(theta), math.sin(theta)]}
+    if kind == "worked":
+        return {**family, "preset": "worked"}, 6
+    # u = e_0 + (entries on some indices), v = e_0 + (entries on others), so
+    # <u, v> = 1; the last index of the extent belongs to u or v
+    extent = draw(st.integers(1, 14))
+    owners = draw(st.lists(st.sampled_from(["u", "v", None]),
+                           min_size=extent - 1, max_size=extent - 1))
+    if extent > 1:
+        owners[-1] = draw(st.sampled_from(["u", "v"]))
+    part = st.floats(-1.0, 1.0)
+    vectors = {"u": [[0, 1.0, 0.0]], "v": [[0, 1.0, 0.0]]}
+    for index, owner in enumerate(owners, start=1):
+        if owner:
+            vectors[owner].append([index, draw(part), draw(part)])
+    return {**family, **vectors}, extent
+
+
+def _task_params(draw, K: int, extent: int) -> dict:
+    """(in range, out of range) strategies per task parameter; the n_theta
+    bound follows the support drawn before it."""
+    support = draw(st.none() | st.integers(1, K))
+    reach = max(min(6, K) if support is None else support, extent)
+    return {
+        "resolution": {
+            "K_mom": (st.integers(2, K), st.integers(-1, 1) | st.integers(K + 1, K + 20)),
+            "support": (st.just(support), st.integers(-1, 0) | st.integers(K + 1, K + 20)),
+            "n_theta": (st.integers(2 * reach - 1, 2 * reach + 40),
+                        st.integers(-1, 2 * reach - 2)),
+            "n_pairs": (st.integers(1, 3), st.integers(-1, 0)),
+        },
+        "bicoherent": {
+            "r_frac": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                       | st.sampled_from([0.7, 0.9, 0.99, 0.999]),
+                       st.sampled_from([0.0, 1.0, 1.5, -0.1])),
+            "n_r": (st.integers(1, 3), st.integers(-1, 0)),
+            "n_theta": (st.integers(1, 4), st.integers(-1, 0)),
+        },
+    }
+
+
+@st.composite
+def _fock_config(draw) -> dict:
+    """A resolution and/or bicoherent config; each task leaves its parameters
+    out or sets them in range, except at most one set out of range."""
+    K = draw(st.integers(2, 64))
+    family, extent = draw(_fock_family())
+    params = _task_params(draw, K, extent)
+    tasks = []
+    for name in draw(st.lists(st.sampled_from(["resolution", "bicoherent"]),
+                              min_size=1, max_size=2, unique=True)):
+        bad = draw(st.sampled_from([None, None, None, *params[name]]))
+        task = {"task": name}
+        for key, (valid, invalid) in params[name].items():
+            value = draw(invalid if key == bad else st.none() | valid)
+            if value is not None:
+                task[key] = value
+        tasks.append(task)
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+             | st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999]))
+    return {"q": q, "K": K, "family": family, "tasks": tasks, "seed": 5}
+
+
+class TestConfigFuzz:
+    """Every Fock resolution or bicoherent config keeps the exit-code
+    contract in process: a verdict of 0 or 1, or a ConfigError (exit 2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_fock_config())
+    def test_run_config_keeps_exit_code_contract(self, cfg):
+        try:
+            _, code = run_config(cfg)
+        except ConfigError:
+            return
+        assert code in (0, 1)

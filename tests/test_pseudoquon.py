@@ -2,8 +2,8 @@
 
 import io
 import json
-
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +173,17 @@ class TestBuildFamily:
     def test_iteration_agrees_with_direct(self, worked):
         _, family, _, _ = worked
         assert family.iteration_deviation < 1e-11
+
+    def test_fermionic_iteration_stops_at_zero_beta(self):
+        # q = -1: beta_1 = 0, so the iterated route ends at phi_2; dividing
+        # by beta_1 made NaNs that max() dropped from the deviation
+        cfg = {"q": -1, "K": 32, "family": {"kind": "rank_one", "preset": "worked"},
+               "tasks": ["family", "mutator", "theta"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary, code = run_config(cfg)
+        assert code == 0
+        assert summary["tasks"]["family"]["iteration_deviation"] < 1e-11
 
     def test_biorthogonality(self, worked):
         _, family, _, _ = worked

@@ -1,7 +1,9 @@
-"""Tests for the moment-matched radial quadrature and the resolution check."""
+"""Tests for the Jackson radial quadrature and the resolution check."""
 
 import io
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquon import qcore
+from biquon.cli import run_config
 from biquon.pseudoquon import (
     IdentitySimilarity,
+    RankOneDeformation,
     RankOneSimilarity,
     build_family,
     worked_deformation,
 )
 from biquon.resolution import (
     ROUNDOFF,
-    SupportError,
-    _overlap_coefficients,
-    moment,
     quadrature_to_csv,
     residual_report,
     resolution_check,
@@ -31,14 +32,24 @@ def quad_moment(quad, k: int) -> float:
     return float(np.sum(quad.weights * quad.nodes ** (2 * k)))
 
 
+def moment(q: float, k: int) -> float:
+    """Target radial moment m_k = [k]! / (2 pi)."""
+    return qcore.q_number_factorial(q, k) / (2.0 * math.pi)
+
+
 class TestMoments:
     def test_zeroth_moment_is_total_mass(self):
-        assert moment(0.5, 0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        # rho_0 = 2 pi sum_j w_j, the total mass in units of its target
+        quad = solve_moment_measure(0.5, 2)
+        assert quad.residuals[0] == pytest.approx(
+            abs(2.0 * math.pi * np.sum(quad.weights) - 1.0), abs=1e-16)
+        assert quad.residuals[0] <= 1e-15
 
     def test_factorial_identity(self):
-        # 2 pi m_k recovers the squared q-factorial exactly
+        # 2 pi m_k recovers the squared q-factorial
+        quad = solve_moment_measure(0.3, 8)
         for k in range(8):
-            assert 2.0 * math.pi * moment(0.3, k) == pytest.approx(
+            assert 2.0 * math.pi * quad_moment(quad, k) == pytest.approx(
                 qcore.q_factorial_sq(0.3, k - 1), rel=1e-14)
 
 
@@ -108,11 +119,12 @@ class TestSolver:
         quad = solve_moment_measure(0.5, 30)
         assert quad.max_residual <= 1e-13
 
-    def test_overflowing_kmom_rejected(self):
-        # rho^{2k} = 2^k leaves double range at k = 1024
-        solve_moment_measure(0.5, 1024)
-        with pytest.raises(ValueError, match="overflows"):
-            solve_moment_measure(0.5, 1026)
+    def test_kmom_4000_at_roundoff(self):
+        # the unscaled moment m_k = [k]!/(2 pi) overflows double from k = 1024
+        # at q = 0.5; the scaled rho_k stay at 1
+        quad = solve_moment_measure(0.5, 4000)
+        assert len(quad.residuals) == 4000
+        assert quad.max_residual <= 1e-13
 
     def test_q_too_close_to_one_rejected(self):
         with pytest.raises(ValueError, match="atoms"):
@@ -203,12 +215,6 @@ class TestResolutionCheck:
             val = resolution_check(family, quad, 64, f, g)
             assert abs(val - np.vdot(f, g)) < 1e-8
 
-    def test_support_beyond_moments_rejected(self, setup):
-        _, dim, quad, identity, _ = setup
-        f = self.basis(dim, 7)   # needs moment k = 7 >= K_mom/2
-        with pytest.raises(SupportError):
-            resolution_check(identity, quad, 64, f, f)
-
     def test_too_few_angles_rejected(self, setup):
         _, dim, quad, identity, _ = setup
         f = self.basis(dim, 5)
@@ -223,18 +229,31 @@ class TestResolutionCheck:
                              self.basis(dim, 0))
 
 
+# u = e_0 + 0.3 e_6 + (0.2 + 0.1i) e_11 and v = e_0 + (0.1 + 0.2i) e_8: the
+# overlaps of vectors supported on the first 6 indices reach index 11
+COMPACT = RankOneDeformation.from_alpha(
+    [1, 0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.2 + 0.1j], [1, 0, 0, 0, 0, 0, 0, 0, 0.1 + 0.2j], 1j)
+SOURCES = {
+    "identity": IdentitySimilarity(),
+    "worked": RankOneSimilarity(worked_deformation(1j)),
+    "compact": RankOneSimilarity(COMPACT),
+}
+
+
 def per_atom_resolution(family, quad, n_theta, f, g) -> complex:
-    """Reference: the resolution sum evaluated atom by atom and angle by angle."""
-    a_k, b_l = _overlap_coefficients(family, np.asarray(f, dtype=complex),
-                                     np.asarray(g, dtype=complex))
-    kcut = quad.K_mom // 2
+    """Reference: the resolution sum evaluated atom by atom and angle by angle,
+    up to the last index where either overlap is nonzero."""
+    fact = np.array([qcore.q_factorial(family.q, k - 1) for k in range(family.K)])
+    a_k = (family.phi.adjoint() @ np.asarray(f, dtype=complex)).conj() / fact
+    b_l = (family.psi.adjoint() @ np.asarray(g, dtype=complex)) / fact
+    reach = 1 + int(np.flatnonzero((a_k != 0) | (b_l != 0)).max(initial=-1))
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     total = 0.0 + 0.0j
     for r_j, w_j in zip(quad.nodes, quad.weights):
         z = r_j * np.exp(1j * theta)
-        powers = z[:, None] ** np.arange(kcut)[None, :]
-        f_series = powers @ a_k[:kcut]            # N^{-1} <f, phi(z)>
-        g_series = powers.conj() @ b_l[:kcut]     # N^{-1} <psi(z), g>
+        powers = z[:, None] ** np.arange(reach)[None, :]
+        f_series = powers @ a_k[:reach]            # N^{-1} <f, phi(z)>
+        g_series = powers.conj() @ b_l[:reach]     # N^{-1} <psi(z), g>
         total += w_j * np.sum(f_series * g_series)
     return complex(total * (2.0 * math.pi / n_theta))
 
@@ -248,12 +267,10 @@ class TestJacksonProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(q=st.floats(0.05, 0.99), seed=st.integers(0, 2 ** 32 - 1),
-           worked=st.booleans())
-    def test_contraction_matches_per_atom_loop(self, q, seed, worked):
+           kind=st.sampled_from(sorted(SOURCES)))
+    def test_contraction_matches_per_atom_loop(self, q, seed, kind):
         dim = 16
-        source = RankOneSimilarity(worked_deformation(1j)) if worked \
-            else IdentitySimilarity()
-        family = build_family(source, q, dim)
+        family = build_family(SOURCES[kind], q, dim)
         quad = solve_moment_measure(q, 12)
         rng = np.random.default_rng(seed)
         f = np.zeros(dim, dtype=complex)
@@ -263,3 +280,33 @@ class TestJacksonProperties:
         expected = per_atom_resolution(family, quad, 64, f, g)
         assert abs(resolution_check(family, quad, 64, f, g) - expected) \
             <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestWholeSafeBlock:
+    """support = safe_dim at K = 4096: the overlaps reach the whole safe
+    block, far past any power of rho that double precision holds."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    @pytest.mark.parametrize("kind", ["identity", "worked"])
+    def test_resolution_over_safe_block(self, q, kind):
+        K = 4096
+        safe_dim = SOURCES[kind].safe_dim(K)
+        family = {"kind": kind} if kind == "identity" else \
+            {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}
+        cfg = {"q": q, "K": K, "family": family, "seed": 7,
+               "tasks": [{"task": "resolution", "support": safe_dim, "K_mom": K,
+                          "n_theta": 2 * safe_dim, "n_pairs": 2}]}
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            summary, code = run_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"q={q} {kind}: {time.perf_counter() - start:.2f} s, "
+              f"traced peak {peak / 2 ** 20:.1f} MB")
+        report = summary["tasks"]["resolution"]
+        assert code == 0
+        assert report["max_residual"] <= 1e-8
+        assert report["moment_residual"] <= 1e-13
+        assert peak < 32 * 2 ** 20
