@@ -155,16 +155,17 @@ def _validate_task_params(task: dict, path: str, q: float, dim: int,
             raise ConfigError(f"{path}.r_frac: {exc}") from None
     if task["task"] == "resolution":
         try:
-            resolution.atom_count(q)
+            limit = resolution.solve_moment_measure(q, 2).moment_limit
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
-        for key in ("K_mom", "support"):
-            if task.get(key, 0) > dim:
-                raise ConfigError(f"{path}.{key}: must be at most K = {dim}, "
-                                  f"got {task[key]}")
         # the overlaps of f, g with the family reach past their support to
-        # the end of the deformation's block
+        # the end of the deformation's block, which ends below K - 2
         reach = max(task.get("support", min(6, dim)), extent)
+        for key, n in (("K_mom", task.get("K_mom", 2)), ("support", reach)):
+            if n > min(dim, limit):
+                raise ConfigError(f"{path}.{key}: needs rho_k for k < {n}, past "
+                                  f"K = {dim} or the k < {limit} the float "
+                                  f"Jackson weights hold at q={q}")
         n_theta = task.get("n_theta", 64)
         if n_theta <= 2 * (reach - 1):
             raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "
@@ -332,8 +333,8 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
         n_max = int(task.get("n_max", 6))
         rep = positionrep.similarity_check(ws.params, n_max)
-        resid = max(rep["similarity_phi"], rep["similarity_psi"],
-                    rep["biorthogonality"])
+        resid = np.max([rep["similarity_phi"], rep["similarity_psi"],
+                        rep["biorthogonality"]])
         return _finish(ws, "family", rep, resid)
     fam = ws.family
     ladder = pseudoquon.check_ladder(fam)
@@ -343,11 +344,12 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
         **{k: v for k, v in ladder.items() if k != "safe_dim"},
         "safe_dim": ladder["safe_dim"],
     }
-    resid = max(report["gram_deviation"], ladder["max_residual"])
+    # np.max and np.maximum keep a NaN, where Python's max may drop it
+    resid = np.maximum(report["gram_deviation"], ladder["max_residual"])
     number = pseudoquon.number_eigencheck(fam)
     report["number_residual_phi"] = number["residual_phi"]
     report["number_residual_psi"] = number["residual_psi"]
-    resid = max(resid, number["residual_phi"], number["residual_psi"])
+    resid = np.max([resid, number["residual_phi"], number["residual_psi"]])
     stream = ws.open_csv("family.json")
     if stream:
         with stream:
@@ -394,9 +396,9 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
             r_phi, r_psi = bicoherent.eigen_check(state, ws.family.a, ws.family.b)
             pair = bicoherent.pairing(state)
             unc = bicoherent.uncertainty_product(state, ws.family.a, ws.family.b)
-            worst_eig = max(worst_eig, r_phi, r_psi)
-            worst_pair = max(worst_pair, abs(pair - 1.0))
-            worst_unc = max(worst_unc, abs(unc.product - unc.predicted))
+            worst_eig = np.max([worst_eig, r_phi, r_psi])
+            worst_pair = np.maximum(worst_pair, abs(pair - 1.0))
+            worst_unc = np.maximum(worst_unc, abs(unc.product - unc.predicted))
             rows.append([z.real, z.imag, state.norm_const, r_phi, r_psi,
                          pair.real, pair.imag, unc.product.real,
                          unc.product.imag, unc.predicted])
@@ -415,7 +417,7 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
         "pairing_residual": worst_pair,
         "uncertainty_residual": worst_unc,
     }
-    return _finish(ws, "bicoherent", report, max(worst_eig, worst_pair),
+    return _finish(ws, "bicoherent", report, np.maximum(worst_eig, worst_pair),
                    "uncertainty_residual")
 
 
@@ -425,16 +427,14 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
     n_pairs = int(task.get("n_pairs", 20))
     support = int(task.get("support", min(6, ws.family.K)))
     quad = resolution.solve_moment_measure(ws.cfg["q"], k_mom)
+    draw = ws.rng.standard_normal
     worst = 0.0
     for _ in range(n_pairs):
-        f = np.zeros(ws.family.K, dtype=complex)
-        g = np.zeros(ws.family.K, dtype=complex)
-        f[:support] = ws.rng.standard_normal(support) \
-            + 1j * ws.rng.standard_normal(support)
-        g[:support] = ws.rng.standard_normal(support) \
-            + 1j * ws.rng.standard_normal(support)
+        f, g = np.zeros((2, ws.family.K), dtype=complex)
+        for x in (f, g):
+            x[:support] = draw(support) + 1j * draw(support)
         val = resolution.resolution_check(ws.family, quad, n_theta, f, g)
-        worst = max(worst, abs(val - np.vdot(f, g)))
+        worst = np.maximum(worst, abs(val - np.vdot(f, g)))
     stream = ws.open_csv("quadrature.csv")
     if stream:
         with stream:

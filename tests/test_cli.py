@@ -136,6 +136,15 @@ BAD_CONFIGS = {
     "resolution-n_pairs": ({"tasks": [{"task": "resolution", "n_pairs": 0}]},
                            r"tasks\[0\].n_pairs"),
     "resolution-q-near-one": ({"q": 0.999999, "tasks": ["resolution"]}, "q"),
+    "resolution-K_mom-past-moment-limit": ({"q": 0.999, "K": 512,
+                                            "tasks": [{"task": "resolution",
+                                                       "K_mom": 287}]},
+                                           r"tasks\[0\].K_mom"),
+    "resolution-support-past-moment-limit": ({"q": 0.999, "K": 512,
+                                              "tasks": [{"task": "resolution",
+                                                         "support": 510,
+                                                         "n_theta": 1100}]},
+                                             r"tasks\[0\].support"),
     "resolution-support-0": ({"tasks": [{"task": "resolution", "support": 0}]},
                              r"tasks\[0\].support"),
     "resolution-support-above-K": ({"tasks": [{"task": "resolution", "support": 33}]},
@@ -411,7 +420,10 @@ class TestConfigFuzz:
     @given(cfg=_fock_config())
     def test_run_config_keeps_exit_code_contract(self, cfg):
         try:
-            _, code = run_config(cfg)
+            summary, code = run_config(cfg)
         except ConfigError:
             return
         assert code in (0, 1)
+        # a NaN residual must not hide behind a verdict
+        for report in summary["tasks"].values():
+            assert math.isfinite(report["max_residual"])

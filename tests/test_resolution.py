@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquon import qcore
-from biquon.cli import run_config
+from biquon.cli import ConfigError, run_config
 from biquon.pseudoquon import (
     IdentitySimilarity,
     RankOneDeformation,
@@ -125,6 +125,20 @@ class TestSolver:
         quad = solve_moment_measure(0.5, 4000)
         assert len(quad.residuals) == 4000
         assert quad.max_residual <= 1e-13
+
+    @pytest.mark.parametrize("q", [0.5, 0.99, 0.997])
+    def test_every_moment_held(self, q):
+        assert solve_moment_measure(q, 12).moment_limit == math.inf
+
+    def test_moments_held_up_to_limit_near_one(self):
+        # at q = 0.999 the weights of the first atoms fall below the smallest
+        # normal double; rho_k stays at roundoff for k < moment_limit
+        q = 0.999
+        limit = solve_moment_measure(q, 12).moment_limit
+        assert limit == 286
+        quad = solve_moment_measure(q, limit)
+        assert np.all(np.isfinite(quad.residuals))
+        assert quad.max_residual <= 1e-12
 
     def test_q_too_close_to_one_rejected(self):
         with pytest.raises(ValueError, match="atoms"):
@@ -310,3 +324,28 @@ class TestWholeSafeBlock:
         assert report["max_residual"] <= 1e-8
         assert report["moment_residual"] <= 1e-13
         assert peak < 32 * 2 ** 20
+
+    def test_near_boson_safe_block_bounded_by_moment_limit(self):
+        # q = 0.999: (q; q)_k underflows near k = 350 and the first atoms'
+        # weights underflow; support = safe_dim needs rho_k past
+        # the moment limit 286 and exits 2, support = 286 passes
+        q, K = 0.999, 512
+        safe_dim = SOURCES["identity"].safe_dim(K)
+        quad = solve_moment_measure(q, 12)
+        limit = quad.moment_limit
+
+        def config(support: int) -> dict:
+            return {"q": q, "K": K, "seed": 7,
+                    "tasks": [{"task": "resolution", "support": support,
+                               "n_theta": 2 * support, "n_pairs": 2}]}
+
+        with pytest.raises(ConfigError, match=r"^tasks\[0\]\.support:"):
+            run_config(config(safe_dim))
+        summary, code = run_config(config(limit))
+        assert code == 0
+        assert summary["tasks"]["resolution"]["max_residual"] <= 1e-8
+        family = build_family(SOURCES["identity"], q, K)
+        f = np.zeros(K, dtype=complex)
+        f[limit] = 1.0
+        with pytest.raises(ValueError, match="hold"):
+            resolution_check(family, quad, 2 * K, f, f)
