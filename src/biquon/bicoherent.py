@@ -8,7 +8,9 @@ The pair of vectors
 is well defined inside a disc whose radius is controlled by the norm
 growth of the family; phi(z) is an eigenvector of the lowering operator a
 and psi(z) of b^dag, both with eigenvalue z, and the two states pair to 1.
-All series here are truncated with explicit geometric tail bounds, never
+N(|z|) comes from the logarithm of its q-exponential in closed form, and
+the coefficients are formed in log space, so neither overflows.  All
+series here are truncated with explicit geometric tail bounds, never
 silently.
 """
 
@@ -20,13 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pseudoquon import BiorthogonalFamily
-from .qcore import BetaSequence, disc_radius, validate_q_disc
+from .qcore import BetaSequence, beta, disc_radius, validate_q_disc
 
 __all__ = [
-    "ConvergenceError",
     "norm_series",
     "normalization",
-    "coherent_coefficients",
+    "log_coefficients",
     "quon_coherent_vector",
     "BiCoherentState",
     "family_radius",
@@ -40,12 +41,7 @@ __all__ = [
     "uncertainty_product",
 ]
 
-MAX_SERIES_TERMS = 4096
-TAIL_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """A truncated series could not meet its tail target."""
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _check_q_series(q: float) -> float:
@@ -55,75 +51,69 @@ def _check_q_series(q: float) -> float:
     return q
 
 
-def norm_series(q: float, r: float, terms: int | None = None,
-                tail_tol: float = TAIL_TOL,
-                max_terms: int = MAX_SERIES_TERMS) -> tuple[float, float, int]:
-    """Partial sum of sum_k r^{2k} / (beta_{k-1}!)^2 with a geometric tail bound.
+def norm_series(q: float, r: float) -> tuple[float, float, int]:
+    """log sum_k r^{2k} / [k]! in closed form, with its tail bound and length.
 
-    With ``terms`` given, sums exactly that many terms and raises
-    :class:`ConvergenceError` if the tail bound exceeds ``tail_tol`` relative
-    to the partial sum.  Otherwise grows the truncation adaptively up to
-    ``max_terms``.  Returns (partial_sum, tail_bound, terms_used).
+    With x = (1-q) r^2 the q-binomial theorem gives sum_k x^k / (q; q)_k =
+    1 / (x; q)_inf, whose logarithm sum_m x^m / (m (1 - q^m)) splits as
+
+        -log1p(-x) + r^2 q sum_{m>=1} (xq)^{m-1} / (m [m]).
+
+    Every term is positive and each is at most xq times the one before, so
+    the sum stops at the first M with (xq)^M <= 2^-53 and the dropped terms
+    are bounded by the geometric tail.  At q = 1, x = 0 and the one term
+    left gives r^2.  Returns (log_sum, tail_bound, terms).
     """
     q = _check_q_series(q)
     r = float(r)
-    if r < 0:
-        raise ValueError(f"radius r={r} must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"radius r={r} must be nonnegative and finite")
     if q < 1.0 and r >= disc_radius(q):
         raise ValueError(f"r={r} outside the convergence disc of radius {disc_radius(q)}")
-
-    bs = BetaSequence(q, (terms if terms is not None else max_terms) + 1)
-    total = 0.0
-    t = 1.0            # term k: r^{2k} / (beta_{k-1}!)^2
-    k = 0
-    limit = terms if terms is not None else max_terms
-    while k < limit:
-        total += t
-        t *= r * r / bs.beta(k) ** 2 if r > 0 else 0.0
-        k += 1
-        if terms is None and k >= 8:
-            ratio = r * r / bs.beta(k) ** 2
-            if ratio < 1.0 and t / (1.0 - ratio) <= tail_tol * total:
-                break
-    ratio = r * r / bs.beta(k) ** 2 if r > 0 else 0.0
-    tail = t / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if not tail <= tail_tol * total < math.inf:
-        raise ConvergenceError(
-            f"tail bound {tail:.3e} exceeds {tail_tol:.1e} x partial sum "
-            f"{total:.3e} after {k} terms (r={r}, q={q})")
-    return total, tail, k
+    x = (1.0 - q) * r * r
+    xq = x * q
+    terms = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(xq, UNIT_ROUNDOFF)))
+    m = np.arange(1, terms + 2)
+    bracket = BetaSequence(q, terms).betas() ** 2      # [m] = beta_{m-1}^2
+    scaled = q * np.power(xq, m - 1) / (m * bracket)
+    log_sum = -math.log1p(-x) + r * r * float(np.sum(scaled[:-1]))
+    return log_sum, r * r * float(scaled[-1]) / (1.0 - xq), terms
 
 
-def normalization(q: float, r: float, terms: int | None = None,
-                  tail_tol: float = TAIL_TOL) -> float:
-    """N(|z|) = (sum_k |z|^{2k} / (beta_{k-1}!)^2)^{-1/2}.
+def normalization(q: float, r: float) -> float:
+    """N(r) = (sum_k r^{2k} / (beta_{k-1}!)^2)^{-1/2}.
 
-    At q = 1 the factorials reduce to sqrt(k!) and the value recovers the
-    ordinary coherent-state normalization exp(-r^2 / 2).
+    At q = 1 this is the ordinary coherent-state normalization exp(-r^2 / 2).
+    Far out in the disc of q near 1 it underflows to 0; states are built
+    from log N instead (:func:`quon_coherent_vector`).
     """
-    total, _, _ = norm_series(q, r, terms=terms, tail_tol=tail_tol)
-    return 1.0 / math.sqrt(total)
+    return math.exp(-0.5 * norm_series(q, r)[0])
 
 
-def coherent_coefficients(q: float, z: complex, terms: int) -> np.ndarray:
-    """Unnormalized series coefficients z^k / beta_{k-1}!, k = 0..terms-1."""
-    _check_q_series(q)
+def log_coefficients(q: float, z: complex, terms: int) -> np.ndarray:
+    """log(z^k / beta_{k-1}!) for k = 0..terms-1, as complex numbers.
+
+    Summed in log space, so no power or factorial overflows; at z = 0 every
+    entry past the first is -inf.
+    """
+    q = _check_q_series(q)
     if terms < 1:
         raise ValueError("terms must be positive")
-    bs = BetaSequence(q, terms)
-    out = np.empty(terms, dtype=complex)
-    out[0] = 1.0
-    for k in range(1, terms):
-        out[k] = out[k - 1] * z / bs.beta(k - 1)
-    return out
+    log_beta = np.log(BetaSequence(q, terms).betas()[:terms - 1])
+    with np.errstate(divide="ignore"):
+        log_r = np.log(abs(z))
+    log_mod = np.concatenate(([0.0], np.cumsum(log_r - log_beta)))
+    return log_mod + 1j * np.angle(z) * np.arange(terms)
 
 
-def quon_coherent_vector(q: float, z: complex, dim: int,
-                         norm_const: float | None = None) -> np.ndarray:
-    """Undeformed coherent vector e(z) = N(|z|) sum_k z^k/beta_{k-1}! e_k."""
-    if norm_const is None:
-        norm_const = normalization(q, abs(z))
-    return norm_const * coherent_coefficients(q, z, dim)
+def quon_coherent_vector(q: float, z: complex, dim: int) -> np.ndarray:
+    """Undeformed coherent vector e(z) = N(|z|) sum_{k<dim} z^k/beta_{k-1}! e_k.
+
+    Formed as exp(log N + log_coefficients): every entry has modulus at
+    most 1, and none overflows where N underflows.
+    """
+    log_n = -0.5 * norm_series(q, abs(z))[0]
+    return np.exp(log_n + log_coefficients(q, z, dim))
 
 
 @dataclass(frozen=True)
@@ -153,23 +143,13 @@ def family_radius(family: BiorthogonalFamily) -> float:
     return disc_radius(family.q)
 
 
-def _coefficient_tail(q: float, r: float, terms: int) -> float:
-    """Geometric bound on sum_{k>=terms} r^k / beta_{k-1}!."""
-    bs = BetaSequence(q, terms + 1)
-    t = 1.0
-    for k in range(terms):
-        t *= r / bs.beta(k)
-    ratio = r / bs.beta(terms)
-    return t / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-
 def bicoherent_state(family: BiorthogonalFamily, z: complex,
                      terms: int | None = None) -> BiCoherentState:
     """Evaluate phi(z), psi(z) by truncating the series at ``terms``.
 
     z must lie strictly inside the family's convergence disc.  The dropped
-    mass is bounded by the uniform family norm times the geometric tail of
-    the coefficient series.
+    mass is bounded by the uniform family norm times the geometric tail
+    |c_terms| / (1 - |z| / beta_terms) of the coefficients c_k.
     """
     q = validate_q_disc(family.q)
     rho = family_radius(family)
@@ -181,20 +161,21 @@ def bicoherent_state(family: BiorthogonalFamily, z: complex,
     if not (1 <= terms <= family.K):
         raise ValueError(f"terms={terms} outside [1, K={family.K}]")
 
-    nconst = normalization(q, abs(z))
+    ez = quon_coherent_vector(q, z, terms + 1)
     coeffs = np.zeros(family.K, dtype=complex)
-    coeffs[:terms] = coherent_coefficients(q, z, terms)
-    phi_z = nconst * (family.phi @ coeffs)      # N (e(z) + alpha <u, e(z)> v)
-    psi_z = nconst * (family.psi @ coeffs)
+    coeffs[:terms] = ez[:terms]
+    phi_z = family.phi @ coeffs      # N (e(z) + alpha <u, e(z)> v)
+    psi_z = family.psi @ coeffs
 
     a_phi = float(np.max(family.phi.column_norms(family.K)))
     a_psi = float(np.max(family.psi.column_norms(family.K)))
-    tail = _coefficient_tail(q, abs(z), terms)
+    ratio = abs(z) / beta(q, terms)
+    tail = abs(ez[terms]) / (1.0 - ratio) if ratio < 1.0 else math.inf
     return BiCoherentState(
-        z=z, q=q, terms=terms, norm_const=nconst,
+        z=z, q=q, terms=terms, norm_const=normalization(q, abs(z)),
         phi_z=phi_z, psi_z=psi_z,
-        tail_phi=nconst * a_phi * tail,
-        tail_psi=nconst * a_psi * tail,
+        tail_phi=a_phi * tail,
+        tail_psi=a_psi * tail,
     )
 
 

@@ -66,6 +66,15 @@ GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
 # config handling
 # ---------------------------------------------------------------------------
 
+def _bound(cfg: dict, tol_scale: float, task: str, metric: str | None = None) -> float:
+    """The bound a run applies to a task, or to one of its metrics."""
+    default = TOLERANCES.get(f"{task}.{cfg['family']['kind']}", TOLERANCES[task])
+    tol = cfg["tolerances"].get(task, default) * tol_scale
+    if metric is None:
+        return tol
+    return TOLERANCES[f"{task}.{metric}"] * (tol / default)
+
+
 def _parse_int(value, path: str) -> int:
     try:
         out = int(value)
@@ -132,10 +141,11 @@ def _normalize_tasks(raw, path: str) -> list[dict]:
     return tasks
 
 
-def _validate_task_params(task: dict, path: str, q: float, dim: int,
-                          extent: int) -> None:
+def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
+                          tol_scale: float) -> None:
     """Parse and range-check, in place, the task parameters the config sets;
     extent is the support extent of the family's deformation."""
+    q, dim = cfg["q"], cfg["K"]
     for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
         if key in task:
             task[key] = _parse_int(task[key], f"{path}.{key}")
@@ -148,11 +158,19 @@ def _validate_task_params(task: dict, path: str, q: float, dim: int,
             if not 0.0 < task["r_frac"] < 1.0:
                 raise ConfigError(f"{path}.r_frac: must lie in (0, 1), "
                                   f"got {task['r_frac']}")
-        # the largest |z| of the sweep; N(|z|) converges more slowly with |z|
-        try:
-            bicoherent.normalization(q, task.get("r_frac", 0.7) * qcore.disc_radius(q))
-        except bicoherent.ConvergenceError as exc:
-            raise ConfigError(f"{path}.r_frac: {exc}") from None
+        # At the sweep's largest |z| the truncated undeformed state obeys
+        # c e_K(z) - z e_K(z) = -z c_{K-1} e_{K-1}, so its relative eigen
+        # residual |z| |c_{K-1}| / ||c_{<K}|| is exact, and N(|z|) cancels.
+        r = task.get("r_frac", 0.7) * qcore.disc_radius(q)
+        log_mod = bicoherent.log_coefficients(q, r, dim).real
+        mod = np.exp(log_mod - np.max(log_mod))
+        resid = r * mod[-1] / np.linalg.norm(mod)
+        bound = _bound(cfg, tol_scale, "bicoherent")
+        if not resid <= bound:
+            raise ConfigError(f"{path}.r_frac: at |z| = r_frac rho = {r:.6g} the "
+                              f"K = {dim} truncation leaves an eigen residual "
+                              f"{resid:.3e} above the bound {bound:.3e}; lower "
+                              f"r_frac or raise K")
     if task["task"] == "resolution":
         try:
             limit = resolution.solve_moment_measure(q, 2).moment_limit
@@ -173,7 +191,9 @@ def _validate_task_params(task: dict, path: str, q: float, dim: int,
                               f"got {n_theta}")
 
 
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
+    """Parse and check a config; tol_scale is the run's --tolerance-scale,
+    which the bicoherent truncation check applies."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     if "q" not in cfg:
@@ -191,6 +211,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     out["family"] = {"kind": kind}
     extent = 0
+    if kind == "identity" and out["K"] < 3:
+        raise ConfigError(f"K: must be at least 3 to leave a safe block, "
+                          f"got {out['K']}")
     if kind == "rank_one":
         alpha = _parse_complex(fam.get("alpha_def", [0.0, 1.0]), "family.alpha_def")
         if fam.get("preset") == "worked" or ("u" not in fam and "v" not in fam):
@@ -221,6 +244,14 @@ def validate_config(cfg: dict) -> dict:
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"q: {exc}") from None
 
+    tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances: expected an object")
+    for key in tol:
+        if key not in TASK_ORDER:
+            raise ConfigError(f"tolerances.{key}: unknown task")
+    out["tolerances"] = {key: _parse_positive(value, f"tolerances.{key}")
+                         for key, value in tol.items()}
     tasks = _normalize_tasks(cfg.get("tasks"), "tasks")
     allowed = POSITION_TASKS if kind == "position" else FOCK_TASKS
     for i, task in enumerate(tasks):
@@ -236,18 +267,10 @@ def validate_config(cfg: dict) -> dict:
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
-        _validate_task_params(task, f"tasks[{i}]", out["q"], out["K"], extent)
+        _validate_task_params(task, f"tasks[{i}]", out, extent, tol_scale)
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object")
-    for key in tol:
-        if key not in TASK_ORDER:
-            raise ConfigError(f"tolerances.{key}: unknown task")
-    out["tolerances"] = {key: _parse_positive(value, f"tolerances.{key}")
-                         for key, value in tol.items()}
     out["seed"] = _parse_int(cfg.get("seed", DEFAULT_SEED), "seed")
     if out["seed"] < 0:
         raise ConfigError(f"seed: must be nonnegative, got {out['seed']}")
@@ -278,14 +301,6 @@ class _Workspace:
                 source = pseudoquon.RankOneSimilarity(cfg["family"]["deformation"])
             self.family = pseudoquon.build_family(source, cfg["q"], cfg["K"])
 
-    def bound(self, task: str, metric: str | None = None) -> float:
-        """The bound this run applies to a task, or to one of its metrics."""
-        default = TOLERANCES.get(f"{task}.{self.kind}", TOLERANCES[task])
-        tol = self.cfg["tolerances"].get(task, default) * self.tol_scale
-        if metric is None:
-            return tol
-        return TOLERANCES[f"{task}.{metric}"] * (tol / default)
-
     def write_text(self, name: str, text: str) -> None:
         if self.out is not None:
             (self.out / name).write_text(text)
@@ -301,10 +316,10 @@ def _finish(ws: _Workspace, task: str, report: dict, residual: float,
     """Judge residual against the task's bound, and each report metric named
     in own_bound against its own bound, which report["bounds"] records."""
     report["max_residual"] = residual
-    report["tolerance"] = ws.bound(task)
+    report["tolerance"] = _bound(ws.cfg, ws.tol_scale, task)
     report["passed"] = bool(residual <= report["tolerance"])
     if own_bound:
-        report["bounds"] = {m: ws.bound(task, m) for m in own_bound}
+        report["bounds"] = {m: _bound(ws.cfg, ws.tol_scale, task, m) for m in own_bound}
         report["passed"] &= all(report[m] <= b for m, b in report["bounds"].items())
     for key, value in report.items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -382,8 +397,8 @@ def _task_theta(ws: _Workspace, task: dict) -> dict:
 def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
     n_r = int(task.get("n_r", 4))
     n_theta = int(task.get("n_theta", 8))
-    # reaching 0.9 of the disc radius needs K around 256; the default grid
-    # stays where the default truncation converges
+    # validate_config refused an r_frac whose K-term truncation misses the
+    # bound at the rim of the sweep (r_frac 0.9 needs K around 256 at q = 0.5)
     r_frac = float(task.get("r_frac", 0.7))
     rho = bicoherent.family_radius(ws.family)
     stream = ws.open_csv("bicoherent.csv")
@@ -499,8 +514,8 @@ TASK_RUNNERS = {
 def run_config(cfg: dict, out_dir: Path | None = None,
                tol_scale: float = 1.0) -> tuple[dict, int]:
     """Execute every task; returns (summary, exit_code)."""
-    cfg = validate_config(cfg)
     tol_scale = _parse_positive(tol_scale, "--tolerance-scale")
+    cfg = validate_config(cfg, tol_scale)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     ws = _Workspace(cfg, out_dir, tol_scale)

@@ -239,7 +239,7 @@ def check_closed_form_states(seed) -> list[CheckResult]:
     for _ in range(10):
         z = 0.9 * rho * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         state = bicoherent.bicoherent_state(family, z)
-        ez = bicoherent.quon_coherent_vector(q, z, dim, state.norm_const)
+        ez = bicoherent.quon_coherent_vector(q, z, dim)
         zpow = z ** np.arange(dim)
         gamma1 = np.sum(zpow * u.conj() / fact)
         gamma2 = np.sum(zpow * v.conj() / fact)

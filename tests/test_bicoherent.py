@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from biquon import qcore
 from biquon.bicoherent import (
-    ConvergenceError,
     bicoherent_state,
-    coherent_coefficients,
     eigen_check,
     empirical_radius,
     family_radius,
+    log_coefficients,
     norm_series,
     normalization,
     pairing,
@@ -28,12 +29,22 @@ from biquon.pseudoquon import (
 )
 
 
-def reference_norm_sum(q: float, r: float, terms: int) -> float:
-    """Independent oracle: direct term-by-term summation."""
-    total = 0.0
-    for k in range(terms):
-        total += r ** (2 * k) / qcore.q_factorial_sq(q, k - 1)
-    return total
+def reference_norm_sum(q: float, r: float) -> float:
+    """Independent oracle: log sum_k r^{2k} / [k]!, summed term by term.
+
+    The log terms are cumulative sums of log(r^2 / [k]), with [k] taken as
+    -expm1(k log q) / (1 - q), and the length doubles until the last term
+    falls below 1e-20 of the largest.
+    """
+    terms = 64
+    while True:
+        k = np.arange(1, terms)
+        bracket = -np.expm1(k * math.log(q)) / (1.0 - q)
+        log_terms = np.concatenate(([0.0], np.cumsum(2.0 * math.log(r) - np.log(bracket))))
+        top = np.max(log_terms)
+        if log_terms[-1] - top < math.log(1e-20):
+            return float(top + math.log(np.sum(np.exp(log_terms - top))))
+        terms *= 2
 
 
 class TestNormalization:
@@ -41,49 +52,55 @@ class TestNormalization:
         for q in (0.1, 0.5, 0.99, 1.0):
             assert normalization(q, 0.0) == 1.0
 
-    def test_bosonic_branch(self):
-        for r in (0.3, 0.9, 1.7):
-            assert normalization(1.0, r) == pytest.approx(
-                math.exp(-r * r / 2.0), rel=1e-12)
+    @given(r=st.floats(0.0, 20.0))
+    def test_bosonic_branch(self, r):
+        # at q = 1 the closed form keeps one term, r^2
+        assert norm_series(1.0, r)[2] == 1
+        assert normalization(1.0, r) == pytest.approx(math.exp(-r * r / 2.0), rel=1e-15)
 
-    def test_against_long_reference_sum(self):
-        got = normalization(0.5, 0.6, terms=200)
-        want = 1.0 / math.sqrt(reference_norm_sum(0.5, 0.6, 500))
-        assert abs(got - want) < 1e-12
+    # the oracle's length grows like 1 / (1 - q), so q stops at 1 - 1e-4;
+    # q = 0.9999 at 0.7 rho is where the linear sum overflows
+    @given(q=st.floats(0.0, 1.0 - 1e-4, exclude_min=True),
+           r_frac=st.floats(0.0, 0.95, exclude_min=True))
+    @example(q=1.0 - 1e-4, r_frac=0.7)
+    def test_against_long_reference_sum(self, q, r_frac):
+        r = r_frac * qcore.disc_radius(q)
+        log_sum, tail, _ = norm_series(q, r)
+        want = reference_norm_sum(q, r)
+        assert abs(log_sum - want) <= 1e-12 * max(1.0, want)
+        assert 0.0 <= tail <= 1e-15 * max(1.0, log_sum)
+        assert normalization(q, r) == pytest.approx(
+            math.exp(-want / 2.0), rel=1e-12 * max(1.0, want), abs=1e-300)
+
+    def test_terms_from_the_closed_form_ratio(self):
+        # the sum stops at the first M with (xq)^M <= 2^-53, x = (1-q) r^2
+        for q, r_frac, terms in ((0.5, 0.9, 41), (0.5, 0.999, 53),
+                                 (0.999, 0.9, 174), (0.999, 0.99, 1741)):
+            assert norm_series(q, r_frac * qcore.disc_radius(q))[2] == terms
 
     def test_outside_disc_rejected(self):
         with pytest.raises(ValueError):
             normalization(0.5, qcore.disc_radius(0.5))
 
-    def test_insufficient_terms_rejected(self):
-        with pytest.raises(ConvergenceError):
-            normalization(0.5, 1.41, terms=10)
-
-    def test_adaptive_matches_fixed(self):
-        total_a, tail_a, used = norm_series(0.5, 0.9)
-        total_f, _, _ = norm_series(0.5, 0.9, terms=used + 100)
-        assert abs(total_a - total_f) <= tail_a + 1e-15
-
-    def test_hard_cap_raises(self):
-        q = 0.9999
-        r = 0.999 * qcore.disc_radius(q)
-        with pytest.raises(ConvergenceError):
-            norm_series(q, r, max_terms=64)
-
-    def test_overflowing_partial_sum_raises(self):
-        # at q = 0.9999 and |z| = 0.7 rho the terms grow past double range
-        # before they start to fall; an infinite sum must not pass its tail test
-        with pytest.raises(ConvergenceError, match="partial sum inf"):
-            norm_series(0.9999, 0.7 * qcore.disc_radius(0.9999))
-
 
 class TestCoefficients:
     def test_first_values(self):
-        c = coherent_coefficients(0.5, 0.7 + 0.1j, 4)
-        z = 0.7 + 0.1j
-        assert c[0] == 1.0
-        assert c[1] == pytest.approx(z / qcore.beta(0.5, 0), rel=1e-14)
-        assert c[3] == pytest.approx(z ** 3 / qcore.q_factorial(0.5, 2), rel=1e-13)
+        for q in (0.3, 0.5, 1.0):
+            for z in (0.7 + 0.1j, -1.2j, 0.0):
+                c = np.exp(log_coefficients(q, z, 12))
+                want = [z ** k / qcore.q_factorial(q, k - 1) for k in range(12)]
+                assert np.allclose(c, want, rtol=1e-13, atol=0.0)
+
+    def test_modulus_at_most_one(self):
+        # at q = 0.999 and |z| = 0.9 rho, N underflows and z^k / beta_{k-1}!
+        # overflows, but every normalized coefficient stays in range; with
+        # log N near -535 the norm holds to a few thousand ulps
+        q = 0.999
+        z = 0.9 * qcore.disc_radius(q) * np.exp(0.4j)
+        ez = quon_coherent_vector(q, z, 4096)
+        assert normalization(q, abs(z)) < 1e-200
+        assert np.all(np.isfinite(ez)) and np.max(np.abs(ez)) <= 1.0
+        assert np.linalg.norm(ez) == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.fixture(scope="module")

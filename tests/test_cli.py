@@ -110,6 +110,7 @@ BAD_CONFIGS = {
     "tolerance-negative": ({"tolerances": {"mutator": -1e-3}}, "tolerances.mutator"),
     "K-not-integer": ({"K": "abc"}, "K"),
     "K-fractional": ({"K": 64.5}, "K"),
+    "identity-K-no-safe-block": ({"K": 2}, "K"),
     "seed-not-integer": ({"seed": "x"}, "seed"),
     "seed-negative": ({"seed": -1}, "seed"),
     "gamma-not-number": ({"family": {"kind": "position", "gamma": "x"},
@@ -200,6 +201,35 @@ class TestExitCodeContract:
 
     def test_largest_finite_gamma_runs_without_exception(self, capsys):
         assert main(["position", "--gamma", "26"]) in (0, 1)
+
+    @pytest.mark.parametrize("q,K,r_frac,code", [
+        (0.5, 256, 0.99, 2),        # eigen residual 1.6e-2 from truncation
+        (0.999, 64, 0.7, 2),        # N ~ 1e-124 and eigen residual 20.7
+        (0.5, 32768, 0.999, 0),     # N(|z|) in closed form at the rim
+        (0.5, 4096, 0.99, 0),
+    ])
+    def test_bicoherent_truncation_decides_exit_code(self, q, K, r_frac, code,
+                                                     tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "q": q, "K": K, "family": WORKED_CONFIG["family"],
+            "tasks": [{"task": "bicoherent", "n_r": 1, "n_theta": 2,
+                       "r_frac": r_frac}]}))
+        assert main(["run", "--config", str(cfg_path)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(
+                "config error: tasks[0].r_frac: at |z| = r_frac rho")
+
+    def test_truncation_check_applies_the_run_bound(self, capsys):
+        argv = ["bicoherent", "--q", "0.5", "--dim", "256", "--r-frac", "0.99",
+                "--n-r", "1", "--n-theta", "2"]
+        assert main(argv) == 2
+        assert main(argv + ["--tolerance-scale", "1e8"]) == 0
+        _, code = run_config({"q": 0.5, "K": 256, "family": {"kind": "identity"},
+                              "tasks": [{"task": "bicoherent", "r_frac": 0.99,
+                                         "n_r": 1, "n_theta": 2}],
+                              "tolerances": {"bicoherent": 0.1}})
+        assert code == 0
 
     def test_resolution_beyond_old_moment_cap_exits_0(self, capsys):
         assert main(["resolution", "--q", "0.5", "--k-mom", "30"]) == 0
@@ -387,19 +417,23 @@ def _task_params(draw, K: int, extent: int) -> dict:
             "n_r": (st.integers(1, 3), st.integers(-1, 0)),
             "n_theta": (st.integers(1, 4), st.integers(-1, 0)),
         },
+        # a Fock family task reads no n_max
+        "family": {"n_max": (st.nothing(), st.integers(-1, 5))},
+        "mutator": {},
+        "theta": {},
     }
 
 
 @st.composite
 def _fock_config(draw) -> dict:
-    """A resolution and/or bicoherent config; each task leaves its parameters
+    """A config of one to three Fock tasks; each task leaves its parameters
     out or sets them in range, except at most one set out of range."""
     K = draw(st.integers(2, 64))
     family, extent = draw(_fock_family())
     params = _task_params(draw, K, extent)
     tasks = []
-    for name in draw(st.lists(st.sampled_from(["resolution", "bicoherent"]),
-                              min_size=1, max_size=2, unique=True)):
+    for name in draw(st.lists(st.sampled_from(sorted(params)),
+                              min_size=1, max_size=3, unique=True)):
         bad = draw(st.sampled_from([None, None, None, *params[name]]))
         task = {"task": name}
         for key, (valid, invalid) in params[name].items():
@@ -407,14 +441,16 @@ def _fock_config(draw) -> dict:
             if value is not None:
                 task[key] = value
         tasks.append(task)
+    # resolution and bicoherent need 0 < q < 1; the other tasks take q >= -1
     q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-             | st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999]))
+             | st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999])
+             | st.floats(-1.0, 3.0) | st.sampled_from([-1.0, 0.0, 1.0, 1.5, 2.0]))
     return {"q": q, "K": K, "family": family, "tasks": tasks, "seed": 5}
 
 
 class TestConfigFuzz:
-    """Every Fock resolution or bicoherent config keeps the exit-code
-    contract in process: a verdict of 0 or 1, or a ConfigError (exit 2)."""
+    """Every Fock config keeps the exit-code contract in process: a verdict
+    of 0 or 1, or a ConfigError (exit 2)."""
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_fock_config())
