@@ -387,19 +387,24 @@ def similarity_check(params: PositionParams, n_max: int) -> dict:
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
     phi_n, psi_n must equal exp(-gamma x) times it (compared on the
     sample points of :func:`default_grid`), and the two families must be
-    biorthogonal.
+    biorthogonal.  Both sides of the pointwise comparison are scaled by
+    exp(-gamma^2/2), the size of ||phi_n||, which is folded into the
+    exponent exp(+-gamma x - gamma^2/2): exp(gamma x) alone overflows on
+    the grid as |gamma| nears GAMMA_MAX.
     """
     x = default_grid(params.gamma)
     base = PositionParams(params.q, 0.0)
     table = coefficient_recursion(params, n_max)
-    egx = np.exp(params.gamma * x)
+    g2 = params.gamma ** 2 / 2.0
+    scale = math.exp(-g2)
+    up, down = np.exp(params.gamma * x - g2), np.exp(-params.gamma * x - g2)
     dev_phi = dev_psi = 0.0
     for n in range(n_max + 1):
         ref = phi_state(base, n, table).sample(x)
         dev_phi = max(dev_phi, float(np.max(np.abs(
-            phi_state(params, n, table).sample(x) - egx * ref))))
+            scale * phi_state(params, n, table).sample(x) - up * ref))))
         dev_psi = max(dev_psi, float(np.max(np.abs(
-            psi_state(params, n, table).sample(x) - ref / egx))))
+            scale * psi_state(params, n, table).sample(x) - down * ref))))
     gram_dev = 0.0
     phis = [phi_state(params, n, table) for n in range(n_max + 1)]
     psis = [psi_state(params, n, table) for n in range(n_max + 1)]

@@ -328,28 +328,64 @@ def check_theta_conjugate(a: FockOperator, b: FockOperator,
     return report
 
 
-def _rows(m: np.ndarray) -> list:
-    """[[[re, im], ...], ...]; tolist() gives the floats json writes as repr."""
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+def _pair(z: complex, conj: bool) -> str:
+    z = z.conjugate() if conj else z
+    return json.dumps([z.real, z.imag])
 
 
-def family_to_json(family: BiorthogonalFamily, stream: IO[str] | None = None,
-                   residual_report: dict | None = None) -> dict:
-    """JSON document with the family data and an optional residual report.
+def _write_rows(stream: IO[str], op: FockOperator, conj: bool) -> None:
+    """The rows of op (conjugated when conj), as json.dumps writes its dense
+    [[[re, im], ...], ...] rows, from the band and the leading block.
 
-    The rows are phi_n = S e_n and psi_n = conj of row n of S^{-1}, made
-    dense only here, and the document is written in one json.dumps call.
+    op is the identity-shaped band plus a p x p block, so a row n < p is
+    the block window's row followed by zeros, and a row n >= p is a run of
+    zero pairs around its one band entry.  Both are slices of one run.
     """
+    dim, p = op.dim, len(op.block)
+    zero = _pair(0j, conj)
+    step = len(zero) + 2                      # "[re, im], "
+    run = ", ".join([zero] * dim)
+    head = op.dense(p)
+    head = head.conj() if conj else head
+    tail = run[p * step - 2:] + "]"           # ", " + zeros past the block
+    stream.write("[")
+    for n in range(dim):
+        if n:
+            stream.write(", ")
+        if n < p:
+            row = np.stack([head[n].real, head[n].imag], axis=-1).tolist()
+            stream.write(json.dumps(row)[:-1] + tail)
+        else:
+            band = _pair(complex(op.diag[n]), conj)
+            stream.write(f"[{run[:n * step]}{band}{run[n * step + len(zero):]}]")
+    stream.write("]")
+
+
+def family_to_json(family: BiorthogonalFamily, stream: IO[str],
+                   residual_report: dict | None = None) -> None:
+    """Write the family data and an optional residual report as one JSON
+    document with sorted keys.
+
+    The rows are phi_n = S e_n (rows of S^T) and psi_n = conj of row n of
+    S^{-1}.  They are streamed from the band and the block, so the bytes
+    are those json.dumps(doc, sort_keys=True) gives for the dense rows,
+    with no K x K array.
+    """
+    phi = family.phi
+    rows = {"phi": (FockOperator(0, phi.diag, phi.block.T), False),
+            "psi": (family.psi.adjoint(), True)}
     doc = {
         "K": family.K,
         "q": family.q,
         "source": family.source.describe(),
         "iteration_deviation": family.iteration_deviation,
-        "phi": _rows(family.phi.dense().T),
-        "psi": _rows(family.psi.adjoint().dense().conj()),
     }
     if residual_report is not None:
         doc["residuals"] = residual_report
-    if stream is not None:
-        stream.write(json.dumps(doc, sort_keys=True))
-    return doc
+    for i, key in enumerate(sorted([*doc, *rows])):
+        stream.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+        if key in rows:
+            _write_rows(stream, *rows[key])
+        else:
+            stream.write(json.dumps(doc[key], sort_keys=True))
+    stream.write("}")

@@ -8,7 +8,11 @@ together with the conventions ``beta_{-1} = 0`` and the empty products
 ``beta_{-1}! = beta_0! = 1``.  For q != 1 the recursion telescopes to the
 closed form beta_n^2 = (1 - q^{n+1})/(1 - q); at q = 1 it degenerates to
 beta_n^2 = n + 1.  The closed form is what the library uses (no error
-accumulation); the recursion is kept as an independent cross-check.
+accumulation); the recursion is kept as an independent cross-check.  The
+numerator 1 - q^{n+1} cancels near q = 1, so while x = (n+1) log q < 1 it
+is taken as -expm1(x); past that (q > 1 only) the power is the more
+accurate form, and for q <= 0 the denominator 1 - q >= 1 and nothing
+cancels.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ def beta_sq(q: float, n: int) -> float:
     q = validate_q_algebraic(q)
     if q == 1.0:
         return float(n + 1)
-    return (1.0 - q ** (n + 1)) / (1.0 - q)
+    x = (n + 1) * math.log(q) if q > 0.0 else 1.0
+    return (-math.expm1(x) if x < 1.0 else 1.0 - q ** (n + 1)) / (1.0 - q)
 
 
 def beta(q: float, n: int) -> float:
@@ -149,8 +154,12 @@ class BetaSequence:
         if self.q == 1.0:
             self._sq = k.astype(float)
         else:
+            x = k * math.log(self.q) if self.q > 0.0 else np.ones(len(k))
+            num = -np.expm1(np.minimum(x, 1.0))
             with np.errstate(over="ignore"):
-                self._sq = (1.0 - self.q ** k) / (1.0 - self.q)
+                if x[-1] >= 1.0:            # q > 1 past x = 1, or q <= 0
+                    num = np.where(x < 1.0, num, 1.0 - self.q ** k)
+                self._sq = num / (1.0 - self.q)
             if not np.isfinite(self._sq[-1]):
                 raise OverflowError(f"beta_{self.nmax}^2 overflows at q={self.q}")
         self._beta = np.sqrt(self._sq)

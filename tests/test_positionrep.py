@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquon import bicoherent, qcore
+from biquon.cli import run_config
 from biquon.positionrep import (
     AnalyticState,
     PositionParams,
@@ -224,6 +225,16 @@ class TestSimilarity:
         rep = similarity_check(PARAMS, 6)
         assert rep["similarity_phi"] < 1e-11
         assert rep["similarity_psi"] < 1e-11
+
+    @pytest.mark.parametrize("gamma", [26.6, -26.64])
+    def test_family_task_near_gamma_max(self, gamma):
+        # exp(gamma x) alone overflows on the grid, |x| <= 12 + |gamma|
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": gamma},
+                                    "tasks": [{"task": "family", "n_max": 8}]})
+        family = summary["tasks"]["family"]
+        assert code == 0
+        assert math.isfinite(family["similarity_phi"]) and math.isfinite(family["similarity_psi"])
+        assert family["max_residual"] < 1e-9
 
     def test_biorthogonality(self):
         rep = similarity_check(PARAMS, 6)

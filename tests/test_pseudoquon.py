@@ -367,7 +367,7 @@ class TestNormBounds:
 def test_family_export_round_trip(worked):
     _, family, _, _ = worked
     buf = io.StringIO()
-    doc = family_to_json(family, buf, residual_report={"gram": 0.0})
+    family_to_json(family, buf, residual_report={"gram": 0.0})
     parsed = json.loads(buf.getvalue())
     assert parsed["K"] == DIM
     assert parsed["q"] == Q
@@ -375,7 +375,6 @@ def test_family_export_round_trip(worked):
     assert parsed["residuals"] == {"gram": 0.0}
     phi0 = np.array([complex(re, im) for re, im in parsed["phi"][0]])
     assert np.allclose(phi0, family.phi.dense()[:, 0])
-    assert doc["K"] == DIM
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +540,54 @@ def test_identity_export_bytes_match_legacy_writer():
     eye = np.eye(16, dtype=complex)
     legacy_family_json(family, eye, eye, old, {})
     assert new.getvalue() == old.getvalue()
+
+
+def dense_family_json(family, residual_report=None) -> str:
+    """The dense writer the streamed export replaces: the rows of S^T and
+    of conj(S^{-1}) as nested lists, in one json.dumps call."""
+    def rows(m):
+        return np.stack([m.real, m.imag], axis=-1).tolist()
+    doc = {
+        "K": family.K,
+        "q": family.q,
+        "source": family.source.describe(),
+        "iteration_deviation": family.iteration_deviation,
+        "phi": rows(family.phi.dense().T),
+        "psi": rows(family.psi.adjoint().dense().conj()),
+    }
+    if residual_report is not None:
+        doc["residuals"] = residual_report
+    return json.dumps(doc, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deformation=st.one_of(st.none(), deformations()),
+       q=st.floats(-1.0, 2.0), extra=st.integers(3, 300),
+       with_report=st.booleans())
+def test_export_bytes_match_dense_writer(deformation, q, extra, with_report):
+    source = (IdentitySimilarity() if deformation is None
+              else RankOneSimilarity(deformation))
+    dim = min(source.support_extent + extra, 300)
+    family = build_family(source, q, dim)
+    report = check_ladder(family) if with_report else None
+    buf = io.StringIO()
+    family_to_json(family, buf, residual_report=report)
+    assert buf.getvalue() == dense_family_json(family, report)
+
+
+def test_export_holds_no_dense_square(tmp_path):
+    # one 1024 x 1024 complex array is 16 MB, its tolist() several times that
+    family = build_family(RankOneSimilarity(worked_deformation(1j)), 0.5, 1024)
+    report = check_ladder(family)
+    with open(tmp_path / "family.json", "w") as stream:
+        tracemalloc.start()
+        try:
+            family_to_json(family, stream, residual_report=report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert (tmp_path / "family.json").read_text().startswith('{"K": 1024, ')
 
 
 def test_worked_run_at_K_65536_holds_no_dense_square():

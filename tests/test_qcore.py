@@ -1,6 +1,7 @@
 """Tests for the scalar coefficient machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestBeta:
     def test_rejects_q_below_minus_one(self):
         with pytest.raises(ValueError):
             qcore.beta(-1.5, 2)
+
+    @pytest.mark.parametrize("q", [0.99989, 1.0 - 1e-6, 1.0001, 1.5, -0.5])
+    def test_exact_rational_value(self, q):
+        # (1 - q^2)/(1 - q) evaluated as written is off by 8.8e-15 (q = 0.99989)
+        # and 1.1e-11 (q = 1 - 1e-6) relative in beta_1^2
+        bs = qcore.BetaSequence(q, 40)
+        for n in range(41):
+            exact = (1 - Fraction(q) ** (n + 1)) / (1 - Fraction(q))
+            assert abs(Fraction(qcore.beta_sq(q, n)) - exact) <= 2.5e-16 * exact
+            assert bs.beta(n) == pytest.approx(math.sqrt(exact), rel=2.5e-16)
 
 
 class TestQFactorial:
@@ -128,7 +139,7 @@ class TestBetaSequence:
 
     @pytest.mark.parametrize("q", [-1.0, 0.0, 0.3, 0.99, 1.0, 1.5])
     def test_vectorised_closed_form_matches_scalar(self, q):
-        # one ulp of pow in q^k is amplified by at most 1/(1-q) = 100 in 1 - q^k
+        # either side is within a few ulp of the exact value
         bs = qcore.BetaSequence(q, 300)
         np.testing.assert_allclose(
             bs.betas(), [qcore.beta(q, n) for n in range(301)], rtol=1e-14, atol=0)
