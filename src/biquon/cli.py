@@ -60,6 +60,8 @@ TASK_INT_MINIMA = {
 }
 # position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
 GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
+# n_max of the position-family tasks that read it, when the config sets none
+POSITION_N_MAX = {"family": 6, "position": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,19 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
                               f"K = {dim} truncation leaves an eigen residual "
                               f"{resid:.3e} above the bound {bound:.3e}; lower "
                               f"r_frac or raise K")
+    if cfg["family"]["kind"] == "position" and task["task"] in POSITION_N_MAX:
+        n_max = task.get("n_max", POSITION_N_MAX[task["task"]])
+        # the norms of the position task carry the phase of gamma; the
+        # phi/psi Gram of the family task pairs the lattice without it
+        gamma = cfg["family"]["gamma"] if task["task"] == "position" else 0.0
+        params = positionrep.PositionParams(q, gamma)
+        floor = sys.float_info.epsilon * positionrep.cancellation(params, n_max)
+        bound = _bound(cfg, tol_scale, task["task"])
+        if not floor <= bound:
+            raise ConfigError(f"{path}.n_max: the lattice coefficients of phi_n, "
+                              f"n <= {n_max}, cancel so far at q={q} that rounding "
+                              f"alone reaches {floor:.3e}, above the bound "
+                              f"{bound:.3e}; lower n_max or q")
     if task["task"] == "resolution":
         try:
             limit = resolution.solve_moment_measure(q, 2).moment_limit
@@ -346,7 +361,7 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
 
 def _task_family(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        n_max = int(task.get("n_max", 6))
+        n_max = int(task.get("n_max", POSITION_N_MAX["family"]))
         rep = positionrep.similarity_check(ws.params, n_max)
         resid = np.max([rep["similarity_phi"], rep["similarity_psi"],
                         rep["biorthogonality"]])
@@ -466,7 +481,7 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
 
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
-    n_max = int(task.get("n_max", 5))
+    n_max = int(task.get("n_max", POSITION_N_MAX["position"]))
     table = positionrep.coefficient_recursion(ws.params, n_max)
     stream = ws.open_csv("coefficients.csv")
     if stream:
@@ -481,12 +496,12 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
     vacuum = positionrep.vacuum_check(ws.params)
     if task.get("dump_states"):
         x = positionrep.default_grid(ws.params.gamma)
+        phi = positionrep.lattice_families(ws.params, n_max, table)[0]
         for n in range(n_max + 1):
             stream = ws.open_csv(f"phi_{n}.csv")
             if stream:
                 with stream:
-                    positionrep.state_to_csv(
-                        positionrep.phi_state(ws.params, n, table), x, stream)
+                    positionrep.state_to_csv(phi.state(n), x, stream)
     report = {
         "norm_formula_max_rel": norm_rep["max_rel_err"],
         "norm_symmetry": norm_rep["norm_symmetry"],

@@ -23,7 +23,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .qcore import BetaSequence, q_number_factorial
+from .qcore import BetaSequence
 
 __all__ = [
     "PositionParams",
@@ -40,6 +40,9 @@ __all__ = [
     "psi_state",
     "CoefficientTable",
     "coefficient_recursion",
+    "LatticeFamily",
+    "lattice_families",
+    "lattice_gram",
     "inner",
     "norm",
     "qmutation_grid_check",
@@ -47,6 +50,7 @@ __all__ = [
     "vacuum_check",
     "similarity_check",
     "l_value",
+    "cancellation",
     "norm_sq_formula",
     "norm_formula_check",
     "family_norms",
@@ -166,8 +170,19 @@ def _stacked(state: AnalyticState) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, np.array([w for _, w in state.terms], dtype=complex)
 
 
-def inner(f: AnalyticState, g: AnalyticState) -> complex:
-    """<f, g> in closed form (conjugate-linear in the first slot).
+def _gaussian_kernel(w: np.ndarray, v: np.ndarray, shift: float = 0.0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """s = conj(w_i) + v_l and exp(s^2/4 - shift) for every exponent pair.
+
+    sqrt(pi) exp(s^2/4) = <exp(-x^2/2 + w_i x), exp(-x^2/2 + v_l x)>; the
+    shift lets a caller factor out a common exp(shift) that would overflow.
+    """
+    s = np.add.outer(np.conj(w), v)
+    return s, np.exp(s * s / 4.0 - shift)
+
+
+def inner(f: AnalyticState, g: AnalyticState, shift: float = 0.0) -> complex:
+    """exp(-shift) <f, g> in closed form (conjugate-linear in the first slot).
 
     Terms P exp(-x^2/2 + w x) and Q exp(-x^2/2 + v x) pair to
     sqrt(pi) exp(s^2/4) sum_{i,l} conj(p_i) q_l m_{i+l}(s/2) with
@@ -179,7 +194,7 @@ def inner(f: AnalyticState, g: AnalyticState) -> complex:
     """
     p, w = _stacked(f)
     c, v = _stacked(g)
-    s = np.add.outer(w.conj(), v)
+    s, kernel = _gaussian_kernel(w, v, shift)
     mu = s / 2.0
     moments = [np.ones_like(mu), mu]
     for j in range(2, p.shape[1] + c.shape[1] - 1):
@@ -187,11 +202,15 @@ def inner(f: AnalyticState, g: AnalyticState) -> complex:
     m = np.array(moments)[np.add.outer(np.arange(p.shape[1]),
                                        np.arange(c.shape[1]))]
     poly = np.einsum("ai,bl,ilab->ab", p.conj(), c, m)
-    return complex(math.sqrt(math.pi) * np.sum(np.exp(s * s / 4.0) * poly))
+    return complex(math.sqrt(math.pi) * np.sum(kernel * poly))
 
 
 def norm(f: AnalyticState) -> float:
-    return math.sqrt(abs(inner(f, f)))
+    """||f||, with exp(c), c = max (Re w)^2 >= Re(s^2/4), taken out of
+    <f, f>: ||f|| stays finite and resolved where ||f||^2 would overflow,
+    as it does for the position families when |gamma| nears GAMMA_MAX."""
+    c = max((w.real ** 2 for _, w in f.terms), default=0.0)
+    return math.sqrt(abs(inner(f, f, c))) * math.exp(c / 2.0)
 
 
 # the benchmark tracer (bench/spans.py) times the norm layer under this name
@@ -308,29 +327,71 @@ def coefficient_recursion(params: PositionParams, n_max: int) -> CoefficientTabl
     return CoefficientTable(params.q, rows)
 
 
+@dataclass(frozen=True)
+class LatticeFamily:
+    """States f_n = sum_k coeffs[n, k] exp(-x^2/2 + (w0 + step k) x).
+
+    phi_n and psi_n share one lower-triangular coefficient matrix over the
+    Gaussian lattice w0 + 2 i alpha k; only w0 = +-gamma + 1.5 i alpha differs.
+    """
+
+    coeffs: np.ndarray = field(repr=False)
+    w0: complex
+    step: complex
+
+    @property
+    def exponents(self) -> np.ndarray:
+        return self.w0 + self.step * np.arange(self.coeffs.shape[1])
+
+    def state(self, n: int) -> AnalyticState:
+        return AnalyticState([(np.array([c]), w) for c, w in
+                              zip(self.coeffs[n, :n + 1], self.exponents)])
+
+
+def lattice_families(params: PositionParams, n_max: int,
+                     table: CoefficientTable | None = None
+                     ) -> tuple[LatticeFamily, LatticeFamily]:
+    """phi_0..phi_n_max and psi_0..psi_n_max as rows P[n, k] = pref_n c_k^(n),
+    pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}!."""
+    if table is None or table.n_max < n_max:
+        table = coefficient_recursion(params, n_max)
+    bs = BetaSequence(params.q, n_max + 1)
+    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for n in range(n_max + 1):
+        pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
+        coeffs[n, :n + 1] = pref * table.row(n)
+    al = params.alpha
+    return (LatticeFamily(coeffs, params.gamma + 1.5j * al, 2j * al),
+            LatticeFamily(coeffs, -params.gamma + 1.5j * al, 2j * al))
+
+
+def lattice_gram(f: LatticeFamily, g: LatticeFamily) -> tuple[np.ndarray, float]:
+    """(G, c) with <f_n, g_m> = exp(c) G[n, m], G = P^H K Q^T.
+
+    K_kl = sqrt(pi) exp(s^2/4 - c) over the lattice exponents, and
+    c = Re(s)^2/4 = (Re w0_f + Re w0_g)^2/4 bounds Re(s^2/4), so K stays
+    finite where <f_n, g_m> itself would overflow.
+    """
+    shift = (f.w0.real + g.w0.real) ** 2 / 4.0
+    kernel = math.sqrt(math.pi) * _gaussian_kernel(f.exponents, g.exponents, shift)[1]
+    return f.coeffs.conj() @ kernel @ g.coeffs.T, shift
+
+
+def _scaled_norms_sq(fam: LatticeFamily) -> tuple[np.ndarray, float]:
+    """(N, c) with ||f_n||^2 = exp(c) N[n]: the diagonal of the lattice Gram."""
+    gram, shift = lattice_gram(fam, fam)
+    return np.abs(np.diagonal(gram)), shift
+
+
 def phi_state(params: PositionParams, n: int,
               table: CoefficientTable | None = None) -> AnalyticState:
     """phi_n assembled from its coefficient row (closed-form route)."""
-    return _state_from_row(params, n, params.gamma, table)
+    return lattice_families(params, n, table)[0].state(n)
 
 
 def psi_state(params: PositionParams, n: int,
               table: CoefficientTable | None = None) -> AnalyticState:
-    return _state_from_row(params, n, -params.gamma, table)
-
-
-def _state_from_row(params: PositionParams, n: int, gamma: float,
-                    table: CoefficientTable | None) -> AnalyticState:
-    if table is None or table.n_max < n:
-        table = coefficient_recursion(params, n)
-    bs = BetaSequence(params.q, n + 1)
-    pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
-    al = params.alpha
-    w0 = gamma + 1.5j * al
-    return AnalyticState([
-        (np.array([pref * c]), w0 + 2j * al * k)
-        for k, c in enumerate(table.row(n))
-    ])
+    return lattice_families(params, n, table)[1].state(n)
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +400,37 @@ def _state_from_row(params: PositionParams, n: int, gamma: float,
 
 def qmutation_grid_check(params: PositionParams,
                          states: Sequence[AnalyticState]) -> float:
-    """max norm of the residual (a b - q b a) f - f over the test states."""
+    """max ||(a b - q b a) f - f|| / ||f|| over the test states."""
     worst = 0.0
     for f in states:
         ab = apply_a(params, apply_b(params, f))
         ba = apply_b(params, apply_a(params, f))
-        worst = max(worst, norm(ab - params.q * ba - f))
-    return worst
+        worst = np.maximum(worst, norm(ab - params.q * ba - f) / norm(f))
+    return float(worst)
 
 
 def ladder_check(params: PositionParams, n_max: int) -> dict:
-    """Residual norms of the four ladder relations for n <= n_max."""
+    """Residuals of the four ladder relations for n <= n_max, each relative
+    to the norm of the state the operator acts on."""
     bs = BetaSequence(params.q, n_max + 2)
     phis, psis = build_families(params, n_max + 1)
-    raise_phi = lower_phi = raise_psi = lower_psi = 0.0
+    resid = np.zeros((4, n_max + 1))
     zero = AnalyticState([])
     for n in range(n_max + 1):
-        raise_phi = max(raise_phi, norm(
-            apply_b(params, phis[n]) - bs.beta(n) * phis[n + 1]))
-        raise_psi = max(raise_psi, norm(
-            apply_a_dagger(params, psis[n]) - bs.beta(n) * psis[n + 1]))
         below_phi = phis[n - 1] if n >= 1 else zero
         below_psi = psis[n - 1] if n >= 1 else zero
-        lower_phi = max(lower_phi, norm(
-            apply_a(params, phis[n]) - bs.beta(n - 1) * below_phi))
-        lower_psi = max(lower_psi, norm(
-            apply_b_dagger(params, psis[n]) - bs.beta(n - 1) * below_psi))
-    report = {"raise_phi": raise_phi, "lower_phi": lower_phi,
-              "raise_psi": raise_psi, "lower_psi": lower_psi, "n_max": n_max}
-    report["max_residual"] = max(raise_phi, lower_phi, raise_psi, lower_psi)
+        resid[:, n] = [
+            norm(apply_b(params, phis[n]) - bs.beta(n) * phis[n + 1]),
+            norm(apply_a(params, phis[n]) - bs.beta(n - 1) * below_phi),
+            norm(apply_a_dagger(params, psis[n]) - bs.beta(n) * psis[n + 1]),
+            norm(apply_b_dagger(params, psis[n]) - bs.beta(n - 1) * below_psi),
+        ]
+        resid[:, n] /= np.repeat([norm(phis[n]), norm(psis[n])], 2)
+    worst = np.max(resid, axis=1)
+    report = dict(zip(("raise_phi", "lower_phi", "raise_psi", "lower_psi"),
+                      map(float, worst)))
+    report["n_max"] = n_max
+    report["max_residual"] = float(np.max(worst))
     return report
 
 
@@ -381,94 +444,141 @@ def vacuum_check(params: PositionParams) -> dict:
     }
 
 
+def _horner(row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k row[k] z^k at every point of z."""
+    out = np.full(len(z), row[-1], dtype=complex)
+    for c in row[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
 def similarity_check(params: PositionParams, n_max: int) -> dict:
     """Pointwise check of the multiplication-similarity structure.
 
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
     phi_n, psi_n must equal exp(-gamma x) times it (compared on the
     sample points of :func:`default_grid`), and the two families must be
-    biorthogonal.  Both sides of the pointwise comparison are scaled by
-    exp(-gamma^2/2), the size of ||phi_n||, which is folded into the
-    exponent exp(+-gamma x - gamma^2/2): exp(gamma x) alone overflows on
-    the grid as |gamma| nears GAMMA_MAX.
+    biorthogonal.  Every family member is its lattice base Gaussian
+    exp(-x^2/2 + w0 x) times a polynomial in exp(2 i alpha x), which Horner's
+    rule evaluates row by row, so no (n_max + 1) x grid array is held.  Both
+    sides of the pointwise comparison are scaled by exp(-gamma^2/2), the size
+    of ||phi_n||, which is folded into the exponent exp(+-gamma x - gamma^2/2):
+    exp(gamma x) alone overflows on the grid as |gamma| nears GAMMA_MAX.
     """
     x = default_grid(params.gamma)
-    base = PositionParams(params.q, 0.0)
-    table = coefficient_recursion(params, n_max)
+    phi, psi = lattice_families(params, n_max)
     g2 = params.gamma ** 2 / 2.0
     scale = math.exp(-g2)
-    up, down = np.exp(params.gamma * x - g2), np.exp(-params.gamma * x - g2)
-    dev_phi = dev_psi = 0.0
+    ref = AnalyticState.gaussian(1.0, 1.5j * params.alpha).sample(x)
+    # scaled shifted base minus the scaled similarity image of the unshifted one
+    base_dev = [
+        scale * AnalyticState.gaussian(1.0, fam.w0).sample(x)
+        - np.exp(sign * params.gamma * x - g2) * ref
+        for fam, sign in ((phi, 1.0), (psi, -1.0))
+    ]
+    z = np.exp(phi.step * x)
+    dev = np.zeros(2)
     for n in range(n_max + 1):
-        ref = phi_state(base, n, table).sample(x)
-        dev_phi = max(dev_phi, float(np.max(np.abs(
-            scale * phi_state(params, n, table).sample(x) - up * ref))))
-        dev_psi = max(dev_psi, float(np.max(np.abs(
-            scale * psi_state(params, n, table).sample(x) - down * ref))))
-    gram_dev = 0.0
-    phis = [phi_state(params, n, table) for n in range(n_max + 1)]
-    psis = [psi_state(params, n, table) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            val = inner(phis[n], psis[m])
-            gram_dev = max(gram_dev, abs(val - (1.0 if n == m else 0.0)))
-    return {"similarity_phi": dev_phi, "similarity_psi": dev_psi,
-            "biorthogonality": gram_dev, "n_max": n_max}
+        poly = _horner(phi.coeffs[n, :n + 1], z)
+        dev = np.maximum(dev, [np.max(np.abs(poly * d)) for d in base_dev])
+    gram = lattice_gram(phi, psi)[0]       # the phi/psi shift is 0
+    gram_dev = np.max(np.abs(gram - np.eye(n_max + 1)))
+    return {"similarity_phi": float(dev[0]), "similarity_psi": float(dev[1]),
+            "biorthogonality": float(gram_dev), "n_max": n_max}
 
 
-def l_value(params: PositionParams, n: int) -> complex:
-    """Double sum entering the closed norm formula; real and <= (n+1)^2."""
-    q, al, gamma = params.q, params.alpha, params.gamma
-    facts = [q_number_factorial(q, m) for m in range(n + 1)]
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        for l in range(n + 1):
-            total += (-1) ** (k + l) \
-                * math.exp(-al * al * (k + l + (l - k) ** 2)) \
-                * np.exp(2j * al * gamma * (l - k)) \
-                / (facts[k] * facts[l] * facts[n - k] * facts[n - l])
-    return complex(total)
+def _l_terms(params: PositionParams, n: int, bs: BetaSequence
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """u_k = (-1)^k exp(-alpha^2 k) / ([k]! [n-k]!) and the Hermitian
+    Toeplitz T_kl = exp(-alpha^2 (k-l)^2 - 2 i alpha gamma (k-l)), k, l <= n;
+    bs must reach index n - 1."""
+    al = params.alpha
+    k = np.arange(n + 1)
+    facts = np.array([bs.factorial_sq(j - 1) for j in k])     # [k]!
+    u = (-1.0) ** k * np.exp(-al * al * k) / (facts * facts[::-1])
+    d = np.subtract.outer(k, k)
+    return u, np.exp(-al * al * d * d - 2j * al * params.gamma * d)
+
+
+def l_value(params: PositionParams, n: int,
+            bs: BetaSequence | None = None) -> complex:
+    """Double sum entering the closed norm formula; real and <= (n+1)^2.
+
+    L_n = u^T T u (see :func:`_l_terms`); bs, if given, must reach n - 1.
+    """
+    u, toeplitz = _l_terms(params, n, bs or BetaSequence(params.q, n))
+    return complex(u @ toeplitz @ u)
+
+
+def cancellation(params: PositionParams, n_max: int) -> float:
+    """max over n <= n_max of |u|^T |T| |u| / |L_n|.
+
+    The factor by which the alternating terms of L_n amplify rounding; the
+    lattice coefficients of phi_n cancel by the same factor in ||phi_n||^2,
+    so float evaluation cannot resolve either below eps times it.  It is
+    infinite where L_n rounds to 0.
+    """
+    bs = BetaSequence(params.q, n_max)
+    worst = 1.0
+    for n in range(n_max + 1):
+        u, toeplitz = _l_terms(params, n, bs)
+        den = abs(u @ toeplitz @ u)
+        num = float(np.abs(u) @ np.abs(toeplitz) @ np.abs(u))
+        worst = np.maximum(worst, num / den if den > 0.0 else math.inf)
+    return float(worst)
+
+
+def _scaled_formula(params: PositionParams, n: int, lv: float,
+                    bs: BetaSequence) -> float:
+    """The closed form ||phi_n||^2 without its factor exp(gamma^2)."""
+    return bs.factorial_sq(n - 1) * (1.0 - params.q) ** (-n) * lv
 
 
 def norm_sq_formula(params: PositionParams, n: int) -> float:
     """Closed form ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n."""
-    lv = l_value(params, n)
-    return q_number_factorial(params.q, n) * math.exp(params.gamma ** 2) \
-        * (1.0 - params.q) ** (-n) * lv.real
+    bs = BetaSequence(params.q, n)
+    return _scaled_formula(params, n, l_value(params, n, bs).real, bs) \
+        * math.exp(params.gamma ** 2)
 
 
 def norm_formula_check(params: PositionParams, n_max: int) -> dict:
-    """Exact norms against the closed formula, plus its side claims."""
-    table = coefficient_recursion(params, n_max)
-    rows = []
-    max_rel = symm_dev = l_imag = 0.0
-    bound_ok = True
-    for n in range(n_max + 1):
-        nphi = norm(phi_state(params, n, table))
-        npsi = norm(psi_state(params, n, table))
-        lv = l_value(params, n)
-        formula = norm_sq_formula(params, n)
-        rel = abs(nphi ** 2 - formula) / abs(formula)
-        max_rel = max(max_rel, rel)
-        symm_dev = max(symm_dev, abs(nphi - npsi) / nphi)
-        l_imag = max(l_imag, abs(lv.imag) / abs(lv))
-        bound_ok = bound_ok and (lv.real <= (n + 1) ** 2 + 1e-12)
-        rows.append({"n": n, "norm_sq": nphi ** 2, "formula": formula,
-                     "rel_err": rel, "L": lv.real})
-    return {"rows": rows, "max_rel_err": max_rel, "norm_symmetry": symm_dev,
-            "L_imag_rel": l_imag, "L_bound_ok": bound_ok}
+    """Exact norms against the closed formula, plus its side claims.
+
+    The norms are the diagonals of the lattice Grams; norms and formula are
+    compared without their common factor exp(gamma^2), which overflows
+    first.  The rows report the unscaled values.
+    """
+    phi, psi = lattice_families(params, n_max)
+    nphi, shift = _scaled_norms_sq(phi)
+    npsi = _scaled_norms_sq(psi)[0]
+    bs = BetaSequence(params.q, n_max)
+    lvs = np.array([l_value(params, n, bs) for n in range(n_max + 1)])
+    formula = np.array([_scaled_formula(params, n, lv.real, bs)
+                        for n, lv in enumerate(lvs)])
+    rel = np.abs(nphi - formula) / np.abs(formula)
+    symm = np.abs(np.sqrt(nphi) - np.sqrt(npsi)) / np.sqrt(nphi)
+    l_imag = np.abs(lvs.imag) / np.abs(lvs)
+    n = np.arange(n_max + 1)
+    factor = math.exp(shift)
+    rows = [{"n": int(i), "norm_sq": float(a) * factor, "formula": float(b) * factor,
+             "rel_err": float(r), "L": float(lv.real)}
+            for i, a, b, r, lv in zip(n, nphi, formula, rel, lvs)]
+    return {"rows": rows, "max_rel_err": float(np.max(rel)),
+            "norm_symmetry": float(np.max(symm)),
+            "L_imag_rel": float(np.max(l_imag)),
+            "L_bound_ok": bool(np.all(lvs.real <= (n + 1) ** 2 + 1e-12))}
 
 
 def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
     """Exact ||phi_n|| for n = 0..n_max (input to the radius machinery)."""
-    table = coefficient_recursion(params, n_max)
-    return np.array([norm(phi_state(params, n, table))
-                     for n in range(n_max + 1)])
+    norms_sq, shift = _scaled_norms_sq(lattice_families(params, n_max)[0])
+    return np.sqrt(norms_sq) * math.exp(shift / 2.0)
 
 
 def theta_conjugacy_check(params: PositionParams,
                           states: Sequence[AnalyticState]) -> float:
-    """Residual of a f = Theta^{-1} b^dag Theta f with Theta = exp(-2 gamma x).
+    """Residual ||a f - Theta^{-1} b^dag Theta f|| / ||f||, Theta = exp(-2 gamma x).
 
     Checked only on analytic states, on which the unbounded multiplication
     operators act by shifting exponents.
@@ -478,16 +588,14 @@ def theta_conjugacy_check(params: PositionParams,
         lhs = apply_a(params, f)
         rhs = apply_b_dagger(params, f.shift_exponent(-2.0 * params.gamma)) \
             .shift_exponent(2.0 * params.gamma)
-        worst = max(worst, norm(lhs - rhs))
-    return worst
+        worst = np.maximum(worst, norm(lhs - rhs) / norm(f))
+    return float(worst)
 
 
 def gram_condition(params: PositionParams, n_max: int) -> float:
     """Condition number of the phi-family Gram matrix (basis-quality evidence)."""
-    table = coefficient_recursion(params, n_max)
-    states = [phi_state(params, n, table) for n in range(n_max + 1)]
-    g = np.array([[inner(fi, fj) for fj in states] for fi in states])
-    return float(np.linalg.cond(g))
+    phi = lattice_families(params, n_max)[0]
+    return float(np.linalg.cond(lattice_gram(phi, phi)[0]))
 
 
 def state_to_csv(state: AnalyticState, x: np.ndarray, stream: IO[str]) -> None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biquon
-from biquon.cli import ConfigError, main, run_config, validate_config
+from biquon.cli import GAMMA_MAX, ConfigError, main, run_config, validate_config
 
 WORKED_CONFIG = {
     "q": 0.5,
@@ -104,6 +104,14 @@ BAD_CONFIGS = {
     "position-n_max": ({"family": POSITION, "tasks": [{"task": "position", "n_max": -1}]},
                        r"tasks\[0\].n_max"),
     "family-n_max": ({"tasks": [{"task": "family", "n_max": -1}]}, r"tasks\[0\].n_max"),
+    # L_n rounds to 0 at n = 2 (traceback at the parent), and phi_n's lattice
+    # coefficients cancel past the family bound at q = 0.99
+    "position-n_max-cancels": ({"q": 1 - 2 ** -52, "family": POSITION,
+                                "tasks": [{"task": "position", "n_max": 6}]},
+                               r"tasks\[0\].n_max"),
+    "position-family-n_max-cancels": ({"q": 0.99, "family": POSITION,
+                                       "tasks": [{"task": "family", "n_max": 12}]},
+                                      r"tasks\[0\].n_max"),
     "fock-family-n_max": ({"family": {"kind": "rank_one"},
                            "tasks": [{"task": "family", "n_max": 3}]},
                           r"tasks\[0\].n_max"),
@@ -448,13 +456,45 @@ def _fock_config(draw) -> dict:
     return {"q": q, "K": K, "family": family, "tasks": tasks, "seed": 5}
 
 
+@st.composite
+def _position_config(draw) -> dict:
+    """A position-family config: q inside and outside (0, 1), gamma up to
+    +-GAMMA_MAX and beyond, n_max up to 60, any nonempty subset of tasks."""
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+             | st.sampled_from([1e-300, 1e-12, 0.5, 0.9, 0.99, 0.999, 0.9999])
+             | st.floats(-1.0, 3.0) | st.sampled_from([-1.0, 0.0, 1.0, 1.5]))
+    gamma = draw(st.floats(-GAMMA_MAX, GAMMA_MAX)
+                 | st.sampled_from([GAMMA_MAX, -GAMMA_MAX, 26.0, -26.6, 26.64])
+                 | st.floats(-40.0, 40.0))
+    tasks = []
+    for name in draw(st.lists(st.sampled_from(["mutator", "family", "theta", "position"]),
+                              min_size=1, max_size=4, unique=True)):
+        task = {"task": name}
+        if name in ("family", "position"):
+            n_max = draw(st.none() | st.integers(0, 60))
+            if n_max is not None:
+                task["n_max"] = n_max
+        tasks.append(task)
+    return {"q": q, "K": 16, "family": {"kind": "position", "gamma": gamma},
+            "tasks": tasks, "seed": 5}
+
+
 class TestConfigFuzz:
-    """Every Fock config keeps the exit-code contract in process: a verdict
-    of 0 or 1, or a ConfigError (exit 2)."""
+    """Every Fock or position config keeps the exit-code contract in process:
+    a verdict of 0 or 1 with finite residuals, or a ConfigError (exit 2)."""
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_fock_config())
     def test_run_config_keeps_exit_code_contract(self, cfg):
+        self._check(cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=_position_config())
+    def test_position_config_keeps_exit_code_contract(self, cfg):
+        self._check(cfg)
+
+    @staticmethod
+    def _check(cfg):
         try:
             summary, code = run_config(cfg)
         except ConfigError:
@@ -463,3 +503,5 @@ class TestConfigFuzz:
         # a NaN residual must not hide behind a verdict
         for report in summary["tasks"].values():
             assert math.isfinite(report["max_residual"])
+            for metric in report.get("bounds", {}):
+                assert math.isfinite(report[metric])

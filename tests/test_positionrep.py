@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquon import bicoherent, qcore
+from biquon import bicoherent, positionrep, qcore
 from biquon.cli import run_config
 from biquon.positionrep import (
     AnalyticState,
@@ -23,6 +23,8 @@ from biquon.positionrep import (
     gram_condition,
     inner,
     l_value,
+    lattice_families,
+    lattice_gram,
     ladder_check,
     norm,
     norm_formula_check,
@@ -277,6 +279,119 @@ class TestNormFormula:
                 lv = l_value(p, n)
                 assert abs(lv.imag) < 1e-14 * max(1.0, abs(lv.real))
                 assert lv.real <= (n + 1) ** 2
+
+
+def l_value_double_sum(params, n):
+    """Reference L_n, term by term, and the sum of the term magnitudes."""
+    q, al, gamma = params.q, params.alpha, params.gamma
+    facts = [qcore.q_number_factorial(q, m) for m in range(n + 1)]
+    total, scale = 0.0 + 0.0j, 0.0
+    for k in range(n + 1):
+        for l in range(n + 1):
+            term = (-1) ** (k + l) \
+                * math.exp(-al * al * (k + l + (l - k) ** 2)) \
+                * np.exp(2j * al * gamma * (l - k)) \
+                / (facts[k] * facts[l] * facts[n - k] * facts[n - l])
+            total += term
+            scale += abs(term)
+    return complex(total), scale
+
+
+class TestLattice:
+    """The batched lattice kernels against per-state closed forms."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.floats(0.1, 0.7), gamma=st.floats(-3.0, 3.0), n_max=st.integers(0, 20))
+    def test_gram_norms_and_l_values_match_per_state_oracles(self, q, gamma, n_max):
+        params = PositionParams(q, gamma)
+        phi, psi = lattice_families(params, n_max)
+        phis = [phi.state(n) for n in range(n_max + 1)]
+        psis = [psi.state(n) for n in range(n_max + 1)]
+        for f, g, fs, gs in ((phi, psi, phis, psis), (phi, phi, phis, phis)):
+            gram, shift = lattice_gram(f, g)
+            s = np.add.outer(f.exponents.conj(), g.exponents)
+            kernel = math.sqrt(math.pi) * np.abs(np.exp(s * s / 4.0))
+            scale = np.abs(f.coeffs) @ kernel @ np.abs(g.coeffs).T
+            exact = np.array([[inner(a, b) for b in gs] for a in fs])
+            assert np.all(np.abs(gram * math.exp(shift) - exact) <= 1e-12 * scale)
+        norms_sq = np.array([inner(f, f).real for f in phis])
+        assert np.all(np.abs(family_norms(params, n_max) ** 2 - norms_sq)
+                      <= 1e-12 * np.diagonal(scale))
+        for n in range(n_max + 1):
+            ref, terms = l_value_double_sum(params, n)
+            assert abs(l_value(params, n) - ref) <= 1e-12 * terms
+
+    def test_states_are_rows_of_one_matrix(self):
+        phi, psi = lattice_families(PARAMS, 6)
+        assert np.array_equal(phi.coeffs, psi.coeffs)
+        assert np.all(np.triu(phi.coeffs, 1) == 0)
+        for n in range(7):
+            assert norm(phi.state(n) - phi_state(PARAMS, n)) == 0.0
+            assert norm(psi.state(n) - psi_state(PARAMS, n)) == 0.0
+
+
+def _poison(monkeypatch, owner, name):
+    """Make every call of owner.name after the first return a NaN (one NaN
+    sample for an array), so a NaN follows a finite value."""
+    original = getattr(owner, name)
+    calls = []
+
+    def poisoned(*args):
+        calls.append(None)
+        out = original(*args)
+        if len(calls) == 1:
+            return out
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out[len(out) // 2] = np.nan
+            return out
+        return complex(math.nan)
+
+    monkeypatch.setattr(owner, name, poisoned)
+
+
+class TestNanVerdict:
+    """A NaN in one sample or inner product reaches the verdict: the task
+    reports it and the run exits 1."""
+
+    @pytest.mark.parametrize("task,owner,name", [
+        ({"task": "family", "n_max": 4}, AnalyticState, "sample"),
+        ("mutator", positionrep, "inner"),
+        ("theta", positionrep, "inner"),
+        ({"task": "position", "n_max": 4}, positionrep, "inner"),
+    ])
+    def test_nan_is_reported_and_fails(self, monkeypatch, task, owner, name):
+        _poison(monkeypatch, owner, name)
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": 0.7},
+                                    "tasks": [task]})
+        (report,) = summary["tasks"].values()
+        values = [report["max_residual"], *(report[m] for m in report.get("bounds", {}))]
+        assert any(math.isnan(v) for v in values)
+        assert code == 1
+
+
+class TestScaleAwareResiduals:
+    """Position residuals are relative to the norm of the state acted on, so
+    roundoff against ||phi_n|| ~ exp(gamma^2/2) passes at any admissible gamma."""
+
+    @pytest.mark.parametrize("gamma", [5.0, 26.0])
+    def test_mutator_passes_at_large_gamma(self, gamma):
+        # absolute residuals read 1.94e-10 > 1e-10 at gamma = 5, 4.25e131 at 26
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": gamma},
+                                    "tasks": ["mutator"]})
+        assert code == 0
+        assert 0.0 < summary["tasks"]["mutator"]["max_residual"] < 1e-14
+
+    @pytest.mark.parametrize("gamma", [6.0, -26.6])
+    def test_ladder_and_theta_pass_at_large_gamma(self, gamma):
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": gamma},
+                                    "tasks": ["theta", {"task": "position", "n_max": 8}]})
+        assert code == 0
+        assert 0.0 < summary["tasks"]["position"]["ladder_residual"] < 1e-14
+
+    def test_norm_is_finite_where_its_square_overflows(self):
+        phi0 = vacuum_phi(PositionParams(0.5, 26.64))
+        assert norm(phi0) == pytest.approx(math.exp(26.64 ** 2 / 2.0), rel=1e-13)
 
 
 class TestRadius:
