@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -60,8 +61,9 @@ TASK_INT_MINIMA = {
 }
 # position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
 GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
-# n_max of the position-family tasks that read it, when the config sets none
-POSITION_N_MAX = {"family": 6, "position": 5}
+# n_max of the position-family tasks: the default of family and position,
+# which read it from the config, and the states mutator and theta check
+POSITION_N_MAX = {"family": 6, "position": 5, "mutator": 3, "theta": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +175,6 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
                               f"K = {dim} truncation leaves an eigen residual "
                               f"{resid:.3e} above the bound {bound:.3e}; lower "
                               f"r_frac or raise K")
-    if cfg["family"]["kind"] == "position" and task["task"] in POSITION_N_MAX:
-        n_max = task.get("n_max", POSITION_N_MAX[task["task"]])
-        # the norms of the position task carry the phase of gamma; the
-        # phi/psi Gram of the family task pairs the lattice without it
-        gamma = cfg["family"]["gamma"] if task["task"] == "position" else 0.0
-        params = positionrep.PositionParams(q, gamma)
-        floor = sys.float_info.epsilon * positionrep.cancellation(params, n_max)
-        bound = _bound(cfg, tol_scale, task["task"])
-        if not floor <= bound:
-            raise ConfigError(f"{path}.n_max: the lattice coefficients of phi_n, "
-                              f"n <= {n_max}, cancel so far at q={q} that rounding "
-                              f"alone reaches {floor:.3e}, above the bound "
-                              f"{bound:.3e}; lower n_max or q")
     if task["task"] == "resolution":
         try:
             limit = resolution.solve_moment_measure(q, 2).moment_limit
@@ -204,6 +193,40 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
             raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "
                               f"support extent) - 1) = {2 * (reach - 1)}, "
                               f"got {n_theta}")
+
+
+def _check_position_rounding(cfg: dict, tasks: list[dict], tol_scale: float) -> None:
+    """Refuse a position task whose states have lattice coefficients that
+    cancel so far that rounding alone exceeds the task's bound.
+
+    The norms of the mutator and position tasks carry the phase of gamma;
+    the phi/psi pairings of the family and theta tasks meet without it.
+    The cancellation factors come from one pass per gamma, to the largest
+    n_max that gamma needs.
+    """
+    needs = []
+    for i, task in enumerate(tasks):
+        name = task["task"]
+        if name in ("family", "position"):
+            path, n_max = f"tasks[{i}].n_max", task.get("n_max", POSITION_N_MAX[name])
+            remedy = "n_max or q"
+        else:
+            path, n_max, remedy = f"tasks[{i}]", POSITION_N_MAX[name], "q"
+        gamma = cfg["family"]["gamma"] if name in ("mutator", "position") else 0.0
+        needs.append((path, remedy, name, n_max, gamma))
+    factors = {}
+    for gamma in {need[-1] for need in needs}:
+        params = positionrep.PositionParams(cfg["q"], gamma)
+        factors[gamma] = positionrep.cancellation(
+            params, max(n for *_, n, g in needs if g == gamma))
+    for path, remedy, name, n_max, gamma in needs:
+        floor = sys.float_info.epsilon * factors[gamma][n_max]
+        bound = _bound(cfg, tol_scale, name)
+        if not floor <= bound:
+            raise ConfigError(f"{path}: the lattice coefficients of phi_n, "
+                              f"n <= {n_max}, cancel so far at q={cfg['q']} that "
+                              f"rounding alone reaches {floor:.3e}, above the "
+                              f"bound {bound:.3e}; lower {remedy}")
 
 
 def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
@@ -283,6 +306,8 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
         _validate_task_params(task, f"tasks[{i}]", out, extent, tol_scale)
+    if kind == "position":
+        _check_position_rounding(out, tasks, tol_scale)
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
@@ -344,7 +369,7 @@ def _finish(ws: _Workspace, task: str, report: dict, residual: float,
 
 def _task_mutator(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        states = list(positionrep.build_families(ws.params, 3)[0])
+        states = positionrep.build_families(ws.params, POSITION_N_MAX["mutator"])[0]
         resid = positionrep.qmutation_grid_check(ws.params, states)
         return _finish(ws, "mutator", {"realization": "analytic"}, resid)
     fam = ws.family
@@ -389,8 +414,7 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
 
 def _task_theta(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        states = positionrep.build_families(ws.params, 2)[0]
-        resid = positionrep.theta_conjugacy_check(ws.params, states)
+        resid = positionrep.theta_conjugacy_check(ws.params, POSITION_N_MAX["theta"])
         return _finish(ws, "theta", {"realization": "analytic"}, resid)
     fam = ws.family
     theta = pseudoquon.build_theta(fam)
@@ -496,12 +520,13 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
     vacuum = positionrep.vacuum_check(ws.params)
     if task.get("dump_states"):
         x = positionrep.default_grid(ws.params.gamma)
-        phi = positionrep.lattice_families(ws.params, n_max, table)[0]
+        phi = positionrep.build_families(ws.params, n_max, table)[0]
         for n in range(n_max + 1):
             stream = ws.open_csv(f"phi_{n}.csv")
             if stream:
                 with stream:
-                    positionrep.state_to_csv(phi.state(n), x, stream)
+                    row = dataclasses.replace(phi, coeffs=phi.coeffs[n:n + 1, :n + 1])
+                    positionrep.state_to_csv(row, x, stream)
     report = {
         "norm_formula_max_rel": norm_rep["max_rel_err"],
         "norm_symmetry": norm_rep["norm_symmetry"],

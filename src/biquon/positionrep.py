@@ -1,13 +1,15 @@
-"""Symbolic realization of the shifted multiplication-operator example.
+"""The shifted multiplication-operator example on its Gaussian lattice.
 
 The deformed pair acts on real-line functions through multiplication by
 complex exponentials and the imaginary translation f(x) -> f(x + i alpha).
-On the analytic family
+Every state the example needs is a combination of lattice Gaussians
 
-    f(x) = sum_j P_j(x) exp(-x^2/2 + w_j x),        P_j polynomial, w_j complex,
+    f(x) = sum_k c_k exp(-x^2/2 + (w0 + 2 i alpha k) x),        k = 0, 1, ...
 
-both ingredients act by exact parameter substitution, so states are stored
-symbolically and inner products are closed-form Gaussian integrals.
+with w0 = gamma + 1.5 i alpha for the phi family and -gamma + 1.5 i alpha
+for the psi family.  Both ingredients map the lattice onto itself, so a
+state is its coefficient vector, the ladder operators are banded maps of
+it, and inner products are closed-form Gaussian integrals.
 
 Conventions: alpha = sqrt(-log(q)/2) so that q = exp(-2 alpha^2); the
 similarity between the shifted family and the undeformed one is the
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from dataclasses import dataclass, field, replace
+from typing import IO
 
 import numpy as np
 
@@ -27,22 +29,16 @@ from .qcore import BetaSequence
 
 __all__ = [
     "PositionParams",
+    "LatticeState",
     "AnalyticState",
     "default_grid",
-    "vacuum_phi",
-    "vacuum_psi",
     "apply_a",
     "apply_b",
     "apply_a_dagger",
     "apply_b_dagger",
     "build_families",
-    "phi_state",
-    "psi_state",
     "CoefficientTable",
     "coefficient_recursion",
-    "LatticeFamily",
-    "lattice_families",
-    "lattice_gram",
     "inner",
     "norm",
     "qmutation_grid_check",
@@ -51,15 +47,11 @@ __all__ = [
     "similarity_check",
     "l_value",
     "cancellation",
-    "norm_sq_formula",
     "norm_formula_check",
     "family_norms",
     "theta_conjugacy_check",
-    "gram_condition",
     "state_to_csv",
 ]
-
-MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,77 +74,33 @@ class PositionParams:
         return math.sqrt(1.0 - self.q)
 
 
-def _poly_shift(p: np.ndarray, c: complex) -> np.ndarray:
-    """Coefficients of P(x + c) from those of P(x) (low to high order)."""
-    n = len(p)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        if p[k] == 0:
-            continue
-        binom = 1.0
-        power = 1.0 + 0.0j
-        for m in range(k, -1, -1):
-            out[m] += p[k] * binom * power
-            binom = binom * m / (k - m + 1)
-            power *= c
-    return out
+@dataclass(frozen=True)
+class LatticeState:
+    """States f_n = sum_k coeffs[n, k] exp(-x^2/2 + (w0 + step k) x), one per row."""
 
+    coeffs: np.ndarray = field(repr=False)
+    w0: complex
+    step: complex
 
-class AnalyticState:
-    """Finite sum of terms P(x) exp(-x^2/2 + w x)."""
+    @property
+    def exponents(self) -> np.ndarray:
+        return self.w0 + self.step * np.arange(self.coeffs.shape[1])
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Sequence[tuple[np.ndarray, complex]]):
-        merged: list[tuple[np.ndarray, complex]] = []
-        for poly, w in terms:
-            poly = np.atleast_1d(np.asarray(poly, dtype=complex))
-            for i, (p0, w0) in enumerate(merged):
-                if abs(w - w0) < MERGE_TOL:
-                    n = max(len(p0), len(poly))
-                    acc = np.zeros(n, dtype=complex)
-                    acc[:len(p0)] += p0
-                    acc[:len(poly)] += poly
-                    merged[i] = (acc, w0)
-                    break
-            else:
-                merged.append((poly.copy(), complex(w)))
-        self.terms = [(p, w) for p, w in merged if np.any(p != 0)]
-
-    @classmethod
-    def gaussian(cls, amplitude: complex, w: complex) -> "AnalyticState":
-        return cls([(np.array([amplitude], dtype=complex), w)])
-
-    def __add__(self, other: "AnalyticState") -> "AnalyticState":
-        return AnalyticState(self.terms + other.terms)
-
-    def __sub__(self, other: "AnalyticState") -> "AnalyticState":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "AnalyticState":
-        return AnalyticState([(p * scalar, w) for p, w in self.terms])
-
-    __rmul__ = __mul__
-
-    def shift_exponent(self, c: complex) -> "AnalyticState":
-        """Multiplication by exp(c x)."""
-        return AnalyticState([(p, w + c) for p, w in self.terms])
-
-    def translate(self, c: complex) -> "AnalyticState":
-        """f(x) -> f(x + c): each term picks up exp(-c^2/2) exp(c w) and shifts w."""
-        out = []
-        for p, w in self.terms:
-            scale = np.exp(-c * c / 2.0 + c * w)
-            out.append((scale * _poly_shift(p, c), w - c))
-        return AnalyticState(out)
+    def shift_exponent(self, c: complex) -> "LatticeState":
+        """Multiplication by exp(c x): the lattice moves by c."""
+        return replace(self, w0=self.w0 + c)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        vals = np.zeros(len(x), dtype=complex)
+        """Values at the points x (rows x points), summed term by term."""
+        vals = np.zeros((self.coeffs.shape[0], len(x)), dtype=complex)
         env = -x * x / 2.0
-        for p, w in self.terms:
-            vals += np.polynomial.polynomial.polyval(x, p) * np.exp(env + w * x)
+        for c, w in zip(self.coeffs.T, self.exponents):
+            vals += c[:, None] * np.exp(env + w * x)
         return vals
+
+
+# the benchmark tracer (bench/spans.py) times the sampler under this name
+AnalyticState = LatticeState
 
 
 def default_grid(gamma: float = 0.0, n: int = 4096) -> np.ndarray:
@@ -161,56 +109,31 @@ def default_grid(gamma: float = 0.0, n: int = 4096) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
-def _stacked(state: AnalyticState) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded coefficient rows (terms x degree) and exponents of a state."""
-    width = max((len(p) for p, _ in state.terms), default=1)
-    coeffs = np.zeros((len(state.terms), width), dtype=complex)
-    for row, (p, _) in zip(coeffs, state.terms):
-        row[:len(p)] = p
-    return coeffs, np.array([w for _, w in state.terms], dtype=complex)
+def inner(f: LatticeState, g: LatticeState) -> tuple[np.ndarray, float]:
+    """(G, c) with <f_n, g_m> = exp(c) G[n, m] (conjugate-linear in f).
 
-
-def _gaussian_kernel(w: np.ndarray, v: np.ndarray, shift: float = 0.0
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """s = conj(w_i) + v_l and exp(s^2/4 - shift) for every exponent pair.
-
-    sqrt(pi) exp(s^2/4) = <exp(-x^2/2 + w_i x), exp(-x^2/2 + v_l x)>; the
-    shift lets a caller factor out a common exp(shift) that would overflow.
+    G = P^H K Q^T with K_kl = sqrt(pi) exp(s^2/4 - c), s = conj(w_k) + v_l,
+    since sqrt(pi) exp(s^2/4) = <exp(-x^2/2 + w x), exp(-x^2/2 + v x)>.  The
+    lattice steps are imaginary, so c = Re(s)^2/4 = (Re w0_f + Re w0_g)^2/4
+    bounds Re(s^2/4) and K stays finite where <f_n, g_m> would overflow.
     """
-    s = np.add.outer(np.conj(w), v)
-    return s, np.exp(s * s / 4.0 - shift)
+    c = (f.w0.real + g.w0.real) ** 2 / 4.0
+    s = np.add.outer(np.conj(f.exponents), g.exponents)
+    kernel = math.sqrt(math.pi) * np.exp(s * s / 4.0 - c)
+    return f.coeffs.conj() @ kernel @ g.coeffs.T, c
 
 
-def inner(f: AnalyticState, g: AnalyticState, shift: float = 0.0) -> complex:
-    """exp(-shift) <f, g> in closed form (conjugate-linear in the first slot).
-
-    Terms P exp(-x^2/2 + w x) and Q exp(-x^2/2 + v x) pair to
-    sqrt(pi) exp(s^2/4) sum_{i,l} conj(p_i) q_l m_{i+l}(s/2) with
-    s = conj(w) + v, where m_j(mu) = E[(mu + Y)^j] for Y ~ N(0, 1/2):
-    m_0 = 1, m_1 = mu, m_j = mu m_{j-1} + (j-1)/2 m_{j-2}.  All term pairs
-    are evaluated at once.  Roundoff is relative to the term magnitudes,
-    so terms with distinct but nearly equal w that nearly cancel lose
-    relative accuracy; terms with w within MERGE_TOL are merged first.
-    """
-    p, w = _stacked(f)
-    c, v = _stacked(g)
-    s, kernel = _gaussian_kernel(w, v, shift)
-    mu = s / 2.0
-    moments = [np.ones_like(mu), mu]
-    for j in range(2, p.shape[1] + c.shape[1] - 1):
-        moments.append(mu * moments[-1] + (j - 1) / 2.0 * moments[-2])
-    m = np.array(moments)[np.add.outer(np.arange(p.shape[1]),
-                                       np.arange(c.shape[1]))]
-    poly = np.einsum("ai,bl,ilab->ab", p.conj(), c, m)
-    return complex(math.sqrt(math.pi) * np.sum(kernel * poly))
+def _norms_sq(f: LatticeState) -> tuple[np.ndarray, float]:
+    """(N, c) with ||f_n||^2 = exp(c) N[n]: the diagonal of the Gram."""
+    gram, c = inner(f, f)
+    return np.abs(np.diagonal(gram)), c
 
 
-def norm(f: AnalyticState) -> float:
-    """||f||, with exp(c), c = max (Re w)^2 >= Re(s^2/4), taken out of
-    <f, f>: ||f|| stays finite and resolved where ||f||^2 would overflow,
-    as it does for the position families when |gamma| nears GAMMA_MAX."""
-    c = max((w.real ** 2 for _, w in f.terms), default=0.0)
-    return math.sqrt(abs(inner(f, f, c))) * math.exp(c / 2.0)
+def norm(f: LatticeState) -> np.ndarray:
+    """||f_n|| for every row; finite and resolved where ||f_n||^2 would
+    overflow, as it does when |gamma| nears GAMMA_MAX."""
+    norms_sq, c = _norms_sq(f)
+    return np.sqrt(norms_sq) * math.exp(c / 2.0)
 
 
 # the benchmark tracer (bench/spans.py) times the norm layer under this name
@@ -221,74 +144,56 @@ grid_norm = norm
 # ladder operators
 # ---------------------------------------------------------------------------
 
-def vacuum_phi(params: PositionParams) -> AnalyticState:
-    """Normalized vacuum annihilated by the lowering operator a."""
-    w = params.gamma + 1.5j * params.alpha
-    return AnalyticState.gaussian(math.pi ** -0.25, w)
-
-
-def vacuum_psi(params: PositionParams) -> AnalyticState:
-    """Vacuum of b^dag; the gamma -> -gamma mirror of the a vacuum."""
-    w = -params.gamma + 1.5j * params.alpha
-    return AnalyticState.gaussian(math.pi ** -0.25, w)
-
-
-def _lowering(params: PositionParams, state: AnalyticState,
-              gamma_sign: float) -> AnalyticState:
-    """Exact action of a (gamma_sign=+1) or b^dag (gamma_sign=-1)."""
+def _exponent_factor(params: PositionParams, f: LatticeState, half_sq: float,
+                     gamma_sign: float) -> np.ndarray:
+    """exp(half_sq alpha^2 + i alpha (w_k - gamma_sign gamma)) over f's lattice."""
     al = params.alpha
-    out: list[tuple[np.ndarray, complex]] = []
-    pref = 1.0 / (-1j * params.sqrt_1mq)
-    for p, w in state.terms:
-        scale = np.exp(1.5 * al * al + 1j * al * (w - gamma_sign * params.gamma))
-        out.append((pref * p, w - 2j * al))
-        out.append((-pref * scale * _poly_shift(p, 1j * al), w - 2j * al))
-    return AnalyticState(out)
+    return np.exp(half_sq * al * al + 1j * al * (f.exponents - gamma_sign * params.gamma))
 
 
-def _raising(params: PositionParams, state: AnalyticState,
-             gamma_sign: float) -> AnalyticState:
-    """Exact action of b (gamma_sign=+1) or a^dag (gamma_sign=-1)."""
-    al = params.alpha
-    out: list[tuple[np.ndarray, complex]] = []
-    pref = 1.0 / (1j * params.sqrt_1mq)
-    for p, w in state.terms:
-        scale = np.exp(0.5 * al * al + 1j * al * (w - gamma_sign * params.gamma))
-        out.append((pref * p, w + 2j * al))
-        out.append((-pref * scale * _poly_shift(p, 1j * al), w))
-    return AnalyticState(out)
+def _step_down(params: PositionParams, f: LatticeState, gamma_sign: float) -> LatticeState:
+    """a (gamma_sign +1) or b^dag (-1): coefficient k moves to k - 1 with the
+    factor pref (1 - exp(1.5 alpha^2 + i alpha (w_k -+ gamma))).
+
+    On the operator's own lattice (w0 = +-gamma + 1.5 i alpha) the k = 0
+    factor is exactly 0.0, so the term that would leave the lattice is zero
+    and the vacuum is annihilated in closed form.
+    """
+    factor = 1j / params.sqrt_1mq * (1.0 - _exponent_factor(params, f, 1.5, gamma_sign))
+    if factor.size and factor[0] != 0.0:
+        raise ValueError("lowering is defined here only on its vacuum's lattice")
+    return replace(f, coeffs=factor[1:] * f.coeffs[:, 1:])
 
 
-def apply_a(params: PositionParams, state: AnalyticState) -> AnalyticState:
-    return _lowering(params, state, +1.0)
+def _step_up(params: PositionParams, f: LatticeState, gamma_sign: float) -> LatticeState:
+    """b (gamma_sign +1) or a^dag (-1): bidiagonal, coefficient k moves to
+    k + 1 with the factor pref, plus the diagonal -pref exp(0.5 alpha^2 +
+    i alpha (w_k -+ gamma))."""
+    pref = -1j / params.sqrt_1mq
+    out = np.zeros((f.coeffs.shape[0], f.coeffs.shape[1] + 1), dtype=complex)
+    out[:, 1:] = pref * f.coeffs
+    out[:, :-1] -= pref * _exponent_factor(params, f, 0.5, gamma_sign) * f.coeffs
+    return replace(f, coeffs=out)
 
 
-def apply_b_dagger(params: PositionParams, state: AnalyticState) -> AnalyticState:
-    return _lowering(params, state, -1.0)
+def apply_a(params: PositionParams, state: LatticeState) -> LatticeState:
+    return _step_down(params, state, +1.0)
 
 
-def apply_b(params: PositionParams, state: AnalyticState) -> AnalyticState:
-    return _raising(params, state, +1.0)
+def apply_b_dagger(params: PositionParams, state: LatticeState) -> LatticeState:
+    return _step_down(params, state, -1.0)
 
 
-def apply_a_dagger(params: PositionParams, state: AnalyticState) -> AnalyticState:
-    return _raising(params, state, -1.0)
+def apply_b(params: PositionParams, state: LatticeState) -> LatticeState:
+    return _step_up(params, state, +1.0)
 
 
-def build_families(params: PositionParams, n_max: int
-                   ) -> tuple[list[AnalyticState], list[AnalyticState]]:
-    """phi_n = b^n phi_0 / beta_{n-1}! and psi_n = (a^dag)^n psi_0 / beta_{n-1}!."""
-    bs = BetaSequence(params.q, n_max + 1)
-    phis = [vacuum_phi(params)]
-    psis = [vacuum_psi(params)]
-    for n in range(n_max):
-        phis.append(apply_b(params, phis[-1]) * (1.0 / bs.beta(n)))
-        psis.append(apply_a_dagger(params, psis[-1]) * (1.0 / bs.beta(n)))
-    return phis, psis
+def apply_a_dagger(params: PositionParams, state: LatticeState) -> LatticeState:
+    return _step_up(params, state, -1.0)
 
 
 # ---------------------------------------------------------------------------
-# oscillatory-factor coefficients
+# oscillatory-factor coefficients and the two families
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -311,8 +216,8 @@ def coefficient_recursion(params: PositionParams, n_max: int) -> CoefficientTabl
 
     One application of b maps the factor coefficients by
     c_k^(n+1) = c_{k-1}^(n) - exp(-alpha^2) q^k c_k^(n); this is the exact
-    symbolic action on exp(2 i alpha k x) terms, and it does not involve
-    gamma, which is why the same table serves both families.
+    action on exp(2 i alpha k x) terms, and it does not involve gamma,
+    which is why the same table serves both families.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -327,32 +232,13 @@ def coefficient_recursion(params: PositionParams, n_max: int) -> CoefficientTabl
     return CoefficientTable(params.q, rows)
 
 
-@dataclass(frozen=True)
-class LatticeFamily:
-    """States f_n = sum_k coeffs[n, k] exp(-x^2/2 + (w0 + step k) x).
-
-    phi_n and psi_n share one lower-triangular coefficient matrix over the
-    Gaussian lattice w0 + 2 i alpha k; only w0 = +-gamma + 1.5 i alpha differs.
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-    w0: complex
-    step: complex
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return self.w0 + self.step * np.arange(self.coeffs.shape[1])
-
-    def state(self, n: int) -> AnalyticState:
-        return AnalyticState([(np.array([c]), w) for c, w in
-                              zip(self.coeffs[n, :n + 1], self.exponents)])
-
-
-def lattice_families(params: PositionParams, n_max: int,
-                     table: CoefficientTable | None = None
-                     ) -> tuple[LatticeFamily, LatticeFamily]:
-    """phi_0..phi_n_max and psi_0..psi_n_max as rows P[n, k] = pref_n c_k^(n),
-    pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}!."""
+def build_families(params: PositionParams, n_max: int,
+                   table: CoefficientTable | None = None
+                   ) -> tuple[LatticeState, LatticeState]:
+    """phi_n = b^n phi_0 / beta_{n-1}! and psi_n = (a^dag)^n psi_0 / beta_{n-1}!
+    for n <= n_max, as the rows P[n, k] = pref_n c_k^(n) of one
+    lower-triangular matrix, pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}!,
+    over the lattices w0 = +-gamma + 1.5 i alpha with step 2 i alpha."""
     if table is None or table.n_max < n_max:
         table = coefficient_recursion(params, n_max)
     bs = BetaSequence(params.q, n_max + 1)
@@ -361,86 +247,54 @@ def lattice_families(params: PositionParams, n_max: int,
         pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
         coeffs[n, :n + 1] = pref * table.row(n)
     al = params.alpha
-    return (LatticeFamily(coeffs, params.gamma + 1.5j * al, 2j * al),
-            LatticeFamily(coeffs, -params.gamma + 1.5j * al, 2j * al))
-
-
-def lattice_gram(f: LatticeFamily, g: LatticeFamily) -> tuple[np.ndarray, float]:
-    """(G, c) with <f_n, g_m> = exp(c) G[n, m], G = P^H K Q^T.
-
-    K_kl = sqrt(pi) exp(s^2/4 - c) over the lattice exponents, and
-    c = Re(s)^2/4 = (Re w0_f + Re w0_g)^2/4 bounds Re(s^2/4), so K stays
-    finite where <f_n, g_m> itself would overflow.
-    """
-    shift = (f.w0.real + g.w0.real) ** 2 / 4.0
-    kernel = math.sqrt(math.pi) * _gaussian_kernel(f.exponents, g.exponents, shift)[1]
-    return f.coeffs.conj() @ kernel @ g.coeffs.T, shift
-
-
-def _scaled_norms_sq(fam: LatticeFamily) -> tuple[np.ndarray, float]:
-    """(N, c) with ||f_n||^2 = exp(c) N[n]: the diagonal of the lattice Gram."""
-    gram, shift = lattice_gram(fam, fam)
-    return np.abs(np.diagonal(gram)), shift
-
-
-def phi_state(params: PositionParams, n: int,
-              table: CoefficientTable | None = None) -> AnalyticState:
-    """phi_n assembled from its coefficient row (closed-form route)."""
-    return lattice_families(params, n, table)[0].state(n)
-
-
-def psi_state(params: PositionParams, n: int,
-              table: CoefficientTable | None = None) -> AnalyticState:
-    return lattice_families(params, n, table)[1].state(n)
+    return (LatticeState(coeffs, params.gamma + 1.5j * al, 2j * al),
+            LatticeState(coeffs, -params.gamma + 1.5j * al, 2j * al))
 
 
 # ---------------------------------------------------------------------------
 # identity and formula checks
 # ---------------------------------------------------------------------------
 
-def qmutation_grid_check(params: PositionParams,
-                         states: Sequence[AnalyticState]) -> float:
-    """max ||(a b - q b a) f - f|| / ||f|| over the test states."""
-    worst = 0.0
-    for f in states:
-        ab = apply_a(params, apply_b(params, f))
-        ba = apply_b(params, apply_a(params, f))
-        worst = np.maximum(worst, norm(ab - params.q * ba - f) / norm(f))
-    return float(worst)
+def qmutation_grid_check(params: PositionParams, states: LatticeState) -> float:
+    """max over the rows f of ||(a b - q b a) f - f|| / ||f||."""
+    ab = apply_a(params, apply_b(params, states))
+    ba = apply_b(params, apply_a(params, states))
+    resid = replace(states, coeffs=ab.coeffs - params.q * ba.coeffs - states.coeffs)
+    return float(np.max(norm(resid) / norm(states)))
 
 
 def ladder_check(params: PositionParams, n_max: int) -> dict:
     """Residuals of the four ladder relations for n <= n_max, each relative
-    to the norm of the state the operator acts on."""
-    bs = BetaSequence(params.q, n_max + 2)
-    phis, psis = build_families(params, n_max + 1)
-    resid = np.zeros((4, n_max + 1))
-    zero = AnalyticState([])
-    for n in range(n_max + 1):
-        below_phi = phis[n - 1] if n >= 1 else zero
-        below_psi = psis[n - 1] if n >= 1 else zero
-        resid[:, n] = [
-            norm(apply_b(params, phis[n]) - bs.beta(n) * phis[n + 1]),
-            norm(apply_a(params, phis[n]) - bs.beta(n - 1) * below_phi),
-            norm(apply_a_dagger(params, psis[n]) - bs.beta(n) * psis[n + 1]),
-            norm(apply_b_dagger(params, psis[n]) - bs.beta(n - 1) * below_psi),
-        ]
-        resid[:, n] /= np.repeat([norm(phis[n]), norm(psis[n])], 2)
-    worst = np.max(resid, axis=1)
-    report = dict(zip(("raise_phi", "lower_phi", "raise_psi", "lower_psi"),
-                      map(float, worst)))
+    to the norm of the state the operator acts on: the operator applied to
+    a closed-form row against beta times the neighbouring closed-form row."""
+    beta = BetaSequence(params.q, n_max).betas()
+    below = np.concatenate(([0.0], beta[:-1]))      # beta_{n-1}, beta_{-1} = 0
+    phi, psi = build_families(params, n_max + 1)
+    report = {}
+    for name, fam, up, down in (("phi", phi, apply_b, apply_a),
+                                ("psi", psi, apply_a_dagger, apply_b_dagger)):
+        head = replace(fam, coeffs=fam.coeffs[:n_max + 1, :n_max + 1])
+        prev = np.pad(fam.coeffs[:n_max, :n_max], ((1, 0), (0, 0)))
+        scale = norm(head)
+        for kind, resid in (
+                ("raise", up(params, head).coeffs - beta[:, None] * fam.coeffs[1:]),
+                ("lower", down(params, head).coeffs - below[:, None] * prev)):
+            rel = norm(replace(fam, coeffs=resid)) / scale
+            report[f"{kind}_{name}"] = float(np.max(rel))
+    worst = np.max(list(report.values()))
     report["n_max"] = n_max
-    report["max_residual"] = float(np.max(worst))
+    report["max_residual"] = float(worst)
     return report
 
 
 def vacuum_check(params: PositionParams) -> dict:
     """Annihilation residuals of the vacua and their mutual pairing."""
-    phi0, psi0 = vacuum_phi(params), vacuum_psi(params)
+    phi0, psi0 = build_families(params, 0)
+    gram, c = inner(phi0, psi0)
     return {
-        "a_phi0": norm(apply_a(params, phi0)),
-        "bdag_psi0": norm(apply_b_dagger(params, psi0)),
-        "pairing": inner(phi0, psi0),
+        "a_phi0": float(norm(apply_a(params, phi0))[0]),
+        "bdag_psi0": float(norm(apply_b_dagger(params, psi0))[0]),
+        "pairing": complex(gram[0, 0] * math.exp(c)),
     }
 
 
@@ -460,146 +314,136 @@ def similarity_check(params: PositionParams, n_max: int) -> dict:
     phi_n, psi_n must equal exp(-gamma x) times it (compared on the
     sample points of :func:`default_grid`), and the two families must be
     biorthogonal.  Every family member is its lattice base Gaussian
-    exp(-x^2/2 + w0 x) times a polynomial in exp(2 i alpha x), which Horner's
-    rule evaluates row by row, so no (n_max + 1) x grid array is held.  Both
-    sides of the pointwise comparison are scaled by exp(-gamma^2/2), the size
-    of ||phi_n||, which is folded into the exponent exp(+-gamma x - gamma^2/2):
-    exp(gamma x) alone overflows on the grid as |gamma| nears GAMMA_MAX.
+    exp(-x^2/2 + w0 x) times a polynomial in exp(2 i alpha x), and both
+    sides of the comparison share that row polynomial, so similarity_phi
+    and similarity_psi measure only the rounding of exp(+-gamma x) on the
+    base Gaussian, weighted by each row; Horner's rule evaluates the rows
+    one at a time, so no (n_max + 1) x grid array is held.  Both sides are
+    scaled by exp(-gamma^2/2), the size of ||phi_n||, which is folded into
+    the exponent exp(+-gamma x - gamma^2/2): exp(gamma x) alone overflows on
+    the grid as |gamma| nears GAMMA_MAX.
     """
     x = default_grid(params.gamma)
-    phi, psi = lattice_families(params, n_max)
+    phi, psi = build_families(params, n_max)
     g2 = params.gamma ** 2 / 2.0
     scale = math.exp(-g2)
-    ref = AnalyticState.gaussian(1.0, 1.5j * params.alpha).sample(x)
+
+    def base(w0: complex) -> np.ndarray:
+        return LatticeState(np.ones((1, 1)), w0, phi.step).sample(x)[0]
+
+    ref = base(1.5j * params.alpha)
     # scaled shifted base minus the scaled similarity image of the unshifted one
-    base_dev = [
-        scale * AnalyticState.gaussian(1.0, fam.w0).sample(x)
-        - np.exp(sign * params.gamma * x - g2) * ref
-        for fam, sign in ((phi, 1.0), (psi, -1.0))
-    ]
+    base_dev = [scale * base(fam.w0) - np.exp(sign * params.gamma * x - g2) * ref
+                for fam, sign in ((phi, 1.0), (psi, -1.0))]
     z = np.exp(phi.step * x)
     dev = np.zeros(2)
     for n in range(n_max + 1):
         poly = _horner(phi.coeffs[n, :n + 1], z)
         dev = np.maximum(dev, [np.max(np.abs(poly * d)) for d in base_dev])
-    gram = lattice_gram(phi, psi)[0]       # the phi/psi shift is 0
+    gram = inner(phi, psi)[0]       # the phi/psi shift is 0
     gram_dev = np.max(np.abs(gram - np.eye(n_max + 1)))
     return {"similarity_phi": float(dev[0]), "similarity_psi": float(dev[1]),
             "biorthogonality": float(gram_dev), "n_max": n_max}
 
 
-def _l_terms(params: PositionParams, n: int, bs: BetaSequence
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """u_k = (-1)^k exp(-alpha^2 k) / ([k]! [n-k]!) and the Hermitian
-    Toeplitz T_kl = exp(-alpha^2 (k-l)^2 - 2 i alpha gamma (k-l)), k, l <= n;
-    bs must reach index n - 1."""
-    al = params.alpha
-    k = np.arange(n + 1)
-    facts = np.array([bs.factorial_sq(j - 1) for j in k])     # [k]!
-    u = (-1.0) ** k * np.exp(-al * al * k) / (facts * facts[::-1])
-    d = np.subtract.outer(k, k)
-    return u, np.exp(-al * al * d * d - 2j * al * params.gamma * d)
+def _l_sums(params: PositionParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L_n, |u|^T |T| |u|) for every n <= n_max, in one pass over the
+    Toeplitz symbol t_d = exp(-alpha^2 d^2 - 2 i alpha gamma d).
 
-
-def l_value(params: PositionParams, n: int,
-            bs: BetaSequence | None = None) -> complex:
-    """Double sum entering the closed norm formula; real and <= (n+1)^2.
-
-    L_n = u^T T u (see :func:`_l_terms`); bs, if given, must reach n - 1.
+    L_n = u^T T u with u_k = (-1)^k exp(-alpha^2 k) / ([k]! [n-k]!) and
+    T_kl = t_{k-l}.  T is Hermitian and u real, so
+    L_n = a_0 + 2 sum_{d>=1} Re(t_d) a_d, with a_d = sum_k u_k u_{k+d} the
+    autocorrelation of u; the pass over d stops where |t_d| rounds to 0.
     """
-    u, toeplitz = _l_terms(params, n, bs or BetaSequence(params.q, n))
-    return complex(u @ toeplitz @ u)
-
-
-def cancellation(params: PositionParams, n_max: int) -> float:
-    """max over n <= n_max of |u|^T |T| |u| / |L_n|.
-
-    The factor by which the alternating terms of L_n amplify rounding; the
-    lattice coefficients of phi_n cancel by the same factor in ||phi_n||^2,
-    so float evaluation cannot resolve either below eps times it.  It is
-    infinite where L_n rounds to 0.
-    """
+    al2 = params.alpha ** 2
     bs = BetaSequence(params.q, n_max)
-    worst = 1.0
-    for n in range(n_max + 1):
-        u, toeplitz = _l_terms(params, n, bs)
-        den = abs(u @ toeplitz @ u)
-        num = float(np.abs(u) @ np.abs(toeplitz) @ np.abs(u))
-        worst = np.maximum(worst, num / den if den > 0.0 else math.inf)
-    return float(worst)
+    k = np.arange(n_max + 1)
+    facts = np.array([bs.factorial_sq(j - 1) for j in k])     # [k]! >= 1
+    n = k[:, None]
+    # row n holds u^(n); dividing twice keeps [k]! [n-k]! from overflowing
+    u = np.where(k <= n, (-1.0) ** k * np.exp(-al2 * k) / facts / facts[np.abs(n - k)],
+                 0.0)
+    l_sum = np.sum(u * u, axis=1)
+    magnitude = l_sum.copy()
+    for d in range(1, n_max + 1):
+        size = math.exp(-al2 * d * d)
+        if size == 0.0:
+            break
+        lagged = u[:, d:] * u[:, :-d]
+        l_sum += 2.0 * size * math.cos(2.0 * params.alpha * params.gamma * d) \
+            * np.sum(lagged, axis=1)
+        magnitude += 2.0 * size * np.sum(np.abs(lagged), axis=1)
+    return l_sum, magnitude
 
 
-def _scaled_formula(params: PositionParams, n: int, lv: float,
-                    bs: BetaSequence) -> float:
-    """The closed form ||phi_n||^2 without its factor exp(gamma^2)."""
-    return bs.factorial_sq(n - 1) * (1.0 - params.q) ** (-n) * lv
+def l_value(params: PositionParams, n_max: int) -> np.ndarray:
+    """L_0 .. L_n_max, the double sums of the closed norm formula; each is
+    real and at most (n+1)^2."""
+    return _l_sums(params, n_max)[0]
 
 
-def norm_sq_formula(params: PositionParams, n: int) -> float:
-    """Closed form ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n."""
-    bs = BetaSequence(params.q, n)
-    return _scaled_formula(params, n, l_value(params, n, bs).real, bs) \
-        * math.exp(params.gamma ** 2)
+def cancellation(params: PositionParams, n_max: int) -> np.ndarray:
+    """For each n <= n_max, the largest |u|^T |T| |u| / |L_m| over m <= n.
+
+    The factor by which the alternating terms of L_m amplify rounding; the
+    lattice coefficients of phi_m cancel by the same factor in ||phi_m||^2,
+    so float evaluation cannot resolve either below eps times it.  It is
+    infinite where L_m rounds to 0, and at least 1.
+    """
+    l_sum, magnitude = _l_sums(params, n_max)
+    ratio = np.full(n_max + 1, math.inf)
+    np.divide(magnitude, np.abs(l_sum), out=ratio, where=l_sum != 0.0)
+    return np.maximum.accumulate(np.maximum(ratio, 1.0))
 
 
 def norm_formula_check(params: PositionParams, n_max: int) -> dict:
-    """Exact norms against the closed formula, plus its side claims.
+    """Exact norms against the closed formula
+    ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n, plus its side claims.
 
     The norms are the diagonals of the lattice Grams; norms and formula are
     compared without their common factor exp(gamma^2), which overflows
     first.  The rows report the unscaled values.
     """
-    phi, psi = lattice_families(params, n_max)
-    nphi, shift = _scaled_norms_sq(phi)
-    npsi = _scaled_norms_sq(psi)[0]
+    phi, psi = build_families(params, n_max)
+    nphi, shift = _norms_sq(phi)
+    npsi = _norms_sq(psi)[0]
     bs = BetaSequence(params.q, n_max)
-    lvs = np.array([l_value(params, n, bs) for n in range(n_max + 1)])
-    formula = np.array([_scaled_formula(params, n, lv.real, bs)
-                        for n, lv in enumerate(lvs)])
+    lvs = l_value(params, n_max)
+    n = np.arange(n_max + 1)
+    facts = np.array([bs.factorial_sq(i - 1) for i in n])
+    formula = facts * (1.0 - params.q) ** (-n) * lvs
     rel = np.abs(nphi - formula) / np.abs(formula)
     symm = np.abs(np.sqrt(nphi) - np.sqrt(npsi)) / np.sqrt(nphi)
-    l_imag = np.abs(lvs.imag) / np.abs(lvs)
-    n = np.arange(n_max + 1)
     factor = math.exp(shift)
     rows = [{"n": int(i), "norm_sq": float(a) * factor, "formula": float(b) * factor,
-             "rel_err": float(r), "L": float(lv.real)}
+             "rel_err": float(r), "L": float(lv)}
             for i, a, b, r, lv in zip(n, nphi, formula, rel, lvs)]
     return {"rows": rows, "max_rel_err": float(np.max(rel)),
             "norm_symmetry": float(np.max(symm)),
-            "L_imag_rel": float(np.max(l_imag)),
-            "L_bound_ok": bool(np.all(lvs.real <= (n + 1) ** 2 + 1e-12))}
+            "L_bound_ok": bool(np.all(lvs <= (n + 1) ** 2 + 1e-12))}
 
 
 def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
     """Exact ||phi_n|| for n = 0..n_max (input to the radius machinery)."""
-    norms_sq, shift = _scaled_norms_sq(lattice_families(params, n_max)[0])
-    return np.sqrt(norms_sq) * math.exp(shift / 2.0)
+    return norm(build_families(params, n_max)[0])
 
 
-def theta_conjugacy_check(params: PositionParams,
-                          states: Sequence[AnalyticState]) -> float:
-    """Residual ||a f - Theta^{-1} b^dag Theta f|| / ||f||, Theta = exp(-2 gamma x).
+def theta_conjugacy_check(params: PositionParams, n_max: int) -> float:
+    """max |<phi_n, Theta phi_m> - delta_nm| over n, m <= n_max.
 
-    Checked only on analytic states, on which the unbounded multiplication
-    operators act by shifting exponents.
+    Theta = exp(-2 gamma x) is the metric that conjugates a into
+    Theta^{-1} b^dag Theta; as an operator it moves phi's lattice by
+    -2 gamma, so the Gaussian kernel pairs phi with Theta phi, and the
+    identity fails as soon as Theta's exponent is off.
     """
-    worst = 0.0
-    for f in states:
-        lhs = apply_a(params, f)
-        rhs = apply_b_dagger(params, f.shift_exponent(-2.0 * params.gamma)) \
-            .shift_exponent(2.0 * params.gamma)
-        worst = np.maximum(worst, norm(lhs - rhs) / norm(f))
-    return float(worst)
+    phi = build_families(params, n_max)[0]
+    gram, c = inner(phi, phi.shift_exponent(-2.0 * params.gamma))
+    return float(np.max(np.abs(gram * math.exp(c) - np.eye(n_max + 1))))
 
 
-def gram_condition(params: PositionParams, n_max: int) -> float:
-    """Condition number of the phi-family Gram matrix (basis-quality evidence)."""
-    phi = lattice_families(params, n_max)[0]
-    return float(np.linalg.cond(lattice_gram(phi, phi)[0]))
-
-
-def state_to_csv(state: AnalyticState, x: np.ndarray, stream: IO[str]) -> None:
+def state_to_csv(state: LatticeState, x: np.ndarray, stream: IO[str]) -> None:
+    """Write the first row of state, sampled at x, as x,re,im lines."""
     writer = csv.writer(stream)
     writer.writerow(["x", "re", "im"])
-    for xi, v in zip(x, state.sample(x)):
+    for xi, v in zip(x, state.sample(x)[0]):
         writer.writerow([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])

@@ -8,7 +8,7 @@ together with the conventions ``beta_{-1} = 0`` and the empty products
 ``beta_{-1}! = beta_0! = 1``.  For q != 1 the recursion telescopes to the
 closed form beta_n^2 = (1 - q^{n+1})/(1 - q); at q = 1 it degenerates to
 beta_n^2 = n + 1.  The closed form is what the library uses (no error
-accumulation); the recursion is kept as an independent cross-check.  The
+accumulation); the tests check it against the recursion.  The
 numerator 1 - q^{n+1} cancels near q = 1, so while x = (n+1) log q < 1 it
 is taken as -expm1(x); past that (q > 1 only) the power is the more
 accurate form, and for q <= 0 the denominator 1 - q >= 1 and nothing
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "beta",
     "beta_sq",
-    "beta_recursive",
     "q_factorial",
     "q_factorial_sq",
     "q_number",
@@ -69,19 +68,6 @@ def beta_sq(q: float, n: int) -> float:
 def beta(q: float, n: int) -> float:
     """Ladder coefficient beta_n (positive root)."""
     return math.sqrt(beta_sq(q, n))
-
-
-def beta_recursive(q: float, n: int) -> float:
-    """beta_n via the defining recursion; cross-check oracle for :func:`beta`."""
-    if n < -1:
-        raise ValueError(f"index n={n} below -1")
-    if n == -1:
-        return 0.0
-    q = validate_q_algebraic(q)
-    b2 = 1.0
-    for _ in range(n):
-        b2 = 1.0 + q * b2
-    return math.sqrt(b2)
 
 
 def q_factorial(q: float, n: int) -> float:

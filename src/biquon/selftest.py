@@ -210,10 +210,8 @@ def check_position_example(seed) -> list[CheckResult]:
             params = positionrep.PositionParams(q, gamma)
             rep = positionrep.norm_formula_check(params, 5)
             norm_dev = max(norm_dev, rep["max_rel_err"])
-        params8 = positionrep.PositionParams(q, 0.5)
-        for n in range(9):
-            lv = positionrep.l_value(params8, n)
-            bound_margin = max(bound_margin, lv.real / (n + 1) ** 2)
+        lvs = positionrep.l_value(positionrep.PositionParams(q, 0.5), 8)
+        bound_margin = max(bound_margin, float(np.max(lvs / np.arange(1, 10) ** 2)))
     return [
         _result("10a-position-coefficients", coeff_dev, 1e-14,
                 note="constant coefficient of the two-step row is "

@@ -112,6 +112,12 @@ BAD_CONFIGS = {
     "position-family-n_max-cancels": ({"q": 0.99, "family": POSITION,
                                        "tasks": [{"task": "family", "n_max": 12}]},
                                       r"tasks\[0\].n_max"),
+    # at q = 0.999 the mutator reads 7.0e-9 on rounding (exit 1 at the
+    # parent), and theta's phi/psi pairing of n <= 2 reaches 1.7e-10
+    "position-mutator-cancels": ({"q": 0.999, "family": POSITION, "tasks": ["mutator"]},
+                                 r"tasks\[0\]"),
+    "position-theta-cancels": ({"q": 0.999, "family": POSITION, "tasks": ["theta"]},
+                               r"tasks\[0\]"),
     "fock-family-n_max": ({"family": {"kind": "rank_one"},
                            "tasks": [{"task": "family", "n_max": 3}]},
                           r"tasks\[0\].n_max"),

@@ -1,5 +1,7 @@
-"""Tests for the symbolic position-space realization."""
+"""Tests for the position-space realization on its Gaussian lattice."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,37 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquon import bicoherent, positionrep, qcore
+from biquon import bicoherent, cli, positionrep, qcore
 from biquon.cli import run_config
 from biquon.positionrep import (
     AnalyticState,
+    LatticeState,
     PositionParams,
     apply_a,
     apply_a_dagger,
     apply_b,
     apply_b_dagger,
     build_families,
+    cancellation,
     coefficient_recursion,
     default_grid,
     family_norms,
-    gram_condition,
     inner,
     l_value,
-    lattice_families,
-    lattice_gram,
     ladder_check,
     norm,
     norm_formula_check,
-    norm_sq_formula,
-    phi_state,
-    psi_state,
     qmutation_grid_check,
     similarity_check,
     state_to_csv,
     theta_conjugacy_check,
     vacuum_check,
-    vacuum_phi,
-    vacuum_psi,
 )
 
 PARAMS = PositionParams(0.5, 0.7)
@@ -45,10 +41,28 @@ X = default_grid(PARAMS.gamma)
 
 
 def trapezoid(f, g, gamma=PARAMS.gamma):
-    """Reference <f, g>: the trapezoid rule on the 4096-point sample grid."""
+    """Reference <f, g> of two one-row states: the trapezoid rule on the
+    4096-point sample grid."""
     x = default_grid(gamma)
-    y = f.sample(x).conj() * g.sample(x)
+    y = f.sample(x)[0].conj() * g.sample(x)[0]
     return complex((x[1] - x[0]) * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+
+
+def exact(f, g):
+    """<f_0, g_0> from the lattice Gram."""
+    gram, c = inner(f, g)
+    return complex(gram[0, 0] * math.exp(c))
+
+
+def row(fam, n):
+    """f_n of a family as a one-row state."""
+    return LatticeState(fam.coeffs[n:n + 1], fam.w0, fam.step)
+
+
+def on_lattice(fam, coeffs):
+    """The states with the given coefficient rows on fam's lattice."""
+    return LatticeState(np.atleast_2d(np.asarray(coeffs, dtype=complex)),
+                        fam.w0, fam.step)
 
 
 class TestParams:
@@ -65,32 +79,42 @@ class TestParams:
 
 class TestAnalyticState:
     def test_translation_matches_resampling(self):
-        state = AnalyticState([(np.array([0.3, 1.0]), 0.2 + 0.4j)])
-        x = np.linspace(-3, 3, 41)
-        shifted = state.translate(0.5)
-        assert np.allclose(shifted.sample(x), state.sample(x + 0.5), atol=1e-13)
+        # the banded maps against the operators' definitions through the
+        # translation f(x + i alpha), sampled at complex points:
+        #   a f = pref (e^{-2i al x} f(x) - e^{al^2 - i al s gamma} e^{-i al x} f(x + i al)),
+        #   b f = -pref (e^{2i al x} f(x) - e^{-i al s gamma} e^{i al x} f(x + i al)),
+        # pref = i / sqrt(1 - q), s = +1 for a and b, -1 for b^dag and a^dag
+        al, g = PARAMS.alpha, PARAMS.gamma
+        pref = 1j / PARAMS.sqrt_1mq
+        x = np.linspace(-4.0, 4.0, 81)
+        phi, psi = build_families(PARAMS, 3)
+        for fam, s, down, up in ((phi, 1.0, apply_a, apply_b),
+                                 (psi, -1.0, apply_b_dagger, apply_a_dagger)):
+            f = on_lattice(fam, [0.3, -0.2 + 0.5j, 1.0, 0.4j])
+            here, shifted = f.sample(x)[0], f.sample(x + 1j * al)[0]
+            lowered = pref * (np.exp(-2j * al * x) * here
+                              - np.exp(al * al - 1j * al * s * g - 1j * al * x) * shifted)
+            raised = -pref * (np.exp(2j * al * x) * here
+                              - np.exp(-1j * al * s * g + 1j * al * x) * shifted)
+            scale = np.max(np.abs(here))
+            assert np.max(np.abs(down(PARAMS, f).sample(x)[0] - lowered)) < 1e-12 * scale
+            assert np.max(np.abs(up(PARAMS, f).sample(x)[0] - raised)) < 1e-12 * scale
 
     def test_exponent_shift(self):
-        state = vacuum_phi(PARAMS)
+        state = build_families(PARAMS, 2)[0]
         assert np.allclose(state.shift_exponent(0.3).sample(X),
                            np.exp(0.3 * X) * state.sample(X), atol=1e-12)
 
-    def test_merge_cancels_opposite_terms(self):
-        p = np.array([1.0 + 0j])
-        state = AnalyticState([(p, 0.5), (-p, 0.5)])
-        assert state.terms == []
+    def test_alias_is_the_lattice_state(self):
+        assert AnalyticState is LatticeState
 
 
 def _oracle_pairs():
-    phis, psis = build_families(PARAMS, 4)
-    poly = AnalyticState([(np.array([0.2, 0.0, 1.0]), 0.3 + 0.1j)])
-    hermite_like = AnalyticState([(np.array([0.0, 0.0, 1.0]), 0.0)])
-    pairs = [pytest.param(vacuum_phi(PARAMS), vacuum_psi(PARAMS), id="vacuum"),
-             pytest.param(poly, hermite_like, id="poly"),
-             pytest.param(poly, phis[2], id="poly-phi2")]
-    pairs += [pytest.param(phis[n], psis[m], id=f"family-{n}{m}")
+    phi, psi = build_families(PARAMS, 4)
+    pairs = [pytest.param(row(phi, 0), row(psi, 0), id="vacuum")]
+    pairs += [pytest.param(row(phi, n), row(psi, m), id=f"family-{n}{m}")
               for n in range(5) for m in range(5)]
-    pairs += [pytest.param(phis[n], phis[n], id=f"phi-{n}") for n in range(5)]
+    pairs += [pytest.param(row(phi, n), row(phi, n), id=f"phi-{n}") for n in range(5)]
     return pairs
 
 
@@ -98,35 +122,37 @@ def _oracle_pairs():
 # and the relative bound below loses its scale
 _COEFF = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0,
                             allow_nan=False, allow_infinity=False)
-_TERM = st.tuples(st.lists(_COEFF, min_size=1, max_size=4),
-                  st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
-_STATES = st.lists(_TERM, min_size=1, max_size=4).map(lambda terms: AnalyticState(
-    [(np.array(p), complex(re, im)) for p, re, im in terms]))
+_STATES = st.builds(
+    lambda c, re, im, step: LatticeState(np.array([c]), complex(re, im), 1j * step),
+    st.lists(_COEFF, min_size=1, max_size=5), st.floats(-2.0, 2.0),
+    st.floats(-3.0, 3.0), st.floats(0.1, 1.5))
 
 
 class TestExactInner:
     @pytest.mark.parametrize("f,g", _oracle_pairs())
     def test_matches_trapezoid(self, f, g):
-        assert abs(inner(f, g) - trapezoid(f, g)) <= 1e-12 * norm(f) * norm(g)
+        assert abs(exact(f, g) - trapezoid(f, g)) <= 1e-12 * norm(f)[0] * norm(g)[0]
 
     def test_empty_state(self):
-        assert inner(AnalyticState([]), vacuum_phi(PARAMS)) == 0.0
-        assert norm(AnalyticState([])) == 0.0
+        phi = build_families(PARAMS, 0)[0]
+        empty = LatticeState(np.zeros((1, 0)), phi.w0, phi.step)
+        assert exact(empty, phi) == 0.0
+        assert norm(empty)[0] == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(f=_STATES, g=_STATES)
     def test_random_states(self, f, g):
-        scale = norm(f) * norm(g)
-        exact = inner(f, g)
-        assert abs(exact - trapezoid(f, g, 0.0)) <= 1e-12 * scale
-        assert abs(exact - inner(g, f).conjugate()) <= 1e-14 * scale
+        scale = norm(f)[0] * norm(g)[0]
+        value = exact(f, g)
+        assert abs(value - trapezoid(f, g, 0.0)) <= 1e-12 * scale
+        assert abs(value - exact(g, f).conjugate()) <= 1e-14 * scale
 
 
 class TestVacua:
     def test_annihilation_is_exact(self):
         rep = vacuum_check(PARAMS)
-        assert rep["a_phi0"] < 1e-12
-        assert rep["bdag_psi0"] < 1e-12
+        assert rep["a_phi0"] == 0.0
+        assert rep["bdag_psi0"] == 0.0
 
     def test_pairing_normalized(self):
         rep = vacuum_check(PARAMS)
@@ -134,43 +160,57 @@ class TestVacua:
 
     def test_vacuum_norm_squared(self):
         # ||phi_0||^2 = e^{gamma^2} since L_0 = 1
-        got = norm(vacuum_phi(PARAMS)) ** 2
+        got = norm(build_families(PARAMS, 0)[0])[0] ** 2
         assert got == pytest.approx(math.exp(PARAMS.gamma ** 2), rel=1e-12)
+
+
+def ladder_built(params, n_max):
+    """phi_n = b phi_{n-1} / beta_{n-1} and psi_n = a^dag psi_{n-1} / beta_{n-1},
+    applied one step at a time to the vacua."""
+    out = []
+    for fam, up in zip(build_families(params, 0), (apply_b, apply_a_dagger)):
+        rows, state = [fam.coeffs[0]], fam
+        for n in range(n_max):
+            state = up(params, state)
+            state = LatticeState(state.coeffs / qcore.beta(params.q, n), state.w0, state.step)
+            rows.append(state.coeffs[0])
+        out.append(rows)
+    return out
 
 
 class TestLadderAction:
     def test_first_excited_closed_form(self):
-        phi0 = vacuum_phi(PARAMS)
-        got = apply_b(PARAMS, phi0) * (1.0 / qcore.beta(PARAMS.q, 0))
+        phi0 = build_families(PARAMS, 0)[0]
+        got = apply_b(PARAMS, phi0)
         al = PARAMS.alpha
-        pref = -1j / PARAMS.sqrt_1mq
-        expected = AnalyticState([
-            (np.array([pref * math.pi ** -0.25]),
-             PARAMS.gamma + 1.5j * al + 2j * al),
-            (np.array([-pref * math.pi ** -0.25 * math.exp(-al * al)]),
-             PARAMS.gamma + 1.5j * al),
-        ])
-        assert norm(got - expected) < 1e-12
+        pref = -1j / PARAMS.sqrt_1mq * math.pi ** -0.25
+        assert got.w0 == PARAMS.gamma + 1.5j * al
+        assert np.allclose(got.coeffs[0] / qcore.beta(PARAMS.q, 0),
+                           [-pref * math.exp(-al * al), pref], rtol=1e-14, atol=0)
 
     def test_gamma_zero_collapses_to_adjoint_pair(self):
         p0 = PositionParams(0.5, 0.0)
-        f = AnalyticState([(np.array([0.2, 0.0, 1.0]), 0.3 + 0.1j)])
-        x = default_grid(0.0)
-        assert np.allclose(apply_b(p0, f).sample(x),
-                           apply_a_dagger(p0, f).sample(x), atol=1e-13)
-        assert np.allclose(apply_a(p0, f).sample(x),
-                           apply_b_dagger(p0, f).sample(x), atol=1e-13)
+        f = on_lattice(build_families(p0, 0)[0], [0.2, 0.0, 1.0])
+        assert np.allclose(apply_b(p0, f).coeffs, apply_a_dagger(p0, f).coeffs,
+                           rtol=0, atol=1e-15)
+        assert np.allclose(apply_a(p0, f).coeffs, apply_b_dagger(p0, f).coeffs,
+                           rtol=0, atol=1e-15)
+
+    def test_lowering_refuses_a_foreign_lattice(self):
+        phi, psi = build_families(PARAMS, 1)
+        with pytest.raises(ValueError, match="lattice"):
+            apply_a(PARAMS, psi)
+        with pytest.raises(ValueError, match="lattice"):
+            apply_b_dagger(PARAMS, phi)
 
     def test_ladder_relations_on_grid(self):
         rep = ladder_check(PARAMS, 6)
-        assert rep["max_residual"] < 1e-10
+        assert 0.0 < rep["max_residual"] < 1e-14
 
     def test_qmutation_identity(self):
-        phis, _ = build_families(PARAMS, 2)
-        hermite_like = AnalyticState([(np.array([0.0, 0.0, 1.0]), 0.0)])
-        resid = qmutation_grid_check(
-            PARAMS, [phis[0], hermite_like, phis[2]])
-        assert resid < 1e-10
+        phi = build_families(PARAMS, 2)[0]
+        states = on_lattice(phi, [phi.coeffs[0], [0.2, 0.0, 1.0], phi.coeffs[2]])
+        assert qmutation_grid_check(PARAMS, states) < 1e-14
 
 
 class TestCoefficients:
@@ -187,21 +227,12 @@ class TestCoefficients:
             assert table.row(n)[n] == pytest.approx(1.0, abs=1e-14)
 
     def test_rows_match_ladder_built_states(self):
-        # independent route: build phi_n by ladder action and read the
-        # coefficients off the exponent structure
+        # independent route: build phi_n by ladder action and divide out pref_n
         table = coefficient_recursion(PARAMS, 5)
-        phis, _ = build_families(PARAMS, 5)
-        al = PARAMS.alpha
         bs = qcore.BetaSequence(PARAMS.q, 6)
-        for n in range(6):
-            pref = math.pi ** -0.25 / bs.factorial(n - 1) \
-                * (-1j / PARAMS.sqrt_1mq) ** n
-            w0 = PARAMS.gamma + 1.5j * al
-            got = np.zeros(n + 1, dtype=complex)
-            for poly, w in phis[n].terms:
-                k = round((w - w0).imag / (2 * al))
-                got[k] = poly[0] / pref
-            assert np.allclose(got, table.row(n), atol=1e-12)
+        for n, coeffs in enumerate(ladder_built(PARAMS, 5)[0]):
+            pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / PARAMS.sqrt_1mq) ** n
+            assert np.allclose(coeffs / pref, table.row(n), atol=1e-12)
 
     def test_gamma_independence(self):
         t1 = coefficient_recursion(PositionParams(0.5, 0.3), 6)
@@ -210,11 +241,10 @@ class TestCoefficients:
             assert np.array_equal(t1.row(n), t2.row(n))
 
     def test_states_from_rows_match_ladder(self):
-        phis, psis = build_families(PARAMS, 4)
         table = coefficient_recursion(PARAMS, 4)
-        for n in range(5):
-            assert norm(phis[n] - phi_state(PARAMS, n, table)) < 1e-12
-            assert norm(psis[n] - psi_state(PARAMS, n, table)) < 1e-12
+        for fam, rows in zip(build_families(PARAMS, 4, table), ladder_built(PARAMS, 4)):
+            for n, coeffs in enumerate(rows):
+                assert np.allclose(fam.coeffs[n, :n + 1], coeffs, rtol=0, atol=1e-14)
 
 
 class TestSimilarity:
@@ -246,39 +276,9 @@ class TestSimilarity:
         p = PositionParams(0.5, 0.7)
         base = PositionParams(0.5, 0.0)
         x = default_grid(p.gamma)
-        got = phi_state(p, 2).sample(x)
-        ref = np.exp(p.gamma * x) * phi_state(base, 2).sample(x)
+        got = build_families(p, 2)[0].sample(x)[2]
+        ref = np.exp(p.gamma * x) * build_families(base, 2)[0].sample(x)[2]
         assert np.max(np.abs(got - ref)) < 1e-11
-
-
-class TestNormFormula:
-    def test_ground_level(self):
-        assert l_value(PARAMS, 0) == pytest.approx(1.0, abs=1e-15)
-        assert norm_sq_formula(PARAMS, 0) == pytest.approx(
-            math.exp(PARAMS.gamma ** 2), rel=1e-14)
-
-    def test_first_level_quadrature_vs_formula(self):
-        p = PositionParams(0.5, 0.3)
-        got = norm(phi_state(p, 1)) ** 2
-        assert abs(got - norm_sq_formula(p, 1)) / norm_sq_formula(p, 1) < 1e-6
-
-    @pytest.mark.parametrize("q", [0.3, 0.6])
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-    def test_formula_matches_quadrature(self, q, gamma):
-        rep = norm_formula_check(PositionParams(q, gamma), 5)
-        assert rep["max_rel_err"] < 1e-6
-
-    def test_norm_symmetry_between_families(self):
-        rep = norm_formula_check(PARAMS, 6)
-        assert rep["norm_symmetry"] < 1e-10
-
-    def test_l_values_real_and_bounded(self):
-        for q in (0.3, 0.6):
-            p = PositionParams(q, 0.5)
-            for n in range(9):
-                lv = l_value(p, n)
-                assert abs(lv.imag) < 1e-14 * max(1.0, abs(lv.real))
-                assert lv.real <= (n + 1) ** 2
 
 
 def l_value_double_sum(params, n):
@@ -297,6 +297,45 @@ def l_value_double_sum(params, n):
     return complex(total), scale
 
 
+def norm_sq_formula(params, n):
+    """Closed form ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n, with L_n
+    from the double sum."""
+    return qcore.q_number_factorial(params.q, n) * math.exp(params.gamma ** 2) \
+        * (1.0 - params.q) ** (-n) * l_value_double_sum(params, n)[0].real
+
+
+class TestNormFormula:
+    def test_ground_level(self):
+        assert l_value(PARAMS, 0)[0] == pytest.approx(1.0, abs=1e-15)
+        assert norm(build_families(PARAMS, 0)[0])[0] ** 2 == pytest.approx(
+            norm_sq_formula(PARAMS, 0), rel=1e-14)
+
+    def test_first_level_quadrature_vs_formula(self):
+        p = PositionParams(0.5, 0.3)
+        phi1 = row(build_families(p, 1)[0], 1)
+        got = trapezoid(phi1, phi1, p.gamma).real
+        assert abs(got - norm_sq_formula(p, 1)) / norm_sq_formula(p, 1) < 1e-6
+
+    @pytest.mark.parametrize("q", [0.3, 0.6])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_formula_matches_quadrature(self, q, gamma):
+        rep = norm_formula_check(PositionParams(q, gamma), 5)
+        assert rep["max_rel_err"] < 1e-6
+
+    def test_norm_symmetry_between_families(self):
+        rep = norm_formula_check(PARAMS, 6)
+        assert rep["norm_symmetry"] < 1e-10
+
+    def test_l_values_real_and_bounded(self):
+        for q in (0.3, 0.6):
+            p = PositionParams(q, 0.5)
+            lvs = l_value(p, 8)
+            for n, lv in enumerate(lvs):
+                ref, terms = l_value_double_sum(p, n)
+                assert abs(ref.imag) < 1e-14 * terms
+                assert lv <= (n + 1) ** 2
+
+
 class TestLattice:
     """The batched lattice kernels against per-state closed forms."""
 
@@ -304,48 +343,46 @@ class TestLattice:
     @given(q=st.floats(0.1, 0.7), gamma=st.floats(-3.0, 3.0), n_max=st.integers(0, 20))
     def test_gram_norms_and_l_values_match_per_state_oracles(self, q, gamma, n_max):
         params = PositionParams(q, gamma)
-        phi, psi = lattice_families(params, n_max)
-        phis = [phi.state(n) for n in range(n_max + 1)]
-        psis = [psi.state(n) for n in range(n_max + 1)]
-        for f, g, fs, gs in ((phi, psi, phis, psis), (phi, phi, phis, phis)):
-            gram, shift = lattice_gram(f, g)
+        phi, psi = build_families(params, n_max)
+        for f, g in ((phi, psi), (phi, phi)):
+            gram, shift = inner(f, g)
             s = np.add.outer(f.exponents.conj(), g.exponents)
             kernel = math.sqrt(math.pi) * np.abs(np.exp(s * s / 4.0))
             scale = np.abs(f.coeffs) @ kernel @ np.abs(g.coeffs).T
-            exact = np.array([[inner(a, b) for b in gs] for a in fs])
-            assert np.all(np.abs(gram * math.exp(shift) - exact) <= 1e-12 * scale)
-        norms_sq = np.array([inner(f, f).real for f in phis])
+            pairs = np.array([[exact(row(f, n), row(g, m)) for m in range(n_max + 1)]
+                              for n in range(n_max + 1)])
+            assert np.all(np.abs(gram * math.exp(shift) - pairs) <= 1e-12 * scale)
+        norms_sq = np.array([exact(row(phi, n), row(phi, n)).real for n in range(n_max + 1)])
         assert np.all(np.abs(family_norms(params, n_max) ** 2 - norms_sq)
                       <= 1e-12 * np.diagonal(scale))
-        for n in range(n_max + 1):
+        worst, factors = 1.0, []
+        for n, lv in enumerate(l_value(params, n_max)):
             ref, terms = l_value_double_sum(params, n)
-            assert abs(l_value(params, n) - ref) <= 1e-12 * terms
+            assert abs(lv - ref) <= 1e-12 * terms
+            worst = max(worst, terms / abs(ref))
+            factors.append(worst)
+        assert np.allclose(cancellation(params, n_max), factors, rtol=1e-6)
 
     def test_states_are_rows_of_one_matrix(self):
-        phi, psi = lattice_families(PARAMS, 6)
-        assert np.array_equal(phi.coeffs, psi.coeffs)
+        phi, psi = build_families(PARAMS, 6)
+        assert phi.coeffs is psi.coeffs
         assert np.all(np.triu(phi.coeffs, 1) == 0)
         for n in range(7):
-            assert norm(phi.state(n) - phi_state(PARAMS, n)) == 0.0
-            assert norm(psi.state(n) - psi_state(PARAMS, n)) == 0.0
+            assert np.array_equal(build_families(PARAMS, n)[0].coeffs,
+                                  phi.coeffs[:n + 1, :n + 1])
 
 
 def _poison(monkeypatch, owner, name):
-    """Make every call of owner.name after the first return a NaN (one NaN
-    sample for an array), so a NaN follows a finite value."""
+    """Put a NaN in the middle of every array owner.name returns (the samples
+    of a state, or the Gram of an inner product, on its diagonal), so that a
+    NaN follows finite values."""
     original = getattr(owner, name)
-    calls = []
 
     def poisoned(*args):
-        calls.append(None)
         out = original(*args)
-        if len(calls) == 1:
-            return out
-        if isinstance(out, np.ndarray):
-            out = out.copy()
-            out[len(out) // 2] = np.nan
-            return out
-        return complex(math.nan)
+        array = (out[0] if isinstance(out, tuple) else out).copy()
+        array[tuple(n // 2 for n in array.shape)] = np.nan
+        return (array, *out[1:]) if isinstance(out, tuple) else array
 
     monkeypatch.setattr(owner, name, poisoned)
 
@@ -355,7 +392,7 @@ class TestNanVerdict:
     reports it and the run exits 1."""
 
     @pytest.mark.parametrize("task,owner,name", [
-        ({"task": "family", "n_max": 4}, AnalyticState, "sample"),
+        ({"task": "family", "n_max": 4}, LatticeState, "sample"),
         ("mutator", positionrep, "inner"),
         ("theta", positionrep, "inner"),
         ({"task": "position", "n_max": 4}, positionrep, "inner"),
@@ -390,8 +427,8 @@ class TestScaleAwareResiduals:
         assert 0.0 < summary["tasks"]["position"]["ladder_residual"] < 1e-14
 
     def test_norm_is_finite_where_its_square_overflows(self):
-        phi0 = vacuum_phi(PositionParams(0.5, 26.64))
-        assert norm(phi0) == pytest.approx(math.exp(26.64 ** 2 / 2.0), rel=1e-13)
+        phi0 = build_families(PositionParams(0.5, 26.64), 0)[0]
+        assert norm(phi0)[0] == pytest.approx(math.exp(26.64 ** 2 / 2.0), rel=1e-13)
 
 
 class TestRadius:
@@ -416,21 +453,48 @@ class TestRadius:
 
 class TestTheta:
     def test_conjugacy_on_decaying_states(self):
-        phis, _ = build_families(PARAMS, 3)
-        assert theta_conjugacy_check(PARAMS, phis) < 1e-10
+        assert 0.0 < theta_conjugacy_check(PARAMS, 3) < 1e-13
+
+    def test_perturbed_theta_exponent_fails(self, monkeypatch):
+        # Theta = exp(-2 gamma x + 1e-3 x) in place of exp(-2 gamma x)
+        shift = LatticeState.shift_exponent
+        monkeypatch.setattr(LatticeState, "shift_exponent",
+                            lambda self, c: shift(self, c + 1e-3))
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": 0.6},
+                                    "tasks": ["theta"]})
+        assert summary["tasks"]["theta"]["max_residual"] > 10 * cli.TOLERANCES["theta"]
+        assert code == 1
 
 
 def test_gram_condition_is_finite_evidence():
-    cond = gram_condition(PARAMS, 6)
+    phi = build_families(PARAMS, 6)[0]
+    cond = np.linalg.cond(inner(phi, phi)[0])
     assert 1.0 <= cond < 1e6
 
 
 def test_state_csv(tmp_path):
-    table = coefficient_recursion(PARAMS, 1)
-    out = tmp_path / "phi1.csv"
-    with out.open("w", newline="") as fh:
-        state_to_csv(phi_state(PARAMS, 1, table), X, fh)
-    lines = out.read_text().strip().splitlines()
+    # every dumped row is byte for byte the per-term sum
+    # sum_k P[n, k] exp(-x^2/2 + w_k x) over k <= n, in term order
+    params, n_max = PositionParams(0.45, 0.8), 12
+    summary, code = run_config({"q": params.q, "family": {"kind": "position",
+                                                          "gamma": params.gamma},
+                                "tasks": [{"task": "position", "n_max": n_max,
+                                           "dump_states": True}]}, tmp_path)
+    assert code == 0
+    phi = build_families(params, n_max)[0]
+    x = default_grid(params.gamma)
+    for n in range(n_max + 1):
+        vals = np.zeros(len(x), dtype=complex)
+        for c, w in zip(phi.coeffs[n, :n + 1], phi.exponents):
+            vals += np.polynomial.polynomial.polyval(x, [c]) * np.exp(-x * x / 2.0 + w * x)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["x", "re", "im"])
+        writer.writerows([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
+                         for xi, v in zip(x, vals))
+        assert (tmp_path / f"phi_{n}.csv").read_bytes() == expected.getvalue().encode()
+    out = io.StringIO()
+    state_to_csv(row(phi, 1), X, out)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == len(X) + 1
-
