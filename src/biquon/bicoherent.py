@@ -12,6 +12,10 @@ N(|z|) comes from the logarithm of its q-exponential in closed form, and
 the coefficients are formed in log space, so neither overflows.  All
 series here are truncated with explicit geometric tail bounds, never
 silently.
+
+A sweep over many z is one batch: given a 1-D array of points, the states
+are K x P column batches, every check reduces down axis 0 and returns one
+value per column, and a scalar z gives 1-D states and scalar results.
 """
 
 from __future__ import annotations
@@ -90,48 +94,69 @@ def normalization(q: float, r: float) -> float:
     return math.exp(-0.5 * norm_series(q, r)[0])
 
 
-def log_coefficients(q: float, z: complex, terms: int) -> np.ndarray:
-    """log(z^k / beta_{k-1}!) for k = 0..terms-1, as complex numbers.
+def log_coefficients(q: float, r, terms: int) -> np.ndarray:
+    """log(r^k / beta_{k-1}!) for k = 0..terms-1 down axis 0, one column
+    per entry of the moduli r (a scalar r gives one row).
 
-    Summed in log space, so no power or factorial overflows; at z = 0 every
+    Summed in log space, so no power or factorial overflows; at r = 0 every
     entry past the first is -inf.
     """
     q = _check_q_series(q)
     if terms < 1:
         raise ValueError("terms must be positive")
+    r = np.asarray(r, dtype=float)
     log_beta = np.log(BetaSequence(q, terms).betas()[:terms - 1])
     with np.errstate(divide="ignore"):
-        log_r = np.log(abs(z))
-    log_mod = np.concatenate(([0.0], np.cumsum(log_r - log_beta)))
-    return log_mod + 1j * np.angle(z) * np.arange(terms)
+        log_r = np.log(r)
+    steps = log_r - log_beta.reshape((-1,) + (1,) * r.ndim)
+    return np.concatenate((np.zeros((1,) + r.shape), np.cumsum(steps, axis=0)))
 
 
-def quon_coherent_vector(q: float, z: complex, dim: int) -> np.ndarray:
-    """Undeformed coherent vector e(z) = N(|z|) sum_{k<dim} z^k/beta_{k-1}! e_k.
+def _per_ring(fn, r: np.ndarray) -> np.ndarray:
+    """fn at each distinct modulus of r, spread back to r's shape."""
+    rings, ring = np.unique(r.ravel(), return_inverse=True)
+    return np.array([fn(x) for x in rings])[ring.reshape(r.shape)]
 
-    Formed as exp(log N + log_coefficients): every entry has modulus at
-    most 1, and none overflows where N underflows.
+
+def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
+    """Undeformed coherent vector e(z) = N(|z|) sum_{k<dim} z^k/beta_{k-1}! e_k,
+    one column per entry of a 1-D z.
+
+    Formed as exp(log N + log |z^k / beta_{k-1}!|) times a running product
+    of the unit phase e^{i arg z}: every entry has modulus at most 1, none
+    overflows where N underflows, and the phase of e_k carries k roundings
+    of one multiplication, not the rounding of arg(z) k.  log N comes from
+    one closed-form sum per distinct |z|.
     """
-    log_n = -0.5 * norm_series(q, abs(z))[0]
-    return np.exp(log_n + log_coefficients(q, z, dim))
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    log_n = _per_ring(lambda x: -0.5 * norm_series(q, x)[0], r)
+    out = np.empty((dim,) + z.shape, dtype=complex)
+    out[0] = 1.0
+    out[1:] = np.exp(1j * np.angle(z))      # z / |z| fails on a subnormal z
+    np.cumprod(out, axis=0, out=out)
+    out *= np.exp(log_n + log_coefficients(q, r, dim))
+    return out
 
 
 @dataclass(frozen=True)
 class BiCoherentState:
-    """Truncated phi(z), psi(z) with their norm-tail bounds."""
+    """Truncated phi(z), psi(z) with their norm-tail bounds: one column (and
+    one entry of z, norm_const and the tails) per point of a batch, or 1-D
+    states and scalars for a single z."""
 
-    z: complex
+    z: complex | np.ndarray
     q: float
     terms: int
-    norm_const: float
+    norm_const: float | np.ndarray
     phi_z: np.ndarray = field(repr=False)
     psi_z: np.ndarray = field(repr=False)
-    tail_phi: float = 0.0
-    tail_psi: float = 0.0
+    tail_phi: float | np.ndarray = 0.0
+    tail_psi: float | np.ndarray = 0.0
 
     @property
-    def tail_bound(self) -> float:
-        return max(self.tail_phi, self.tail_psi)
+    def tail_bound(self) -> float | np.ndarray:
+        return np.maximum(self.tail_phi, self.tail_psi)
 
 
 def family_radius(family: BiorthogonalFamily) -> float:
@@ -143,60 +168,67 @@ def family_radius(family: BiorthogonalFamily) -> float:
     return disc_radius(family.q)
 
 
-def bicoherent_state(family: BiorthogonalFamily, z: complex,
+def bicoherent_state(family: BiorthogonalFamily, z,
                      terms: int | None = None) -> BiCoherentState:
     """Evaluate phi(z), psi(z) by truncating the series at ``terms``.
 
-    z must lie strictly inside the family's convergence disc.  The dropped
-    mass is bounded by the uniform family norm times the geometric tail
-    |c_terms| / (1 - |z| / beta_terms) of the coefficients c_k.
+    z is one point or a 1-D array of points, each strictly inside the
+    family's convergence disc; a batch costs two K x P operator products.
+    The dropped mass is bounded by the uniform family norm times the
+    geometric tail |c_terms| / (1 - |z| / beta_terms) of the coefficients
+    c_k.
     """
     q = validate_q_disc(family.q)
     rho = family_radius(family)
-    z = complex(z)
-    if abs(z) >= rho:
-        raise ValueError(f"|z|={abs(z)} outside the convergence disc of radius {rho}")
+    z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError(f"z must be a scalar or a 1-D array, got shape {z.shape}")
+    r = np.abs(z)
+    if not np.all(r < rho):
+        raise ValueError(f"|z| up to {np.max(r)} outside the convergence disc "
+                         f"of radius {rho}")
     if terms is None:
         terms = family.K
     if not (1 <= terms <= family.K):
         raise ValueError(f"terms={terms} outside [1, K={family.K}]")
 
-    ez = quon_coherent_vector(q, z, terms + 1)
-    coeffs = np.zeros(family.K, dtype=complex)
-    coeffs[:terms] = ez[:terms]
-    phi_z = family.phi @ coeffs      # N (e(z) + alpha <u, e(z)> v)
-    psi_z = family.psi @ coeffs
-
-    a_phi = float(np.max(family.phi.column_norms(family.K)))
-    a_psi = float(np.max(family.psi.column_norms(family.K)))
-    ratio = abs(z) / beta(q, terms)
-    tail = abs(ez[terms]) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    ez = quon_coherent_vector(q, z, family.K + 1)
+    a_phi = np.max(family.phi.column_norms(family.K))
+    a_psi = np.max(family.psi.column_norms(family.K))
+    ratio = r / beta(q, terms)
+    tail = np.divide(np.abs(ez[terms]), 1.0 - ratio,
+                     out=np.full(z.shape, math.inf), where=ratio < 1.0)
+    ez[terms:] = 0.0
+    # [()] turns the 0-d results of a scalar z back into scalars
     return BiCoherentState(
-        z=z, q=q, terms=terms, norm_const=normalization(q, abs(z)),
-        phi_z=phi_z, psi_z=psi_z,
-        tail_phi=a_phi * tail,
-        tail_psi=a_psi * tail,
+        z=z[()], q=q, terms=terms,
+        norm_const=_per_ring(lambda x: normalization(q, x), r)[()],
+        phi_z=family.phi @ ez[:-1],     # N (e(z) + alpha <u, e(z)> v)
+        psi_z=family.psi @ ez[:-1],
+        tail_phi=(a_phi * tail)[()],
+        tail_psi=(a_psi * tail)[()],
     )
 
 
-def pairing(state: BiCoherentState) -> complex:
+def pairing(state: BiCoherentState) -> complex | np.ndarray:
     """<phi(z), psi(z)>; equals 1 up to the truncation tail."""
-    return complex(np.vdot(state.phi_z, state.psi_z))
+    return np.sum(state.phi_z.conj() * state.psi_z, axis=0)
 
 
-def eigen_check(state: BiCoherentState, a, b) -> tuple[float, float]:
+def eigen_check(state: BiCoherentState, a, b) -> tuple:
     """Relative eigenvalue residuals of phi(z) under a and of psi(z) under b^dag.
 
     ||a phi(z) - z phi(z)|| / ||phi(z)|| and ||b^dag psi(z) - z psi(z)|| /
-    ||psi(z)||: judged against the scale of the states, a state whose
-    normalization underflows cannot pass.
+    ||psi(z)||, per column: judged against the scale of the states, a state
+    whose normalization underflows cannot pass.
     """
     if a.dim != len(state.phi_z) or b.dim != len(state.psi_z):
         raise ValueError("operator dimension does not match state")
     phi, psi = state.phi_z, state.psi_z
-    r_phi = np.linalg.norm(a @ phi - state.z * phi) / np.linalg.norm(phi)
-    r_psi = np.linalg.norm(b.adjoint() @ psi - state.z * psi) / np.linalg.norm(psi)
-    return float(r_phi), float(r_psi)
+    r_phi = np.linalg.norm(a @ phi - state.z * phi, axis=0) / np.linalg.norm(phi, axis=0)
+    r_psi = np.linalg.norm(b.adjoint() @ psi - state.z * psi, axis=0) \
+        / np.linalg.norm(psi, axis=0)
+    return r_phi, r_psi
 
 
 @dataclass(frozen=True)
@@ -317,35 +349,46 @@ class UncertaintyResult:
     """Generalized uncertainty product under the pseudo-expectation.
 
     The individual squared deviations are complex-valued intermediates;
-    only the principal-value product carries a contract.
+    only the principal-value product carries a contract.  residual is
+    |product - predicted| / (1 + |z|^2): Delta Q^2 and Delta P^2 are
+    differences of terms of size |z|^2, so that is the scale their
+    rounding carries.  Every field holds one entry per column of a batch.
     """
 
-    product: complex
-    predicted: float
-    dq_sq: complex
-    dp_sq: complex
+    product: complex | np.ndarray
+    predicted: float | np.ndarray
+    dq_sq: complex | np.ndarray
+    dp_sq: complex | np.ndarray
+    residual: float | np.ndarray
 
 
 def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
     """Compute Delta Q Delta P at state.z against the closed form (|z|^2 (q-1) + 1)/2.
 
     Q = (b + a)/sqrt(2), P = i (b - a)/sqrt(2), and expectations are the
-    pseudo-expectations <T> = <psi(z), T phi(z)>.  Q^2 phi(z) and P^2 phi(z)
-    come from six matrix-vector products, never from Q^2 or P^2 as matrices.
+    pseudo-expectations <T> = <psi(z), T phi(z)>.  With the moments <X>
+    and <XY> of X, Y in {a, b},
+
+        Delta Q^2 = (<aa> + <ab> + <ba> + <bb> - (<a> + <b>)^2) / 2,
+        Delta P^2 = (<ab> + <ba> - <aa> - <bb> + (<b> - <a>)^2) / 2,
+
+    from six operator products on the state columns, never from Q^2 or P^2
+    as matrices.
     """
-    root2 = math.sqrt(2.0)
+    psi_conj = state.psi_z.conj()
+
+    def pexp(vec: np.ndarray):
+        return np.sum(psi_conj * vec, axis=0)
+
     a_phi, b_phi = a @ state.phi_z, b @ state.phi_z
-    q_phi = (b_phi + a_phi) / root2
-    p_phi = 1j * (b_phi - a_phi) / root2
-    q2_phi = (b @ q_phi + a @ q_phi) / root2
-    p2_phi = 1j * (b @ p_phi - a @ p_phi) / root2
-
-    def pexp(vec: np.ndarray) -> complex:
-        return complex(np.vdot(state.psi_z, vec))
-
-    dq_sq = pexp(q2_phi) - pexp(q_phi) ** 2
-    dp_sq = pexp(p2_phi) - pexp(p_phi) ** 2
-    product = complex(np.sqrt(dq_sq) * np.sqrt(dp_sq))
-    predicted = 0.5 * (abs(state.z) ** 2 * (state.q - 1.0) + 1.0)
+    m_a, m_b = pexp(a_phi), pexp(b_phi)
+    m_aa, m_ba = pexp(a @ a_phi), pexp(b @ a_phi)
+    m_ab, m_bb = pexp(a @ b_phi), pexp(b @ b_phi)
+    dq_sq = 0.5 * (m_aa + m_ab + m_ba + m_bb - (m_a + m_b) ** 2)
+    dp_sq = 0.5 * (m_ab + m_ba - m_aa - m_bb + (m_b - m_a) ** 2)
+    product = np.sqrt(dq_sq) * np.sqrt(dp_sq)
+    r_sq = np.abs(state.z) ** 2
+    predicted = 0.5 * (r_sq * (state.q - 1.0) + 1.0)
     return UncertaintyResult(product=product, predicted=predicted,
-                             dq_sq=dq_sq, dp_sq=dp_sq)
+                             dq_sq=dq_sq, dp_sq=dp_sq,
+                             residual=np.abs(product - predicted) / (1.0 + r_sq))

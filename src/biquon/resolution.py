@@ -133,23 +133,27 @@ def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
 
 
 def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
-                     n_theta: int, f: np.ndarray, g: np.ndarray) -> complex:
+                     n_theta: int, f: np.ndarray, g: np.ndarray):
     """Discretized weak resolution integral; must reproduce <f, g>.
 
-    The integral is sum_{k < n} <f, phi_k><psi_k, g> rho_k (see the module
-    docstring), with n the reach: one plus the last index at which either
-    overlap is nonzero; n_theta > 2 (n - 1) and n <= quad.moment_limit.
+    f and g are vectors, or K x P batches of them paired column by column,
+    which give one value per column.  The integral is sum_{k < n} <f,
+    phi_k><psi_k, g> rho_k (see the module docstring), with n the reach:
+    one plus the last index at which an overlap of any column is nonzero;
+    n_theta > 2 (n - 1) and n <= quad.moment_limit.  rho_k is computed once
+    per call, up to that reach.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    if f.shape != (family.K,) or g.shape != (family.K,):
+    if f.shape != g.shape or f.shape[:1] != (family.K,) or f.ndim > 2:
         raise ValueError("vector length does not match family dimension")
     if family.q != quad.q:
         raise ValueError("family and quadrature deformation parameters differ")
 
     f_phi = (family.phi.adjoint() @ f).conj()   # <f, phi_k>
     psi_g = family.psi.adjoint() @ g            # <psi_k, g>
-    reach = int(np.flatnonzero((f_phi != 0) | (psi_g != 0)).max(initial=-1)) + 1
+    hit = ((f_phi != 0) | (psi_g != 0)).reshape(family.K, -1).any(axis=1)
+    reach = int(np.flatnonzero(hit).max(initial=-1)) + 1
     if n_theta <= 2 * (reach - 1):
         raise ValueError(f"n_theta={n_theta} too small for overlaps reaching "
                          f"index {reach - 1} (need n_theta > {2 * (reach - 1)})")
@@ -157,7 +161,7 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
         raise ValueError(f"overlaps reach index {reach - 1}, but the weights "
                          f"hold rho_k only for k < {quad.moment_limit}")
     rho_k = _scaled_moments(quad.q, quad.weights, reach)
-    return complex(f_phi[:reach] @ (psi_g[:reach] * rho_k))
+    return rho_k @ (f_phi[:reach] * psi_g[:reach])
 
 
 def quadrature_to_csv(quad: RadialQuadrature, stream: IO[str]) -> None:

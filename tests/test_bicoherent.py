@@ -1,10 +1,11 @@
 """Tests for bi-coherent state evaluation, radii and the uncertainty product."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquon import qcore
@@ -87,9 +88,13 @@ class TestCoefficients:
     def test_first_values(self):
         for q in (0.3, 0.5, 1.0):
             for z in (0.7 + 0.1j, -1.2j, 0.0):
-                c = np.exp(log_coefficients(q, z, 12))
-                want = [z ** k / qcore.q_factorial(q, k - 1) for k in range(12)]
-                assert np.allclose(c, want, rtol=1e-13, atol=0.0)
+                want = np.array([z ** k / qcore.q_factorial(q, k - 1) for k in range(12)])
+                c = np.exp(log_coefficients(q, abs(z), 12))
+                assert np.allclose(c, np.abs(want), rtol=1e-13, atol=0.0)
+                if q == 1.0 or abs(z) < qcore.disc_radius(q):
+                    ez = quon_coherent_vector(q, z, 12)
+                    assert np.allclose(ez, normalization(q, abs(z)) * want,
+                                       rtol=1e-13, atol=0.0)
 
     def test_modulus_at_most_one(self):
         # at q = 0.999 and |z| = 0.9 rho, N underflows and z^k / beta_{k-1}!
@@ -305,3 +310,67 @@ class TestUncertainty:
         assert res.dq_sq.real > 0
         assert abs(res.dq_sq.imag) < 1e-10
         assert abs(res.dp_sq.imag) < 1e-10
+
+
+FAMILIES = {"identity": IdentitySimilarity(),
+            "worked": RankOneSimilarity(worked_deformation(1j))}
+# repeated fractions put several points on one ring
+POINTS = st.lists(st.tuples(st.sampled_from([0.0, 0.45, 0.9]) | st.floats(0.0, 0.9),
+                            st.floats(0.0, 2.0 * math.pi)),
+                  min_size=1, max_size=8)
+
+
+class TestColumnBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(FAMILIES)), q=st.floats(0.2, 0.8),
+           points=POINTS)
+    def test_columns_match_single_points(self, kind, q, points):
+        family = build_family(FAMILIES[kind], q, 64)
+        a, b = family.a, family.b
+        rho = family_radius(family)
+        zs = np.array([frac * rho * cmath.exp(1j * ang) for frac, ang in points])
+        batch = bicoherent_state(family, zs)
+        eig = eigen_check(batch, a, b)
+        pair = pairing(batch)
+        unc = uncertainty_product(batch, a, b)
+        assert batch.phi_z.shape == (family.K, len(zs))
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for j, z in enumerate(zs):
+            one = bicoherent_state(family, z)
+            scale = max(1.0, np.max(np.abs(one.phi_z)), np.max(np.abs(one.psi_z)))
+            assert np.max(np.abs(batch.phi_z[:, j] - one.phi_z)) <= 1e-14 * scale
+            assert np.max(np.abs(batch.psi_z[:, j] - one.psi_z)) <= 1e-14 * scale
+            assert batch.z[j] == one.z
+            assert batch.norm_const[j] == one.norm_const
+            assert batch.tail_bound[j] == one.tail_bound
+            for got, want in zip(eig, eigen_check(one, a, b)):
+                assert close(got[j], want)
+            assert close(pair[j], pairing(one))
+            one_unc = uncertainty_product(one, a, b)
+            for field in ("product", "predicted", "dq_sq", "dp_sq", "residual"):
+                assert close(getattr(unc, field)[j], getattr(one_unc, field))
+
+    def test_single_point_keeps_scalar_shapes(self, worked_256):
+        family, a, b = worked_256
+        state = bicoherent_state(family, 0.3 + 0.2j)
+        assert state.phi_z.shape == (family.K,)
+        assert np.ndim(state.norm_const) == 0 and np.ndim(state.tail_bound) == 0
+        assert all(np.ndim(r) == 0 for r in eigen_check(state, a, b))
+        assert np.ndim(pairing(state)) == 0
+        assert np.ndim(uncertainty_product(state, a, b).residual) == 0
+
+    def test_one_point_outside_the_disc_rejects_the_batch(self, worked_256):
+        family, _, _ = worked_256
+        with pytest.raises(ValueError):
+            bicoherent_state(family, [0.1, family_radius(family)])
+
+    def test_subnormal_point_is_the_vacuum_to_its_size(self, worked_256):
+        # the unit phase comes from arg z, which a subnormal z keeps
+        family, _, _ = worked_256
+        state = bicoherent_state(family, np.array([5e-324, 5e-324j]))
+        vacuum = bicoherent_state(family, 0.0)
+        assert np.all(np.isfinite(state.phi_z))
+        assert np.max(np.abs(state.phi_z - vacuum.phi_z[:, None])) <= 1e-300

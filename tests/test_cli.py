@@ -1,6 +1,7 @@
 """Tests for the command-line front-end: configs, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,12 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biquon
+from biquon import bicoherent, resolution
 from biquon.cli import GAMMA_MAX, ConfigError, main, run_config, validate_config
+from biquon.fock import FockOperator
 
 WORKED_CONFIG = {
     "q": 0.5,
@@ -121,6 +125,13 @@ BAD_CONFIGS = {
     "fock-family-n_max": ({"family": {"kind": "rank_one"},
                            "tasks": [{"task": "family", "n_max": 3}]},
                           r"tasks\[0\].n_max"),
+    # the position mutator and theta tasks check fixed n <= 3 and n <= 2
+    "position-mutator-n_max": ({"family": POSITION,
+                                "tasks": [{"task": "mutator", "n_max": 40}]},
+                               r"tasks\[0\].n_max"),
+    "position-theta-n_max": ({"family": POSITION,
+                              "tasks": [{"task": "theta", "n_max": -3}]},
+                             r"tasks\[0\].n_max"),
     "tolerance-negative": ({"tolerances": {"mutator": -1e-3}}, "tolerances.mutator"),
     "K-not-integer": ({"K": "abc"}, "K"),
     "K-fractional": ({"K": 64.5}, "K"),
@@ -256,6 +267,95 @@ class TestExitCodeContract:
                                     "tasks": [{"task": "resolution", "K_mom": 12}]})
         assert code == 0
         assert summary["tasks"]["resolution"]["max_residual"] <= 1e-8
+
+
+def _identity_bicoherent(q: float, K: int, r_frac: float, n_r: int,
+                         n_theta: int) -> dict:
+    return {"q": q, "K": K, "family": {"kind": "identity"},
+            "tasks": [{"task": "bicoherent", "n_r": n_r, "n_theta": n_theta,
+                       "r_frac": r_frac}]}
+
+
+class TestBicoherentResiduals:
+    def test_phase_of_the_rim_state_holds_to_roundoff(self):
+        # arg(z) k rounds more as k grows (2.3e-13 at K = 32768); a running
+        # product of e^{i arg z} keeps the eigen residual at roundoff
+        summary, code = run_config(_identity_bicoherent(0.5, 32768, 0.999, 1, 2))
+        assert code == 0
+        assert summary["tasks"]["bicoherent"]["eigen_residual"] <= 1e-15
+
+    def test_uncertainty_residual_is_relative_to_the_z_scale(self):
+        # |z|^2 ~ 8100: the absolute residual reads 7.5e-7, eigen 3.0e-10 and
+        # pairing 9.2e-11; relative to 1 + |z|^2 it reads about 9e-11
+        summary, code = run_config(_identity_bicoherent(0.9999, 32768, 0.9, 2, 4))
+        assert code == 0
+        assert summary["tasks"]["bicoherent"]["uncertainty_residual"] <= 1e-9
+
+    def test_uncertainty_residual_still_sees_a_shifted_prediction(self, monkeypatch):
+        real = bicoherent.uncertainty_product
+
+        def shifted(state, a, b):
+            return real(dataclasses.replace(state, q=state.q + 1e-5), a, b)
+
+        monkeypatch.setattr(bicoherent, "uncertainty_product", shifted)
+        summary, code = run_config(_identity_bicoherent(0.9999, 32768, 0.9, 2, 4))
+        assert code == 1
+        assert summary["tasks"]["bicoherent"]["uncertainty_residual"] > 1e-7
+
+
+class TestColumnBatches:
+    """A sweep or a set of pairs is one batch of columns: the operator
+    products a task makes do not grow with its number of points or pairs."""
+
+    @staticmethod
+    def _matmuls(monkeypatch, cfg) -> int:
+        calls = []
+        real = FockOperator.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(FockOperator, "__matmul__", counted)
+        _, code = run_config(cfg)
+        monkeypatch.undo()
+        assert code == 0
+        return len(calls)
+
+    def test_bicoherent_products_independent_of_grid(self, monkeypatch):
+        cfg = {**WORKED_CONFIG, "K": 256}
+        counts = [self._matmuls(monkeypatch, {**cfg, "tasks": [
+            {"task": "bicoherent", "n_r": n_r, "n_theta": n_theta, "r_frac": 0.9}]})
+            for n_r, n_theta in ((1, 2), (5, 8))]
+        assert counts[0] == counts[1]
+
+    def test_resolution_products_independent_of_pairs(self, monkeypatch):
+        counts = [self._matmuls(monkeypatch, {**WORKED_CONFIG, "tasks": [
+            {"task": "resolution", "n_pairs": n}]}) for n in (1, 20)]
+        assert counts[0] == counts[1]
+
+    def test_resolution_draws_pairs_in_per_pair_order(self, monkeypatch):
+        seen = {}
+        real = resolution.resolution_check
+
+        def spy(family, quad, n_theta, f, g):
+            seen["f"], seen["g"] = f, g
+            return real(family, quad, n_theta, f, g)
+
+        monkeypatch.setattr(resolution, "resolution_check", spy)
+        K, support, n_pairs, seed = 32, 5, 7, 11
+        _, code = run_config({"q": 0.5, "K": K, "family": {"kind": "identity"},
+                              "tasks": [{"task": "resolution", "n_pairs": n_pairs,
+                                         "support": support}], "seed": seed})
+        assert code == 0
+        rng = np.random.default_rng(seed)
+        for j in range(n_pairs):
+            f, g = np.zeros((2, K), dtype=complex)
+            for x in (f, g):
+                x[:support] = rng.standard_normal(support) \
+                    + 1j * rng.standard_normal(support)
+            assert np.array_equal(seen["f"][:, j], f)
+            assert np.array_equal(seen["g"][:, j], g)
 
 
 def _package_env() -> dict:

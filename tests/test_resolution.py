@@ -296,6 +296,28 @@ class TestJacksonProperties:
             <= 1e-12 * max(1.0, abs(expected))
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.floats(0.05, 0.99), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(sorted(SOURCES)), n_pairs=st.integers(1, 8))
+    def test_batch_matches_per_pair_loop(self, q, seed, kind, n_pairs):
+        # column j is supported on its first 1 + j % 6 indices, so the
+        # columns reach different indices and the batch sums to the largest
+        dim = 16
+        family = build_family(SOURCES[kind], q, dim)
+        quad = solve_moment_measure(q, 12)
+        rng = np.random.default_rng(seed)
+        f, g = np.zeros((2, dim, n_pairs), dtype=complex)
+        for j in range(n_pairs):
+            n = 1 + j % 6
+            f[:n, j] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            g[:n, j] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        batch = resolution_check(family, quad, 64, f, g)
+        assert batch.shape == (n_pairs,)
+        for j in range(n_pairs):
+            one = resolution_check(family, quad, 64, f[:, j], g[:, j])
+            assert abs(batch[j] - one) <= 1e-13 * max(1.0, abs(one))
+
+
 class TestWholeSafeBlock:
     """support = safe_dim at K = 4096: the overlaps reach the whole safe
     block, far past any power of rho that double precision holds."""
