@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bicoherent, positionrep, pseudoquon, qcore, resolution
-from .fock import identity_plus, operator_to_csv, qmutator_residual
+from .fock import FORMAT, identity_plus, operator_json, qmutator_residual
 from .qcore import BetaSequence
 
 __all__ = ["main", "ConfigError", "run_config", "DEFAULT_SEED"]
@@ -377,11 +378,9 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
     fam = ws.family
     resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
     if task.get("dump_operators"):
-        for op, name in ((fam.a, "a.csv"), (fam.b, "b.csv")):
-            stream = ws.open_csv(name)
-            if stream:
-                with stream:
-                    operator_to_csv(op, stream)
+        for op, name in ((fam.a, "a.json"), (fam.b, "b.json")):
+            ws.write_text(name, json.dumps({"format": FORMAT, **operator_json(op)},
+                                           sort_keys=True))
     report = {"realization": "fock", "safe_dim": fam.safe_dim}
     return _finish(ws, "mutator", report, resid)
 
@@ -682,7 +681,10 @@ def _add_common(parser: argparse.ArgumentParser, with_family=True) -> None:
                             help="shift parameter (position family)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="biquon",
         description="deformed quon algebras, biorthogonal families and "

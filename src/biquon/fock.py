@@ -10,7 +10,8 @@ operator c, +1 for the raising operator c^dag, their sums for products).
 A compactly supported deformation of the quon pair keeps that form, with
 a block a few indices past the support extent, so storage, products,
 matvecs and residuals all cost O(K) plus the block.  Dense rows are made
-only by :meth:`FockOperator.dense`, for exports and small-K checks.
+only by :meth:`FockOperator.dense`, for small-K checks; artefacts are
+written in the stored form by :func:`operator_json`.
 
 Truncation breaks the q-mutation identity on the top basis vectors, so
 every residual check takes a ``safe_dim`` argument restricting it to the
@@ -19,9 +20,7 @@ leading columns.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -32,10 +31,13 @@ __all__ = [
     "identity_plus",
     "make_quon_c",
     "qmutator_residual",
-    "operator_to_csv",
+    "FORMAT",
+    "operator_json",
 ]
 
 DEFAULT_SAFE_MARGIN = 2
+# the "format" an artefact names: operators as {"shift", "diag", "block"}
+FORMAT = "band+block"
 EMPTY = np.zeros((0, 0), dtype=complex)
 
 
@@ -189,8 +191,17 @@ def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
     return float(np.max(r.column_norms(safe_dim)))
 
 
-def operator_to_csv(op: FockOperator, stream: IO[str]) -> None:
-    """Row-major dump; each cell is the quoted pair "re,im"."""
-    writer = csv.writer(stream)
-    for row in op.dense():
-        writer.writerow([f"{z.real:.17g},{z.imag:.17g}" for z in row])
+def _entries(x: np.ndarray) -> list:
+    """x as nested lists, each complex entry as its [re, im] pair."""
+    if np.iscomplexobj(x):
+        x = np.stack([x.real, x.imag], axis=-1)
+    return x.tolist()
+
+
+def operator_json(op: FockOperator) -> dict:
+    """op as stored, {"shift", "diag", "block"}, ready for json.dumps.
+
+    Entries of a real array are numbers and those of a complex array
+    [re, im] pairs, so the parsed lists rebuild op bit for bit.
+    """
+    return {"shift": op.shift, "diag": _entries(op.diag), "block": _entries(op.block)}

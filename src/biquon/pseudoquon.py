@@ -24,7 +24,7 @@ from typing import IO
 
 import numpy as np
 
-from .fock import EMPTY, FockOperator, identity_plus, make_quon_c
+from .fock import EMPTY, FORMAT, FockOperator, identity_plus, make_quon_c, operator_json
 from .qcore import validate_q_algebraic
 
 __all__ = [
@@ -328,64 +328,25 @@ def check_theta_conjugate(a: FockOperator, b: FockOperator,
     return report
 
 
-def _pair(z: complex, conj: bool) -> str:
-    z = z.conjugate() if conj else z
-    return json.dumps([z.real, z.imag])
-
-
-def _write_rows(stream: IO[str], op: FockOperator, conj: bool) -> None:
-    """The rows of op (conjugated when conj), as json.dumps writes its dense
-    [[[re, im], ...], ...] rows, from the band and the leading block.
-
-    op is the identity-shaped band plus a p x p block, so a row n < p is
-    the block window's row followed by zeros, and a row n >= p is a run of
-    zero pairs around its one band entry.  Both are slices of one run.
-    """
-    dim, p = op.dim, len(op.block)
-    zero = _pair(0j, conj)
-    step = len(zero) + 2                      # "[re, im], "
-    run = ", ".join([zero] * dim)
-    head = op.dense(p)
-    head = head.conj() if conj else head
-    tail = run[p * step - 2:] + "]"           # ", " + zeros past the block
-    stream.write("[")
-    for n in range(dim):
-        if n:
-            stream.write(", ")
-        if n < p:
-            row = np.stack([head[n].real, head[n].imag], axis=-1).tolist()
-            stream.write(json.dumps(row)[:-1] + tail)
-        else:
-            band = _pair(complex(op.diag[n]), conj)
-            stream.write(f"[{run[:n * step]}{band}{run[n * step + len(zero):]}]")
-    stream.write("]")
-
-
 def family_to_json(family: BiorthogonalFamily, stream: IO[str],
                    residual_report: dict | None = None) -> None:
     """Write the family data and an optional residual report as one JSON
     document with sorted keys.
 
-    The rows are phi_n = S e_n (rows of S^T) and psi_n = conj of row n of
-    S^{-1}.  They are streamed from the band and the block, so the bytes
-    are those json.dumps(doc, sort_keys=True) gives for the dense rows,
-    with no K x K array.
+    phi = S (column n is phi_n) and psi = S^{-dag} (column n is psi_n) are
+    written in the stored form of :func:`~biquon.fock.operator_json`, which
+    the "format" key names, so the document is O(K) in size.
     """
-    phi = family.phi
-    rows = {"phi": (FockOperator(0, phi.diag, phi.block.T), False),
-            "psi": (family.psi.adjoint(), True)}
     doc = {
         "K": family.K,
         "q": family.q,
+        "format": FORMAT,
         "source": family.source.describe(),
         "iteration_deviation": family.iteration_deviation,
+        "phi": operator_json(family.phi),
+        "psi": operator_json(family.psi),
     }
     if residual_report is not None:
         doc["residuals"] = residual_report
-    for i, key in enumerate(sorted([*doc, *rows])):
-        stream.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-        if key in rows:
-            _write_rows(stream, *rows[key])
-        else:
-            stream.write(json.dumps(doc[key], sort_keys=True))
-    stream.write("}")
+    # one write: json.dump would issue thousands of small ones
+    stream.write(json.dumps(doc, sort_keys=True))

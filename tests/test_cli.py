@@ -466,8 +466,8 @@ class TestMainEntry:
     def test_mutator_dump_operators(self, tmp_path, capsys):
         assert main(["mutator", "--q", "0.3", "--family", "rank_one",
                      "--dump-operators", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "a.csv").exists()
-        assert (tmp_path / "b.csv").exists()
+        assert (tmp_path / "a.json").exists()
+        assert (tmp_path / "b.json").exists()
 
     def test_bicoherent_rim_needs_larger_dim(self, capsys):
         assert main(["bicoherent", "--q", "0.5", "--family", "rank_one",
@@ -483,6 +483,23 @@ class TestMainEntry:
         assert "01-qmutator-identity" in out
         assert "FAIL(expected)" in out      # the documented radius discrepancy
         assert "\nFAIL " not in out
+
+    def test_successive_calls_share_no_state(self, tmp_path, monkeypatch, capsys):
+        from biquon import cli, selftest
+        seeds, kinds = [], []
+        monkeypatch.setattr(selftest, "run_all", lambda seed: seeds.append(seed) or [])
+        monkeypatch.setattr(cli, "_run_and_report",
+                            lambda cfg, args: kinds.append(cfg["family"]["kind"]) or 0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"q": 0.5, "K": 32, "family": {"kind": "identity"}, "tasks": ["mutator"]}))
+        assert main(["run", "--config", str(cfg_path), "--seed", "7"]) == 0
+        assert main(["selftest"]) == 0
+        assert main(["mutator", "--family", "rank_one"]) == 0
+        assert main(["position"]) == 0
+        assert seeds == [cli.DEFAULT_SEED]
+        assert kinds == ["identity", "rank_one", "position"]
+        assert cli.build_parser() is cli.build_parser()
 
 
 

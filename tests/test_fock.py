@@ -1,6 +1,6 @@
 """Tests for the truncated Fock-space engine."""
 
-import io
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from biquon.fock import (
     FockOperator,
     identity_plus,
     make_quon_c,
-    operator_to_csv,
+    operator_json,
     qmutator_residual,
 )
 from biquon.pseudoquon import (
@@ -160,16 +160,16 @@ class TestNormGrowthProbe:
         assert np.all(probe <= bound + 1e-12)
 
 
-def test_csv_dump_round_trip():
+def test_operator_json_round_trip():
     c = make_quon_c(0.5, 3)
-    buf = io.StringIO()
-    operator_to_csv(c, buf)
-    import csv
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    assert len(rows) == 3
-    parsed = np.array([[complex(*map(float, cell.split(","))) for cell in row]
-                       for row in rows])
-    assert np.allclose(parsed, c.dense())
+    doc = json.loads(json.dumps(operator_json(c)))
+    assert doc == {"shift": -1, "diag": c.diag.tolist(), "block": []}
+    x = random_operator(np.random.default_rng(3), 5, 1, 2)
+    doc = json.loads(json.dumps(operator_json(x)))
+    assert doc["shift"] == 1
+    for entries, want in ((doc["diag"], x.diag), (doc["block"], x.block)):
+        pairs = np.array(entries)
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], want)
 
 
 def random_operator(rng, dim, shift, p):
