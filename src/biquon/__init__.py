@@ -34,7 +34,6 @@ from .pseudoquon import (
 )
 from .bicoherent import (
     BiCoherentState,
-    RadiusReport,
     UncertaintyResult,
     bicoherent_state,
     eigen_check,
@@ -43,7 +42,8 @@ from .bicoherent import (
     normalization,
     pairing,
     quon_coherent_vector,
-    radius_report,
+    radius_bound_ratios,
+    ratio_radius,
     uncertainty_product,
 )
 from .resolution import (

@@ -38,9 +38,9 @@ __all__ = [
     "bicoherent_state",
     "pairing",
     "eigen_check",
-    "RadiusReport",
-    "radius_report",
     "empirical_radius",
+    "ratio_radius",
+    "radius_bound_ratios",
     "UncertaintyResult",
     "uncertainty_product",
 ]
@@ -231,30 +231,6 @@ def eigen_check(state: BiCoherentState, a, b) -> tuple:
     return r_phi, r_psi
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    """Norm-bound constants and the convergence radii they imply.
-
-    The guaranteed radius rho comes from the fitted bound
-    ||phi_n|| <= A r^n M_n; the empirical radii come from a root test on
-    the measured coefficient norms and estimate the true radius, which can
-    exceed the guaranteed one when the fitted bound is loose.
-    """
-
-    policy: str
-    rho_phi: float
-    rho_psi: float
-    rho: float
-    A_phi: float
-    A_psi: float
-    r_phi: float
-    r_psi: float
-    M_limit_phi: float
-    M_limit_psi: float
-    empirical_rho_phi: float
-    empirical_rho_psi: float
-
-
 def empirical_radius(coeff_norms: np.ndarray) -> float:
     """Root-test radius from the tail slope of log |coefficient_k|."""
     c = np.asarray(coeff_norms, dtype=float)
@@ -268,80 +244,35 @@ def empirical_radius(coeff_norms: np.ndarray) -> float:
     return float(np.exp(-slope))
 
 
-def _fit_bound(norms: np.ndarray, log_m: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit log||phi_n|| ~ log A + n log r + log M_n.
+def ratio_radius(norms: np.ndarray, q: float) -> float:
+    """Ratio-test radius beta_n ||phi_n|| / ||phi_{n+1}|| at the last index
+    n = len(norms) - 2.
 
-    Returns (A, r, sum of squared residuals); A is then lifted so the bound
-    actually dominates the data.
+    The terms z^n phi_n / beta_{n-1}! of the bi-coherent series have the
+    norm ratio |z| ||phi_{n+1}|| / (beta_n ||phi_n||), so far into the
+    family this is its radius of convergence.
     """
-    n = np.arange(len(norms))
-    y = np.log(norms) - log_m
-    slope, intercept = np.polyfit(n, y, 1)
-    resid = float(np.sum((y - slope * n - intercept) ** 2))
-    r = float(np.exp(slope))
-    a = float(np.max(norms / (np.exp(log_m) * r ** n)))
-    return a, r, resid
+    c = np.asarray(norms, dtype=float)
+    if len(c) < 2 or np.any(c <= 0):
+        raise ValueError("need at least 2 positive norms for the ratio test")
+    n = len(c) - 2
+    return float(BetaSequence(q, n).beta(n) * c[n] / c[n + 1])
 
 
-def radius_report(norms_phi: np.ndarray, norms_psi: np.ndarray, q: float,
-                  fit_policy: str = "fit") -> RadiusReport:
-    """Fit the norm-bound constants and derive the convergence radii.
+def radius_bound_ratios(norms: np.ndarray, q: float, log_a: float) -> np.ndarray:
+    """||phi_n|| / (A (n+1) beta_{n-1}! (1-q)^{-n/2}) for each n, with
+    A = e^{log_a}.
 
-    Policies:
-
-    * ``riesz``: uniform norms, A = max ||phi_n||, r = 1, M_n = 1.
-    * ``position``: A fitted, r = 1/sqrt(1-q), M_n = (n+1) sqrt([n]!),
-      so the limit ratio M_n/M_{n+1} is sqrt(1-q).
-    * ``fit``: chooses between constant M_n and q-factorial M_n by
-      least-squares residual of the log fit.
-
-    The empirical radii from the root test on ||phi_k|| / beta_{k-1}! are
-    always included for cross-validation.
+    Where every ratio is at most 1, the terms of the bi-coherent series are
+    at most A (n+1) (|z| / sqrt(1-q))^n, so it converges for |z| < sqrt(1-q).
+    Formed in log space, so no factorial or power overflows.
     """
     q = validate_q_disc(q)
-    norms_phi = np.asarray(norms_phi, dtype=float)
-    norms_psi = np.asarray(norms_psi, dtype=float)
-    if len(norms_phi) < 16 or len(norms_psi) < 16:
-        raise ValueError("need at least 16 norm samples per family")
-    if np.any(norms_phi <= 0) or np.any(norms_psi <= 0):
-        raise ValueError("norms must be positive")
-
-    nmax = max(len(norms_phi), len(norms_psi))
-    bs = BetaSequence(q, nmax + 1)
-    fact = np.array([bs.factorial(n - 1) for n in range(nmax)])
-    sqrt_1mq = math.sqrt(1.0 - q)
-
-    def one_family(norms: np.ndarray) -> tuple[float, float, float]:
-        if fit_policy == "riesz":
-            return float(np.max(norms)), 1.0, 1.0
-        if fit_policy == "position":
-            n = np.arange(len(norms))
-            log_m = np.log(n + 1.0) + np.log(fact[:len(norms)])
-            r = 1.0 / sqrt_1mq
-            a = float(np.max(norms / (np.exp(log_m) * r ** n)))
-            return a, r, sqrt_1mq
-        if fit_policy == "fit":
-            const_m = np.zeros(len(norms))
-            qfact_m = np.log(fact[:len(norms)])
-            a1, r1, res1 = _fit_bound(norms, const_m)
-            a2, r2, res2 = _fit_bound(norms, qfact_m)
-            if res1 <= res2:
-                return a1, r1, 1.0
-            return a2, r2, sqrt_1mq
-        raise ValueError(f"unknown fit_policy {fit_policy!r}")
-
-    a_phi, r_phi, m_phi = one_family(norms_phi)
-    a_psi, r_psi, m_psi = one_family(norms_psi)
-    rho_phi = min(disc_radius(q), m_phi / (r_phi * sqrt_1mq))
-    rho_psi = min(disc_radius(q), m_psi / (r_psi * sqrt_1mq))
-    return RadiusReport(
-        policy=fit_policy,
-        rho_phi=rho_phi, rho_psi=rho_psi, rho=min(rho_phi, rho_psi),
-        A_phi=a_phi, A_psi=a_psi, r_phi=r_phi, r_psi=r_psi,
-        M_limit_phi=m_phi, M_limit_psi=m_psi,
-        empirical_rho_phi=empirical_radius(norms_phi / fact[:len(norms_phi)]),
-        empirical_rho_psi=empirical_radius(norms_psi / fact[:len(norms_psi)]),
-    )
+    c = np.asarray(norms, dtype=float)
+    n = np.arange(len(c))
+    log_beta = np.log(BetaSequence(q, len(c)).betas()[1:len(c) - 1])
+    log_fact = np.concatenate(([0.0, 0.0], np.cumsum(log_beta)))[:len(c)]
+    return np.exp(np.log(c) - log_a - np.log1p(n) - log_fact + 0.5 * n * math.log1p(-q))
 
 
 @dataclass(frozen=True)

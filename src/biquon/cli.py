@@ -178,17 +178,16 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
                               f"r_frac or raise K")
     if task["task"] == "resolution":
         try:
-            limit = resolution.solve_moment_measure(q, 2).moment_limit
+            resolution.atom_count(q)
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
         # the overlaps of f, g with the family reach past their support to
         # the end of the deformation's block, which ends below K - 2
         reach = max(task.get("support", min(6, dim)), extent)
         for key, n in (("K_mom", task.get("K_mom", 2)), ("support", reach)):
-            if n > min(dim, limit):
-                raise ConfigError(f"{path}.{key}: needs rho_k for k < {n}, past "
-                                  f"K = {dim} or the k < {limit} the float "
-                                  f"Jackson weights hold at q={q}")
+            if n > dim:
+                raise ConfigError(f"{path}.{key}: needs rho_k for k < {n}, "
+                                  f"past K = {dim}")
         n_theta = task.get("n_theta", 64)
         if n_theta <= 2 * (reach - 1):
             raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "

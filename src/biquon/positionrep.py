@@ -424,7 +424,7 @@ def norm_formula_check(params: PositionParams, n_max: int) -> dict:
 
 
 def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
-    """Exact ||phi_n|| for n = 0..n_max (input to the radius machinery)."""
+    """Exact ||phi_n|| for n = 0..n_max (the input of criteria 07b and 07d)."""
     return norm(build_families(params, n_max)[0])
 
 

@@ -21,11 +21,11 @@ Every check reads the scaled moments
     rho_k = 2 pi sum_j w_j t_j^k / (q; q)_k,
 
 which equal 1 for every k: no power of rho is formed, and each scaled term
-stays at or below 1.  Above q ~ 0.997 the first weights underflow and only
-rho_k with k < moment_limit stay held (286 at q = 0.999).  The moment
-residuals are |rho_k - 1|.  The resolution integral of
-N^{-1}<f, phi(z)> N^{-1}<psi(z), g> over the atoms and the uniform
-n_theta-point rule in the angle is
+stays at or below 1.  Above q ~ 0.998 the first weights underflow; their
+terms are carried by the exact ratio (1 - q^{j+1}) / q^{k+1} of neighbouring
+terms, so every rho_k is held.  The moment residuals are |rho_k - 1|.  The
+resolution integral of N^{-1}<f, phi(z)> N^{-1}<psi(z), g> over the atoms
+and the uniform n_theta-point rule in the angle is
 
     sum_{k,l} <f, phi_k><psi_l, g> / (beta_{k-1}! beta_{l-1}!)
         sum_j w_j r_j^{k+l}  (2 pi / n_theta) sum_theta e^{i(k-l) theta}.
@@ -59,14 +59,15 @@ __all__ = [
 ]
 
 ROUNDOFF = np.finfo(float).eps / 2.0
+TINY = np.finfo(float).tiny
 # J grows like log(1 / (roundoff (1 - q))) / (1 - q); this admits q <= 0.99995
 MAX_ATOMS = 1_000_000
 
 
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Jackson atoms r_j, w_j; residuals |rho_k - 1| for the first K_mom
-    moments; the weights hold rho_k for k < moment_limit (inf: every k)."""
+    """Jackson atoms r_j, w_j and the residuals |rho_k - 1| of the first
+    K_mom moments."""
 
     q: float
     rho: float
@@ -75,7 +76,6 @@ class RadialQuadrature:
     K_mom: int
     residuals: np.ndarray = field(repr=False)
     tail_bound: float
-    moment_limit: float
     method: ClassVar[str] = "jackson"
 
     @property
@@ -97,12 +97,23 @@ def _scaled_moments(q: float, weights: np.ndarray, n: int) -> np.ndarray:
     """rho_k = 2 pi sum_j w_j t_j^k / (q; q)_k for k < n.
 
     The scaled terms are one running product over k, so no J x n array is
-    formed and each term stays at or below 1.
+    formed and each term stays at or below 1.  The leading weights below the
+    smallest normal double start at 0; at each k, the term of the last of
+    them joins the product once its value, term_{j+1} (1 - q^{j+1}) /
+    q^{k+1} (exactly the ratio of neighbouring terms), reaches that double.
     """
     t = q ** np.arange(len(weights))
     out = np.empty(n)
     terms = 2.0 * math.pi * weights
+    head = int(np.argmax(weights >= TINY))     # the underflowed weights
+    terms[:head] = 0.0
     for k in range(n):
+        while head:
+            term = terms[head] * (1.0 - q ** head) / q ** (k + 1)
+            if term < TINY:
+                break
+            head -= 1
+            terms[head] = term
         out[k] = terms.sum()
         terms *= t
         terms /= 1.0 - q ** (k + 1)
@@ -117,19 +128,13 @@ def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
     n_atoms = atom_count(q)
     rho = disc_radius(q)
     t = q ** np.arange(n_atoms)                        # (r_j / rho)^2
-    # a weight below the smallest normal double adds at most 2 pi tiny /
-    # (q; q)_k to rho_k; rho_k is held while J of those stay below roundoff
-    log_qq = np.cumsum(np.log1p(-q * t))               # log (q; q)_k, k = 1..J
-    floor = math.log(2.0 * math.pi * n_atoms * np.finfo(float).tiny / ROUNDOFF)
-    held = 1 + int(np.count_nonzero(log_qq >= floor))
     # (q^{j+1}; q)_inf as a reverse running product of 1 - q^i, i = j+1..J
     tail_products = np.cumprod((1.0 - q * t)[::-1])[::-1]
     weights = t * tail_products / (2.0 * math.pi)
     residuals = np.abs(_scaled_moments(q, weights, K_mom) - 1.0)
     return RadialQuadrature(q=q, rho=rho, nodes=rho * np.sqrt(t),
                             weights=weights, K_mom=K_mom, residuals=residuals,
-                            tail_bound=q ** n_atoms / (1.0 - q),
-                            moment_limit=held if held <= n_atoms else math.inf)
+                            tail_bound=q ** n_atoms / (1.0 - q))
 
 
 def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
@@ -139,9 +144,9 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     f and g are vectors, or K x P batches of them paired column by column,
     which give one value per column.  The integral is sum_{k < n} <f,
     phi_k><psi_k, g> rho_k (see the module docstring), with n the reach:
-    one plus the last index at which an overlap of any column is nonzero;
-    n_theta > 2 (n - 1) and n <= quad.moment_limit.  rho_k is computed once
-    per call, up to that reach.
+    one plus the last index at which an overlap of any column is nonzero,
+    and n_theta > 2 (n - 1).  rho_k is computed once per call, up to that
+    reach.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -157,9 +162,6 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     if n_theta <= 2 * (reach - 1):
         raise ValueError(f"n_theta={n_theta} too small for overlaps reaching "
                          f"index {reach - 1} (need n_theta > {2 * (reach - 1)})")
-    if reach > quad.moment_limit:
-        raise ValueError(f"overlaps reach index {reach - 1}, but the weights "
-                         f"hold rho_k only for k < {quad.moment_limit}")
     rho_k = _scaled_moments(quad.q, quad.weights, reach)
     return rho_k @ (f_phi[:reach] * psi_g[:reach])
 

@@ -2,28 +2,30 @@
 
 Each check produces a :class:`CheckResult`; the CLI prints them and the
 test suite asserts them one by one.  A criterion that a ``biquon run`` task
-computes reads its value, and the bound the task applies, from the report
-of :func:`biquon.cli.run_config` on the equivalent config, so ``biquon
-selftest`` and ``biquon run`` print the same numbers.  A result may be marked
-``known_discrepancy`` when the check is expected to fail for a documented
-mathematical reason; such results are reported loudly but excluded from
-the process exit status.
+computes is a row of :data:`TASK_CRITERIA`: it reads its value, and the
+bound the task applies, from the reports of :func:`biquon.cli.run_config`
+on the row's configs, so ``biquon selftest`` and ``biquon run`` print the
+same numbers.  A result may be marked ``known_discrepancy`` when the check
+is expected to fail for a documented mathematical reason; such results are
+reported loudly but excluded from the process exit status.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bicoherent, cli, positionrep, pseudoquon, qcore
 from .cli import DEFAULT_SEED
 
-__all__ = ["CheckResult", "run_all", "format_results", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "TASK_CRITERIA", "run_all", "format_results", "DEFAULT_SEED"]
 
 IDENTITY = {"kind": "identity"}
 WORKED = {"kind": "rank_one", "preset": "worked", "alpha_def": [0.0, 1.0]}
+POSITION = {"kind": "position", "gamma": 0.6}
 WORKED_SOURCE = pseudoquon.RankOneSimilarity(pseudoquon.worked_deformation(1j))
 
 
@@ -46,49 +48,96 @@ def _result(criterion: str, value: float, tolerance: float, **kw) -> CheckResult
                        tolerance=tolerance, passed=bool(value <= tolerance), **kw)
 
 
-def _reports(task: dict, families, qs, K: int = 64,
-             seed: int = DEFAULT_SEED) -> list[dict]:
-    """The ``task`` report of one ``biquon run`` per (family, q)."""
-    return [cli.run_config({"q": q, "K": K, "family": fam, "tasks": [task],
-                            "seed": seed})[0]["tasks"][task["task"]]
-            for fam in families for q in qs]
+class TaskCriterion(NamedTuple):
+    """The worst of metrics over the task reports of one ``biquon run`` per
+    (family, q), against the bound the task applied to the first metric
+    unless a tighter one is given."""
+
+    criterion: str
+    task: dict
+    families: tuple
+    qs: tuple
+    K: int
+    metrics: tuple
+    tighter: float | None = None
+
+    def configs(self, seed: int) -> list[dict]:
+        return [{"q": q, "K": self.K, "family": fam, "tasks": [self.task], "seed": seed}
+                for fam in self.families for q in self.qs]
 
 
-def _task_result(criterion: str, reports: list[dict], *metrics: str,
-                 tolerance: float | None = None) -> CheckResult:
-    """Worst of the metrics over the reports, against the bound the task
-    applied to them unless a tighter ``tolerance`` is given."""
-    value = max(r[m] for r in reports for m in metrics)
-    if tolerance is None:
-        tolerance = reports[0].get("bounds", {}).get(metrics[0],
+FAMILY, THETA = {"task": "family"}, {"task": "theta"}
+BICOHERENT = {"task": "bicoherent", "n_r": 5, "n_theta": 8, "r_frac": 0.9}
+TASK_CRITERIA = [
+    TaskCriterion("01-qmutator-identity", {"task": "mutator"}, (IDENTITY, WORKED),
+                  (0.1, 0.3, 0.5, 0.7, 0.9), 64, ("max_residual",)),
+    TaskCriterion("02-biorthogonality", FAMILY, (WORKED,), (0.4,), 64,
+                  ("gram_deviation",)),
+    TaskCriterion("03a-ladder-fock", FAMILY, (IDENTITY, WORKED), (0.3, 0.7), 64,
+                  ("raise_phi", "lower_phi", "raise_psi", "lower_psi")),
+    TaskCriterion("03b-ladder-position", {"task": "position", "n_max": 6},
+                  (POSITION,), (0.5,), 64, ("ladder_residual",)),
+    TaskCriterion("04a-number-eigenvalues", FAMILY, (WORKED,), (0.3, 0.7), 64,
+                  ("number_residual_phi", "number_residual_psi")),
+    TaskCriterion("05a-theta-series-vs-closed", THETA, (WORKED,), (0.4,), 64,
+                  ("series_vs_closed",), 1e-11),
+    TaskCriterion("05b-theta-conjugation", THETA, (WORKED,), (0.4,), 64,
+                  ("conjugation_residual",)),
+    TaskCriterion("05c-theta-inverse", THETA, (WORKED,), (0.4,), 64,
+                  ("inverse_residual",), 1e-11),
+    TaskCriterion("06a-bicoherent-eigen", BICOHERENT, (WORKED,), (0.5,), 256,
+                  ("eigen_residual",)),
+    TaskCriterion("06b-bicoherent-pairing", BICOHERENT, (WORKED,), (0.5,), 256,
+                  ("pairing_residual",)),
+    TaskCriterion("08-resolution-identity", {"task": "resolution"}, (IDENTITY, WORKED),
+                  (0.5,), 64, ("max_residual",)),
+    TaskCriterion("09a-uncertainty-product", BICOHERENT, (WORKED,), (0.5, 0.9), 256,
+                  ("uncertainty_residual",)),
+]
+
+
+class TaskReports:
+    """The task reports of one :func:`run_all`: each distinct config runs
+    once, when a check first needs it."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._reports: dict[str, dict] = {}
+
+    def _report(self, cfg: dict) -> dict:
+        key = repr(cfg)
+        if key not in self._reports:
+            self._reports[key], = cli.run_config(cfg)[0]["tasks"].values()
+        return self._reports[key]
+
+    def results(self, number: str) -> list[CheckResult]:
+        """The table's criteria numbered ``number`` ("01" .. "12"), in table
+        order."""
+        out = []
+        for row in TASK_CRITERIA:
+            if row.criterion[:2] != number:
+                continue
+            reports = [self._report(cfg) for cfg in row.configs(self.seed)]
+            value = max(r[m] for r in reports for m in row.metrics)
+            bound = reports[0].get("bounds", {}).get(row.metrics[0],
                                                      reports[0]["tolerance"])
-    return _result(criterion, value, tolerance)
+            out.append(_result(row.criterion, value, row.tighter or bound))
+        return out
 
 
-def check_qmutator(seed) -> list[CheckResult]:
-    reports = _reports({"task": "mutator"}, (IDENTITY, WORKED),
-                       (0.1, 0.3, 0.5, 0.7, 0.9))
-    return [_task_result("01-qmutator-identity", reports, "max_residual")]
+def check_qmutator(reports: TaskReports) -> list[CheckResult]:
+    return reports.results("01")
 
 
-def check_biorthogonality(seed) -> list[CheckResult]:
-    reports = _reports({"task": "family"}, (WORKED,), (0.4,))
-    return [_task_result("02-biorthogonality", reports, "gram_deviation")]
+def check_biorthogonality(reports: TaskReports) -> list[CheckResult]:
+    return reports.results("02")
 
 
-def check_ladder(seed) -> list[CheckResult]:
-    reports = _reports({"task": "family"}, (IDENTITY, WORKED), (0.3, 0.7))
-    position = _reports({"task": "position", "n_max": 6},
-                        ({"kind": "position", "gamma": 0.6},), (0.5,))
-    return [
-        _task_result("03a-ladder-fock", reports,
-                     "raise_phi", "lower_phi", "raise_psi", "lower_psi"),
-        _task_result("03b-ladder-position", position, "ladder_residual"),
-    ]
+def check_ladder(reports: TaskReports) -> list[CheckResult]:
+    return reports.results("03")
 
 
-def check_number_operator(seed) -> list[CheckResult]:
-    reports = _reports({"task": "family"}, (WORKED,), (0.3, 0.7))
+def check_number_operator(reports: TaskReports) -> list[CheckResult]:
     spec_dev = 0.0
     for q in (0.3, 0.7):
         family = pseudoquon.build_family(WORKED_SOURCE, q, 64)
@@ -99,65 +148,62 @@ def check_number_operator(seed) -> list[CheckResult]:
         spec_dev = max(spec_dev,
                        float(np.max(np.abs(np.sort(ev.real) - np.sort(ev_dag.real)))),
                        float(np.max(np.abs(ev.imag))))
-    return [
-        _task_result("04a-number-eigenvalues", reports,
-                     "number_residual_phi", "number_residual_psi"),
-        _result("04b-number-isospectral", spec_dev, 1e-9),
-    ]
+    return reports.results("04") + [_result("04b-number-isospectral", spec_dev, 1e-9)]
 
 
-def check_theta(seed) -> list[CheckResult]:
-    reports = _reports({"task": "theta"}, (WORKED,), (0.4,))
+def check_theta(reports: TaskReports) -> list[CheckResult]:
     theta = pseudoquon.build_theta(pseudoquon.build_family(WORKED_SOURCE, 0.4, 64))
     # Theta is the identity past its leading block: its spectrum is the
     # block window's and 1
     head = theta.dense(len(theta.block))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (head + head.conj().T)), initial=1.0))
-    return [
-        _task_result("05a-theta-series-vs-closed", reports, "series_vs_closed",
-                     tolerance=1e-11),
-        _task_result("05b-theta-conjugation", reports, "conjugation_residual"),
-        _task_result("05c-theta-inverse", reports, "inverse_residual", tolerance=1e-11),
+    return reports.results("05") + [
         CheckResult("05d-theta-positive", eigmin, 0.0, passed=eigmin > 0.0,
                     note="value is the smallest eigenvalue; must be positive"),
     ]
 
 
-def check_bicoherent_eigen(seed) -> list[CheckResult]:
-    reports = _reports({"task": "bicoherent", "n_r": 5, "n_theta": 8, "r_frac": 0.9},
-                       (WORKED,), (0.5,), K=256)
-    return [
-        _task_result("06a-bicoherent-eigen", reports, "eigen_residual"),
-        _task_result("06b-bicoherent-pairing", reports, "pairing_residual"),
-    ]
+def check_bicoherent_eigen(reports: TaskReports) -> list[CheckResult]:
+    return reports.results("06")
 
 
-def check_radii(seed) -> list[CheckResult]:
-    worst_rank_one = worst_pos = 0.0
-    worst_emp_rank_one = worst_emp_pos = 0.0
+def _factorials(q: float, n: int) -> np.ndarray:
+    """beta_{k-1}! for k < n."""
+    bs = qcore.BetaSequence(q, n)
+    return np.array([bs.factorial(k - 1) for k in range(n)])
+
+
+def check_radii(reports: TaskReports) -> list[CheckResult]:
+    """07a and 07c on the worked family, whose norms are 1 past its block;
+    07b and 07d on the position family at gamma = 0.5, n <= 40.
+
+    07a is the ratio test at the last safe index, where q^K is below
+    roundoff at K = 192; 07b the largest ratio of ||phi_n||, 1 <= n <= 40,
+    to the bound that gives the radius sqrt(1-q) (at n = 0 it is exactly 1).
+    """
+    worst_ratio = worst_bound = worst_emp = worst_emp_pos = 0.0
+    gamma = 0.5
     for q in (0.3, 0.5, 0.8):
-        family = pseudoquon.build_family(WORKED_SOURCE, q, 48)
-        norms = family.phi.column_norms(family.K)
-        norms_psi = family.psi.column_norms(family.K)
-        rep = bicoherent.radius_report(norms, norms_psi, q, "riesz")
+        family = pseudoquon.build_family(WORKED_SOURCE, q, 192)
         target = qcore.disc_radius(q)
-        worst_rank_one = max(worst_rank_one, abs(rep.rho - target) / target)
-        worst_emp_rank_one = max(
-            worst_emp_rank_one,
-            abs(rep.empirical_rho_phi - target) / target,
-            abs(rep.empirical_rho_psi - target) / target)
+        for op in (family.phi, family.psi):
+            norms = op.column_norms(family.safe_dim)
+            worst_ratio = max(worst_ratio,
+                              abs(bicoherent.ratio_radius(norms, q) - target) / target)
+            coeffs = norms[:48] / _factorials(q, 48)
+            worst_emp = max(worst_emp,
+                            abs(bicoherent.empirical_radius(coeffs) - target) / target)
 
-        params = positionrep.PositionParams(q, 0.5)
-        pos_norms = positionrep.family_norms(params, 40)
-        rep_pos = bicoherent.radius_report(pos_norms, pos_norms, q, "position")
+        pos_norms = positionrep.family_norms(positionrep.PositionParams(q, gamma), 40)
+        ratios = bicoherent.radius_bound_ratios(pos_norms, q, 0.5 * gamma ** 2)
+        worst_bound = max(worst_bound, float(np.max(ratios[1:])))
         target_pos = math.sqrt(1.0 - q)
-        worst_pos = max(worst_pos, abs(rep_pos.rho - target_pos) / target_pos)
-        worst_emp_pos = max(worst_emp_pos,
-                            abs(rep_pos.empirical_rho_phi - target_pos) / target_pos)
+        emp_pos = bicoherent.empirical_radius(pos_norms / _factorials(q, 41))
+        worst_emp_pos = max(worst_emp_pos, abs(emp_pos - target_pos) / target_pos)
     return [
-        _result("07a-radius-rank-one-analytic", worst_rank_one, 1e-12),
-        _result("07b-radius-position-analytic", worst_pos, 1e-12),
-        _result("07c-radius-rank-one-empirical", worst_emp_rank_one, 0.05),
+        _result("07a-radius-rank-one-analytic", worst_ratio, 1e-12),
+        _result("07b-radius-position-analytic", worst_bound, 1.0),
+        _result("07c-radius-rank-one-empirical", worst_emp, 0.05),
         _result("07d-radius-position-empirical", worst_emp_pos, 0.05,
                 known_discrepancy=True,
                 note="root test on measured norms estimates the true series "
@@ -168,31 +214,20 @@ def check_radii(seed) -> list[CheckResult]:
     ]
 
 
-def check_resolution(seed) -> list[CheckResult]:
-    reports = _reports({"task": "resolution"}, (IDENTITY, WORKED), (0.5,), seed=seed)
-    return [_task_result("08-resolution-identity", reports, "max_residual")]
+def check_resolution(reports: TaskReports) -> list[CheckResult]:
+    return reports.results("08")
 
 
-def check_uncertainty(seed) -> list[CheckResult]:
-    worst = 0.0
-    for q in (0.5, 0.9):
-        family = pseudoquon.build_family(WORKED_SOURCE, q, 256)
-        rho = bicoherent.family_radius(family)
-        zs = np.array([0.0, 0.3, 0.6]) * rho * np.exp(0.4j)
-        res = bicoherent.uncertainty_product(bicoherent.bicoherent_state(family, zs),
-                                             family.a, family.b)
-        worst = np.max([worst, *res.residual])
+def check_uncertainty(reports: TaskReports) -> list[CheckResult]:
     fam1 = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), 1.0 - 1e-6, 64)
     res1 = bicoherent.uncertainty_product(
         bicoherent.bicoherent_state(fam1, 0.9 + 0.2j), fam1.a, fam1.b)
-    return [
-        _result("09a-uncertainty-product", worst,
-                cli.TOLERANCES["bicoherent.uncertainty_residual"]),
+    return reports.results("09") + [
         _result("09b-uncertainty-boson-limit", abs(res1.product - 0.5), 1e-4),
     ]
 
 
-def check_position_example(seed) -> list[CheckResult]:
+def check_position_example(reports: TaskReports) -> list[CheckResult]:
     coeff_dev = 0.0
     for q in (0.3, 0.6):
         params = positionrep.PositionParams(q, 0.5)
@@ -213,8 +248,9 @@ def check_position_example(seed) -> list[CheckResult]:
             params = positionrep.PositionParams(q, gamma)
             rep = positionrep.norm_formula_check(params, 5)
             norm_dev = max(norm_dev, rep["max_rel_err"])
+        # L_0 = 1 = (0 + 1)^2 always, so n = 0 would pin the value at the bound
         lvs = positionrep.l_value(positionrep.PositionParams(q, 0.5), 8)
-        bound_margin = max(bound_margin, float(np.max(lvs / np.arange(1, 10) ** 2)))
+        bound_margin = max(bound_margin, float(np.max(lvs[1:] / np.arange(2, 10) ** 2)))
     return [
         _result("10a-position-coefficients", coeff_dev, 1e-14,
                 note="constant coefficient of the two-step row is "
@@ -224,14 +260,13 @@ def check_position_example(seed) -> list[CheckResult]:
     ]
 
 
-def check_closed_form_states(seed) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
+    rng = np.random.default_rng(reports.seed)
     q, dim = 0.45, 128
     deformation = WORKED_SOURCE.deformation
     family = pseudoquon.build_family(WORKED_SOURCE, q, dim)
     rho = bicoherent.family_radius(family)
-    bs = qcore.BetaSequence(q, dim)
-    fact = np.array([bs.factorial(k - 1) for k in range(dim)])
+    fact = _factorials(q, dim)
     u = np.zeros(dim, dtype=complex)
     v = np.zeros(dim, dtype=complex)
     u[:len(deformation.u)] = deformation.u
@@ -250,7 +285,7 @@ def check_closed_form_states(seed) -> list[CheckResult]:
     return [_result("11-closed-form-bicoherent", worst, 1e-10)]
 
 
-def check_limits(seed) -> list[CheckResult]:
+def check_limits(reports: TaskReports) -> list[CheckResult]:
     q = 1.0 - 1e-6
     family = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), q, 64)
     state = bicoherent.bicoherent_state(family, 0.8)
@@ -283,9 +318,10 @@ ALL_CHECKS = [
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    reports = TaskReports(seed)
     results: list[CheckResult] = []
     for check in ALL_CHECKS:
-        results.extend(check(seed))
+        results.extend(check(reports))
     return results
 
 

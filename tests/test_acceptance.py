@@ -2,15 +2,19 @@
 
 Each check prints its own pass/fail line.  The one check marked as a known
 discrepancy (the position-family empirical radius, see the selftest notes)
-is reported as an expected failure rather than silently relaxed.
+is reported as an expected failure rather than silently relaxed.  The
+task-backed criteria come from ``selftest.TASK_CRITERIA``.
 """
 
+import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from biquon import pseudoquon, selftest
+from biquon import cli, positionrep, pseudoquon, selftest
 from biquon.cli import run_config
+from biquon.fock import FockOperator
 
 RESULTS = selftest.run_all(seed=selftest.DEFAULT_SEED)
 BY_NAME = {r.criterion: r for r in RESULTS}
@@ -33,58 +37,84 @@ def test_criterion(criterion):
                       f"{r.tolerance:.1e}. {r.note}")
 
 
-IDENTITY = {"kind": "identity"}
-WORKED = {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}
-
-
-def _configs(task, families, qs, K=64, **cfg):
-    return [{"q": q, "K": K, "family": fam, "tasks": [task], **cfg}
-            for fam in families for q in qs]
-
-
-# criterion -> (equivalent run configs, metrics read from the task report,
-# bound when tighter than the task's own)
-TASK_CRITERIA = {
-    "01-qmutator-identity": (_configs("mutator", (IDENTITY, WORKED),
-                                      (0.1, 0.3, 0.5, 0.7, 0.9)), ["max_residual"], None),
-    "02-biorthogonality": (_configs("family", (WORKED,), (0.4,)),
-                           ["gram_deviation"], None),
-    "03a-ladder-fock": (_configs("family", (IDENTITY, WORKED), (0.3, 0.7)),
-                        ["raise_phi", "lower_phi", "raise_psi", "lower_psi"], None),
-    "03b-ladder-position": (_configs({"task": "position", "n_max": 6},
-                                     ({"kind": "position", "gamma": 0.6},), (0.5,)),
-                            ["ladder_residual"], None),
-    "04a-number-eigenvalues": (_configs("family", (WORKED,), (0.3, 0.7)),
-                               ["number_residual_phi", "number_residual_psi"], None),
-    "05a-theta-series-vs-closed": (_configs("theta", (WORKED,), (0.4,)),
-                                   ["series_vs_closed"], 1e-11),
-    "05b-theta-conjugation": (_configs("theta", (WORKED,), (0.4,)),
-                              ["conjugation_residual"], None),
-    "05c-theta-inverse": (_configs("theta", (WORKED,), (0.4,)),
-                          ["inverse_residual"], 1e-11),
-    "06a-bicoherent-eigen": (_configs({"task": "bicoherent", "n_r": 5, "n_theta": 8,
-                                       "r_frac": 0.9}, (WORKED,), (0.5,), K=256),
-                             ["eigen_residual"], None),
-    "06b-bicoherent-pairing": (_configs({"task": "bicoherent", "n_r": 5, "n_theta": 8,
-                                         "r_frac": 0.9}, (WORKED,), (0.5,), K=256),
-                               ["pairing_residual"], None),
-    "08-resolution-identity": (_configs("resolution", (IDENTITY, WORKED), (0.5,),
-                                        seed=selftest.DEFAULT_SEED),
-                               ["max_residual"], None),
+# criterion -> why it may read exactly 0 or exactly its bound
+EXACT = {
+    "10a-position-coefficients": "the two-step row's coefficients are exact "
+                                 "in floating point",
+    "12b-fermionic-truncation": "beta_1 at q = -1 is 0 exactly, and its bound is 0",
 }
 
 
-@pytest.mark.parametrize("criterion", sorted(TASK_CRITERIA))
+def test_exact_criteria_exist():
+    assert set(EXACT) <= set(BY_NAME)
+
+
+@pytest.mark.parametrize("criterion", sorted(set(BY_NAME) - set(EXACT)))
+def test_criterion_can_fail(criterion):
+    """A value of exactly 0 or exactly its bound says the check compares a
+    quantity with itself, or is pinned where it cannot move."""
+    r = BY_NAME[criterion]
+    assert r.value != 0.0
+    assert r.value != r.tolerance
+
+
+ROWS = {row.criterion: row for row in selftest.TASK_CRITERIA}
+
+
+@pytest.mark.parametrize("criterion", sorted(ROWS))
 def test_criterion_equals_run_report(criterion):
     """selftest and `biquon run` on the equivalent configs give the same number."""
-    configs, metrics, tighter = TASK_CRITERIA[criterion]
+    row = ROWS[criterion]
     reports = []
-    for cfg in configs:
+    for cfg in row.configs(selftest.DEFAULT_SEED):
         report, = run_config(cfg)[0]["tasks"].values()
         reports.append(report)
-    assert BY_NAME[criterion].value == max(r[m] for r in reports for m in metrics)
-    bound = reports[0].get("bounds", {}).get(metrics[0], reports[0]["tolerance"])
-    assert BY_NAME[criterion].tolerance == (tighter or bound)
+    assert BY_NAME[criterion].value == max(r[m] for r in reports for m in row.metrics)
+    bound = reports[0].get("bounds", {}).get(row.metrics[0], reports[0]["tolerance"])
+    assert BY_NAME[criterion].tolerance == (row.tighter or bound)
+
+
+def test_each_config_runs_once(monkeypatch):
+    calls = Counter()
+
+    def counted(cfg, *args, _fn=cli.run_config):
+        calls[json.dumps(cfg, sort_keys=True)] += 1
+        return _fn(cfg, *args)
+    monkeypatch.setattr(cli, "run_config", counted)
+    selftest.run_all()
+    table = {json.dumps(cfg, sort_keys=True) for row in selftest.TASK_CRITERIA
+             for cfg in row.configs(selftest.DEFAULT_SEED)}
+    assert set(calls) == table
+    assert set(calls.values()) == {1}
+    # 04a shares 03a's configs and 09a 06's at q = 0.5
+    assert len(table) < sum(len(row.configs(0)) for row in selftest.TASK_CRITERIA)
+
+
+def _radii(monkeypatch, scale) -> dict:
+    """check_radii with every family's norm n multiplied by scale(n)."""
+    column_norms = FockOperator.column_norms
+    family_norms = positionrep.family_norms
+    monkeypatch.setattr(FockOperator, "column_norms",
+                        lambda op, n: column_norms(op, n) * scale(np.arange(n)))
+    monkeypatch.setattr(positionrep, "family_norms",
+                        lambda params, n: family_norms(params, n) * scale(np.arange(n + 1)))
+    results = selftest.check_radii(selftest.TaskReports(selftest.DEFAULT_SEED))
+    return {r.criterion[:3]: r for r in results}
+
+
+def test_radius_ratio_test_fails_on_geometric_growth(monkeypatch):
+    # a radius smaller by the factor 1.1
+    results = _radii(monkeypatch, lambda n: 1.1 ** n)
+    assert not results["07a"].passed
+    assert results["07a"].value == pytest.approx(1 - 1 / 1.1, rel=1e-12)
+
+
+def test_radius_bound_fails_on_faster_polynomial_growth(monkeypatch):
+    # the bound has a factor 2 to spare at n = 1 (0.47 at q = 0.3), so
+    # norms scaled by n + 1 read 0.93 and pass; (n + 1)^2 reads 1.87
+    results = _radii(monkeypatch, lambda n: (n + 1.0) ** 2)
+    assert not results["07b"].passed
+    assert results["07b"].value > 1.8
 
 
 def test_each_family_builds_its_pair_once(monkeypatch):
@@ -94,7 +124,7 @@ def test_each_family_builds_its_pair_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(pseudoquon, name, counted)
-    run_config({"q": 0.5, "K": 32, "family": WORKED,
+    run_config({"q": 0.5, "K": 32, "family": selftest.WORKED,
                 "tasks": ["mutator", "family", "theta"]})
     assert calls == {"make_pair": 1, "build_family": 1}
     calls.clear()

@@ -19,7 +19,8 @@ from biquon.bicoherent import (
     normalization,
     pairing,
     quon_coherent_vector,
-    radius_report,
+    radius_bound_ratios,
+    ratio_radius,
     uncertainty_product,
 )
 from biquon.pseudoquon import (
@@ -221,47 +222,33 @@ class TestStates:
 
 
 class TestRadii:
-    def test_riesz_policy(self, worked_256):
+    def test_ratio_radius_of_riesz_family(self, worked_256):
+        # past its block the worked family's norms are 1, so the ratio test
+        # at the last safe index reads beta_n, which is the disc radius
+        # once q^n is below roundoff
         family, _, _ = worked_256
-        norms_phi = family.phi.column_norms(48)
-        norms_psi = family.psi.column_norms(48)
-        rep = radius_report(norms_phi, norms_psi, family.q, "riesz")
-        assert rep.rho == pytest.approx(qcore.disc_radius(family.q), rel=1e-14)
-        assert rep.r_phi == 1.0
-        assert rep.M_limit_phi == 1.0
-        assert rep.A_phi >= 1.0
+        target = qcore.disc_radius(family.q)
+        for op in (family.phi, family.psi):
+            norms = op.column_norms(family.safe_dim)
+            assert ratio_radius(norms, family.q) == pytest.approx(target, rel=1e-12)
 
     def test_empirical_matches_for_riesz_family(self, worked_256):
         family, _, _ = worked_256
-        norms = family.phi.column_norms(48)
-        rep = radius_report(norms, norms, family.q, "riesz")
+        bs = qcore.BetaSequence(family.q, 48)
+        coeffs = family.phi.column_norms(48) / np.array(
+            [bs.factorial(n - 1) for n in range(48)])
         target = qcore.disc_radius(family.q)
-        assert abs(rep.empirical_rho_phi - target) / target < 0.05
+        assert abs(empirical_radius(coeffs) - target) / target < 0.05
 
-    def test_position_policy_radius(self):
-        # policy constants force rho = sqrt(1-q) regardless of sample values
-        rng = np.random.default_rng(5)
-        norms = 1.0 + 0.2 * rng.uniform(size=24)
-        for q in (0.3, 0.5, 0.8):
-            rep = radius_report(norms, norms, q, "position")
-            assert rep.rho == pytest.approx(math.sqrt(1.0 - q), rel=1e-12)
-
-    def test_fit_policy_recovers_synthetic_growth(self):
-        q, a_true, r_true = 0.5, 2.0, 1.3
-        n = np.arange(32)
-        norms = a_true * r_true ** n
-        rep = radius_report(norms, norms, q, "fit")
-        assert rep.M_limit_phi == 1.0
-        assert rep.r_phi == pytest.approx(r_true, rel=1e-10)
-        assert rep.A_phi == pytest.approx(a_true, rel=1e-10)
-        assert rep.rho == pytest.approx(qcore.disc_radius(q) / r_true, rel=1e-10)
-
-    def test_fit_policy_detects_factorial_growth(self):
-        q = 0.5
+    def test_radius_bound_ratios_at_the_bound(self):
+        # norms equal to the bound read 1 at every n, up to rounding
+        q, log_a = 0.6, 0.3
         bs = qcore.BetaSequence(q, 40)
-        norms = np.array([3.0 * bs.factorial(n - 1) for n in range(40)])
-        rep = radius_report(norms, norms, q, "fit")
-        assert rep.M_limit_phi == pytest.approx(math.sqrt(1.0 - q), rel=1e-12)
+        n = np.arange(40)
+        norms = np.exp(log_a) * (n + 1) * np.array(
+            [bs.factorial(k - 1) for k in n]) * (1.0 - q) ** (-n / 2)
+        assert np.allclose(radius_bound_ratios(norms, q, log_a), 1.0,
+                           rtol=1e-13, atol=0.0)
 
     def test_empirical_radius_pure_geometric(self):
         q = 0.5
@@ -273,7 +260,9 @@ class TestRadii:
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            radius_report(np.ones(8), np.ones(8), 0.5)
+            empirical_radius(np.ones(7))
+        with pytest.raises(ValueError):
+            ratio_radius(np.ones(1), 0.5)
 
 
 class TestUncertainty:

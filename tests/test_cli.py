@@ -162,15 +162,6 @@ BAD_CONFIGS = {
     "resolution-n_pairs": ({"tasks": [{"task": "resolution", "n_pairs": 0}]},
                            r"tasks\[0\].n_pairs"),
     "resolution-q-near-one": ({"q": 0.999999, "tasks": ["resolution"]}, "q"),
-    "resolution-K_mom-past-moment-limit": ({"q": 0.999, "K": 512,
-                                            "tasks": [{"task": "resolution",
-                                                       "K_mom": 287}]},
-                                           r"tasks\[0\].K_mom"),
-    "resolution-support-past-moment-limit": ({"q": 0.999, "K": 512,
-                                              "tasks": [{"task": "resolution",
-                                                         "support": 510,
-                                                         "n_theta": 1100}]},
-                                             r"tasks\[0\].support"),
     "resolution-support-0": ({"tasks": [{"task": "resolution", "support": 0}]},
                              r"tasks\[0\].support"),
     "resolution-support-above-K": ({"tasks": [{"task": "resolution", "support": 33}]},

@@ -433,22 +433,25 @@ class TestScaleAwareResiduals:
 
 class TestRadius:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
-    def test_guaranteed_radius_within_one_percent(self, q):
-        params = PositionParams(q, 0.5)
-        norms = family_norms(params, 40)
-        rep = bicoherent.radius_report(norms, norms, q, "position")
-        assert abs(rep.rho - math.sqrt(1.0 - q)) / math.sqrt(1.0 - q) < 0.01
+    def test_norm_bound_gives_guaranteed_radius(self, q):
+        # ||phi_n|| <= e^{gamma^2/2} (n+1) beta_{n-1}! (1-q)^{-n/2}, the bound
+        # behind the radius sqrt(1-q); n = 0 meets it exactly
+        for gamma in (0.0, 0.5, 2.0, -3.0, 6.0):
+            norms = family_norms(PositionParams(q, gamma), 40)
+            ratios = bicoherent.radius_bound_ratios(norms, q, 0.5 * gamma ** 2)
+            assert ratios[0] == pytest.approx(1.0, rel=1e-14)
+            assert 0.0 < np.max(ratios[1:]) < 0.9
 
     def test_empirical_radius_sees_the_larger_true_disc(self):
         # measured coefficient decay reflects the true convergence radius
-        # 1/sqrt(1-q), strictly larger than the guaranteed bound
+        # 1/sqrt(1-q), strictly larger than the guaranteed bound sqrt(1-q)
         q = 0.5
-        params = PositionParams(q, 0.5)
-        norms = family_norms(params, 40)
-        rep = bicoherent.radius_report(norms, norms, q, "position")
-        assert rep.empirical_rho_phi == pytest.approx(
-            qcore.disc_radius(q), rel=0.02)
-        assert rep.empirical_rho_phi > rep.rho
+        norms = family_norms(PositionParams(q, 0.5), 40)
+        bs = qcore.BetaSequence(q, 41)
+        emp = bicoherent.empirical_radius(
+            norms / np.array([bs.factorial(n - 1) for n in range(41)]))
+        assert emp == pytest.approx(qcore.disc_radius(q), rel=0.02)
+        assert emp > math.sqrt(1.0 - q)
 
 
 class TestTheta:
