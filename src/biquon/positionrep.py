@@ -43,7 +43,6 @@ __all__ = [
     "norm",
     "qmutation_grid_check",
     "ladder_check",
-    "vacuum_check",
     "similarity_check",
     "l_value",
     "cancellation",
@@ -287,63 +286,34 @@ def ladder_check(params: PositionParams, n_max: int) -> dict:
     return report
 
 
-def vacuum_check(params: PositionParams) -> dict:
-    """Annihilation residuals of the vacua and their mutual pairing."""
-    phi0, psi0 = build_families(params, 0)
-    gram, c = inner(phi0, psi0)
-    return {
-        "a_phi0": float(norm(apply_a(params, phi0))[0]),
-        "bdag_psi0": float(norm(apply_b_dagger(params, psi0))[0]),
-        "pairing": complex(gram[0, 0] * math.exp(c)),
-    }
-
-
-def _horner(row: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k row[k] z^k at every point of z."""
-    out = np.full(len(z), row[-1], dtype=complex)
-    for c in row[-2::-1]:
-        out *= z
-        out += c
-    return out
-
-
 def similarity_check(params: PositionParams, n_max: int) -> dict:
-    """Pointwise check of the multiplication-similarity structure.
+    """The multiplication-similarity structure, and biorthogonality.
 
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
-    phi_n, psi_n must equal exp(-gamma x) times it (compared on the
-    sample points of :func:`default_grid`), and the two families must be
-    biorthogonal.  Every family member is its lattice base Gaussian
-    exp(-x^2/2 + w0 x) times a polynomial in exp(2 i alpha x), and both
-    sides of the comparison share that row polynomial, so similarity_phi
-    and similarity_psi measure only the rounding of exp(+-gamma x) on the
-    base Gaussian, weighted by each row; Horner's rule evaluates the rows
-    one at a time, so no (n_max + 1) x grid array is held.  Both sides are
-    scaled by exp(-gamma^2/2), the size of ||phi_n||, which is folded into
-    the exponent exp(+-gamma x - gamma^2/2): exp(gamma x) alone overflows on
-    the grid as |gamma| nears GAMMA_MAX.
+    phi_n, and psi_n exp(-gamma x) times it.  Every family member is its
+    lattice base Gaussian exp(-x^2/2 + w0 x) times a polynomial in
+    exp(2 i alpha x) that does not depend on gamma, so the similarity holds
+    for every row exactly when it holds for the base Gaussians:
+    similarity_phi and similarity_psi compare exp(+-gamma x) g_0 with
+    g_{+-gamma} on the sample points of :func:`default_grid`.  Both sides
+    are scaled by exp(-gamma^2/2), the size of ||phi_n||, which is folded
+    into the exponent exp(+-gamma x - gamma^2/2): exp(gamma x) alone
+    overflows on the grid as |gamma| nears GAMMA_MAX.
     """
     x = default_grid(params.gamma)
     phi, psi = build_families(params, n_max)
     g2 = params.gamma ** 2 / 2.0
-    scale = math.exp(-g2)
 
     def base(w0: complex) -> np.ndarray:
         return LatticeState(np.ones((1, 1)), w0, phi.step).sample(x)[0]
 
     ref = base(1.5j * params.alpha)
-    # scaled shifted base minus the scaled similarity image of the unshifted one
-    base_dev = [scale * base(fam.w0) - np.exp(sign * params.gamma * x - g2) * ref
-                for fam, sign in ((phi, 1.0), (psi, -1.0))]
-    z = np.exp(phi.step * x)
-    dev = np.zeros(2)
-    for n in range(n_max + 1):
-        poly = _horner(phi.coeffs[n, :n + 1], z)
-        dev = np.maximum(dev, [np.max(np.abs(poly * d)) for d in base_dev])
+    dev = [np.max(np.abs(math.exp(-g2) * base(fam.w0)
+                         - np.exp(sign * params.gamma * x - g2) * ref))
+           for fam, sign in ((phi, 1.0), (psi, -1.0))]
     gram = inner(phi, psi)[0]       # the phi/psi shift is 0
-    gram_dev = np.max(np.abs(gram - np.eye(n_max + 1)))
     return {"similarity_phi": float(dev[0]), "similarity_psi": float(dev[1]),
-            "biorthogonality": float(gram_dev), "n_max": n_max}
+            "biorthogonality": float(np.max(np.abs(gram - np.eye(n_max + 1))))}
 
 
 def _l_sums(params: PositionParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,22 +374,18 @@ def norm_formula_check(params: PositionParams, n_max: int) -> dict:
     compared without their common factor exp(gamma^2), which overflows
     first.  The rows report the unscaled values.
     """
-    phi, psi = build_families(params, n_max)
-    nphi, shift = _norms_sq(phi)
-    npsi = _norms_sq(psi)[0]
+    nphi, shift = _norms_sq(build_families(params, n_max)[0])
     bs = BetaSequence(params.q, n_max)
     lvs = l_value(params, n_max)
     n = np.arange(n_max + 1)
     facts = np.array([bs.factorial_sq(i - 1) for i in n])
     formula = facts * (1.0 - params.q) ** (-n) * lvs
     rel = np.abs(nphi - formula) / np.abs(formula)
-    symm = np.abs(np.sqrt(nphi) - np.sqrt(npsi)) / np.sqrt(nphi)
     factor = math.exp(shift)
     rows = [{"n": int(i), "norm_sq": float(a) * factor, "formula": float(b) * factor,
              "rel_err": float(r), "L": float(lv)}
             for i, a, b, r, lv in zip(n, nphi, formula, rel, lvs)]
     return {"rows": rows, "max_rel_err": float(np.max(rel)),
-            "norm_symmetry": float(np.max(symm)),
             "L_bound_ok": bool(np.all(lvs <= (n + 1) ** 2 + 1e-12))}
 
 

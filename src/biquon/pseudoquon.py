@@ -178,7 +178,6 @@ class BiorthogonalFamily:
     c: FockOperator = field(repr=False)
     a: FockOperator = field(repr=False)
     b: FockOperator = field(repr=False)
-    iteration_deviation: float = 0.0
 
     @property
     def safe_dim(self) -> int:
@@ -211,30 +210,12 @@ def make_pair(source: SimilarityOperator, q: float, dim: int
 
 
 def build_family(source: SimilarityOperator, q: float, dim: int) -> BiorthogonalFamily:
-    """Construct (phi_n), (psi_n) and cross-check the ladder iteration.
-
-    phi_n = S e_n is the direct route; phi_n = b phi_{n-1} / beta_{n-1}
-    is the iterated route starting from the vacuum phi_0 (annihilated by a).
-    The iteration runs while b differs from c^dag on phi_{n-1}; past that
-    phi_{n-1} = e_{n-1} and the step is the plain c^dag, whose residual is
-    check_ladder's raise_phi.  At q = -1 it stops at the first
-    beta_{n-1} = 0, where the fermionic ladder ends.  The maximal deviation
-    between the two routes is recorded, and the family keeps the pair (a, b).
-    """
-    validate_q_algebraic(q)
-    s, s_inv = _similarity(source, dim)
+    """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c
+    and the pair (a, b); check_ladder verifies that b raises and a lowers
+    them."""
     a, b = make_pair(source, q, dim)
-    c = make_quon_c(q, dim)
-    basis = np.eye(dim, min(dim, len(b.block) + 1)).T   # rows e_0, e_1, ...
-    cur = s @ basis[0]
-    dev = float(np.linalg.norm(a @ cur))
-    for n in range(1, min(max(source.safe_dim(dim), 1), len(basis))):
-        if c.diag[n] == 0.0:    # beta_{n-1} = 0 ends the ladder (q = -1)
-            break
-        cur = b @ cur / c.diag[n]
-        dev = max(dev, float(np.linalg.norm(cur - s @ basis[n])))
-    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b,
-                              iteration_deviation=dev)
+    s, s_inv = _similarity(source, dim)
+    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, make_quon_c(q, dim), a, b)
 
 
 def gram_deviation(family: BiorthogonalFamily) -> float:
@@ -264,10 +245,7 @@ def check_ladder(family: BiorthogonalFamily) -> dict:
         "raise_psi": a.adjoint() @ psi - psi @ cdag,
         "lower_psi": b.adjoint() @ psi - psi @ c,
     }
-    report = {key: _worst_columns(r, family.safe_dim) for key, r in residuals.items()}
-    report["safe_dim"] = family.safe_dim
-    report["max_residual"] = max(report[key] for key in residuals)
-    return report
+    return {key: _worst_columns(r, family.safe_dim) for key, r in residuals.items()}
 
 
 def number_eigencheck(family: BiorthogonalFamily) -> dict:
@@ -342,7 +320,6 @@ def family_to_json(family: BiorthogonalFamily, stream: IO[str],
         "q": family.q,
         "format": FORMAT,
         "source": family.source.describe(),
-        "iteration_deviation": family.iteration_deviation,
         "phi": operator_json(family.phi),
         "psi": operator_json(family.psi),
     }

@@ -70,7 +70,7 @@ FAMILY, THETA = {"task": "family"}, {"task": "theta"}
 BICOHERENT = {"task": "bicoherent", "n_r": 5, "n_theta": 8, "r_frac": 0.9}
 TASK_CRITERIA = [
     TaskCriterion("01-qmutator-identity", {"task": "mutator"}, (IDENTITY, WORKED),
-                  (0.1, 0.3, 0.5, 0.7, 0.9), 64, ("max_residual",)),
+                  (0.1, 0.3, 0.5, 0.7, 0.9), 64, ("qmutator_residual",)),
     TaskCriterion("02-biorthogonality", FAMILY, (WORKED,), (0.4,), 64,
                   ("gram_deviation",)),
     TaskCriterion("03a-ladder-fock", FAMILY, (IDENTITY, WORKED), (0.3, 0.7), 64,
@@ -90,7 +90,7 @@ TASK_CRITERIA = [
     TaskCriterion("06b-bicoherent-pairing", BICOHERENT, (WORKED,), (0.5,), 256,
                   ("pairing_residual",)),
     TaskCriterion("08-resolution-identity", {"task": "resolution"}, (IDENTITY, WORKED),
-                  (0.5,), 64, ("max_residual",)),
+                  (0.5,), 64, ("resolution_residual",)),
     TaskCriterion("09a-uncertainty-product", BICOHERENT, (WORKED,), (0.5, 0.9), 256,
                   ("uncertainty_residual",)),
 ]
@@ -119,8 +119,7 @@ class TaskReports:
                 continue
             reports = [self._report(cfg) for cfg in row.configs(self.seed)]
             value = max(r[m] for r in reports for m in row.metrics)
-            bound = reports[0].get("bounds", {}).get(row.metrics[0],
-                                                     reports[0]["tolerance"])
+            bound = reports[0]["bounds"][row.metrics[0]]
             out.append(_result(row.criterion, value, row.tighter or bound))
         return out
 

@@ -70,7 +70,7 @@ def test_criterion_equals_run_report(criterion):
         report, = run_config(cfg)[0]["tasks"].values()
         reports.append(report)
     assert BY_NAME[criterion].value == max(r[m] for r in reports for m in row.metrics)
-    bound = reports[0].get("bounds", {}).get(row.metrics[0], reports[0]["tolerance"])
+    bound = reports[0]["bounds"][row.metrics[0]]
     assert BY_NAME[criterion].tolerance == (row.tighter or bound)
 
 

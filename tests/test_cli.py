@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biquon
-from biquon import bicoherent, resolution
+from biquon import bicoherent, cli, positionrep, pseudoquon, resolution
 from biquon.cli import GAMMA_MAX, ConfigError, main, run_config, validate_config
 from biquon.fock import FockOperator
 
@@ -415,15 +415,52 @@ class TestRunConfig:
         s2.pop("timings")
         assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
 
-    def test_every_summary_numeric_in_csv(self, tmp_path):
+    def test_residuals_csv_holds_every_judged_metric(self, tmp_path):
         summary, _ = run_config(WORKED_CONFIG, tmp_path)
         with (tmp_path / "residuals.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        recorded = {(r["task"], r["metric"]) for r in rows}
-        for task, report in summary["tasks"].items():
-            for key, value in report.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    assert (task, key) in recorded, (task, key)
+        assert list(rows[0]) == ["task", "metric", "value", "bound", "passed"]
+        assert {(r["task"], r["metric"]): (float(r["value"]), float(r["bound"]), r["passed"])
+                for r in rows} == {
+            (task, metric): (report[metric], bound, "true")
+            for task, report in summary["tasks"].items()
+            for metric, bound in report["bounds"].items()}
+
+
+# per task: its spec, a producer to edit, the edit, which pushes one metric to
+# 1.0, far above any bound, and that metric; the other metrics keep their values
+RAISED = {
+    "mutator": ({"task": "mutator"}, cli, "qmutator_residual", lambda r: 1.0,
+                "qmutator_residual"),
+    "family": ({"task": "family"}, pseudoquon, "number_eigencheck",
+               lambda r: {**r, "residual_psi": 1.0}, "number_residual_psi"),
+    "theta": ({"task": "theta"}, pseudoquon, "check_theta_conjugate",
+              lambda r: {**r, "mapping_residual": 1.0}, "mapping_residual"),
+    "bicoherent": ({"task": "bicoherent"}, bicoherent, "uncertainty_product",
+                   lambda r: dataclasses.replace(r, residual=np.ones_like(r.residual)),
+                   "uncertainty_residual"),
+    "resolution": ({"task": "resolution"}, resolution, "solve_moment_measure",
+                   lambda r: dataclasses.replace(r, residuals=np.ones_like(r.residuals)),
+                   "moment_residual"),
+    "position": ({"task": "position"}, positionrep, "ladder_check",
+                 lambda r: {**r, "max_residual": 1.0}, "ladder_residual"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(RAISED))
+def test_one_metric_above_its_bound_fails_the_run(task, tmp_path, monkeypatch):
+    spec, owner, name, edit, metric = RAISED[task]
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: edit(real(*args)))
+    family = ({"kind": "position", "gamma": 0.5} if task == "position"
+              else WORKED_CONFIG["family"])
+    summary, code = run_config({"q": 0.5, "family": family, "tasks": [spec]}, tmp_path)
+    assert code == 1
+    report = summary["tasks"][task]
+    assert report[metric] == 1.0 and not report["passed"]
+    with (tmp_path / "residuals.csv").open() as fh:
+        failed = [r["metric"] for r in csv.DictReader(fh) if r["passed"] == "false"]
+    assert failed == [metric]
 
 
 class TestMainEntry:
@@ -593,12 +630,21 @@ def _position_config(draw) -> dict:
             "tasks": tasks, "seed": 5}
 
 
+# report fields that describe a run rather than measure it, and the verdict
+INFO = {"safe_dim", "n_points", "rho", "n_pairs", "n_max", "realization", "quadrature",
+        "L_bound_ok", "max_residual", "tolerance"}
+
+
 class TestConfigFuzz:
     """Every Fock or position config keeps the exit-code contract in process:
     a verdict of 0 or 1 with finite residuals, or a ConfigError (exit 2)."""
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_fock_config())
+    # the ladder iteration compounded over ~14 steps once read 1.9e-8 here,
+    # against the family bound 1e-11, and passed unjudged
+    @example(cfg={"q": 2.9, "K": 32, "tasks": ["family"],
+                  "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [-3, 3]}})
     def test_run_config_keeps_exit_code_contract(self, cfg):
         self._check(cfg)
 
@@ -614,8 +660,13 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert code in (0, 1)
-        # a NaN residual must not hide behind a verdict
         for report in summary["tasks"].values():
-            assert math.isfinite(report["max_residual"])
-            for metric in report.get("bounds", {}):
-                assert math.isfinite(report[metric])
+            # every number a task reports is judged, except its info fields
+            metrics = {key: value for key, value in report.items()
+                       if key not in INFO and isinstance(value, (int, float))
+                       and not isinstance(value, bool)}
+            bounds = report.get("bounds", {})
+            assert set(metrics) == set(bounds)
+            assert report["passed"] == all(v <= bounds[m] for m, v in metrics.items())
+            # a NaN residual must not hide behind a verdict
+            assert all(math.isfinite(v) for v in metrics.values())

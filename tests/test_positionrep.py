@@ -33,7 +33,6 @@ from biquon.positionrep import (
     similarity_check,
     state_to_csv,
     theta_conjugacy_check,
-    vacuum_check,
 )
 
 PARAMS = PositionParams(0.5, 0.7)
@@ -150,13 +149,15 @@ class TestExactInner:
 
 class TestVacua:
     def test_annihilation_is_exact(self):
-        rep = vacuum_check(PARAMS)
-        assert rep["a_phi0"] == 0.0
-        assert rep["bdag_psi0"] == 0.0
+        # the k = 0 factor is exactly 0 on the vacuum's own lattice, so the
+        # lowered vacuum has no term left (off it, _step_down raises)
+        phi0, psi0 = build_families(PARAMS, 0)
+        assert apply_a(PARAMS, phi0).coeffs.size == 0
+        assert apply_b_dagger(PARAMS, psi0).coeffs.size == 0
 
     def test_pairing_normalized(self):
-        rep = vacuum_check(PARAMS)
-        assert abs(rep["pairing"] - 1.0) < 1e-10
+        phi0, psi0 = build_families(PARAMS, 0)
+        assert abs(exact(phi0, psi0) - 1.0) < 1e-10
 
     def test_vacuum_norm_squared(self):
         # ||phi_0||^2 = e^{gamma^2} since L_0 = 1
@@ -323,8 +324,8 @@ class TestNormFormula:
         assert rep["max_rel_err"] < 1e-6
 
     def test_norm_symmetry_between_families(self):
-        rep = norm_formula_check(PARAMS, 6)
-        assert rep["norm_symmetry"] < 1e-10
+        phi, psi = build_families(PARAMS, 6)
+        assert np.allclose(norm(psi), norm(phi), rtol=1e-10, atol=0)
 
     def test_l_values_real_and_bounded(self):
         for q in (0.3, 0.6):
