@@ -5,7 +5,6 @@ from .qcore import (
     beta,
     beta_sq,
     disc_radius,
-    log_number_eigenvalue,
     q_factorial,
     q_factorial_sq,
     q_number,

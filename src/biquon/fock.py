@@ -6,12 +6,13 @@ plus a small dense block on the leading indices,
     X e_n = d_n e_{n+s} + B e_n,
 
 with s the shift of the band (0 for the identity, -1 for the lowering
-operator c, +1 for the raising operator c^dag, their sums for products).
-A compactly supported deformation of the quon pair keeps that form, with
-a block a few indices past the support extent, so storage, products,
-matvecs and residuals all cost O(K) plus the block.  Dense rows are made
-only by :meth:`FockOperator.dense`, for small-K checks; artefacts are
-written in the stored form by :func:`operator_json`.
+operator c, +1 for the raising operator c^dag).  A compactly supported
+deformation of the quon pair keeps that form, with a block one index past
+the support extent, so storage and matvecs cost O(K) plus the block.
+Checks read products of the leading W x W windows (:meth:`FockOperator.dense`)
+that the blocks and a few ladder steps reach; past them a residual column
+is a band entry alone.  Artefacts are written in the stored form by
+:func:`operator_json`.
 
 Truncation breaks the q-mutation identity on the top basis vectors, so
 every residual check takes a ``safe_dim`` argument restricting it to the
@@ -52,12 +53,6 @@ def _shifted(v: np.ndarray, s: int) -> np.ndarray:
     return w
 
 
-def _padded(block: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros((p, p), dtype=block.dtype)
-    out[:len(block), :len(block)] = block
-    return out
-
-
 @dataclass(frozen=True)
 class FockOperator:
     """X e_n = diag[n] e_{n+shift} + block e_n, the block acting on the
@@ -70,17 +65,14 @@ class FockOperator:
     shift: int
     diag: np.ndarray = field(repr=False)
     block: np.ndarray = field(repr=False)
-    __array_ufunc__ = None      # numpy scalars defer to __rmul__
 
     @property
     def dim(self) -> int:
         return len(self.diag)
 
-    def __matmul__(self, other):
-        """Product with another operator, or matvec on a vector or a column batch."""
-        if isinstance(other, FockOperator):
-            return self._compose(other)
-        x = np.asarray(other)
+    def __matmul__(self, x) -> np.ndarray:
+        """Matvec on a vector or a column batch."""
+        x = np.asarray(x)
         d = self.diag if x.ndim == 1 else self.diag[:, None]
         out = _shifted(d * x, self.shift).astype(
             np.result_type(d, x, self.block), copy=False)
@@ -88,51 +80,18 @@ class FockOperator:
         out[:p] += self.block @ x[:p]
         return out
 
-    def _compose(self, y: "FockOperator") -> "FockOperator":
-        if self.dim != y.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {y.dim}")
-        # XY = D_x D_y + D_x B_y + B_x Y; the last two live on a window of
-        # w indices, which the bands widen by at most one step each
-        px, py = len(self.block), len(y.block)
-        w = min(self.dim, max(py + max(self.shift, 0), px + max(-y.shift, 0)))
-        block = self._band_window(w) @ _padded(y.block, w) \
-            + _padded(self.block, w) @ y.dense(w)
-        diag = y.diag * _shifted(self.diag, -y.shift)
-        return FockOperator(self.shift + y.shift, diag, block)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        if self.dim != other.dim or self.shift != other.shift:
-            raise ValueError("sum of operators with different dims or band shifts")
-        p = max(len(self.block), len(other.block))
-        return FockOperator(self.shift, self.diag + other.diag,
-                            _padded(self.block, p) + _padded(other.block, p))
-
-    def __rmul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.shift, scalar * self.diag, scalar * self.block)
-
-    def __neg__(self) -> "FockOperator":
-        return -1 * self
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + -other
-
     def adjoint(self) -> "FockOperator":
         return FockOperator(-self.shift, _shifted(self.diag.conj(), self.shift),
                             self.block.conj().T)
 
-    def _band_window(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n), dtype=self.diag.dtype)
-        j = np.arange(n)
-        i = j + self.shift
-        keep = (i >= 0) & (i < n)
-        out[i[keep], j[keep]] = self.diag[:n][keep]
-        return out
-
     def dense(self, n: int | None = None) -> np.ndarray:
         """The leading n x n window as a dense array (the whole matrix by default)."""
         n = self.dim if n is None else n
-        out = self._band_window(n).astype(
-            np.result_type(self.diag, self.block), copy=False)
+        out = np.zeros((n, n), dtype=np.result_type(self.diag, self.block))
+        # the band entries (j + shift, j) of the window, a strided view of its rows
+        j0, count = max(-self.shift, 0), max(n - abs(self.shift), 0)
+        out.reshape(-1)[self.shift * n + j0 * (n + 1)::n + 1][:count] = \
+            self.diag[j0:j0 + count]
         p = min(n, len(self.block))
         out[:p, :p] += self.block[:p, :p]
         return out
@@ -144,13 +103,6 @@ class FockOperator:
         w = min(self.dim, len(self.block) + max(self.shift, 0))
         head = np.linalg.norm(self.dense(w)[:, :p], axis=0)
         return np.concatenate([head, np.abs(self.diag[p:n])])
-
-    def max_abs(self) -> float:
-        """Largest entry modulus."""
-        p = len(self.block)
-        w = min(self.dim, p + abs(self.shift))
-        return float(max(np.abs(self.dense(w)).max(initial=0.0),
-                         np.abs(self.diag[p:]).max(initial=0.0)))
 
 
 def identity_plus(dim: int, block: np.ndarray = EMPTY) -> FockOperator:
@@ -179,16 +131,28 @@ def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
     """max_n || (XY - q YX - I) e_n || over the safe block n < safe_dim.
 
     The default safe_dim = K - 2 excludes the columns where the truncation
-    edge corrupts the identity.  Past the blocks each column is a single
-    band entry, beta_n^2 - q beta_{n-1}^2 - 1 for a quon pair.
+    edge corrupts the identity.  From one ladder step past both blocks on,
+    column n is the band entry alone, beta_n^2 - q beta_{n-1}^2 - 1 for a
+    quon pair, read as one vector expression; the columns before it come
+    from products of the leading windows, two rows wider than they reach.
     """
     validate_q_algebraic(q)
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    if x.shift + y.shift != 0:
+        raise ValueError(f"band shifts {x.shift} and {y.shift} do not cancel")
     if safe_dim is None:
         safe_dim = x.dim - DEFAULT_SAFE_MARGIN
     if not (0 < safe_dim < x.dim):
         raise ValueError(f"safe_dim={safe_dim} outside (0, dim={x.dim})")
-    r = x @ y - q * (y @ x) - identity_plus(x.dim)
-    return float(np.max(r.column_norms(safe_dim)))
+    reach = max(len(x.block), len(y.block)) + 1
+    head, w = min(safe_dim, reach), min(x.dim, reach + 2)
+    xw, yw = x.dense(w), y.dense(w)
+    r = xw @ yw - q * (yw @ xw) - np.eye(w)
+    xy = (y.diag * _shifted(x.diag, -y.shift))[head:safe_dim]
+    yx = (x.diag * _shifted(y.diag, -x.shift))[head:safe_dim]
+    return float(max(np.max(np.linalg.norm(r[:, :head], axis=0), initial=0.0),
+                     np.max(np.abs(xy - q * yx - 1.0), initial=0.0)))
 
 
 def _entries(x: np.ndarray) -> list:

@@ -12,15 +12,20 @@ linear algebra away from the edge rows touched by the deformation.
 
 A compactly supported S is the identity plus a block on its support, so
 S, S^{-dag}, the pair and Theta are all :class:`~biquon.fock.FockOperator`
-values: a band plus a leading block.  Every check below is a product of
-such operators whose safe columns are read in O(K), never a K x K array.
+values: a band plus a leading block.  Past the block S = 1, so a = c and
+b = c^dag there and every residual column of the ladder, number-operator,
+Gram and Theta checks from support extent + HEAD on is exactly 0.  Each
+check therefore reads the leading ``cols`` columns of products of the
+dense W x W windows a family builds once, with W = support extent + HEAD
++ REACH (or K if that is smaller): REACH more rows than the longest
+product, b a S, moves those columns down the ladder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "RankOneSimilarity",
     "worked_deformation",
     "BiorthogonalFamily",
+    "Window",
     "make_pair",
     "build_family",
     "gram_deviation",
@@ -46,6 +52,10 @@ __all__ = [
 ]
 
 PAIR_CONSTRAINT_TOL = 1e-14
+# Residual columns from support extent + HEAD on are exactly 0, and the
+# longest product a check forms, b a S, moves them REACH rows down.
+HEAD = 3
+REACH = 3
 
 
 class SimilarityOperator:
@@ -164,11 +174,24 @@ def worked_deformation(alpha_def: complex = 1j) -> RankOneDeformation:
     return RankOneDeformation.from_alpha(u, v, alpha_def)
 
 
+class Window(NamedTuple):
+    """The leading W x W windows of S, S^{-1}, c, a and b, and the number
+    of leading columns in which a residual of their products can differ
+    from 0."""
+
+    s: np.ndarray
+    s_inv: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    cols: int
+
+
 @dataclass(frozen=True)
 class BiorthogonalFamily:
     """phi_n = phi e_n and psi_n = psi e_n with phi = S and psi = S^{-dag},
-    the plain lowering operator c (its band is the family's beta array) and
-    the pair (a, b) built from S and c."""
+    the plain lowering operator c (its band is the family's beta array),
+    the pair (a, b) built from S and c, and their leading windows."""
 
     K: int
     q: float
@@ -178,54 +201,67 @@ class BiorthogonalFamily:
     c: FockOperator = field(repr=False)
     a: FockOperator = field(repr=False)
     b: FockOperator = field(repr=False)
+    window: Window = field(repr=False)
 
     @property
     def safe_dim(self) -> int:
         return self.source.safe_dim(self.K)
 
 
-def _similarity(source: SimilarityOperator, dim: int
-                ) -> tuple[FockOperator, FockOperator]:
-    """S and S^{-1} on the K-dim truncation."""
-    s_block, inv_block = source.blocks()
-    return identity_plus(dim, s_block), identity_plus(dim, inv_block)
+def _pad(block: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n, n), dtype=block.dtype)
+    out[:len(block), :len(block)] = block
+    return out
 
 
-def _deviation(x: FockOperator) -> float:
-    """Largest entry of X - 1."""
-    return (x - identity_plus(x.dim)).max_abs()
+def make_pair(source: SimilarityOperator, q: float, dim: int) -> tuple:
+    """Build a = S c S^{-1} and b = S c^dag S^{-1} on the truncation, and
+    return (a, b, S, S^{-1}, c).
 
-
-def make_pair(source: SimilarityOperator, q: float, dim: int
-              ) -> tuple[FockOperator, FockOperator]:
-    """Build a = S c S^{-1} and b = S c^dag S^{-1} on the truncation."""
+    a is c's band plus the block B_S c + c B_inv + B_S c B_inv, and b the
+    same with c^dag, on the leading support extent + 1 indices, the ones
+    the ladder step moves the blocks of S and S^{-1} onto.
+    """
     validate_q_algebraic(q)
-    s, s_inv = _similarity(source, dim)
-    resid = _deviation(s @ s_inv)
+    s_block, inv_block = source.blocks()
+    s, s_inv = identity_plus(dim, s_block), identity_plus(dim, inv_block)
+    resid = np.max(np.abs(s_block + inv_block + s_block @ inv_block), initial=0.0)
     if resid > 1e-12:
         raise ValueError(f"similarity operator not invertible on truncation "
                          f"(S S^-1 deviates from 1 by {resid:.2e})")
     c = make_quon_c(q, dim)
-    return s @ c @ s_inv, s @ c.adjoint() @ s_inv
+    w = min(dim, len(s_block) + 1)
+    b_s, b_inv, cw = _pad(s_block, w), _pad(inv_block, w), c.dense(w)
+
+    def deformed(x: FockOperator, xw: np.ndarray) -> FockOperator:
+        return FockOperator(x.shift, x.diag, b_s @ xw + xw @ b_inv + b_s @ xw @ b_inv)
+    return deformed(c, cw), deformed(c.adjoint(), cw.T), s, s_inv, c
 
 
 def build_family(source: SimilarityOperator, q: float, dim: int) -> BiorthogonalFamily:
-    """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c
-    and the pair (a, b); check_ladder verifies that b raises and a lowers
-    them."""
-    a, b = make_pair(source, q, dim)
-    s, s_inv = _similarity(source, dim)
-    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, make_quon_c(q, dim), a, b)
+    """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c,
+    the pair (a, b) and their leading windows; check_ladder verifies that b
+    raises and a lowers them."""
+    a, b, s, s_inv, c = make_pair(source, q, dim)
+    w = min(dim, source.support_extent + HEAD + REACH)
+    window = Window(*(x.dense(w) for x in (s, s_inv, c, a, b)),
+                    cols=min(source.safe_dim(dim), source.support_extent + HEAD))
+    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b, window)
+
+
+def _worst_columns(residual: np.ndarray, n: int) -> float:
+    """Largest norm among the leading n columns (the square root of the
+    largest sum of squares, as np.linalg.norm forms each)."""
+    x = residual[:, :n]
+    return float(np.sqrt(np.max((x.conj() * x).real.sum(axis=0), initial=0.0)))
 
 
 def gram_deviation(family: BiorthogonalFamily) -> float:
     """Max-entry deviation of the Gram matrix G[n, m] = <phi_n, psi_m>,
     that is of S^dag S^{-dag}, from the identity."""
-    return _deviation(family.phi.adjoint() @ family.psi)
-
-
-def _worst_columns(residual: FockOperator, n: int) -> float:
-    return float(np.max(residual.column_norms(n), initial=0.0))
+    w = family.window
+    gram = w.s.conj().T @ w.s_inv.conj().T
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 def check_ladder(family: BiorthogonalFamily) -> dict:
@@ -237,15 +273,15 @@ def check_ladder(family: BiorthogonalFamily) -> dict:
     with phi_{-1} = psi_{-1} = 0.  In operator form the residual of
     b phi_n = beta_n phi_{n+1} is column n of b S - S c^dag, and so on.
     """
-    phi, psi, a, b, c = family.phi, family.psi, family.a, family.b, family.c
-    cdag = c.adjoint()
+    w = family.window
+    phi, psi, c, cdag = w.s, w.s_inv.conj().T, w.c, w.c.conj().T
     residuals = {
-        "raise_phi": b @ phi - phi @ cdag,
-        "lower_phi": a @ phi - phi @ c,
-        "raise_psi": a.adjoint() @ psi - psi @ cdag,
-        "lower_psi": b.adjoint() @ psi - psi @ c,
+        "raise_phi": w.b @ phi - phi @ cdag,
+        "lower_phi": w.a @ phi - phi @ c,
+        "raise_psi": w.a.conj().T @ psi - psi @ cdag,
+        "lower_psi": w.b.conj().T @ psi - psi @ c,
     }
-    return {key: _worst_columns(r, family.safe_dim) for key, r in residuals.items()}
+    return {key: _worst_columns(r, w.cols) for key, r in residuals.items()}
 
 
 def number_eigencheck(family: BiorthogonalFamily) -> dict:
@@ -256,54 +292,48 @@ def number_eigencheck(family: BiorthogonalFamily) -> dict:
     relations force, here the diagonal c^dag c; reports carry the
     convention explicitly.
     """
-    n_op = family.b @ family.a
-    eigen = family.c.adjoint() @ family.c
-    safe = family.safe_dim
+    w = family.window
+    phi, psi = w.s, w.s_inv.conj().T
+    n_op = w.b @ w.a
+    eigen = w.c.conj().T @ w.c
     return {
-        "residual_phi": _worst_columns(n_op @ family.phi - family.phi @ eigen, safe),
-        "residual_psi": _worst_columns(
-            n_op.adjoint() @ family.psi - family.psi @ eigen, safe),
-        "safe_dim": safe,
+        "residual_phi": _worst_columns(n_op @ phi - phi @ eigen, w.cols),
+        "residual_psi": _worst_columns(n_op.conj().T @ psi - psi @ eigen, w.cols),
+        "safe_dim": family.safe_dim,
         "eigenvalue_convention": "beta_{n-1}^2",
     }
 
 
 def build_theta(family: BiorthogonalFamily) -> FockOperator:
-    """Metric operator from the series Theta = sum_n |psi_n><psi_n|."""
-    return family.psi @ family.psi.adjoint()
-
-
-def _inverse(x: FockOperator) -> FockOperator:
-    """(1 + B)^{-1} = 1 + B' with (1 + B) B' = -B solved on the block."""
-    if x.shift != 0 or np.any(x.diag != 1.0):
-        raise ValueError("operator is not the identity plus a leading block")
-    p = len(x.block)
-    return identity_plus(x.dim, np.linalg.solve(x.dense(p), -x.block))
+    """Metric operator from the series Theta = sum_n |psi_n><psi_n|, that
+    is psi psi^dag = 1 + B + B^dag + B B^dag with B the block of psi."""
+    b = family.psi.block
+    return identity_plus(family.K, b + b.conj().T + b @ b.conj().T)
 
 
 def closed_form_theta(source: SimilarityOperator, dim: int) -> FockOperator:
-    """(S S^dag)^{-1}, the closed form the series must reproduce."""
-    s, _ = _similarity(source, dim)
-    return _inverse(s @ s.adjoint())
+    """(S S^dag)^{-1}, the closed form the series must reproduce: with
+    S S^dag = 1 + M on the block, its inverse is 1 - (1 + M)^{-1} M."""
+    b, _ = source.blocks()
+    m = b + b.conj().T + b @ b.conj().T
+    return identity_plus(dim, np.linalg.solve(np.eye(len(m)) + m, -m))
 
 
-def check_theta_conjugate(a: FockOperator, b: FockOperator,
-                          theta: FockOperator, safe_dim: int,
-                          family: BiorthogonalFamily | None = None) -> dict:
-    """Residual of a = Theta^{-1} b^dag Theta on the safe basis block.
-
-    Theta must be the identity plus a leading block.  When a family is
-    supplied, also verifies the equivalent criterion psi_n = Theta phi_n.
-    """
-    if not (0 < safe_dim <= a.dim):
-        raise ValueError(f"safe_dim={safe_dim} outside (0, {a.dim}]")
-    conj = a - _inverse(theta) @ b.adjoint() @ theta
-    report = {"conjugation_residual": _worst_columns(conj, safe_dim),
-              "safe_dim": safe_dim}
-    if family is not None:
-        report["mapping_residual"] = _worst_columns(
-            theta @ family.phi - family.psi, min(safe_dim, family.K))
-    return report
+def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> dict:
+    """Residuals of a = Theta^{-1} b^dag Theta over the safe block, of the
+    equivalent psi_n = Theta phi_n, and of Theta^{-1} = sum_n |phi_n><phi_n|
+    = S S^dag, for Theta the identity plus a block inside the family's
+    window."""
+    w = family.window
+    if theta.shift != 0 or len(theta.block) > len(w.s):
+        raise ValueError("Theta is not the identity plus a block inside the window")
+    th = theta.dense(len(w.s))
+    return {
+        "conjugation_residual": _worst_columns(
+            w.a - np.linalg.solve(th, w.b.conj().T @ th), w.cols),
+        "mapping_residual": _worst_columns(th @ w.s - w.s_inv.conj().T, w.cols),
+        "inverse_residual": float(np.max(np.abs(th @ (w.s @ w.s.conj().T) - np.eye(len(th))))),
+    }
 
 
 def family_to_json(family: BiorthogonalFamily, stream: IO[str],

@@ -28,7 +28,6 @@ __all__ = [
     "q_factorial_sq",
     "q_number",
     "q_number_factorial",
-    "log_number_eigenvalue",
     "disc_radius",
     "validate_q_algebraic",
     "validate_q_disc",
@@ -103,21 +102,6 @@ def q_number_factorial(q: float, n: int) -> float:
     return q_factorial_sq(q, n - 1)
 
 
-def log_number_eigenvalue(q: float, n: int) -> float:
-    """Eigenvalue of the logarithmic number operator on the n-th basis state.
-
-    Applying log(1 - (1-q) x) / log(q) to the plain number operator
-    c^dag c (eigenvalues beta_{n-1}^2) relabels its spectrum back to the
-    integers.  The log argument 1 - beta_{n-1}^2 (1-q) telescopes exactly
-    to q^n, which is how it is evaluated here; the naive subtraction loses
-    all precision once q^n drops below machine epsilon.
-    """
-    q = validate_q_disc(q)
-    if n < 0:
-        raise ValueError(f"index n={n} must be nonnegative")
-    return math.log(q ** n) / math.log(q) + 0.0
-
-
 def disc_radius(q: float) -> float:
     """Radius 1/sqrt(1-q) of the disc on which the scalar series converge."""
     q = validate_q_disc(q)
@@ -163,12 +147,14 @@ class BetaSequence:
 
     def factorial(self, n: int) -> float:
         if self._fact is None:
-            self._fact = np.concatenate(([1.0, 1.0], np.cumprod(self._beta[2:])))
+            with np.errstate(over="ignore"):    # an overflowed entry reads inf
+                self._fact = np.concatenate(([1.0, 1.0], np.cumprod(self._beta[2:])))
         return float(self._fact[self._idx(n)])
 
     def factorial_sq(self, n: int) -> float:
         if self._fact_sq is None:
-            self._fact_sq = np.concatenate(([1.0, 1.0], np.cumprod(self._sq[2:])))
+            with np.errstate(over="ignore"):
+                self._fact_sq = np.concatenate(([1.0, 1.0], np.cumprod(self._sq[2:])))
         return float(self._fact_sq[self._idx(n)])
 
     def betas(self) -> np.ndarray:

@@ -141,7 +141,9 @@ def check_number_operator(reports: TaskReports) -> list[CheckResult]:
     for q in (0.3, 0.7):
         family = pseudoquon.build_family(WORKED_SOURCE, q, 64)
         safe = family.safe_dim
-        nmat = (family.b @ family.a).dense(safe)
+        # a maps the leading safe columns into the leading safe rows, so the
+        # product of the two windows is N = ba's window
+        nmat = family.b.dense(safe) @ family.a.dense(safe)
         ev = np.linalg.eigvals(nmat)
         ev_dag = np.linalg.eigvals(nmat.conj().T)
         spec_dev = max(spec_dev,

@@ -185,6 +185,7 @@ BAD_ARGS = {
     "beta-q-nan": (["beta", "--q", "nan"], "q"),
     "beta-n-max": (["beta", "--n-max", "-1"], "n_max"),
     "beta-overflow": (["beta", "--q", "1.5", "--n-max", "5000"], "q"),
+    "beta-factorial-overflow": (["beta", "--q", "0.999", "--n-max", "3000"], "n_max"),
     "tolerance-scale-zero": (["mutator", "--tolerance-scale", "0"], "--tolerance-scale"),
     "tolerance-scale-nan": (["mutator", "--tolerance-scale", "nan"], "--tolerance-scale"),
     "selftest-seed-negative": (["selftest", "--seed", "-1"], "seed"),
@@ -470,6 +471,19 @@ class TestMainEntry:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,beta,beta_factorial")
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("q,n_max", [(0.5, 1100), (1e-300, 5), (0.999, 303)])
+    def test_beta_table_is_finite(self, q, n_max, capsys):
+        # q^n underflows at the first two; beta_303! is the last finite
+        # factorial at q = 0.999
+        assert main(["beta", "--q", str(q), "--n-max", str(n_max)]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header == "n,beta,beta_factorial,log_number"
+        assert len(rows) == n_max + 1
+        for n, row in enumerate(rows):
+            fields = row.split(",")
+            assert fields[0] == fields[3] == str(n)     # log_number is n exactly
+            assert all(math.isfinite(float(x)) for x in fields[1:3])
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

