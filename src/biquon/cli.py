@@ -196,14 +196,18 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
                               f"got {n_theta}")
 
 
-def _check_position_rounding(cfg: dict, tasks: list[dict], tol_scale: float) -> None:
-    """Refuse a position task whose states have lattice coefficients that
-    cancel so far that rounding alone exceeds the task's bound.
+def _position_lattice(cfg: dict, tasks: list[dict],
+                      tol_scale: float) -> positionrep.Lattice:
+    """The run's lattice, up to the largest row a task reads, once its
+    rounding is known to fit every position task's bound.
 
-    The norms of the mutator and position tasks carry the phase of gamma;
-    the phi/psi pairings of the family and theta tasks meet without it.
-    The cancellation factors come from one pass per gamma, to the largest
-    n_max that gamma needs.
+    A task is refused where its states have lattice coefficients that cancel
+    so far that rounding alone exceeds the task's bound.  The norms of the
+    mutator and position tasks carry the phase of gamma; the phi/psi
+    pairings of the family and theta tasks meet without it.  The lag sums
+    behind the cancellation factors are gamma-free, so both gammas read
+    them from the one lattice; the refusal reads nothing else of it, so a
+    refused lattice never forms its states.
     """
     needs = []
     for i, task in enumerate(tasks):
@@ -215,11 +219,12 @@ def _check_position_rounding(cfg: dict, tasks: list[dict], tol_scale: float) -> 
             path, n_max, remedy = f"tasks[{i}]", POSITION_N_MAX[name], "q"
         gamma = cfg["family"]["gamma"] if name in ("mutator", "position") else 0.0
         needs.append((path, remedy, name, n_max, gamma))
-    factors = {}
-    for gamma in {need[-1] for need in needs}:
-        params = positionrep.PositionParams(cfg["q"], gamma)
-        factors[gamma] = positionrep.cancellation(
-            params, max(n for *_, n, g in needs if g == gamma))
+    # the ladder check of the position task reads one row past its n_max
+    table = positionrep.lattice(positionrep.PositionParams(cfg["q"]),
+                                max(need[3] for need in needs) + 1)
+    factors = {gamma: positionrep.cancellation(positionrep.PositionParams(cfg["q"], gamma),
+                                               table.n_max, table)
+               for gamma in {need[-1] for need in needs}}
     for path, remedy, name, n_max, gamma in needs:
         floor = sys.float_info.epsilon * factors[gamma][n_max]
         bound = _bound(cfg, tol_scale, name)
@@ -228,6 +233,7 @@ def _check_position_rounding(cfg: dict, tasks: list[dict], tol_scale: float) -> 
                               f"n <= {n_max}, cancel so far at q={cfg['q']} that "
                               f"rounding alone reaches {floor:.3e}, above the "
                               f"bound {bound:.3e}; lower {remedy}")
+    return table
 
 
 def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
@@ -310,7 +316,7 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
                               f"(convergence radius undefined at q={out['q']})")
         _validate_task_params(task, f"tasks[{i}]", out, extent, tol_scale)
     if kind == "position":
-        _check_position_rounding(out, tasks, tol_scale)
+        out["family"]["lattice"] = _position_lattice(out, tasks, tol_scale)
     order = {name: i for i, name in enumerate(TASK_ORDER)}
     out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
 
@@ -333,9 +339,10 @@ class _Workspace:
         self.tol_scale = tol_scale
         self.rng = np.random.default_rng(cfg["seed"])
         self.kind = cfg["family"]["kind"]
-        self.params = self.family = None
+        self.params = self.family = self.lattice = None
         if self.kind == "position":
             self.params = positionrep.PositionParams(cfg["q"], cfg["family"]["gamma"])
+            self.lattice = cfg["family"]["lattice"]
         else:
             if self.kind == "identity":
                 source = pseudoquon.IdentitySimilarity()
@@ -371,7 +378,8 @@ def _finish(ws: _Workspace, task: str, metrics: dict, **info) -> dict:
 
 def _task_mutator(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        states = positionrep.build_families(ws.params, POSITION_N_MAX["mutator"])[0]
+        states = positionrep.build_families(ws.params, POSITION_N_MAX["mutator"],
+                                            ws.lattice)[0]
         resid = positionrep.qmutation_grid_check(ws.params, states)
         return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="analytic")
     fam = ws.family
@@ -387,7 +395,8 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
 def _task_family(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
         n_max = int(task.get("n_max", POSITION_N_MAX["family"]))
-        return _finish(ws, "family", positionrep.similarity_check(ws.params, n_max),
+        return _finish(ws, "family",
+                       positionrep.similarity_check(ws.params, n_max, ws.lattice),
                        n_max=n_max)
     fam = ws.family
     number = pseudoquon.number_eigencheck(fam)
@@ -407,7 +416,8 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
 
 def _task_theta(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        resid = positionrep.theta_conjugacy_check(ws.params, POSITION_N_MAX["theta"])
+        resid = positionrep.theta_conjugacy_check(ws.params, POSITION_N_MAX["theta"],
+                                                  ws.lattice)
         return _finish(ws, "theta", {"conjugacy_residual": resid}, realization="analytic")
     fam = ws.family
     theta = pseudoquon.build_theta(fam)
@@ -483,20 +493,19 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
     n_max = int(task.get("n_max", POSITION_N_MAX["position"]))
-    table = positionrep.coefficient_recursion(ws.params, n_max)
     stream = ws.open_csv("coefficients.csv")
     if stream:
+        # the rows csv.writer would write, with its \r\n line ends
+        lines = [f"{n},{k},{c.real:.17g},{c.imag:.17g}\r\n"
+                 for n in range(n_max + 1)
+                 for k, c in enumerate(ws.lattice.coeffs[n, :n + 1].tolist())]
         with stream:
-            writer = csv.writer(stream)
-            writer.writerow(["n", "k", "re", "im"])
-            for n in range(n_max + 1):
-                for k, c in enumerate(table.row(n)):
-                    writer.writerow([n, k, f"{c.real:.17g}", f"{c.imag:.17g}"])
-    norm_rep = positionrep.norm_formula_check(ws.params, n_max)
-    ladder = positionrep.ladder_check(ws.params, min(n_max, 6))
+            stream.write("n,k,re,im\r\n" + "".join(lines))
+    norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
+    ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
     if task.get("dump_states"):
         x = positionrep.default_grid(ws.params.gamma)
-        phi = positionrep.build_families(ws.params, n_max, table)[0]
+        phi = positionrep.build_families(ws.params, n_max, ws.lattice)[0]
         for n in range(n_max + 1):
             stream = ws.open_csv(f"phi_{n}.csv")
             if stream:

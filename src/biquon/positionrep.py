@@ -19,11 +19,13 @@ multiplication operator exp(gamma x).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .qcore import BetaSequence
 
@@ -37,8 +39,9 @@ __all__ = [
     "apply_a_dagger",
     "apply_b_dagger",
     "build_families",
-    "CoefficientTable",
+    "Lattice",
     "coefficient_recursion",
+    "lattice",
     "inner",
     "norm",
     "qmutation_grid_check",
@@ -195,23 +198,10 @@ def apply_a_dagger(params: PositionParams, state: LatticeState) -> LatticeState:
 # oscillatory-factor coefficients and the two families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Rows c^(n) of the oscillatory factor sum_k c_k^(n) exp(2 i alpha k x)."""
-
-    q: float
-    rows: list = field(repr=False)
-
-    def row(self, n: int) -> np.ndarray:
-        return self.rows[n]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-
-def coefficient_recursion(params: PositionParams, n_max: int) -> CoefficientTable:
-    """Coefficient rows from the raising operator acting on the factor.
+def coefficient_recursion(params: PositionParams, n_max: int) -> np.ndarray:
+    """Coefficient rows from the raising operator acting on the factor, as
+    one lower-triangular array whose row n holds c^(n) in its first n + 1
+    entries.
 
     One application of b maps the factor coefficients by
     c_k^(n+1) = c_{k-1}^(n) - exp(-alpha^2) q^k c_k^(n); this is the exact
@@ -220,31 +210,73 @@ def coefficient_recursion(params: PositionParams, n_max: int) -> CoefficientTabl
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    damp = math.exp(-params.alpha ** 2)
-    rows = [np.array([1.0 + 0.0j])]
+    damped = math.exp(-params.alpha ** 2) * params.q ** np.arange(n_max + 1)
+    rows = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    rows[0, 0] = 1.0
     for n in range(n_max):
-        c = rows[-1]
-        nxt = np.zeros(n + 2, dtype=complex)
-        nxt[1:] += c
-        nxt[:n + 1] -= damp * (params.q ** np.arange(n + 1)) * c
-        rows.append(nxt)
-    return CoefficientTable(params.q, rows)
+        rows[n + 1, 1:n + 2] += rows[n, :n + 1]
+        rows[n + 1, :n + 1] -= damped[:n + 1] * rows[n, :n + 1]
+    return rows
 
 
-def build_families(params: PositionParams, n_max: int,
-                   table: CoefficientTable | None = None
+@dataclass(frozen=True)
+class Lattice:
+    """What the states phi_n and psi_n, n <= n_max, share whatever gamma is:
+    the coefficient rows c^(n), the family rows P[n] = pref_n c^(n) of
+    :func:`build_families`, the betas, and the lag sums of L_n (see
+    :func:`l_value`).  The states and the lag sums are each computed on
+    their first read, so a lattice read only for its lag sums never forms
+    the prefactors (-i/sqrt(1-q))^n, which overflow on a lattice the
+    rounding refusal rejects.  Every task of a run reads the same lattice,
+    so its arrays are read-only."""
+
+    coeffs: np.ndarray = field(repr=False)
+    beta: BetaSequence = field(repr=False)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """The family rows P[n] = pref_n c^(n) of :func:`build_families`."""
+        params = PositionParams(self.beta.q)
+        out = np.zeros_like(self.coeffs)
+        for n in range(self.n_max + 1):
+            pref = math.pi ** -0.25 / self.beta.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
+            out[n, :n + 1] = pref * self.coeffs[n, :n + 1]
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def lag_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, m) of :func:`_lag_sums` for every row."""
+        out = _lag_sums(PositionParams(self.beta.q), self.beta, self.n_max)
+        for array in out:
+            array.setflags(write=False)
+        return out
+
+
+def lattice(params: PositionParams, n_max: int) -> Lattice:
+    """The lattice of q = params.q up to row n_max, from one coefficient
+    recursion and one beta table."""
+    coeffs = coefficient_recursion(params, n_max)
+    coeffs.setflags(write=False)
+    return Lattice(coeffs, BetaSequence(params.q, n_max))
+
+
+def _table_for(params: PositionParams, n_max: int, table: Lattice | None) -> Lattice:
+    """table, or a lattice of its own where table is missing or too short."""
+    return lattice(params, n_max) if table is None or table.n_max < n_max else table
+
+
+def build_families(params: PositionParams, n_max: int, table: Lattice | None = None
                    ) -> tuple[LatticeState, LatticeState]:
     """phi_n = b^n phi_0 / beta_{n-1}! and psi_n = (a^dag)^n psi_0 / beta_{n-1}!
     for n <= n_max, as the rows P[n, k] = pref_n c_k^(n) of one
     lower-triangular matrix, pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}!,
     over the lattices w0 = +-gamma + 1.5 i alpha with step 2 i alpha."""
-    if table is None or table.n_max < n_max:
-        table = coefficient_recursion(params, n_max)
-    bs = BetaSequence(params.q, n_max + 1)
-    coeffs = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(n_max + 1):
-        pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
-        coeffs[n, :n + 1] = pref * table.row(n)
+    coeffs = _table_for(params, n_max, table).states[:n_max + 1, :n_max + 1]
     al = params.alpha
     return (LatticeState(coeffs, params.gamma + 1.5j * al, 2j * al),
             LatticeState(coeffs, -params.gamma + 1.5j * al, 2j * al))
@@ -262,13 +294,15 @@ def qmutation_grid_check(params: PositionParams, states: LatticeState) -> float:
     return float(np.max(norm(resid) / norm(states)))
 
 
-def ladder_check(params: PositionParams, n_max: int) -> dict:
+def ladder_check(params: PositionParams, n_max: int, table: Lattice | None = None) -> dict:
     """Residuals of the four ladder relations for n <= n_max, each relative
     to the norm of the state the operator acts on: the operator applied to
-    a closed-form row against beta times the neighbouring closed-form row."""
-    beta = BetaSequence(params.q, n_max).betas()
+    a closed-form row against beta times the neighbouring closed-form row.
+    The rows come from table, which needs row n_max + 1."""
+    table = _table_for(params, n_max + 1, table)
+    beta = table.beta.betas()[:n_max + 1]
     below = np.concatenate(([0.0], beta[:-1]))      # beta_{n-1}, beta_{-1} = 0
-    phi, psi = build_families(params, n_max + 1)
+    phi, psi = build_families(params, n_max + 1, table)
     report = {}
     for name, fam, up, down in (("phi", phi, apply_b, apply_a),
                                 ("psi", psi, apply_a_dagger, apply_b_dagger)):
@@ -286,7 +320,8 @@ def ladder_check(params: PositionParams, n_max: int) -> dict:
     return report
 
 
-def similarity_check(params: PositionParams, n_max: int) -> dict:
+def similarity_check(params: PositionParams, n_max: int,
+                     table: Lattice | None = None) -> dict:
     """The multiplication-similarity structure, and biorthogonality.
 
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
@@ -301,7 +336,7 @@ def similarity_check(params: PositionParams, n_max: int) -> dict:
     overflows on the grid as |gamma| nears GAMMA_MAX.
     """
     x = default_grid(params.gamma)
-    phi, psi = build_families(params, n_max)
+    phi, psi = build_families(params, n_max, table)
     g2 = params.gamma ** 2 / 2.0
 
     def base(w0: complex) -> np.ndarray:
@@ -316,57 +351,76 @@ def similarity_check(params: PositionParams, n_max: int) -> dict:
             "biorthogonality": float(np.max(np.abs(gram - np.eye(n_max + 1))))}
 
 
-def _l_sums(params: PositionParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L_n, |u|^T |T| |u|) for every n <= n_max, in one pass over the
-    Toeplitz symbol t_d = exp(-alpha^2 d^2 - 2 i alpha gamma d).
+def _lag_sums(params: PositionParams, beta: BetaSequence,
+              n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gamma-free part of L_n for every n <= n_max: (a, m) with
+    a[n, d] = sum_k u_k u_{k+d} and m[n] = |u|^T |T| |u| for u = u^(n).
 
-    L_n = u^T T u with u_k = (-1)^k exp(-alpha^2 k) / ([k]! [n-k]!) and
-    T_kl = t_{k-l}.  T is Hermitian and u real, so
-    L_n = a_0 + 2 sum_{d>=1} Re(t_d) a_d, with a_d = sum_k u_k u_{k+d} the
-    autocorrelation of u; the pass over d stops where |t_d| rounds to 0.
+    The lags stop where |t_d| = exp(-alpha^2 d^2) rounds to 0.  Each is one
+    sum over the window of u that starts d entries in, and the windows are
+    strided views of one padded row, so the pass holds O(n_max * lags)
+    floats and no window is copied.
     """
     al2 = params.alpha ** 2
-    bs = BetaSequence(params.q, n_max)
     k = np.arange(n_max + 1)
-    facts = np.array([bs.factorial_sq(j - 1) for j in k])     # [k]! >= 1
+    size = np.exp(-al2 * k * k)                                 # |t_d|
+    width = np.count_nonzero(size)                              # lags 0 .. width-1
+    facts = np.array([beta.factorial_sq(j - 1) for j in k])     # [k]! >= 1
     n = k[:, None]
-    # row n holds u^(n); dividing twice keeps [k]! [n-k]! from overflowing
-    u = np.where(k <= n, (-1.0) ** k * np.exp(-al2 * k) / facts / facts[np.abs(n - k)],
-                 0.0)
-    l_sum = np.sum(u * u, axis=1)
-    magnitude = l_sum.copy()
-    for d in range(1, n_max + 1):
-        size = math.exp(-al2 * d * d)
-        if size == 0.0:
-            break
-        lagged = u[:, d:] * u[:, :-d]
-        l_sum += 2.0 * size * math.cos(2.0 * params.alpha * params.gamma * d) \
-            * np.sum(lagged, axis=1)
-        magnitude += 2.0 * size * np.sum(np.abs(lagged), axis=1)
-    return l_sum, magnitude
+    # row n holds u^(n), padded by width - 1 zeros; dividing twice keeps
+    # [k]! [n-k]! from overflowing
+    u = np.zeros((n_max + 1, n_max + width))
+    u[:, :n_max + 1] = np.where(
+        k <= n, (-1.0) ** k * np.exp(-al2 * k) / facts / facts[np.abs(n - k)], 0.0)
+
+    def windowed_sums(v: np.ndarray) -> np.ndarray:
+        rows, cols = v.strides
+        windows = as_strided(v, (n_max + 1, width, n_max + 1), (rows, cols, cols),
+                             writeable=False)
+        return np.einsum("nk,ndk->nd", v[:, :n_max + 1], windows)
+
+    weights = 2.0 * size[:width]
+    weights[0] = 1.0
+    return windowed_sums(u), windowed_sums(np.abs(u)) @ weights
 
 
-def l_value(params: PositionParams, n_max: int) -> np.ndarray:
+def l_value(params: PositionParams, n_max: int, table: Lattice | None = None) -> np.ndarray:
     """L_0 .. L_n_max, the double sums of the closed norm formula; each is
-    real and at most (n+1)^2."""
-    return _l_sums(params, n_max)[0]
+    real and at most (n+1)^2.
+
+    L_n = u^T T u with u_k = (-1)^k exp(-alpha^2 k) / ([k]! [n-k]!) and
+    T_kl = t_{k-l}, t_d = exp(-alpha^2 d^2 - 2 i alpha gamma d).  T is
+    Hermitian and u real, so L_n = a_0 + 2 sum_{d>=1} Re(t_d) a_d over the
+    gamma-free lag sums a_d of table (see :class:`Lattice`): one product.
+    """
+    lags = _table_for(params, n_max, table).lag_sums[0][:n_max + 1]
+    d = np.arange(lags.shape[1])
+    al = params.alpha
+    weights = 2.0 * np.exp(-al * al * d * d) * np.cos(2.0 * al * params.gamma * d)
+    weights[0] = 1.0
+    return lags @ weights
 
 
-def cancellation(params: PositionParams, n_max: int) -> np.ndarray:
+def cancellation(params: PositionParams, n_max: int,
+                 table: Lattice | None = None) -> np.ndarray:
     """For each n <= n_max, the largest |u|^T |T| |u| / |L_m| over m <= n.
 
     The factor by which the alternating terms of L_m amplify rounding; the
     lattice coefficients of phi_m cancel by the same factor in ||phi_m||^2,
     so float evaluation cannot resolve either below eps times it.  It is
-    infinite where L_m rounds to 0, and at least 1.
+    infinite where L_m rounds to 0, and at least 1.  Only L_m depends on
+    gamma.
     """
-    l_sum, magnitude = _l_sums(params, n_max)
+    table = _table_for(params, n_max, table)
+    l_sum = l_value(params, n_max, table)
     ratio = np.full(n_max + 1, math.inf)
-    np.divide(magnitude, np.abs(l_sum), out=ratio, where=l_sum != 0.0)
+    np.divide(table.lag_sums[1][:n_max + 1], np.abs(l_sum), out=ratio,
+              where=l_sum != 0.0)
     return np.maximum.accumulate(np.maximum(ratio, 1.0))
 
 
-def norm_formula_check(params: PositionParams, n_max: int) -> dict:
+def norm_formula_check(params: PositionParams, n_max: int,
+                       table: Lattice | None = None) -> dict:
     """Exact norms against the closed formula
     ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n, plus its side claims.
 
@@ -374,11 +428,11 @@ def norm_formula_check(params: PositionParams, n_max: int) -> dict:
     compared without their common factor exp(gamma^2), which overflows
     first.  The rows report the unscaled values.
     """
-    nphi, shift = _norms_sq(build_families(params, n_max)[0])
-    bs = BetaSequence(params.q, n_max)
-    lvs = l_value(params, n_max)
+    table = _table_for(params, n_max, table)
+    nphi, shift = _norms_sq(build_families(params, n_max, table)[0])
+    lvs = l_value(params, n_max, table)
     n = np.arange(n_max + 1)
-    facts = np.array([bs.factorial_sq(i - 1) for i in n])
+    facts = np.array([table.beta.factorial_sq(i - 1) for i in n])
     formula = facts * (1.0 - params.q) ** (-n) * lvs
     rel = np.abs(nphi - formula) / np.abs(formula)
     factor = math.exp(shift)
@@ -394,7 +448,8 @@ def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
     return norm(build_families(params, n_max)[0])
 
 
-def theta_conjugacy_check(params: PositionParams, n_max: int) -> float:
+def theta_conjugacy_check(params: PositionParams, n_max: int,
+                          table: Lattice | None = None) -> float:
     """max |<phi_n, Theta phi_m> - delta_nm| over n, m <= n_max.
 
     Theta = exp(-2 gamma x) is the metric that conjugates a into
@@ -402,7 +457,7 @@ def theta_conjugacy_check(params: PositionParams, n_max: int) -> float:
     -2 gamma, so the Gaussian kernel pairs phi with Theta phi, and the
     identity fails as soon as Theta's exponent is off.
     """
-    phi = build_families(params, n_max)[0]
+    phi = build_families(params, n_max, table)[0]
     gram, c = inner(phi, phi.shift_exponent(-2.0 * params.gamma))
     return float(np.max(np.abs(gram * math.exp(c) - np.eye(n_max + 1))))
 

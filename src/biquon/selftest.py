@@ -240,7 +240,8 @@ def check_position_example(reports: TaskReports) -> list[CheckResult]:
             np.array([e * e, -e - e ** 3, 1.0]),
         ]
         for n in range(3):
-            coeff_dev = max(coeff_dev, float(np.max(np.abs(table.row(n) - expected[n]))))
+            coeff_dev = max(coeff_dev,
+                            float(np.max(np.abs(table[n, :n + 1] - expected[n]))))
 
     norm_dev = 0.0
     bound_margin = 0.0

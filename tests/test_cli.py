@@ -109,19 +109,25 @@ BAD_CONFIGS = {
                        r"tasks\[0\].n_max"),
     "family-n_max": ({"tasks": [{"task": "family", "n_max": -1}]}, r"tasks\[0\].n_max"),
     # L_n rounds to 0 at n = 2 (traceback at the parent), and phi_n's lattice
-    # coefficients cancel past the family bound at q = 0.99
+    # coefficients cancel past the family bound at q = 0.99; the lookahead
+    # asks that the rounding refusal names the field
     "position-n_max-cancels": ({"q": 1 - 2 ** -52, "family": POSITION,
                                 "tasks": [{"task": "position", "n_max": 6}]},
-                               r"tasks\[0\].n_max"),
+                               r"tasks\[0\].n_max(?=: the lattice coefficients)"),
     "position-family-n_max-cancels": ({"q": 0.99, "family": POSITION,
                                        "tasks": [{"task": "family", "n_max": 12}]},
-                                      r"tasks\[0\].n_max"),
+                                      r"tasks\[0\].n_max(?=: the lattice coefficients)"),
+    # row 40 of the state prefactors (-i/sqrt(1-q))^n, 2^1040, overflows a
+    # float: the refusal must not form the states
+    "position-family-n_max-cancels-overflow": (
+        {"q": 1 - 2 ** -52, "family": POSITION, "tasks": [{"task": "family", "n_max": 39}]},
+        r"tasks\[0\].n_max(?=: the lattice coefficients)"),
     # at q = 0.999 the mutator reads 7.0e-9 on rounding (exit 1 at the
     # parent), and theta's phi/psi pairing of n <= 2 reaches 1.7e-10
     "position-mutator-cancels": ({"q": 0.999, "family": POSITION, "tasks": ["mutator"]},
-                                 r"tasks\[0\]"),
+                                 r"tasks\[0\](?=: the lattice coefficients)"),
     "position-theta-cancels": ({"q": 0.999, "family": POSITION, "tasks": ["theta"]},
-                               r"tasks\[0\]"),
+                               r"tasks\[0\](?=: the lattice coefficients)"),
     "fock-family-n_max": ({"family": {"kind": "rank_one"},
                            "tasks": [{"task": "family", "n_max": 3}]},
                           r"tasks\[0\].n_max"),

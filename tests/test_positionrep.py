@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from biquon.positionrep import (
     inner,
     l_value,
     ladder_check,
+    lattice,
     norm,
     norm_formula_check,
     qmutation_grid_check,
@@ -218,14 +220,14 @@ class TestCoefficients:
     def test_paper_rows(self):
         table = coefficient_recursion(PARAMS, 2)
         e = math.exp(-PARAMS.alpha ** 2)
-        assert np.allclose(table.row(0), [1.0])
-        assert np.allclose(table.row(1), [-e, 1.0])
-        assert np.allclose(table.row(2), [e * e, -e - e ** 3, 1.0])
+        assert np.allclose(table, [[1.0, 0.0, 0.0], [-e, 1.0, 0.0],
+                                   [e * e, -e - e ** 3, 1.0]], rtol=1e-14, atol=0)
+        assert np.all(np.triu(table, 1) == 0)
 
     def test_leading_coefficient_is_one(self):
         table = coefficient_recursion(PARAMS, 10)
         for n in range(11):
-            assert table.row(n)[n] == pytest.approx(1.0, abs=1e-14)
+            assert table[n, n] == pytest.approx(1.0, abs=1e-14)
 
     def test_rows_match_ladder_built_states(self):
         # independent route: build phi_n by ladder action and divide out pref_n
@@ -233,16 +235,15 @@ class TestCoefficients:
         bs = qcore.BetaSequence(PARAMS.q, 6)
         for n, coeffs in enumerate(ladder_built(PARAMS, 5)[0]):
             pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / PARAMS.sqrt_1mq) ** n
-            assert np.allclose(coeffs / pref, table.row(n), atol=1e-12)
+            assert np.allclose(coeffs / pref, table[n, :n + 1], atol=1e-12)
 
     def test_gamma_independence(self):
         t1 = coefficient_recursion(PositionParams(0.5, 0.3), 6)
         t2 = coefficient_recursion(PositionParams(0.5, 0.9), 6)
-        for n in range(7):
-            assert np.array_equal(t1.row(n), t2.row(n))
+        assert np.array_equal(t1, t2)
 
     def test_states_from_rows_match_ladder(self):
-        table = coefficient_recursion(PARAMS, 4)
+        table = lattice(PARAMS, 4)
         for fam, rows in zip(build_families(PARAMS, 4, table), ladder_built(PARAMS, 4)):
             for n, coeffs in enumerate(rows):
                 assert np.allclose(fam.coeffs[n, :n + 1], coeffs, rtol=0, atol=1e-14)
@@ -371,6 +372,97 @@ class TestLattice:
         for n in range(7):
             assert np.array_equal(build_families(PARAMS, n)[0].coeffs,
                                   phi.coeffs[:n + 1, :n + 1])
+
+
+def l_sums_reference(params, n_max):
+    """(L_n, m_n) for n <= n_max from the per-gamma lag loop: for each lag d
+    until |t_d| rounds to 0, one product of u with itself shifted by d."""
+    al2 = params.alpha ** 2
+    bs = qcore.BetaSequence(params.q, n_max)
+    k = np.arange(n_max + 1)
+    facts = np.array([bs.factorial_sq(j - 1) for j in k])
+    n = k[:, None]
+    u = np.where(k <= n, (-1.0) ** k * np.exp(-al2 * k) / facts / facts[np.abs(n - k)],
+                 0.0)
+    l_sum = np.sum(u * u, axis=1)
+    magnitude = l_sum.copy()
+    for d in range(1, n_max + 1):
+        size = math.exp(-al2 * d * d)
+        if size == 0.0:
+            break
+        lagged = u[:, d:] * u[:, :-d]
+        l_sum += 2.0 * size * math.cos(2.0 * params.alpha * params.gamma * d) \
+            * np.sum(lagged, axis=1)
+        magnitude += 2.0 * size * np.sum(np.abs(lagged), axis=1)
+    return l_sum, magnitude
+
+
+class TestSharedLagPass:
+    """L_n and the cancellation factor from the gamma-free lag sums of one
+    lattice, against the per-gamma lag loop."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 6, 40, 200])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, -2.0])
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 0.95])
+    def test_matches_the_lag_loop(self, q, gamma, n_max):
+        params = PositionParams(q, gamma)
+        ref, magnitude = l_sums_reference(params, n_max)
+        table = lattice(PositionParams(q), n_max)
+        got = l_value(params, n_max, table)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - ref) <= 8 * eps * magnitude)
+        assert np.allclose(table.lag_sums[1], magnitude, rtol=1e-12, atol=0)
+        # a factor f = m / |L| moves by |dL| m / |L|^2 <= 8 eps f^2 when L
+        # moves by 8 eps m: rtol 1e-12 while f < 1e-12 / (8 eps) ~ 560, and
+        # the roundoff of L itself past that; inf where L rounds to 0
+        factors = cancellation(params, n_max, table)
+        ratio = np.full(n_max + 1, math.inf)
+        np.divide(magnitude, np.abs(ref), out=ratio, where=ref != 0.0)
+        expected = np.maximum.accumulate(np.maximum(ratio, 1.0))
+        finite = np.isfinite(expected) & np.isfinite(factors)
+        f, e = factors[finite], expected[finite]
+        assert np.all(np.abs(f - e) <= 1e-12 * e + 8 * eps * e * f)
+        assert np.all(factors[~finite] * 8 * eps >= 1.0)
+        assert np.all(expected[~finite] * 8 * eps >= 1.0)
+
+    def test_without_a_table(self):
+        params = PositionParams(0.3, 0.5)
+        table = lattice(params, 12)
+        # the longer table adds only zero lags to rows n <= 9
+        assert np.allclose(l_value(params, 9), l_value(params, 9, table), rtol=1e-14, atol=0)
+        assert np.allclose(cancellation(params, 9), cancellation(params, 9, table),
+                           rtol=1e-14, atol=0)
+
+    def test_memory_is_linear_in_the_lags(self):
+        # at q = 0.999 no |t_d| rounds to 0 below n_max = 400, so every lag
+        # is taken; one n_max^3 window would take 0.5 GB
+        n_max = 400
+        params = PositionParams(0.999)
+        beta = qcore.BetaSequence(params.q, n_max)
+        tracemalloc.start()
+        try:
+            lags, _ = positionrep._lag_sums(params, beta, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lags.shape == (n_max + 1, n_max + 1)
+        assert peak < 8 * (n_max + 1) * 2 * (n_max + 1) * 8
+
+    def test_one_pass_per_run(self, monkeypatch):
+        calls = {"coefficient_recursion": 0, "_lag_sums": 0}
+        for name in calls:
+            original = getattr(positionrep, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(positionrep, name, counted)
+        summary, code = run_config({"q": 0.5, "family": {"kind": "position", "gamma": 0.7},
+                                    "tasks": ["mutator", {"task": "family", "n_max": 40},
+                                              "theta", {"task": "position", "n_max": 40}]})
+        assert code == 0
+        assert calls == {"coefficient_recursion": 1, "_lag_sums": 1}
 
 
 def _poison(monkeypatch, owner, name):
@@ -502,3 +594,19 @@ def test_state_csv(tmp_path):
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == len(X) + 1
+
+
+def test_coefficient_csv_is_the_csv_writer_rendering(tmp_path):
+    params, n_max = PositionParams(0.45, -0.8), 40
+    summary, code = run_config({"q": params.q, "family": {"kind": "position",
+                                                          "gamma": params.gamma},
+                                "tasks": [{"task": "position", "n_max": n_max}]}, tmp_path)
+    assert code == 0
+    table = coefficient_recursion(params, n_max)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["n", "k", "re", "im"])
+    for n in range(n_max + 1):
+        for k, c in enumerate(table[n, :n + 1]):
+            writer.writerow([n, k, f"{c.real:.17g}", f"{c.imag:.17g}"])
+    assert (tmp_path / "coefficients.csv").read_bytes() == expected.getvalue().encode()
