@@ -1,15 +1,6 @@
 """Deformed quon algebras, biorthogonal families and bi-coherent states."""
 
-from .qcore import (
-    BetaSequence,
-    beta,
-    beta_sq,
-    disc_radius,
-    q_factorial,
-    q_factorial_sq,
-    q_number,
-    q_number_factorial,
-)
+from .qcore import BetaSequence, bracket, disc_radius
 from .fock import (
     FockOperator,
     identity_plus,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pseudoquon import BiorthogonalFamily
-from .qcore import BetaSequence, beta, disc_radius, validate_q_disc
+from .qcore import BetaSequence, bracket, disc_radius, validate_q_disc
 
 __all__ = [
     "norm_series",
@@ -78,8 +78,7 @@ def norm_series(q: float, r: float) -> tuple[float, float, int]:
     xq = x * q
     terms = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(xq, UNIT_ROUNDOFF)))
     m = np.arange(1, terms + 2)
-    bracket = BetaSequence(q, terms).betas() ** 2      # [m] = beta_{m-1}^2
-    scaled = q * np.power(xq, m - 1) / (m * bracket)
+    scaled = q * np.power(xq, m - 1) / (m * bracket(q, m))
     log_sum = -math.log1p(-x) + r * r * float(np.sum(scaled[:-1]))
     return log_sum, r * r * float(scaled[-1]) / (1.0 - xq), terms
 
@@ -105,7 +104,7 @@ def log_coefficients(q: float, r, terms: int) -> np.ndarray:
     if terms < 1:
         raise ValueError("terms must be positive")
     r = np.asarray(r, dtype=float)
-    log_beta = np.log(BetaSequence(q, terms).betas()[:terms - 1])
+    log_beta = np.log(BetaSequence(q, terms).beta[1:terms])
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
     steps = log_r - log_beta.reshape((-1,) + (1,) * r.ndim)
@@ -195,7 +194,7 @@ def bicoherent_state(family: BiorthogonalFamily, z,
     ez = quon_coherent_vector(q, z, family.K + 1)
     a_phi = np.max(family.phi.column_norms(family.K))
     a_psi = np.max(family.psi.column_norms(family.K))
-    ratio = r / beta(q, terms)
+    ratio = r / math.sqrt(bracket(q, terms + 1))      # |z| / beta_terms
     tail = np.divide(np.abs(ez[terms]), 1.0 - ratio,
                      out=np.full(z.shape, math.inf), where=ratio < 1.0)
     ez[terms:] = 0.0
@@ -256,7 +255,7 @@ def ratio_radius(norms: np.ndarray, q: float) -> float:
     if len(c) < 2 or np.any(c <= 0):
         raise ValueError("need at least 2 positive norms for the ratio test")
     n = len(c) - 2
-    return float(BetaSequence(q, n).beta(n) * c[n] / c[n + 1])
+    return float(math.sqrt(bracket(q, n + 1)) * c[n] / c[n + 1])     # beta_n = sqrt([n + 1])
 
 
 def radius_bound_ratios(norms: np.ndarray, q: float, log_a: float) -> np.ndarray:
@@ -270,9 +269,8 @@ def radius_bound_ratios(norms: np.ndarray, q: float, log_a: float) -> np.ndarray
     q = validate_q_disc(q)
     c = np.asarray(norms, dtype=float)
     n = np.arange(len(c))
-    log_beta = np.log(BetaSequence(q, len(c)).betas()[1:len(c) - 1])
-    log_fact = np.concatenate(([0.0, 0.0], np.cumsum(log_beta)))[:len(c)]
-    return np.exp(np.log(c) - log_a - np.log1p(n) - log_fact + 0.5 * n * math.log1p(-q))
+    return np.exp(np.log(c) - log_a - np.log1p(n) + log_coefficients(q, 1.0, len(c))
+                  + 0.5 * n * math.log1p(-q))
 
 
 @dataclass(frozen=True)

@@ -284,9 +284,10 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     try:
         if kind == "position":
             qcore.validate_q_disc(out["q"])
-        else:   # q >= -1 and finite, and beta_K^2 finite for build_family
-            qcore.BetaSequence(out["q"], out["K"])
-    except (ValueError, OverflowError) as exc:
+        elif not math.isfinite(qcore.bracket(out["q"], out["K"] + 1)):
+            # q >= -1 and finite, and beta_K^2 = [K + 1] finite for build_family
+            raise ConfigError(f"q: beta_{out['K']}^2 overflows at q={out['q']}")
+    except ValueError as exc:
         raise ConfigError(f"q: {exc}") from None
 
     tol = cfg.get("tolerances", {})
@@ -495,8 +496,9 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
     n_max = int(task.get("n_max", POSITION_N_MAX["position"]))
     stream = ws.open_csv("coefficients.csv")
     if stream:
-        # the rows csv.writer would write, with its \r\n line ends
-        lines = [f"{n},{k},{c.real:.17g},{c.imag:.17g}\r\n"
+        # the rows csv.writer would write, with its \r\n line ends; the
+        # recursion is real, so every im entry is 0
+        lines = [f"{n},{k},{c:.17g},0\r\n"
                  for n in range(n_max + 1)
                  for k, c in enumerate(ws.lattice.coeffs[n, :n + 1].tolist())]
         with stream:
@@ -593,13 +595,11 @@ def _cmd_beta(args) -> int:
     # the log-number eigenvalue log(1 - (1-q) beta_{n-1}^2) / log q is
     # log(q^n) / log q = n exactly
     lines = ["n,beta,beta_factorial" + (",log_number" if 0 < args.q < 1 else "")]
-    for n in range(args.n_max + 1):
-        fact = bs.factorial(n)
+    for n, (beta, fact) in enumerate(zip(bs.beta[1:].tolist(), bs.factorial[1:].tolist())):
         if not math.isfinite(fact):
             raise ConfigError(f"n_max: beta_{n}! overflows at q={args.q}; "
                               f"the largest n_max is {n - 1}")
-        lines.append(f"{n},{bs.beta(n):.17g},{fact:.17g}"
-                     + (f",{n}" if 0 < args.q < 1 else ""))
+        lines.append(f"{n},{beta:.17g},{fact:.17g}" + (f",{n}" if 0 < args.q < 1 else ""))
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)

@@ -119,22 +119,24 @@ def make_quon_c(q: float, dim: int) -> FockOperator:
     c e_m = beta_{m-1} e_{m-1} and c^dag e_n = beta_n e_{n+1} (n < K-1).
     The band diag[m] = beta_{m-1} is the beta array every Fock check reads.
     """
-    validate_q_algebraic(q)
     if dim < 2:
         raise ValueError(f"dim={dim} must be at least 2")
-    beta = np.concatenate(([0.0], BetaSequence(q, dim - 2).betas()))
-    return FockOperator(-1, beta, EMPTY)
+    return FockOperator(-1, BetaSequence(q, dim - 2).beta, EMPTY)
 
 
 def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
                       safe_dim: int | None = None) -> float:
-    """max_n || (XY - q YX - I) e_n || over the safe block n < safe_dim.
+    """max_n || (XY - q YX - I) e_n || / (||XY e_n|| + |q| ||YX e_n|| + 1)
+    over the safe block n < safe_dim: each column against the size of the
+    terms that cancel in it, so a residual at the rounding of entries that
+    grow with q reads eps, not their size.
 
     The default safe_dim = K - 2 excludes the columns where the truncation
     edge corrupts the identity.  From one ladder step past both blocks on,
     column n is the band entry alone, beta_n^2 - q beta_{n-1}^2 - 1 for a
-    quon pair, read as one vector expression; the columns before it come
-    from products of the leading windows, two rows wider than they reach.
+    quon pair against beta_n^2 + |q| beta_{n-1}^2 + 1, read as one vector
+    expression; the columns before it come from products of the leading
+    windows, two rows wider than they reach.
     """
     validate_q_algebraic(q)
     if x.dim != y.dim:
@@ -148,11 +150,20 @@ def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
     reach = max(len(x.block), len(y.block)) + 1
     head, w = min(safe_dim, reach), min(x.dim, reach + 2)
     xw, yw = x.dense(w), y.dense(w)
-    r = xw @ yw - q * (yw @ xw) - np.eye(w)
-    xy = (y.diag * _shifted(x.diag, -y.shift))[head:safe_dim]
-    yx = (x.diag * _shifted(y.diag, -x.shift))[head:safe_dim]
-    return float(max(np.max(np.linalg.norm(r[:, :head], axis=0), initial=0.0),
-                     np.max(np.abs(xy - q * yx - 1.0), initial=0.0)))
+
+    def relative(xy, yx, one, size):
+        # XY, YX and 1 come halved, so the scale stays finite wherever its
+        # terms are; halving is exact, so the ratio is not changed
+        return size(xy - q * yx - one) / (size(xy) + abs(q) * size(yx) + 0.5)
+
+    def columns(m: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(m[:, :head], axis=0)
+
+    head_rel = relative(0.5 * (xw @ yw), 0.5 * (yw @ xw), 0.5 * np.eye(w), columns)
+    band_rel = relative(0.5 * (y.diag * _shifted(x.diag, -y.shift))[head:safe_dim],
+                        0.5 * (x.diag * _shifted(y.diag, -x.shift))[head:safe_dim],
+                        0.5, np.abs)
+    return float(max(np.max(head_rel), np.max(band_rel, initial=0.0)))
 
 
 def _entries(x: np.ndarray) -> list:

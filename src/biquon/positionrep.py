@@ -211,7 +211,7 @@ def coefficient_recursion(params: PositionParams, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     damped = math.exp(-params.alpha ** 2) * params.q ** np.arange(n_max + 1)
-    rows = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    rows = np.zeros((n_max + 1, n_max + 1))
     rows[0, 0] = 1.0
     for n in range(n_max):
         rows[n + 1, 1:n + 2] += rows[n, :n + 1]
@@ -241,9 +241,9 @@ class Lattice:
     def states(self) -> np.ndarray:
         """The family rows P[n] = pref_n c^(n) of :func:`build_families`."""
         params = PositionParams(self.beta.q)
-        out = np.zeros_like(self.coeffs)
-        for n in range(self.n_max + 1):
-            pref = math.pi ** -0.25 / self.beta.factorial(n - 1) * (-1j / params.sqrt_1mq) ** n
+        out = np.zeros(self.coeffs.shape, dtype=complex)
+        for n, fact in enumerate(self.beta.factorial[:self.n_max + 1].tolist()):
+            pref = math.pi ** -0.25 / fact * (-1j / params.sqrt_1mq) ** n
             out[n, :n + 1] = pref * self.coeffs[n, :n + 1]
         out.setflags(write=False)
         return out
@@ -300,8 +300,8 @@ def ladder_check(params: PositionParams, n_max: int, table: Lattice | None = Non
     a closed-form row against beta times the neighbouring closed-form row.
     The rows come from table, which needs row n_max + 1."""
     table = _table_for(params, n_max + 1, table)
-    beta = table.beta.betas()[:n_max + 1]
-    below = np.concatenate(([0.0], beta[:-1]))      # beta_{n-1}, beta_{-1} = 0
+    beta = table.beta.beta[1:n_max + 2]
+    below = table.beta.beta[:n_max + 1]             # beta_{n-1}, beta_{-1} = 0
     phi, psi = build_families(params, n_max + 1, table)
     report = {}
     for name, fam, up, down in (("phi", phi, apply_b, apply_a),
@@ -365,7 +365,7 @@ def _lag_sums(params: PositionParams, beta: BetaSequence,
     k = np.arange(n_max + 1)
     size = np.exp(-al2 * k * k)                                 # |t_d|
     width = np.count_nonzero(size)                              # lags 0 .. width-1
-    facts = np.array([beta.factorial_sq(j - 1) for j in k])     # [k]! >= 1
+    facts = beta.factorial_sq[:n_max + 1]                       # [k]! >= 1
     n = k[:, None]
     # row n holds u^(n), padded by width - 1 zeros; dividing twice keeps
     # [k]! [n-k]! from overflowing
@@ -432,8 +432,7 @@ def norm_formula_check(params: PositionParams, n_max: int,
     nphi, shift = _norms_sq(build_families(params, n_max, table)[0])
     lvs = l_value(params, n_max, table)
     n = np.arange(n_max + 1)
-    facts = np.array([table.beta.factorial_sq(i - 1) for i in n])
-    formula = facts * (1.0 - params.q) ** (-n) * lvs
+    formula = table.beta.factorial_sq[:n_max + 1] * (1.0 - params.q) ** (-n) * lvs
     rel = np.abs(nphi - formula) / np.abs(formula)
     factor = math.exp(shift)
     rows = [{"n": int(i), "norm_sq": float(a) * factor, "formula": float(b) * factor,

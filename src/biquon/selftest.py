@@ -168,12 +168,6 @@ def check_bicoherent_eigen(reports: TaskReports) -> list[CheckResult]:
     return reports.results("06")
 
 
-def _factorials(q: float, n: int) -> np.ndarray:
-    """beta_{k-1}! for k < n."""
-    bs = qcore.BetaSequence(q, n)
-    return np.array([bs.factorial(k - 1) for k in range(n)])
-
-
 def check_radii(reports: TaskReports) -> list[CheckResult]:
     """07a and 07c on the worked family, whose norms are 1 past its block;
     07b and 07d on the position family at gamma = 0.5, n <= 40.
@@ -191,7 +185,7 @@ def check_radii(reports: TaskReports) -> list[CheckResult]:
             norms = op.column_norms(family.safe_dim)
             worst_ratio = max(worst_ratio,
                               abs(bicoherent.ratio_radius(norms, q) - target) / target)
-            coeffs = norms[:48] / _factorials(q, 48)
+            coeffs = norms[:48] / qcore.BetaSequence(q, 48).factorial[:48]
             worst_emp = max(worst_emp,
                             abs(bicoherent.empirical_radius(coeffs) - target) / target)
 
@@ -199,7 +193,8 @@ def check_radii(reports: TaskReports) -> list[CheckResult]:
         ratios = bicoherent.radius_bound_ratios(pos_norms, q, 0.5 * gamma ** 2)
         worst_bound = max(worst_bound, float(np.max(ratios[1:])))
         target_pos = math.sqrt(1.0 - q)
-        emp_pos = bicoherent.empirical_radius(pos_norms / _factorials(q, 41))
+        emp_pos = bicoherent.empirical_radius(
+            pos_norms / qcore.BetaSequence(q, 41).factorial[:41])
         worst_emp_pos = max(worst_emp_pos, abs(emp_pos - target_pos) / target_pos)
     return [
         _result("07a-radius-rank-one-analytic", worst_ratio, 1e-12),
@@ -268,7 +263,7 @@ def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
     deformation = WORKED_SOURCE.deformation
     family = pseudoquon.build_family(WORKED_SOURCE, q, dim)
     rho = bicoherent.family_radius(family)
-    fact = _factorials(q, dim)
+    fact = qcore.BetaSequence(q, dim).factorial[:dim]
     u = np.zeros(dim, dtype=complex)
     v = np.zeros(dim, dtype=complex)
     u[:len(deformation.u)] = deformation.u
@@ -294,7 +289,7 @@ def check_limits(reports: TaskReports) -> list[CheckResult]:
     boson = np.exp(-0.5 * 0.8 ** 2) * np.array(
         [0.8 ** k / math.sqrt(math.factorial(k)) for k in range(21)])
     boson_dev = float(np.max(np.abs(state.phi_z[:21] - boson)))
-    fermi = qcore.beta(-1.0, 1)
+    fermi = math.sqrt(qcore.bracket(-1.0, 2))      # beta_1
     return [
         _result("12a-boson-limit", boson_dev, 1e-4),
         CheckResult("12b-fermionic-truncation", fermi, 0.0,

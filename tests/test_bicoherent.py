@@ -88,8 +88,9 @@ class TestNormalization:
 class TestCoefficients:
     def test_first_values(self):
         for q in (0.3, 0.5, 1.0):
+            fact = qcore.BetaSequence(q, 12).factorial[:12]         # beta_{k-1}!
             for z in (0.7 + 0.1j, -1.2j, 0.0):
-                want = np.array([z ** k / qcore.q_factorial(q, k - 1) for k in range(12)])
+                want = np.array([z ** k for k in range(12)]) / fact
                 c = np.exp(log_coefficients(q, abs(z), 12))
                 assert np.allclose(c, np.abs(want), rtol=1e-13, atol=0.0)
                 if q == 1.0 or abs(z) < qcore.disc_radius(q):
@@ -207,8 +208,7 @@ class TestStates:
         z = 0.85 * family_radius(family)
         r32 = max(eigen_check(bicoherent_state(family, z, terms=32), a, b))
         r64 = max(eigen_check(bicoherent_state(family, z, terms=64), a, b))
-        bs = qcore.BetaSequence(q, 64)
-        factor = np.prod([z / bs.beta(j) for j in range(32, 64)])
+        factor = np.prod(z / qcore.BetaSequence(q, 64).beta[33:65])    # beta_32 .. beta_63
         assert r64 <= r32 * factor * 10 + 1e-14
         assert r32 > 1e-9   # the probe point must actually exercise the tail
 
@@ -234,29 +234,25 @@ class TestRadii:
 
     def test_empirical_matches_for_riesz_family(self, worked_256):
         family, _, _ = worked_256
-        bs = qcore.BetaSequence(family.q, 48)
-        coeffs = family.phi.column_norms(48) / np.array(
-            [bs.factorial(n - 1) for n in range(48)])
+        coeffs = family.phi.column_norms(48) / qcore.BetaSequence(family.q, 48).factorial[:48]
         target = qcore.disc_radius(family.q)
         assert abs(empirical_radius(coeffs) - target) / target < 0.05
 
     def test_radius_bound_ratios_at_the_bound(self):
         # norms equal to the bound read 1 at every n, up to rounding
         q, log_a = 0.6, 0.3
-        bs = qcore.BetaSequence(q, 40)
+        fact = qcore.BetaSequence(q, 40).factorial[:40]
         n = np.arange(40)
-        norms = np.exp(log_a) * (n + 1) * np.array(
-            [bs.factorial(k - 1) for k in n]) * (1.0 - q) ** (-n / 2)
+        norms = np.exp(log_a) * (n + 1) * fact * (1.0 - q) ** (-n / 2)
         assert np.allclose(radius_bound_ratios(norms, q, log_a), 1.0,
                            rtol=1e-13, atol=0.0)
 
     def test_empirical_radius_pure_geometric(self):
         q = 0.5
-        bs = qcore.BetaSequence(q, 40)
-        coeffs = np.array([0.7 ** n * bs.factorial(n - 1) for n in range(40)])
+        fact = qcore.BetaSequence(q, 40).factorial[:40]
+        coeffs = 0.7 ** np.arange(40) * fact
         # coefficient norms ||phi_n||/beta! = 0.7^n -> radius 1/0.7
-        assert empirical_radius(coeffs / np.array(
-            [bs.factorial(n - 1) for n in range(40)])) == pytest.approx(1 / 0.7, rel=1e-6)
+        assert empirical_radius(coeffs / fact) == pytest.approx(1 / 0.7, rel=1e-6)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Tests for the command-line front-end: configs, artifacts, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -180,6 +182,12 @@ BAD_CONFIGS = {
                                         r"tasks\[0\].n_theta"),
 }
 
+# the largest K whose beta_K^2 = [K + 1] is a finite float, per q; one past it
+# the overflow refusal names q
+LARGEST_K = {1.05: 14485, 1.5: 1747, 2.0: 1022, 2.9: 665, 7.3: 356, 1e3: 101, 1e50: 5}
+BAD_CONFIGS.update({f"q-{q:g}-K-{K + 1}-beta-overflow": ({"q": q, "K": K + 1}, "q")
+                    for q, K in LARGEST_K.items()})
+
 
 BAD_ARGS = {
     "mutator-q-nan": (["mutator", "--q", "nan"], "q"),
@@ -221,6 +229,24 @@ class TestExitCodeContract:
     def test_bad_arguments_exit_2(self, argv, path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    @pytest.mark.parametrize("q,K", LARGEST_K.items())
+    def test_largest_finite_K_is_accepted(self, q, K):
+        _, code = run_config({"q": q, "K": K, "family": {"kind": "identity"},
+                              "tasks": ["mutator"]})
+        assert code == 0
+
+    # exit 1 at the parent, where the absolute residual read the rounding of
+    # entries of size beta_n^2 (1025 at q = 2, K = 64)
+    @pytest.mark.parametrize("q,K,kind", [
+        (0.9999, 4096, "identity"), (0.99999, 65536, "identity"), (1.5, 64, "identity"),
+        (1.5, 64, "worked"), (2.0, 64, "identity"), (2.9, 32, "worked"),
+        (2.0, 1022, "identity")])
+    def test_mutator_is_judged_against_its_scale(self, q, K, kind):
+        family = WORKED_CONFIG["family"] if kind == "worked" else {"kind": "identity"}
+        summary, code = run_config({"q": q, "K": K, "family": family, "tasks": ["mutator"]})
+        assert code == 0
+        assert summary["tasks"]["mutator"]["qmutator_residual"] < 1e-15
 
     def test_largest_finite_gamma_runs_without_exception(self, capsys):
         assert main(["position", "--gamma", "26"]) in (0, 1)
@@ -690,3 +716,70 @@ class TestConfigFuzz:
             assert report["passed"] == all(v <= bounds[m] for m, v in metrics.items())
             # a NaN residual must not hide behind a verdict
             assert all(math.isfinite(v) for v in metrics.values())
+
+
+# a float of any kind: nan, +-inf, subnormal, below -1, above 1
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -1.5, -1.0, 0.0, 0.5, 0.999, 1.0, 1.5, 1e300])
+
+
+def _main_exit(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and what it printed; argparse's own refusals exit
+    through SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@st.composite
+def _run_argv(draw) -> list[str]:
+    """One run subcommand with --dim <= 256, n_max <= 40 and every option
+    drawn in and out of range; no --out, so nothing is written."""
+    name = draw(st.sampled_from(["mutator", "family", "theta", "bicoherent",
+                                 "resolution", "position"]))
+    q = ANY_FLOAT | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.floats(-1.0, 3.0)
+    argv = [name, f"--q={draw(q)!r}", f"--dim={draw(st.integers(-2, 256))}",
+            f"--seed={draw(st.integers(-1, 9))}"]
+    if name != "position":
+        argv.append(f"--family={draw(st.sampled_from(['identity', 'rank_one', 'position']))}")
+    small = st.integers(-1, 4)
+    options = {
+        "gamma": ANY_FLOAT | st.floats(-30.0, 30.0),
+        "tolerance-scale": st.sampled_from([math.nan, 0.0, 1e-20, 1.0, 1.0, 1e8]),
+        **{"family": {"n-max": st.integers(-1, 40)},
+           "position": {"n-max": st.integers(-1, 40)},
+           "bicoherent": {"n-r": small, "n-theta": small, "r-frac": ANY_FLOAT | st.floats(0.0, 0.9)},
+           "resolution": {"k-mom": st.integers(-1, 40), "n-theta": st.integers(-1, 512),
+                          "n-pairs": small}}.get(name, {}),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)!r}")
+    if name in ("mutator", "position") and draw(st.booleans()):
+        argv.append("--dump-operators" if name == "mutator" else "--dump-states")
+    return argv
+
+
+class TestArgvFuzz:
+    """Every argv keeps the exit-code contract through main: 0, 1 or 2, and
+    no exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=ANY_FLOAT, n_max=st.integers(-1, 3000))
+    def test_beta(self, q, n_max):
+        code, out = _main_exit(["beta", f"--q={q!r}", f"--n-max={n_max}"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            header, *rows = out.split()
+            assert len(rows) == n_max + 1
+            for row in rows:
+                assert all(math.isfinite(float(x)) for x in row.split(","))
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_run_argv())
+    def test_run_subcommands(self, argv):
+        assert _main_exit(argv)[0] in (0, 1, 2)

@@ -43,16 +43,18 @@ class TestQuonMatrix:
     def test_lowering_action(self, q):
         dim = 16
         c = make_quon_c(q, dim)
+        beta = qcore.BetaSequence(q, dim).beta      # beta[m] = beta_{m-1}
         assert np.allclose(c @ basis(dim, 0), 0.0)
         for m in range(1, dim):
-            expected = qcore.beta(q, m - 1) * basis(dim, m - 1)
+            expected = beta[m] * basis(dim, m - 1)
             assert np.allclose(c @ basis(dim, m), expected, atol=1e-15)
 
     def test_raising_action(self):
         dim, q = 16, 0.6
         cdag = make_quon_c(q, dim).adjoint()
+        beta = qcore.BetaSequence(q, dim).beta
         for n in range(dim - 1):
-            expected = qcore.beta(q, n) * basis(dim, n + 1)
+            expected = beta[n + 1] * basis(dim, n + 1)
             assert np.allclose(cdag @ basis(dim, n), expected, atol=1e-15)
 
     def test_adjoint_is_exact_conjugate_transpose(self):
@@ -65,8 +67,9 @@ class TestQuonMatrix:
         dim, q = 24, 0.45
         c = make_quon_c(q, dim)
         n0 = c.adjoint().dense() @ c.dense()
+        bracket = qcore.BetaSequence(q, dim).bracket        # [m] = beta_{m-1}^2
         for m in range(dim):
-            expected = qcore.beta_sq(q, m - 1) * basis(dim, m)
+            expected = bracket[m] * basis(dim, m)
             assert np.linalg.norm(n0 @ basis(dim, m) - expected) < 1e-13
 
     def test_rejects_nonfinite(self):
@@ -87,7 +90,7 @@ class TestQMutator:
         c = make_quon_c(q, dim)
         m = qmutator(c, c.adjoint(), q)
         assert np.allclose(m[:dim - 1, :dim - 1], np.eye(dim - 1), atol=1e-14)
-        corner = -q * qcore.beta_sq(q, dim - 2)
+        corner = -q * qcore.bracket(q, dim - 1)        # -q beta_{K-2}^2
         assert m[dim - 1, dim - 1] == pytest.approx(corner, rel=1e-14)
 
     def test_two_by_two_value(self):
@@ -98,7 +101,8 @@ class TestQMutator:
     def test_commuting_identity(self):
         i = identity_plus(5)
         assert np.allclose(qmutator(i, i, 1.0), 0.0)
-        assert qmutator_residual(i, i, 1.0) == 1.0
+        # each column reads |1 - 1 - 1| against the scale 1 + 1 + 1
+        assert qmutator_residual(i, i, 1.0) == 1.0 / 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -126,6 +130,12 @@ class TestResidual:
         with pytest.raises(ValueError):
             qmutator_residual(c, c.adjoint(), 0.5, 8)
 
+    @pytest.mark.parametrize("q", [0.3, 0.9999, 1.5, 2.0])
+    def test_pair_of_a_nearby_q_fails(self, q):
+        # column n reads (q' - q) beta_{n-1}^2 against about 2 beta_n^2
+        c = make_quon_c(q * (1.0 + 1e-9), 64)
+        assert qmutator_residual(c, c.adjoint(), q) > 1e-11
+
     def test_deformed_pair(self):
         source = RankOneSimilarity(worked_deformation(1j))
         a, b = make_pair(source, 0.3, 64)[:2]
@@ -143,7 +153,7 @@ class TestNormGrowthProbe:
     def test_undeformed_family_converges(self):
         q, dim = 0.5, 64
         probe = norm_growth(build_family(IdentitySimilarity(), q, dim))
-        expected = [qcore.beta_sq(q, n - 1) for n in range(1, dim)]
+        expected = qcore.BetaSequence(q, dim).bracket[1:dim]
         assert np.allclose(probe, expected, rtol=1e-12)
         assert abs(probe[-1] - 1.0 / (1.0 - q)) < 1e-8
 

@@ -171,11 +171,12 @@ def ladder_built(params, n_max):
     """phi_n = b phi_{n-1} / beta_{n-1} and psi_n = a^dag psi_{n-1} / beta_{n-1},
     applied one step at a time to the vacua."""
     out = []
+    beta = qcore.BetaSequence(params.q, n_max).beta     # beta[n + 1] = beta_n
     for fam, up in zip(build_families(params, 0), (apply_b, apply_a_dagger)):
         rows, state = [fam.coeffs[0]], fam
         for n in range(n_max):
             state = up(params, state)
-            state = LatticeState(state.coeffs / qcore.beta(params.q, n), state.w0, state.step)
+            state = LatticeState(state.coeffs / beta[n + 1], state.w0, state.step)
             rows.append(state.coeffs[0])
         out.append(rows)
     return out
@@ -188,7 +189,7 @@ class TestLadderAction:
         al = PARAMS.alpha
         pref = -1j / PARAMS.sqrt_1mq * math.pi ** -0.25
         assert got.w0 == PARAMS.gamma + 1.5j * al
-        assert np.allclose(got.coeffs[0] / qcore.beta(PARAMS.q, 0),
+        assert np.allclose(got.coeffs[0] / qcore.BetaSequence(PARAMS.q, 0).beta[1],
                            [-pref * math.exp(-al * al), pref], rtol=1e-14, atol=0)
 
     def test_gamma_zero_collapses_to_adjoint_pair(self):
@@ -232,9 +233,9 @@ class TestCoefficients:
     def test_rows_match_ladder_built_states(self):
         # independent route: build phi_n by ladder action and divide out pref_n
         table = coefficient_recursion(PARAMS, 5)
-        bs = qcore.BetaSequence(PARAMS.q, 6)
+        fact = qcore.BetaSequence(PARAMS.q, 6).factorial
         for n, coeffs in enumerate(ladder_built(PARAMS, 5)[0]):
-            pref = math.pi ** -0.25 / bs.factorial(n - 1) * (-1j / PARAMS.sqrt_1mq) ** n
+            pref = math.pi ** -0.25 / fact[n] * (-1j / PARAMS.sqrt_1mq) ** n
             assert np.allclose(coeffs / pref, table[n, :n + 1], atol=1e-12)
 
     def test_gamma_independence(self):
@@ -286,7 +287,7 @@ class TestSimilarity:
 def l_value_double_sum(params, n):
     """Reference L_n, term by term, and the sum of the term magnitudes."""
     q, al, gamma = params.q, params.alpha, params.gamma
-    facts = [qcore.q_number_factorial(q, m) for m in range(n + 1)]
+    facts = qcore.BetaSequence(q, n).factorial_sq.tolist()      # [m]!
     total, scale = 0.0 + 0.0j, 0.0
     for k in range(n + 1):
         for l in range(n + 1):
@@ -302,7 +303,7 @@ def l_value_double_sum(params, n):
 def norm_sq_formula(params, n):
     """Closed form ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n, with L_n
     from the double sum."""
-    return qcore.q_number_factorial(params.q, n) * math.exp(params.gamma ** 2) \
+    return qcore.BetaSequence(params.q, n).factorial_sq[n] * math.exp(params.gamma ** 2) \
         * (1.0 - params.q) ** (-n) * l_value_double_sum(params, n)[0].real
 
 
@@ -378,9 +379,8 @@ def l_sums_reference(params, n_max):
     """(L_n, m_n) for n <= n_max from the per-gamma lag loop: for each lag d
     until |t_d| rounds to 0, one product of u with itself shifted by d."""
     al2 = params.alpha ** 2
-    bs = qcore.BetaSequence(params.q, n_max)
     k = np.arange(n_max + 1)
-    facts = np.array([bs.factorial_sq(j - 1) for j in k])
+    facts = qcore.BetaSequence(params.q, n_max).factorial_sq[:n_max + 1]
     n = k[:, None]
     u = np.where(k <= n, (-1.0) ** k * np.exp(-al2 * k) / facts / facts[np.abs(n - k)],
                  0.0)
@@ -540,9 +540,7 @@ class TestRadius:
         # 1/sqrt(1-q), strictly larger than the guaranteed bound sqrt(1-q)
         q = 0.5
         norms = family_norms(PositionParams(q, 0.5), 40)
-        bs = qcore.BetaSequence(q, 41)
-        emp = bicoherent.empirical_radius(
-            norms / np.array([bs.factorial(n - 1) for n in range(41)]))
+        emp = bicoherent.empirical_radius(norms / qcore.BetaSequence(q, 41).factorial[:41])
         assert emp == pytest.approx(qcore.disc_radius(q), rel=0.02)
         assert emp > math.sqrt(1.0 - q)
 

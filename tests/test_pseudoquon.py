@@ -52,10 +52,7 @@ def dense_similarity(d: RankOneDeformation, dim: int):
 
 
 def dense_c(q: float, dim: int) -> np.ndarray:
-    c = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        c[k, k + 1] = qcore.beta(q, k)
-    return c
+    return np.diag(qcore.BetaSequence(q, dim - 2).beta[1:], 1).astype(complex)
 
 
 def dense_pair(d: RankOneDeformation, q: float, dim: int):
@@ -247,7 +244,7 @@ class TestNumberOperator:
         ev = np.sort(np.linalg.eigvals(n).real)
         ev_dag = np.sort(np.linalg.eigvals(n.conj().T).real)
         assert np.max(np.abs(ev - ev_dag)) < 1e-9
-        expected = np.sort([qcore.beta_sq(Q, m - 1) for m in range(safe)])
+        expected = np.sort(qcore.BetaSequence(Q, safe).bracket[:safe])      # [m]
         assert np.max(np.abs(ev - expected)) < 1e-9
 
 

@@ -34,7 +34,7 @@ def quad_moment(quad, k: int) -> float:
 
 def moment(q: float, k: int) -> float:
     """Target radial moment m_k = [k]! / (2 pi)."""
-    return qcore.q_number_factorial(q, k) / (2.0 * math.pi)
+    return qcore.BetaSequence(q, k).factorial_sq[k] / (2.0 * math.pi)
 
 
 class TestMoments:
@@ -48,9 +48,9 @@ class TestMoments:
     def test_factorial_identity(self):
         # 2 pi m_k recovers the squared q-factorial
         quad = solve_moment_measure(0.3, 8)
+        fact_sq = qcore.BetaSequence(0.3, 8).factorial_sq
         for k in range(8):
-            assert 2.0 * math.pi * quad_moment(quad, k) == pytest.approx(
-                qcore.q_factorial_sq(0.3, k - 1), rel=1e-14)
+            assert 2.0 * math.pi * quad_moment(quad, k) == pytest.approx(fact_sq[k], rel=1e-14)
 
 
 class TestSolver:
@@ -188,13 +188,13 @@ class TestResolutionCheck:
         # 2 pi (matched moment_k) / (beta_{k-1}!)^2, which is 1 when the
         # moment is exact; verify both the reduction and the near-1 value
         q, dim, quad, identity, _ = setup
+        fact_sq = qcore.BetaSequence(q, 6).factorial_sq         # (beta_{k-1}!)^2
         for k in range(6):
             e_k = self.basis(dim, k)
             val = resolution_check(identity, quad, 64, e_k, e_k)
-            reduced = 2.0 * math.pi * quad_moment(quad, k) \
-                / qcore.q_factorial_sq(q, k - 1)
+            reduced = 2.0 * math.pi * quad_moment(quad, k) / fact_sq[k]
             assert abs(val - reduced) < 1e-12
-            exact = 2.0 * math.pi * moment(q, k) / qcore.q_factorial_sq(q, k - 1)
+            exact = 2.0 * math.pi * moment(q, k) / fact_sq[k]
             assert exact == pytest.approx(1.0, rel=1e-14)
             assert abs(val - 1.0) < 1e-9
 
@@ -251,7 +251,7 @@ SOURCES = {
 def per_atom_resolution(family, quad, n_theta, f, g) -> complex:
     """Reference: the resolution sum evaluated atom by atom and angle by angle,
     up to the last index where either overlap is nonzero."""
-    fact = np.array([qcore.q_factorial(family.q, k - 1) for k in range(family.K)])
+    fact = qcore.BetaSequence(family.q, family.K).factorial[:family.K]
     a_k = (family.phi.adjoint() @ np.asarray(f, dtype=complex)).conj() / fact
     b_l = (family.psi.adjoint() @ np.asarray(g, dtype=complex)) / fact
     reach = 1 + int(np.flatnonzero((a_k != 0) | (b_l != 0)).max(initial=-1))
