@@ -107,14 +107,27 @@ def log_coefficients(q: float, r, terms: int) -> np.ndarray:
     log_beta = np.log(BetaSequence(q, terms).beta[1:terms])
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
-    steps = log_r - log_beta.reshape((-1,) + (1,) * r.ndim)
-    return np.concatenate((np.zeros((1,) + r.shape), np.cumsum(steps, axis=0)))
+    out = np.zeros((terms,) + r.shape)
+    np.cumsum(log_r - log_beta.reshape((-1,) + (1,) * r.ndim), axis=0, out=out[1:])
+    return out
 
 
-def _per_ring(fn, r: np.ndarray) -> np.ndarray:
-    """fn at each distinct modulus of r, spread back to r's shape."""
+def _per_ring(r: np.ndarray, *fns) -> list[np.ndarray]:
+    """Each fn at each distinct modulus of r, spread back to r's shape; the
+    moduli are sorted out once for all of them."""
     rings, ring = np.unique(r.ravel(), return_inverse=True)
-    return np.array([fn(x) for x in rings])[ring.reshape(r.shape)]
+    ring = ring.reshape(r.shape)
+    return [np.array([fn(x) for x in rings])[ring] for fn in fns]
+
+
+def _coherent_columns(q: float, z: np.ndarray, log_n: np.ndarray, dim: int) -> np.ndarray:
+    """e(z) from log N per entry of z (see :func:`quon_coherent_vector`)."""
+    out = np.empty((dim,) + z.shape, dtype=complex)
+    out[0] = 1.0
+    out[1:] = np.exp(1j * np.angle(z))      # z / |z| fails on a subnormal z
+    np.cumprod(out, axis=0, out=out)
+    out *= np.exp(log_n + log_coefficients(q, np.abs(z), dim))
+    return out
 
 
 def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
@@ -128,14 +141,8 @@ def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
     one closed-form sum per distinct |z|.
     """
     z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    log_n = _per_ring(lambda x: -0.5 * norm_series(q, x)[0], r)
-    out = np.empty((dim,) + z.shape, dtype=complex)
-    out[0] = 1.0
-    out[1:] = np.exp(1j * np.angle(z))      # z / |z| fails on a subnormal z
-    np.cumprod(out, axis=0, out=out)
-    out *= np.exp(log_n + log_coefficients(q, r, dim))
-    return out
+    [log_n] = _per_ring(np.abs(z), lambda x: -0.5 * norm_series(q, x)[0])
+    return _coherent_columns(q, z, log_n, dim)
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,11 @@ def bicoherent_state(family: BiorthogonalFamily, z,
     if not (1 <= terms <= family.K):
         raise ValueError(f"terms={terms} outside [1, K={family.K}]")
 
-    ez = quon_coherent_vector(q, z, family.K + 1)
+    # log N and N share one sort of |z|; N stays a call of normalization,
+    # which traced runs count
+    log_n, norm_const = _per_ring(r, lambda x: -0.5 * norm_series(q, x)[0],
+                                  lambda x: normalization(q, x))
+    ez = _coherent_columns(q, z, log_n, family.K + 1)
     a_phi = np.max(family.phi.column_norms(family.K))
     a_psi = np.max(family.psi.column_norms(family.K))
     ratio = r / math.sqrt(bracket(q, terms + 1))      # |z| / beta_terms
@@ -201,7 +212,7 @@ def bicoherent_state(family: BiorthogonalFamily, z,
     # [()] turns the 0-d results of a scalar z back into scalars
     return BiCoherentState(
         z=z[()], q=q, terms=terms,
-        norm_const=_per_ring(lambda x: normalization(q, x), r)[()],
+        norm_const=norm_const[()],
         phi_z=family.phi @ ez[:-1],     # N (e(z) + alpha <u, e(z)> v)
         psi_z=family.psi @ ez[:-1],
         tail_phi=(a_phi * tail)[()],
@@ -291,6 +302,22 @@ class UncertaintyResult:
     residual: float | np.ndarray
 
 
+def _moments(state: BiCoherentState, a, b) -> dict:
+    """The pseudo-moments <a>, <b> and <XY>, X, Y in {a, b}, keyed "a" ..
+    "bb", one entry per column.
+
+    <XY> = <X^dag psi(z), Y phi(z)>, so the six are column inner products of
+    four operator products: a phi, b phi, a^dag psi and b^dag psi.
+    np.vecdot conjugates its first argument and forms no K x P temporary.
+    """
+    psi = state.psi_z
+    a_phi, b_phi = a @ state.phi_z, b @ state.phi_z
+    a_psi, b_psi = a.adjoint() @ psi, b.adjoint() @ psi
+    pairs = {"a": (psi, a_phi), "b": (psi, b_phi), "aa": (a_psi, a_phi),
+             "ab": (a_psi, b_phi), "ba": (b_psi, a_phi), "bb": (b_psi, b_phi)}
+    return {key: np.vecdot(left, right, axis=0) for key, (left, right) in pairs.items()}
+
+
 def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
     """Compute Delta Q Delta P at state.z against the closed form (|z|^2 (q-1) + 1)/2.
 
@@ -301,20 +328,12 @@ def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
         Delta Q^2 = (<aa> + <ab> + <ba> + <bb> - (<a> + <b>)^2) / 2,
         Delta P^2 = (<ab> + <ba> - <aa> - <bb> + (<b> - <a>)^2) / 2,
 
-    from six operator products on the state columns, never from Q^2 or P^2
-    as matrices.
+    from four operator products on the state columns (:func:`_moments`),
+    never from Q^2 or P^2 as matrices.
     """
-    psi_conj = state.psi_z.conj()
-
-    def pexp(vec: np.ndarray):
-        return np.sum(psi_conj * vec, axis=0)
-
-    a_phi, b_phi = a @ state.phi_z, b @ state.phi_z
-    m_a, m_b = pexp(a_phi), pexp(b_phi)
-    m_aa, m_ba = pexp(a @ a_phi), pexp(b @ a_phi)
-    m_ab, m_bb = pexp(a @ b_phi), pexp(b @ b_phi)
-    dq_sq = 0.5 * (m_aa + m_ab + m_ba + m_bb - (m_a + m_b) ** 2)
-    dp_sq = 0.5 * (m_ab + m_ba - m_aa - m_bb + (m_b - m_a) ** 2)
+    m = _moments(state, a, b)
+    dq_sq = 0.5 * (m["aa"] + m["ab"] + m["ba"] + m["bb"] - (m["a"] + m["b"]) ** 2)
+    dp_sq = 0.5 * (m["ab"] + m["ba"] - m["aa"] - m["bb"] + (m["b"] - m["a"]) ** 2)
     product = np.sqrt(dq_sq) * np.sqrt(dp_sq)
     r_sq = np.abs(state.z) ** 2
     predicted = 0.5 * (r_sq * (state.q - 1.0) + 1.0)

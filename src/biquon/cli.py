@@ -451,13 +451,14 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
         rows = np.column_stack([zs.real, zs.imag, state.norm_const, r_phi, r_psi,
                                 pair.real, pair.imag, unc.product.real,
                                 unc.product.imag, unc.predicted])
+        # the rows csv.writer would write, with its \r\n line ends, from one
+        # template: '%.17g' % x is f"{x:.17g}" for every double
         with stream:
-            writer = csv.writer(stream)
-            writer.writerow(["re_z", "im_z", "norm_const", "eigen_phi",
-                             "eigen_psi", "pairing_re", "pairing_im",
-                             "uncertainty_re", "uncertainty_im",
-                             "uncertainty_predicted"])
-            writer.writerows([[f"{v:.17g}" for v in row] for row in rows])
+            stream.write("re_z,im_z,norm_const,eigen_phi,eigen_psi,pairing_re,"
+                         "pairing_im,uncertainty_re,uncertainty_im,"
+                         "uncertainty_predicted\r\n"
+                         + ("%.17g," * 9 + "%.17g\r\n") * len(rows)
+                         % tuple(rows.ravel().tolist()))
     # np.max keeps a NaN, where Python's max may drop it
     metrics = {
         "eigen_residual": np.max([r_phi, r_psi]),

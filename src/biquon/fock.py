@@ -73,9 +73,14 @@ class FockOperator:
     def __matmul__(self, x) -> np.ndarray:
         """Matvec on a vector or a column batch."""
         x = np.asarray(x)
+        if len(x) != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {len(x)}")
         d = self.diag if x.ndim == 1 else self.diag[:, None]
-        out = _shifted(d * x, self.shift).astype(
-            np.result_type(d, x, self.block), copy=False)
+        out = np.zeros(x.shape, dtype=np.result_type(d, x, self.block))
+        # out[n + shift] = d[n] x[n] for the n whose image stays in [0, K)
+        s, k = self.shift, len(x)
+        lo, hi = max(-s, 0), min(k - s, k)
+        np.multiply(d[lo:hi], x[lo:hi], out=out[lo + s:hi + s])
         p = len(self.block)
         out[:p] += self.block @ x[:p]
         return out

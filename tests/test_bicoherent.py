@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from biquon import qcore
 from biquon.bicoherent import (
+    _moments,
     bicoherent_state,
     eigen_check,
     empirical_radius,
@@ -29,6 +30,8 @@ from biquon.pseudoquon import (
     build_family,
     worked_deformation,
 )
+
+EPS = np.finfo(float).eps
 
 
 def reference_norm_sum(q: float, r: float) -> float:
@@ -303,6 +306,38 @@ FAMILIES = {"identity": IdentitySimilarity(),
 POINTS = st.lists(st.tuples(st.sampled_from([0.0, 0.45, 0.9]) | st.floats(0.0, 0.9),
                             st.floats(0.0, 2.0 * math.pi)),
                   min_size=1, max_size=8)
+
+
+class TestMoments:
+    """The six pseudo-moments from four operator products, against
+    <psi(z), XY phi(z)> with X, Y dense K x K matrices."""
+
+    @pytest.mark.parametrize("kind,q", [(kind, q) for kind in sorted(FAMILIES)
+                                        for q in (0.3, 0.5, 0.9)]
+                             + [("identity", 1.0 - 1e-6)])
+    def test_match_dense_products(self, kind, q):
+        family = build_family(FAMILIES[kind], q, 64)
+        if q < 0.99:
+            rho = family_radius(family)
+            zs = np.outer([0.0, 0.3, 0.6, 0.9], rho * np.exp(1j * np.array([0.3, 2.5, 4.0])))
+            zs = zs.ravel()
+        else:
+            zs = np.array([0.9 + 0.2j])     # the boson-limit point of 09b
+        state = bicoherent_state(family, zs)
+        got = _moments(state, family.a, family.b)
+        a, b = family.a.dense(), family.b.dense()
+        dense = {"a": a, "b": b, "aa": a @ a, "ab": a @ b, "ba": b @ a, "bb": b @ b}
+        scale = 1.0 + np.abs(zs) ** 2
+        for key, m in dense.items():
+            want = np.sum(state.psi_z.conj() * (m @ state.phi_z), axis=0)
+            assert np.all(np.abs(got[key] - want) <= 64 * EPS * scale), key
+
+    def test_products_do_not_commute_here(self, worked_256):
+        # <ab> - <ba> = <[a, b]> is about 1, so the order of the two
+        # products in a moment is seen
+        family, a, b = worked_256
+        m = _moments(bicoherent_state(family, 0.4 + 0.3j), a, b)
+        assert abs(m["ab"] - m["ba"]) > 0.5
 
 
 class TestColumnBatch:

@@ -327,6 +327,52 @@ class TestBicoherentResiduals:
         assert summary["tasks"]["bicoherent"]["uncertainty_residual"] > 1e-7
 
 
+# nan, +-inf, -0, the least subnormal and 1e308 among ordinary values
+SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.5e-300])
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im entry by entry; re + 1j * im turns 1j * inf into nan + inf i."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def csv_writer_rendering(header: list[str], rows) -> bytes:
+    """The table as csv.writer writes the f"{v:.17g}" strings of its rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([[f"{v:.17g}" for v in row] for row in rows])
+    return out.getvalue().encode()
+
+
+def test_bicoherent_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch):
+    states = []
+    real_state = bicoherent.bicoherent_state
+
+    def recorded(family, z):
+        states.append(real_state(family, z))
+        return states[-1]
+
+    unc = bicoherent.UncertaintyResult(product=_complex(SPECIAL[::-1], -SPECIAL),
+                                       predicted=SPECIAL, dq_sq=SPECIAL, dp_sq=SPECIAL,
+                                       residual=np.zeros(len(SPECIAL)))
+    monkeypatch.setattr(bicoherent, "bicoherent_state", recorded)
+    monkeypatch.setattr(bicoherent, "eigen_check", lambda state, a, b: (SPECIAL, -SPECIAL))
+    monkeypatch.setattr(bicoherent, "pairing",
+                        lambda state: _complex(np.roll(SPECIAL, 3), SPECIAL[::-1]))
+    monkeypatch.setattr(bicoherent, "uncertainty_product", lambda state, a, b: unc)
+    run_config(_identity_bicoherent(0.5, 64, 0.7, 1, len(SPECIAL)), tmp_path)
+    [state] = states
+    rows = np.column_stack([state.z.real, state.z.imag, state.norm_const, SPECIAL, -SPECIAL,
+                            np.roll(SPECIAL, 3), SPECIAL[::-1], SPECIAL[::-1], -SPECIAL,
+                            SPECIAL])
+    header = ["re_z", "im_z", "norm_const", "eigen_phi", "eigen_psi", "pairing_re",
+              "pairing_im", "uncertainty_re", "uncertainty_im", "uncertainty_predicted"]
+    assert (tmp_path / "bicoherent.csv").read_bytes() == csv_writer_rendering(header, rows)
+
+
 class TestColumnBatches:
     """A sweep or a set of pairs is one batch of columns: the operator
     products a task makes do not grow with its number of points or pairs."""

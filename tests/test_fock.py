@@ -212,6 +212,9 @@ class TestStructuredAlgebra:
         batch = rng.standard_normal((dim, 3))
         assert np.allclose(x @ vec, dx @ vec, rtol=1e-13, atol=1e-13)
         assert np.allclose(x @ batch, dx @ batch, rtol=1e-13, atol=1e-13)
+        for rows in (dim - 1, dim + 1):
+            with pytest.raises(ValueError):
+                x @ np.ones(rows)
         n = int(rng.integers(0, dim + 1))
         assert np.allclose(x.column_norms(n), np.linalg.norm(dx[:, :n], axis=0),
                            rtol=1e-14, atol=0)
