@@ -47,24 +47,27 @@ def validate_q_disc(q: float) -> float:
 def bracket(q: float, k):
     """[k] = (1 - q^k)/(1 - q) for an int k >= 0 or elementwise over an array.
 
-    The numerator cancels near q = 1, so while x = k log q < 1 it is taken
-    as -expm1(x); past that (q > 1 only) the power is the more accurate
-    form, and for q <= 0 the denominator 1 - q >= 1 and nothing cancels.
-    An entry that overflows reads inf.  Each entry is computed alone, so an
-    int k gives the bits of entry k of any table.
+    Both sides cancel near q = 1, so while x = k log q < 1 it is taken as
+    expm1(x) / expm1(log q), which is exactly 1 at k = 1; past that (q > 1
+    only) the power is the more accurate form, and for q <= 0 the
+    denominator 1 - q >= 1 and nothing cancels.  An entry that overflows
+    reads inf.  Each entry is computed alone, so an int k gives the bits of
+    entry k of any table.
     """
     q = validate_q_algebraic(q)
     k = np.asarray(k)
     if q == 1.0:
         return (k * 1.0)[()]
     if 0.0 < q < 1.0:
-        return (-np.expm1(k * math.log(q)) / (1.0 - q))[()]
+        log_q = math.log(q)
+        return (np.expm1(k * log_q) / np.expm1(log_q))[()]
     with np.errstate(over="ignore"):
-        num = 1.0 - q ** k
+        out = (1.0 - q ** k) / (1.0 - q)
         if q > 1.0:
-            x = k * math.log(q)
-            num = np.where(x < 1.0, -np.expm1(x), num)
-        return (num / (1.0 - q))[()]
+            log_q = math.log(q)
+            x = k * log_q
+            out = np.where(x < 1.0, np.expm1(x) / np.expm1(log_q), out)
+        return out[()]
 
 
 def disc_radius(q: float) -> float:

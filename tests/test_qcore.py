@@ -75,6 +75,15 @@ class TestBeta:
             with pytest.raises(ValueError):
                 qcore.BetaSequence(q, 2)
 
+    def test_bracket_one_is_exactly_one(self):
+        # -expm1(log q) / (1 - q) rounds twice and read 1 - 2^-53 at 107 of
+        # these q, so beta_0 and every factorial built on it were an ulp off
+        tested = [-1.0, -0.5, 0.0, 0.3, 0.99989, 1.0 - 1e-6, 1.0, 1.0001, 1.5, 2.9,
+                  1e-300, 1e50]
+        for q in [i / 1000 for i in range(1, 1000)] + tested:
+            assert qcore.bracket(q, 1) == 1.0, q
+            assert qcore.BetaSequence(q, 1).beta[1] == 1.0, q
+
     @pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.3, 0.99989, 1.0 - 1e-6, 1.0,
                                    1.0001, 1.5])
     def test_exact_rational_value(self, q):
