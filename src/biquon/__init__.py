@@ -9,9 +9,7 @@ from .fock import (
 )
 from .pseudoquon import (
     BiorthogonalFamily,
-    IdentitySimilarity,
-    RankOneDeformation,
-    RankOneSimilarity,
+    Deformation,
     build_family,
     build_theta,
     check_ladder,
@@ -28,7 +26,6 @@ from .bicoherent import (
     bicoherent_state,
     eigen_check,
     empirical_radius,
-    family_radius,
     normalization,
     pairing,
     quon_coherent_vector,

@@ -34,7 +34,6 @@ __all__ = [
     "log_coefficients",
     "quon_coherent_vector",
     "BiCoherentState",
-    "family_radius",
     "bicoherent_state",
     "pairing",
     "eigen_check",
@@ -165,15 +164,6 @@ class BiCoherentState:
         return np.maximum(self.tail_phi, self.tail_psi)
 
 
-def family_radius(family: BiorthogonalFamily) -> float:
-    """Guaranteed convergence radius for a Fock-side family.
-
-    Both supported similarity kinds produce uniformly norm-bounded
-    families, so the radius is the scalar-series disc 1/sqrt(1-q).
-    """
-    return disc_radius(family.q)
-
-
 def bicoherent_state(family: BiorthogonalFamily, z,
                      terms: int | None = None) -> BiCoherentState:
     """Evaluate phi(z), psi(z) by truncating the series at ``terms``.
@@ -185,7 +175,9 @@ def bicoherent_state(family: BiorthogonalFamily, z,
     c_k.
     """
     q = validate_q_disc(family.q)
-    rho = family_radius(family)
+    # a compactly supported S keeps the family norm-bounded, so the disc is
+    # the scalar series' 1/sqrt(1-q)
+    rho = disc_radius(q)
     z = np.asarray(z, dtype=complex)
     if z.ndim > 1:
         raise ValueError(f"z must be a scalar or a 1-D array, got shape {z.shape}")

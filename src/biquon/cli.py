@@ -94,7 +94,7 @@ def _parse_int(value, path: str) -> int:
 def _parse_float(value, path: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: not a number ({value!r})") from None
 
 
@@ -107,26 +107,29 @@ def _parse_positive(value, path: str) -> float:
 
 def _parse_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected number or [re, im] pair, got {value!r}")
+        value = [value, 0.0]
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{path}: expected number or [re, im] pair, got {value!r}")
+    re, im = (_parse_float(x, path) for x in value)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ConfigError(f"{path}: must be finite, got {[re, im]}")
+    return complex(re, im)
 
 
-def _parse_sparse_vector(entries, path: str) -> np.ndarray:
+def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
+    """A vector from [index, re, im] triples, each index below dim."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: expected nonempty list of [index, re, im]")
-    idx_max = 0
     parsed = []
     for i, item in enumerate(entries):
         if not (isinstance(item, list) and len(item) == 3):
             raise ConfigError(f"{path}[{i}]: expected [index, re, im]")
         k = item[0]
-        if not isinstance(k, int) or k < 0:
-            raise ConfigError(f"{path}[{i}]: index must be a nonnegative integer")
-        parsed.append((k, complex(item[1], item[2])))
-        idx_max = max(idx_max, k)
-    vec = np.zeros(idx_max + 1, dtype=complex)
+        if not isinstance(k, int) or not 0 <= k < dim:
+            raise ConfigError(f"{path}[{i}]: index must be an integer in "
+                              f"[0, K = {dim}), got {k!r}")
+        parsed.append((k, _parse_complex(item[1:], f"{path}[{i}]")))
+    vec = np.zeros(max(k for k, _ in parsed) + 1, dtype=complex)
     for k, z in parsed:
         vec[k] += z
     return vec
@@ -147,10 +150,8 @@ def _normalize_tasks(raw, path: str) -> list[dict]:
     return tasks
 
 
-def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
-                          tol_scale: float) -> None:
-    """Parse and range-check, in place, the task parameters the config sets;
-    extent is the support extent of the family's deformation."""
+def _validate_task_params(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
+    """Parse and range-check, in place, the task parameters the config sets."""
     q, dim = cfg["q"], cfg["K"]
     for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
         if key in task:
@@ -184,7 +185,8 @@ def _validate_task_params(task: dict, path: str, cfg: dict, extent: int,
             raise ConfigError(f"q: {exc}") from None
         # the overlaps of f, g with the family reach past their support to
         # the end of the deformation's block, which ends below K - 2
-        reach = max(task.get("support", min(6, dim)), extent)
+        reach = max(task.get("support", min(6, dim)),
+                    cfg["family"]["deformation"].support_extent)
         for key, n in (("K_mom", task.get("K_mom", 2)), ("support", reach)):
             if n > dim:
                 raise ConfigError(f"{path}.{key}: needs rho_k for k < {n}, "
@@ -255,32 +257,31 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     if kind not in ("identity", "rank_one", "position"):
         raise ConfigError(f"family.kind: unknown kind {kind!r}")
     out["family"] = {"kind": kind}
-    extent = 0
-    if kind == "identity" and out["K"] < 3:
-        raise ConfigError(f"K: must be at least 3 to leave a safe block, "
-                          f"got {out['K']}")
-    if kind == "rank_one":
-        alpha = _parse_complex(fam.get("alpha_def", [0.0, 1.0]), "family.alpha_def")
-        if fam.get("preset") == "worked" or ("u" not in fam and "v" not in fam):
-            out["family"]["deformation"] = pseudoquon.worked_deformation(alpha)
-        else:
-            u = _parse_sparse_vector(fam.get("u"), "family.u")
-            v = _parse_sparse_vector(fam.get("v"), "family.v")
-            try:
-                out["family"]["deformation"] = \
-                    pseudoquon.RankOneDeformation.from_alpha(u, v, alpha)
-            except ValueError as exc:
-                raise ConfigError(f"family: {exc}") from None
-        extent = out["family"]["deformation"].support_extent
-        if out["K"] < extent + 3:
-            raise ConfigError(f"K: must be at least support extent + 3 = "
-                              f"{extent + 3} to leave a safe block, got {out['K']}")
-    elif kind == "position":
+    if kind == "position":
         gamma = _parse_float(fam.get("gamma", 0.0), "family.gamma")
         if not abs(gamma) < GAMMA_MAX:
             raise ConfigError(f"family.gamma: |gamma| must stay below {GAMMA_MAX:.4g}, "
                               f"where ||phi_n||^2 ~ exp(gamma^2) overflows; got {gamma}")
         out["family"]["gamma"] = gamma
+    else:
+        if kind == "identity":
+            deformation = pseudoquon.Deformation()
+        else:
+            alpha = _parse_complex(fam.get("alpha_def", [0.0, 1.0]), "family.alpha_def")
+            worked = fam.get("preset") == "worked" or ("u" not in fam and "v" not in fam)
+            if not worked:
+                u = _parse_sparse_vector(fam.get("u"), "family.u", out["K"])
+                v = _parse_sparse_vector(fam.get("v"), "family.v", out["K"])
+            try:
+                deformation = (pseudoquon.worked_deformation(alpha) if worked
+                               else pseudoquon.Deformation.from_alpha(u, v, alpha))
+            except ValueError as exc:
+                raise ConfigError(f"family: {exc}") from None
+        if out["K"] < deformation.support_extent + 3:
+            raise ConfigError(f"K: must be at least support extent + 3 = "
+                              f"{deformation.support_extent + 3} to leave a safe "
+                              f"block, got {out['K']}")
+        out["family"]["deformation"] = deformation
     try:
         if kind == "position":
             qcore.validate_q_disc(out["q"])
@@ -315,7 +316,11 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
         if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
             raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
                               f"(convergence radius undefined at q={out['q']})")
-        _validate_task_params(task, f"tasks[{i}]", out, extent, tol_scale)
+        if name in ("family", "theta") and kind == "identity":
+            # with S = 1 every residual of these tasks is exactly 0.0
+            raise ConfigError(f"tasks[{i}]: S = 1 leaves nothing to check in task "
+                              f"{name!r}; use a rank_one family")
+        _validate_task_params(task, f"tasks[{i}]", out, tol_scale)
     if kind == "position":
         out["family"]["lattice"] = _position_lattice(out, tasks, tol_scale)
     order = {name: i for i, name in enumerate(TASK_ORDER)}
@@ -345,11 +350,8 @@ class _Workspace:
             self.params = positionrep.PositionParams(cfg["q"], cfg["family"]["gamma"])
             self.lattice = cfg["family"]["lattice"]
         else:
-            if self.kind == "identity":
-                source = pseudoquon.IdentitySimilarity()
-            else:
-                source = pseudoquon.RankOneSimilarity(cfg["family"]["deformation"])
-            self.family = pseudoquon.build_family(source, cfg["q"], cfg["K"])
+            self.family = pseudoquon.build_family(cfg["family"]["deformation"],
+                                                  cfg["q"], cfg["K"])
 
     def write_text(self, name: str, text: str) -> None:
         if self.out is not None:
@@ -400,12 +402,10 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
                        positionrep.similarity_check(ws.params, n_max, ws.lattice),
                        n_max=n_max)
     fam = ws.family
-    number = pseudoquon.number_eigencheck(fam)
     metrics = {
         "gram_deviation": pseudoquon.gram_deviation(fam),
         **pseudoquon.check_ladder(fam),
-        "number_residual_phi": number["residual_phi"],
-        "number_residual_psi": number["residual_psi"],
+        **pseudoquon.number_eigencheck(fam),
     }
     stream = ws.open_csv("family.json")
     if stream:
@@ -437,7 +437,7 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
     # bound at the rim of the sweep (r_frac 0.9 needs K around 256 at q = 0.5)
     r_frac = float(task.get("r_frac", 0.7))
     fam = ws.family
-    rho = bicoherent.family_radius(fam)
+    rho = qcore.disc_radius(fam.q)
     # the whole n_r x n_theta grid, ring by ring, is one column batch
     fracs = np.linspace(r_frac / n_r, r_frac, n_r)
     angs = 2 * np.pi * np.arange(n_theta) / n_theta
@@ -698,8 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_true", default=None)
             else:
                 p.add_argument(flag, type=float if opt == "r_frac" else int)
-        if name == "position":
-            p.set_defaults(family="position")
+        if name in ("family", "theta", "position"):
+            # S = 1 leaves the Fock family and theta tasks nothing to check
+            p.set_defaults(family="position" if name == "position" else "rank_one")
         p.set_defaults(func=_cmd_simple_task(name, extra))
 
     p = sub.add_parser("run", help="execute a full experiment config")

@@ -23,20 +23,18 @@ product, b a S, moves those columns down the ladder.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import IO, NamedTuple
 
 import numpy as np
 
-from .fock import EMPTY, FORMAT, FockOperator, identity_plus, make_quon_c, operator_json
+from .fock import FORMAT, FockOperator, identity_plus, make_quon_c, operator_json
 from .qcore import validate_q_algebraic
 
 __all__ = [
-    "SimilarityOperator",
-    "IdentitySimilarity",
-    "RankOneDeformation",
-    "RankOneSimilarity",
+    "Deformation",
     "worked_deformation",
     "BiorthogonalFamily",
     "Window",
@@ -52,117 +50,111 @@ __all__ = [
 ]
 
 PAIR_CONSTRAINT_TOL = 1e-14
+INVERSE_TOL = 1e-12
+EPS = np.finfo(float).eps
 # Residual columns from support extent + HEAD on are exactly 0, and the
 # longest product a check forms, b a S, moves them REACH rows down.
 HEAD = 3
 REACH = 3
 
 
-class SimilarityOperator:
-    """S = 1 + B_S with S^{-1} = 1 + B_inv, both blocks on the leading
-    support_extent indices."""
-
-    kind = "abstract"
-    support_extent = 0
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks B_S and B_inv."""
-        raise NotImplementedError
-
-    def safe_dim(self, dim: int) -> int:
-        """Leading block on which truncated products reproduce the exact algebra."""
-        return dim - 2
-
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
-
-class IdentitySimilarity(SimilarityOperator):
-    """S = 1; reproduces the undeformed pair (c, c^dag)."""
-
-    kind = "identity"
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return EMPTY, EMPTY
-
-
 @dataclass(frozen=True)
-class RankOneDeformation:
-    """Parameters of S = 1 + alpha P_{u,v} with P_{u,v} f = <u, f> v.
+class Deformation:
+    """S = 1 + alpha P_{u,v} with P_{u,v} f = <u, f> v, and S^{-1} =
+    1 + beta P_{u,v}; the empty value ``Deformation()`` is S = 1.
 
-    u, v are given as compactly supported coefficient vectors (length =
-    support extent, trailing zeros implied).  The pair (alpha_def, beta_def)
-    must satisfy alpha + beta + alpha*beta = 0 so that
-    S^{-1} = 1 + beta P_{u,v}, and <u, v> = 1 so that P_{u,v} is idempotent.
+    u, v are given as compactly supported coefficient vectors (trailing
+    zeros implied), whose longer length is the support extent.  Every part
+    must be finite, alpha + beta + alpha*beta = 0, and on a nonempty support
+    <u, v> = 1, so that P_{u,v} is idempotent; the blocks of S and S^{-1}
+    must invert each other to INVERSE_TOL, at a size whose rounding stays
+    below it.
     """
 
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    alpha_def: complex
-    beta_def: complex
+    u: np.ndarray = field(default=(), repr=False)
+    v: np.ndarray = field(default=(), repr=False)
+    alpha_def: complex = 0j
+    beta_def: complex = 0j
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        for name in ("u", "v"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         a, b = complex(self.alpha_def), complex(self.beta_def)
-        if abs(a + b + a * b) > PAIR_CONSTRAINT_TOL:
-            raise ValueError(
-                f"deformation parameters violate alpha+beta+alpha*beta=0 "
-                f"(got {a + b + a * b})")
-        n = min(len(u), len(v))
-        pairing = np.vdot(u[:n], v[:n])
-        if abs(pairing - 1.0) > PAIR_CONSTRAINT_TOL:
+        object.__setattr__(self, "alpha_def", a)
+        object.__setattr__(self, "beta_def", b)
+        # NaN passes no tolerance test, so it is refused by name; a value
+        # that overflows below is inf or NaN and fails its test
+        if not (cmath.isfinite(a) and cmath.isfinite(b)
+                and np.isfinite(self.u).all() and np.isfinite(self.v).all()):
+            raise ValueError("deformation parameters alpha_def, beta_def, u, v "
+                             "must be finite")
+        n = min(len(self.u), len(self.v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            constraint = np.abs(a + b + a * b)
+            pairing = np.vdot(self.u[:n], self.v[:n])
+            s_block, inv_block = self.blocks()
+            resid = np.max(np.abs(s_block + inv_block + s_block @ inv_block), initial=0.0)
+            # the product rounds by up to eps ||B_S|| ||B_inv||, which must
+            # sit below the tolerance too, or huge blocks that happen to
+            # cancel exactly would pass
+            rounding = EPS * np.linalg.norm(s_block) * np.linalg.norm(inv_block)
+        if not constraint <= PAIR_CONSTRAINT_TOL:
+            raise ValueError(f"deformation parameters violate alpha+beta+alpha*beta=0 "
+                             f"(got {a + b + a * b})")
+        if self.support_extent and not abs(pairing - 1.0) <= PAIR_CONSTRAINT_TOL:
             raise ValueError(f"<u, v> = {pairing} differs from 1")
+        if not (resid <= INVERSE_TOL and rounding <= INVERSE_TOL):
+            raise ValueError(f"similarity operator not invertible on truncation "
+                             f"(S S^-1 deviates from 1 by {resid:.2e}, its rounding "
+                             f"by up to {rounding:.2e})")
 
     @classmethod
-    def from_alpha(cls, u, v, alpha_def: complex) -> "RankOneDeformation":
+    def from_alpha(cls, u, v, alpha_def: complex) -> "Deformation":
         """Solve beta from alpha via beta = -alpha / (1 + alpha)."""
         a = complex(alpha_def)
         if a == -1:
             raise ValueError("alpha_def = -1 leaves no admissible beta_def")
-        return cls(np.asarray(u), np.asarray(v), a, -a / (1.0 + a))
+        return cls(u, v, a, -a / (1.0 + a))
 
     @property
     def support_extent(self) -> int:
         return max(len(self.u), len(self.v))
 
-
-class RankOneSimilarity(SimilarityOperator):
-    kind = "rank_one"
-
-    def __init__(self, deformation: RankOneDeformation):
-        self.deformation = deformation
-        self.support_extent = deformation.support_extent
+    @property
+    def kind(self) -> str:
+        return "rank_one" if self.support_extent else "identity"
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        d = self.deformation
+        """The blocks B_S and B_inv of S = 1 + B_S and S^{-1} = 1 + B_inv on
+        the leading support_extent indices."""
         u = np.zeros(self.support_extent, dtype=complex)
         v = np.zeros(self.support_extent, dtype=complex)
-        u[:len(d.u)] = d.u
-        v[:len(d.v)] = d.v
+        u[:len(self.u)] = self.u
+        v[:len(self.v)] = self.v
         rank_one = np.outer(v, u.conj())
         # array times scalar: the operand order the dense K x K construction
         # took, so exported rows keep their last bits
-        return rank_one * d.alpha_def, rank_one * d.beta_def
+        return rank_one * self.alpha_def, rank_one * self.beta_def
 
     def safe_dim(self, dim: int) -> int:
-        # the deformation couples rows up to one ladder step past the supports
+        """Leading block on which truncated products reproduce the exact
+        algebra: the deformation couples rows up to one ladder step past
+        the supports, and the truncation edge the last two."""
         return dim - 2 - self.support_extent
 
     def describe(self) -> dict:
-        d = self.deformation
+        if not self.support_extent:
+            return {"kind": self.kind}
         return {
             "kind": self.kind,
-            "alpha_def": [d.alpha_def.real, d.alpha_def.imag],
-            "beta_def": [d.beta_def.real, d.beta_def.imag],
-            "u": [[z.real, z.imag] for z in d.u],
-            "v": [[z.real, z.imag] for z in d.v],
+            "alpha_def": [self.alpha_def.real, self.alpha_def.imag],
+            "beta_def": [self.beta_def.real, self.beta_def.imag],
+            "u": [[z.real, z.imag] for z in self.u],
+            "v": [[z.real, z.imag] for z in self.v],
         }
 
 
-def worked_deformation(alpha_def: complex = 1j) -> RankOneDeformation:
+def worked_deformation(alpha_def: complex = 1j) -> Deformation:
     """Canonical test configuration: u = c0 + c1, v = c0 + c2.
 
     The blocks c0 (indices 0, 1, unit norm), c1 (indices 2, 3) and c2
@@ -171,7 +163,7 @@ def worked_deformation(alpha_def: complex = 1j) -> RankOneDeformation:
     h = 1 / np.sqrt(2)
     u = np.array([h, h, 0.4, -0.3 + 0.2j, 0.0, 0.0])
     v = np.array([h, h, 0.0, 0.0, 0.5j, -0.2])
-    return RankOneDeformation.from_alpha(u, v, alpha_def)
+    return Deformation.from_alpha(u, v, alpha_def)
 
 
 class Window(NamedTuple):
@@ -197,7 +189,7 @@ class BiorthogonalFamily:
     q: float
     phi: FockOperator = field(repr=False)
     psi: FockOperator = field(repr=False)
-    source: SimilarityOperator = field(repr=False)
+    source: Deformation = field(repr=False)
     c: FockOperator = field(repr=False)
     a: FockOperator = field(repr=False)
     b: FockOperator = field(repr=False)
@@ -214,7 +206,7 @@ def _pad(block: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def make_pair(source: SimilarityOperator, q: float, dim: int) -> tuple:
+def make_pair(source: Deformation, q: float, dim: int) -> tuple:
     """Build a = S c S^{-1} and b = S c^dag S^{-1} on the truncation, and
     return (a, b, S, S^{-1}, c).
 
@@ -225,10 +217,6 @@ def make_pair(source: SimilarityOperator, q: float, dim: int) -> tuple:
     validate_q_algebraic(q)
     s_block, inv_block = source.blocks()
     s, s_inv = identity_plus(dim, s_block), identity_plus(dim, inv_block)
-    resid = np.max(np.abs(s_block + inv_block + s_block @ inv_block), initial=0.0)
-    if resid > 1e-12:
-        raise ValueError(f"similarity operator not invertible on truncation "
-                         f"(S S^-1 deviates from 1 by {resid:.2e})")
     c = make_quon_c(q, dim)
     w = min(dim, len(s_block) + 1)
     b_s, b_inv, cw = _pad(s_block, w), _pad(inv_block, w), c.dense(w)
@@ -238,7 +226,7 @@ def make_pair(source: SimilarityOperator, q: float, dim: int) -> tuple:
     return deformed(c, cw), deformed(c.adjoint(), cw.T), s, s_inv, c
 
 
-def build_family(source: SimilarityOperator, q: float, dim: int) -> BiorthogonalFamily:
+def build_family(source: Deformation, q: float, dim: int) -> BiorthogonalFamily:
     """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c,
     the pair (a, b) and their leading windows; check_ladder verifies that b
     raises and a lowers them."""
@@ -289,18 +277,15 @@ def number_eigencheck(family: BiorthogonalFamily) -> dict:
     (a, b) the family's pair.
 
     The eigenvalue is beta_{n-1}^2 (squared), the value the ladder
-    relations force, here the diagonal c^dag c; reports carry the
-    convention explicitly.
+    relations force, here the diagonal c^dag c.
     """
     w = family.window
     phi, psi = w.s, w.s_inv.conj().T
     n_op = w.b @ w.a
     eigen = w.c.conj().T @ w.c
     return {
-        "residual_phi": _worst_columns(n_op @ phi - phi @ eigen, w.cols),
-        "residual_psi": _worst_columns(n_op.conj().T @ psi - psi @ eigen, w.cols),
-        "safe_dim": family.safe_dim,
-        "eigenvalue_convention": "beta_{n-1}^2",
+        "number_residual_phi": _worst_columns(n_op @ phi - phi @ eigen, w.cols),
+        "number_residual_psi": _worst_columns(n_op.conj().T @ psi - psi @ eigen, w.cols),
     }
 
 
@@ -311,7 +296,7 @@ def build_theta(family: BiorthogonalFamily) -> FockOperator:
     return identity_plus(family.K, b + b.conj().T + b @ b.conj().T)
 
 
-def closed_form_theta(source: SimilarityOperator, dim: int) -> FockOperator:
+def closed_form_theta(source: Deformation, dim: int) -> FockOperator:
     """(S S^dag)^{-1}, the closed form the series must reproduce: with
     S S^dag = 1 + M on the block, its inverse is 1 - (1 + M)^{-1} M."""
     b, _ = source.blocks()

@@ -26,7 +26,7 @@ __all__ = ["CheckResult", "TASK_CRITERIA", "run_all", "format_results", "DEFAULT
 IDENTITY = {"kind": "identity"}
 WORKED = {"kind": "rank_one", "preset": "worked", "alpha_def": [0.0, 1.0]}
 POSITION = {"kind": "position", "gamma": 0.6}
-WORKED_SOURCE = pseudoquon.RankOneSimilarity(pseudoquon.worked_deformation(1j))
+WORKED_SOURCE = pseudoquon.worked_deformation(1j)
 
 
 @dataclass
@@ -73,7 +73,7 @@ TASK_CRITERIA = [
                   (0.1, 0.3, 0.5, 0.7, 0.9), 64, ("qmutator_residual",)),
     TaskCriterion("02-biorthogonality", FAMILY, (WORKED,), (0.4,), 64,
                   ("gram_deviation",)),
-    TaskCriterion("03a-ladder-fock", FAMILY, (IDENTITY, WORKED), (0.3, 0.7), 64,
+    TaskCriterion("03a-ladder-fock", FAMILY, (WORKED,), (0.3, 0.7), 64,
                   ("raise_phi", "lower_phi", "raise_psi", "lower_psi")),
     TaskCriterion("03b-ladder-position", {"task": "position", "n_max": 6},
                   (POSITION,), (0.5,), 64, ("ladder_residual",)),
@@ -215,7 +215,7 @@ def check_resolution(reports: TaskReports) -> list[CheckResult]:
 
 
 def check_uncertainty(reports: TaskReports) -> list[CheckResult]:
-    fam1 = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), 1.0 - 1e-6, 64)
+    fam1 = pseudoquon.build_family(pseudoquon.Deformation(), 1.0 - 1e-6, 64)
     res1 = bicoherent.uncertainty_product(
         bicoherent.bicoherent_state(fam1, 0.9 + 0.2j), fam1.a, fam1.b)
     return reports.results("09") + [
@@ -260,9 +260,9 @@ def check_position_example(reports: TaskReports) -> list[CheckResult]:
 def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
     rng = np.random.default_rng(reports.seed)
     q, dim = 0.45, 128
-    deformation = WORKED_SOURCE.deformation
-    family = pseudoquon.build_family(WORKED_SOURCE, q, dim)
-    rho = bicoherent.family_radius(family)
+    deformation = WORKED_SOURCE
+    family = pseudoquon.build_family(deformation, q, dim)
+    rho = qcore.disc_radius(q)
     fact = qcore.BetaSequence(q, dim).factorial[:dim]
     u = np.zeros(dim, dtype=complex)
     v = np.zeros(dim, dtype=complex)
@@ -284,7 +284,7 @@ def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
 
 def check_limits(reports: TaskReports) -> list[CheckResult]:
     q = 1.0 - 1e-6
-    family = pseudoquon.build_family(pseudoquon.IdentitySimilarity(), q, 64)
+    family = pseudoquon.build_family(pseudoquon.Deformation(), q, 64)
     state = bicoherent.bicoherent_state(family, 0.8)
     boson = np.exp(-0.5 * 0.8 ** 2) * np.array(
         [0.8 ** k / math.sqrt(math.factorial(k)) for k in range(21)])

@@ -14,7 +14,6 @@ from biquon.bicoherent import (
     bicoherent_state,
     eigen_check,
     empirical_radius,
-    family_radius,
     log_coefficients,
     norm_series,
     normalization,
@@ -25,8 +24,7 @@ from biquon.bicoherent import (
     uncertainty_product,
 )
 from biquon.pseudoquon import (
-    IdentitySimilarity,
-    RankOneSimilarity,
+    Deformation,
     build_family,
     worked_deformation,
 )
@@ -115,7 +113,7 @@ class TestCoefficients:
 
 @pytest.fixture(scope="module")
 def worked_256():
-    source = RankOneSimilarity(worked_deformation(1j))
+    source = worked_deformation(1j)
     q = 0.5
     family = build_family(source, q, 256)
     return family, family.a, family.b
@@ -153,7 +151,7 @@ class TestStates:
 
     def test_identity_family_reduces_to_quon_state(self):
         q = 0.5
-        family = build_family(IdentitySimilarity(), q, 200)
+        family = build_family(Deformation(), q, 200)
         state = bicoherent_state(family, 0.5)
         ez = quon_coherent_vector(q, 0.5, 200)
         assert np.allclose(state.phi_z, ez, atol=1e-14)
@@ -162,11 +160,11 @@ class TestStates:
     def test_outside_disc_rejected(self, worked_256):
         family, _, _ = worked_256
         with pytest.raises(ValueError):
-            bicoherent_state(family, family_radius(family))
+            bicoherent_state(family, qcore.disc_radius(family.q))
 
     def test_pairing_inside_disc(self, worked_256):
         family, _, _ = worked_256
-        rho = family_radius(family)
+        rho = qcore.disc_radius(family.q)
         for frac in (0.2, 0.5, 0.9):
             state = bicoherent_state(family, frac * rho * np.exp(0.9j))
             assert abs(pairing(state) - 1.0) <= state.tail_bound + 1e-9
@@ -180,7 +178,7 @@ class TestStates:
 
     def test_eigen_identity_family(self):
         q = 0.5
-        family = build_family(IdentitySimilarity(), q, 200)
+        family = build_family(Deformation(), q, 200)
         state = bicoherent_state(family, 0.4)
         r_phi, r_psi = eigen_check(state, family.a, family.b)
         assert max(r_phi, r_psi) < 1e-10
@@ -196,8 +194,8 @@ class TestStates:
         # N(|z|) ~ 1e-81: the absolute residual reads ~1e-81, the relative
         # one is of order one
         q = 0.999
-        family = build_family(IdentitySimilarity(), q, 64)
-        z = 0.7 * family_radius(family) * np.exp(0.3j)
+        family = build_family(Deformation(), q, 64)
+        z = 0.7 * qcore.disc_radius(family.q) * np.exp(0.3j)
         state = bicoherent_state(family, z)
         assert state.norm_const < 1e-60
         assert min(eigen_check(state, family.a, family.b)) > 1.0
@@ -206,9 +204,9 @@ class TestStates:
         # doubling the truncation must shrink the residual at least by the
         # geometric factor prod |z|/beta_j over the added terms
         q = 0.9
-        family = build_family(IdentitySimilarity(), q, 128)
+        family = build_family(Deformation(), q, 128)
         a, b = family.a, family.b
-        z = 0.85 * family_radius(family)
+        z = 0.85 * qcore.disc_radius(family.q)
         r32 = max(eigen_check(bicoherent_state(family, z, terms=32), a, b))
         r64 = max(eigen_check(bicoherent_state(family, z, terms=64), a, b))
         factor = np.prod(z / qcore.BetaSequence(q, 64).beta[33:65])    # beta_32 .. beta_63
@@ -217,7 +215,7 @@ class TestStates:
 
     def test_boson_limit_coefficients(self):
         q = 1.0 - 1e-6
-        family = build_family(IdentitySimilarity(), q, 64)
+        family = build_family(Deformation(), q, 64)
         state = bicoherent_state(family, 0.8)
         expected = np.exp(-0.32) * np.array(
             [0.8 ** k / math.sqrt(math.factorial(k)) for k in range(21)])
@@ -272,21 +270,21 @@ class TestUncertainty:
         assert res.predicted == 0.5
 
     def test_identity_family_formula_point(self):
-        family = build_family(IdentitySimilarity(), 0.5, 128)
+        family = build_family(Deformation(), 0.5, 128)
         res = uncertainty_at(family, 0.6)
         assert res.predicted == pytest.approx(0.41, abs=1e-15)
         assert abs(res.product - 0.41) < 1e-8
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_matches_prediction_across_disc(self, q):
-        family = build_family(RankOneSimilarity(worked_deformation(1j)), q, 256)
-        rho = family_radius(family)
+        family = build_family(worked_deformation(1j), q, 256)
+        rho = qcore.disc_radius(family.q)
         for frac in (0.0, 0.3, 0.6):
             res = uncertainty_at(family, frac * rho * np.exp(1.1j))
             assert abs(res.product - res.predicted) < 1e-7
 
     def test_boson_limit(self):
-        family = build_family(IdentitySimilarity(), 1.0 - 1e-6, 64)
+        family = build_family(Deformation(), 1.0 - 1e-6, 64)
         res = uncertainty_at(family, 0.9 + 0.2j)
         assert abs(res.product - 0.5) < 1e-4
 
@@ -300,8 +298,8 @@ class TestUncertainty:
         assert abs(res.dp_sq.imag) < 1e-10
 
 
-FAMILIES = {"identity": IdentitySimilarity(),
-            "worked": RankOneSimilarity(worked_deformation(1j))}
+FAMILIES = {"identity": Deformation(),
+            "worked": worked_deformation(1j)}
 # repeated fractions put several points on one ring
 POINTS = st.lists(st.tuples(st.sampled_from([0.0, 0.45, 0.9]) | st.floats(0.0, 0.9),
                             st.floats(0.0, 2.0 * math.pi)),
@@ -318,7 +316,7 @@ class TestMoments:
     def test_match_dense_products(self, kind, q):
         family = build_family(FAMILIES[kind], q, 64)
         if q < 0.99:
-            rho = family_radius(family)
+            rho = qcore.disc_radius(family.q)
             zs = np.outer([0.0, 0.3, 0.6, 0.9], rho * np.exp(1j * np.array([0.3, 2.5, 4.0])))
             zs = zs.ravel()
         else:
@@ -347,7 +345,7 @@ class TestColumnBatch:
     def test_columns_match_single_points(self, kind, q, points):
         family = build_family(FAMILIES[kind], q, 64)
         a, b = family.a, family.b
-        rho = family_radius(family)
+        rho = qcore.disc_radius(family.q)
         zs = np.array([frac * rho * cmath.exp(1j * ang) for frac, ang in points])
         batch = bicoherent_state(family, zs)
         eig = eigen_check(batch, a, b)
@@ -385,7 +383,7 @@ class TestColumnBatch:
     def test_one_point_outside_the_disc_rejects_the_batch(self, worked_256):
         family, _, _ = worked_256
         with pytest.raises(ValueError):
-            bicoherent_state(family, [0.1, family_radius(family)])
+            bicoherent_state(family, [0.1, qcore.disc_radius(family.q)])
 
     def test_subnormal_point_is_the_vacuum_to_its_size(self, worked_256):
         # the unit phase comes from arg z, which a subnormal z keeps

@@ -94,6 +94,9 @@ class TestValidation:
 
 
 POSITION = {"kind": "position", "gamma": 0.5}
+WORKED = WORKED_CONFIG["family"]
+UNIT = {"kind": "rank_one", "alpha_def": [0, 1], "u": [[0, 0.6, 0], [1, 0.8, 0]],
+        "v": [[0, 0.6, 0], [1, 0.8, 0]]}
 # u = e_0 + 0.3 e_6 + (0.2 + 0.1i) e_11, v = e_0 + (0.1 + 0.2i) e_8: the
 # resolution overlaps reach index 11, past the default support of 6
 COMPACT = {"kind": "rank_one", "alpha_def": [0, 1],
@@ -180,6 +183,28 @@ BAD_CONFIGS = {
                                          "tasks": [{"task": "resolution", "K_mom": 24,
                                                     "n_theta": 12}]},
                                         r"tasks\[0\].n_theta"),
+    # S and S^-1 whose blocks fail to invert each other by 1.2e-7 and 7e283
+    # (a traceback at the parent); NaN parts passed every tolerance test
+    # there and left NaN residuals
+    "alpha-near-minus-one-worked": ({"K": 16, "family": {**WORKED, "alpha_def": [-1 + 1e-9, 0]}},
+                                    "family"),
+    "alpha-near-minus-one-unit": ({"K": 16, "family": {**UNIT, "alpha_def": [-1 + 1e-9, 0]}},
+                                  "family"),
+    "alpha-1e300": ({"K": 16, "family": {**WORKED, "alpha_def": [1e300, 0]}}, "family"),
+    "alpha-nan": ({"K": 16, "family": {**WORKED, "alpha_def": [math.nan, 0]}},
+                  "family.alpha_def"),
+    "u-nan": ({"K": 16, "family": {**UNIT, "u": [[0, 0.6, 0], [1, math.nan, 0]]}},
+              r"family.u\[1\]"),
+    "alpha-part-not-number": ({"K": 16, "family": {**WORKED, "alpha_def": [1, "x"]}},
+                              "family.alpha_def"),
+    "u-part-not-number": ({"K": 16, "family": {**UNIT, "u": [[0, "a", 0]]}},
+                          r"family.u\[0\]"),
+    # the parent allocated the 10^9 + 1 entries before its K check
+    "u-index-past-K": ({"K": 16, "family": {**UNIT, "u": [[10 ** 9, 1, 0]]}},
+                       r"family.u\[0\]"),
+    # with S = 1 every family and theta residual is exactly 0.0
+    "identity-family-task": ({"tasks": ["family"]}, r"tasks\[0\]"),
+    "identity-theta-task": ({"tasks": ["mutator", "theta"]}, r"tasks\[1\]"),
 }
 
 # the largest K whose beta_K^2 = [K + 1] is a finite float, per q; one past it
@@ -207,6 +232,8 @@ BAD_ARGS = {
                               "tasks[0].n_max"),
     "bicoherent-r-frac-rim": (["bicoherent", "--q", "0.5", "--r-frac", "0.999"],
                               "tasks[0].r_frac"),
+    "family-identity": (["family", "--family", "identity"], "tasks[0]"),
+    "theta-identity": (["theta", "--family", "identity"], "tasks[0]"),
 }
 
 
@@ -512,7 +539,7 @@ RAISED = {
     "mutator": ({"task": "mutator"}, cli, "qmutator_residual", lambda r: 1.0,
                 "qmutator_residual"),
     "family": ({"task": "family"}, pseudoquon, "number_eigencheck",
-               lambda r: {**r, "residual_psi": 1.0}, "number_residual_psi"),
+               lambda r: {**r, "number_residual_psi": 1.0}, "number_residual_psi"),
     "theta": ({"task": "theta"}, pseudoquon, "check_theta_conjugate",
               lambda r: {**r, "mapping_residual": 1.0}, "mapping_residual"),
     "bicoherent": ({"task": "bicoherent"}, bicoherent, "uncertainty_product",
@@ -623,14 +650,26 @@ class TestMainEntry:
 
 
 
+# a float of any kind: nan, +-inf, subnormal, below -1, above 1
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -1.5, -1.0, 0.0, 0.5, 0.999, 1.0, 1.5, 1e300])
+
+
 @st.composite
 def _fock_family(draw) -> tuple[dict, int]:
-    """A Fock family config and the support extent of its deformation."""
+    """A Fock family config and the support extent of its deformation.
+
+    alpha_def is a unit phase, any pair of floats, or -1 +- 1e-9, where S
+    is all but singular; the entries of u and v past e_0 are floats in
+    [-1, 1] or of any kind, NaN and infinities included.
+    """
     kind = draw(st.sampled_from(["identity", "worked", "compact"]))
     if kind == "identity":
         return {"kind": "identity"}, 0
-    theta = draw(st.floats(-2.5, 2.5))      # alpha_def = e^{i theta}
-    family = {"kind": "rank_one", "alpha_def": [math.cos(theta), math.sin(theta)]}
+    theta = st.floats(-2.5, 2.5).map(lambda t: [math.cos(t), math.sin(t)])
+    alpha = draw(theta | st.lists(ANY_FLOAT, min_size=2, max_size=2)
+                 | st.sampled_from([[-1 + 1e-9, 0.0], [-1 - 1e-9, 0.0]]))
+    family = {"kind": "rank_one", "alpha_def": alpha}
     if kind == "worked":
         return {**family, "preset": "worked"}, 6
     # u = e_0 + (entries on some indices), v = e_0 + (entries on others), so
@@ -640,7 +679,7 @@ def _fock_family(draw) -> tuple[dict, int]:
                            min_size=extent - 1, max_size=extent - 1))
     if extent > 1:
         owners[-1] = draw(st.sampled_from(["u", "v"]))
-    part = st.floats(-1.0, 1.0)
+    part = st.floats(-1.0, 1.0) | ANY_FLOAT
     vectors = {"u": [[0, 1.0, 0.0]], "v": [[0, 1.0, 0.0]]}
     for index, owner in enumerate(owners, start=1):
         if owner:
@@ -737,6 +776,10 @@ class TestConfigFuzz:
     # against the family bound 1e-11, and passed unjudged
     @example(cfg={"q": 2.9, "K": 32, "tasks": ["family"],
                   "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [-3, 3]}})
+    # NaN passed every tolerance test of the parent's deformation and
+    # exited 1 on NaN residuals
+    @example(cfg={"q": 0.5, "K": 16, "tasks": ["mutator"],
+                  "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [math.nan, 0]}})
     def test_run_config_keeps_exit_code_contract(self, cfg):
         self._check(cfg)
 
@@ -762,11 +805,6 @@ class TestConfigFuzz:
             assert report["passed"] == all(v <= bounds[m] for m, v in metrics.items())
             # a NaN residual must not hide behind a verdict
             assert all(math.isfinite(v) for v in metrics.values())
-
-
-# a float of any kind: nan, +-inf, subnormal, below -1, above 1
-ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [math.nan, math.inf, -math.inf, 5e-324, -1.5, -1.0, 0.0, 0.5, 0.999, 1.0, 1.5, 1e300])
 
 
 def _main_exit(argv: list[str]) -> tuple[int, str]:

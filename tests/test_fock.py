@@ -16,8 +16,7 @@ from biquon.fock import (
     qmutator_residual,
 )
 from biquon.pseudoquon import (
-    IdentitySimilarity,
-    RankOneSimilarity,
+    Deformation,
     build_family,
     make_pair,
     worked_deformation,
@@ -60,7 +59,7 @@ class TestQuonMatrix:
     def test_adjoint_is_exact_conjugate_transpose(self):
         c = make_quon_c(0.3, 12)
         assert np.array_equal(c.adjoint().dense(), c.dense().conj().T)
-        a = make_pair(RankOneSimilarity(worked_deformation(0.3 + 0.7j)), 0.3, 12)[0]
+        a = make_pair(worked_deformation(0.3 + 0.7j), 0.3, 12)[0]
         assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
 
     def test_number_operator_diagonal(self):
@@ -137,7 +136,7 @@ class TestResidual:
         assert qmutator_residual(c, c.adjoint(), q) > 1e-11
 
     def test_deformed_pair(self):
-        source = RankOneSimilarity(worked_deformation(1j))
+        source = worked_deformation(1j)
         a, b = make_pair(source, 0.3, 64)[:2]
         assert qmutator_residual(a, b, 0.3, source.safe_dim(64)) < 1e-12
 
@@ -152,19 +151,19 @@ def norm_growth(family):
 class TestNormGrowthProbe:
     def test_undeformed_family_converges(self):
         q, dim = 0.5, 64
-        probe = norm_growth(build_family(IdentitySimilarity(), q, dim))
+        probe = norm_growth(build_family(Deformation(), q, dim))
         expected = qcore.BetaSequence(q, dim).bracket[1:dim]
         assert np.allclose(probe, expected, rtol=1e-12)
         assert abs(probe[-1] - 1.0 / (1.0 - q)) < 1e-8
 
     def test_bosonic_divergence(self):
-        probe = norm_growth(build_family(IdentitySimilarity(), 1.0, 48))
+        probe = norm_growth(build_family(Deformation(), 1.0, 48))
         assert np.allclose(probe, np.arange(1, 48), rtol=1e-12)
         assert probe[-1] > probe[0]
 
     def test_deformed_family_stays_bounded(self):
         q, dim = 0.5, 64
-        family = build_family(RankOneSimilarity(worked_deformation(1j)), q, dim)
+        family = build_family(worked_deformation(1j), q, dim)
         probe = norm_growth(family)
         bound = (np.linalg.norm(family.phi.dense(), 2)
                  * np.linalg.norm(family.c.dense(), 2)
@@ -221,5 +220,5 @@ class TestStructuredAlgebra:
         assert np.array_equal(x.dense(n), dx[:n, :n])
 
     def test_window_matches_whole(self):
-        a = make_pair(RankOneSimilarity(worked_deformation(1j)), 0.4, 32)[0]
+        a = make_pair(worked_deformation(1j), 0.4, 32)[0]
         assert np.array_equal(a.dense(10), a.dense()[:10, :10])

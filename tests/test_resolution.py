@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from biquon import qcore
 from biquon.cli import run_config
 from biquon.pseudoquon import (
-    IdentitySimilarity,
-    RankOneDeformation,
-    RankOneSimilarity,
+    Deformation,
     build_family,
     worked_deformation,
 )
@@ -182,8 +180,8 @@ class TestAngularExactness:
 def setup():
     q, dim = 0.5, 64
     quad = solve_moment_measure(q, 12)
-    identity = build_family(IdentitySimilarity(), q, dim)
-    worked = build_family(RankOneSimilarity(worked_deformation(1j)), q, dim)
+    identity = build_family(Deformation(), q, dim)
+    worked = build_family(worked_deformation(1j), q, dim)
     return q, dim, quad, identity, worked
 
 
@@ -247,7 +245,7 @@ class TestResolutionCheck:
 
     def test_q_mismatch_rejected(self, setup):
         _, dim, quad, identity, _ = setup
-        other = build_family(IdentitySimilarity(), 0.4, dim)
+        other = build_family(Deformation(), 0.4, dim)
         with pytest.raises(ValueError):
             resolution_check(other, quad, 64, self.basis(dim, 0),
                              self.basis(dim, 0))
@@ -255,12 +253,12 @@ class TestResolutionCheck:
 
 # u = e_0 + 0.3 e_6 + (0.2 + 0.1i) e_11 and v = e_0 + (0.1 + 0.2i) e_8: the
 # overlaps of vectors supported on the first 6 indices reach index 11
-COMPACT = RankOneDeformation.from_alpha(
+COMPACT = Deformation.from_alpha(
     [1, 0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.2 + 0.1j], [1, 0, 0, 0, 0, 0, 0, 0, 0.1 + 0.2j], 1j)
 SOURCES = {
-    "identity": IdentitySimilarity(),
-    "worked": RankOneSimilarity(worked_deformation(1j)),
-    "compact": RankOneSimilarity(COMPACT),
+    "identity": Deformation(),
+    "worked": worked_deformation(1j),
+    "compact": COMPACT,
 }
 
 
