@@ -33,9 +33,9 @@ class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
 
 
+FOCK_KINDS = ("identity", "rank_one")
 FOCK_TASKS = {"mutator", "family", "theta", "bicoherent", "resolution"}
 POSITION_TASKS = {"mutator", "family", "theta", "position"}
-TASK_ORDER = ["family", "mutator", "theta", "bicoherent", "resolution", "position"]
 
 # Every bound a task applies.  "task" is its bound, "task.<family kind>" its
 # bound on that kind, and "task.<metric>" the bound of a metric judged on
@@ -54,18 +54,36 @@ TOLERANCES = {
     "position": 1e-6,
     "position.ladder_residual": 1e-10,
 }
-# least admissible value of each integer task parameter
-TASK_INT_MINIMA = {
-    "family": {"n_max": 0},
-    "bicoherent": {"n_r": 1, "n_theta": 1},
-    "resolution": {"K_mom": 2, "n_pairs": 1, "support": 1, "n_theta": 1},
-    "position": {"n_max": 0},
+# Every key a task reads, in the order the runs take the tasks, as (type,
+# the family kinds that read it, default, admissible range).  A default may
+# be a function of K.  A range is closed for an int and open for a float,
+# and "K" stands for the config's K: the moments and the overlaps of a
+# resolution task read rho_k for k below K_mom and support.
+TASK_PARAMS = {
+    "family": {"n_max": (int, ("position",), 6, (0, math.inf))},
+    "mutator": {"dump_operators": (bool, FOCK_KINDS, False, None)},
+    "theta": {},
+    "bicoherent": {"n_r": (int, FOCK_KINDS, 4, (1, math.inf)),
+                   "n_theta": (int, FOCK_KINDS, 8, (1, math.inf)),
+                   "r_frac": (float, FOCK_KINDS, 0.7, (0.0, 1.0))},
+    "resolution": {"K_mom": (int, FOCK_KINDS, lambda dim: min(12, dim), (2, "K")),
+                   "n_theta": (int, FOCK_KINDS, 64, (1, math.inf)),
+                   "n_pairs": (int, FOCK_KINDS, 20, (1, math.inf)),
+                   "support": (int, FOCK_KINDS, lambda dim: min(6, dim), (1, "K"))},
+    "position": {"n_max": (int, ("position",), 5, (0, math.inf)),
+                 "dump_states": (bool, ("position",), False, None)},
 }
+CONFIG_KEYS = ("q", "K", "family", "tasks", "tolerances", "seed")
+FAMILY_KEYS = {"identity": ("kind",), "rank_one": ("kind", "alpha_def", "preset", "u", "v"),
+               "position": ("kind", "gamma")}
+# the highest state index of the position mutator and theta checks
+MUTATOR_N_MAX, THETA_N_MAX = 3, 2
 # position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
 GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
-# n_max of the position-family tasks: the default of family and position,
-# which read it from the config, and the states mutator and theta check
-POSITION_N_MAX = {"family": 6, "position": 5, "mutator": 3, "theta": 2}
+# The largest support extent of u and v.  The dense blocks and windows of a
+# Fock family cost extent^3 time: family, mutator and theta take about 5 s
+# and 330 MB peak RSS at extent 1024 on a 2-core Xeon, 7.5 s and 505 MB at 1300.
+MAX_SUPPORT_EXTENT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +100,10 @@ def _bound(cfg: dict, tol_scale: float, task: str, metric: str | None = None) ->
 
 
 def _parse_int(value, path: str) -> int:
+    # a JSON true or false is no number, though Python's bool is an int
     try:
         out = int(value)
-        if out == float(value):
+        if out == float(value) and not isinstance(value, bool):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -93,15 +112,19 @@ def _parse_int(value, path: str) -> int:
 
 def _parse_float(value, path: str) -> float:
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: not a number ({value!r})") from None
+        pass
+    raise ConfigError(f"{path}: not a number ({value!r})")
 
 
-def _parse_positive(value, path: str) -> float:
-    out = _parse_float(value, path)
-    if not 0.0 < out < math.inf:
-        raise ConfigError(f"{path}: must be positive and finite, got {out}")
+def _parse_ranged(kind_of: type, value, path: str, lo, hi=math.inf):
+    """An int in [lo, hi] or a float in (lo, hi)."""
+    out = (_parse_int if kind_of is int else _parse_float)(value, path)
+    if not (lo < out < hi if kind_of is float else lo <= out <= hi):
+        span = f"({lo}, {hi})" if kind_of is float else f"[{lo}, {hi}]"
+        raise ConfigError(f"{path}: must lie in {span}, got {out}")
     return out
 
 
@@ -117,7 +140,8 @@ def _parse_complex(value, path: str) -> complex:
 
 
 def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
-    """A vector from [index, re, im] triples, each index below dim."""
+    """A vector from [index, re, im] triples, each index below dim and
+    MAX_SUPPORT_EXTENT."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: expected nonempty list of [index, re, im]")
     parsed = []
@@ -125,9 +149,9 @@ def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
         if not (isinstance(item, list) and len(item) == 3):
             raise ConfigError(f"{path}[{i}]: expected [index, re, im]")
         k = item[0]
-        if not isinstance(k, int) or not 0 <= k < dim:
-            raise ConfigError(f"{path}[{i}]: index must be an integer in "
-                              f"[0, K = {dim}), got {k!r}")
+        if type(k) is not int or not 0 <= k < min(dim, MAX_SUPPORT_EXTENT):
+            raise ConfigError(f"{path}[{i}]: index must be an integer below K = {dim} "
+                              f"and MAX_SUPPORT_EXTENT = {MAX_SUPPORT_EXTENT}, got {k!r}")
         parsed.append((k, _parse_complex(item[1:], f"{path}[{i}]")))
     vec = np.zeros(max(k for k, _ in parsed) + 1, dtype=complex)
     for k, z in parsed:
@@ -135,40 +159,80 @@ def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _normalize_tasks(raw, path: str) -> list[dict]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected nonempty task list")
-    tasks = []
-    for i, item in enumerate(raw):
-        if isinstance(item, str):
-            tasks.append({"task": item})
-        elif isinstance(item, dict) and "task" in item:
-            tasks.append(dict(item))
-        else:
-            raise ConfigError(f"{path}[{i}]: expected task name or "
-                              f"object with a 'task' field")
-    return tasks
+def _refuse_unknown(keys, known, path: str, owner: str) -> None:
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"{path}{key}: unknown key; {owner} reads {list(known)}")
 
 
-def _validate_task_params(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
-    """Parse and range-check, in place, the task parameters the config sets."""
-    q, dim = cfg["q"], cfg["K"]
-    for key, least in TASK_INT_MINIMA.get(task["task"], {}).items():
-        if key in task:
-            task[key] = _parse_int(task[key], f"{path}.{key}")
-            if task[key] < least:
-                raise ConfigError(f"{path}.{key}: must be at least {least}, "
-                                  f"got {task[key]}")
-    if task["task"] == "bicoherent":
-        if "r_frac" in task:
-            task["r_frac"] = _parse_float(task["r_frac"], f"{path}.r_frac")
-            if not 0.0 < task["r_frac"] < 1.0:
-                raise ConfigError(f"{path}.r_frac: must lie in (0, 1), "
-                                  f"got {task['r_frac']}")
+def _check_keys(cfg: dict) -> tuple[str, dict, list[dict]]:
+    """The config's family kind, family and tasks, once every key of the
+    config, its tolerances, its family and each task is one that
+    CONFIG_KEYS, TASK_PARAMS and FAMILY_KEYS list there, and no task is
+    named twice."""
+    _refuse_unknown(cfg, CONFIG_KEYS, "", "a config")
+    tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances: expected an object")
+    _refuse_unknown(tol, TASK_PARAMS, "tolerances.", "tolerances")
+    fam = cfg.get("family", {"kind": "identity"})
+    if not isinstance(fam, dict) or "kind" not in fam:
+        raise ConfigError("family: expected object with a 'kind' field")
+    kind = fam["kind"]
+    if not isinstance(kind, str) or kind not in FAMILY_KEYS:
+        raise ConfigError(f"family.kind: unknown kind {kind!r}")
+    _refuse_unknown(fam, FAMILY_KEYS[kind], "family.", f"family kind {kind!r}")
+    if not isinstance(cfg.get("tasks"), list) or not cfg["tasks"]:
+        raise ConfigError("tasks: expected nonempty task list")
+    tasks: dict[str, dict] = {}
+    for i, item in enumerate(cfg["tasks"]):
+        path, item = f"tasks[{i}]", {"task": item} if isinstance(item, str) else item
+        if not (isinstance(item, dict) and "task" in item):
+            raise ConfigError(f"{path}: expected task name or object with a 'task' field")
+        name = item["task"]
+        if not isinstance(name, str) or name not in TASK_PARAMS:
+            raise ConfigError(f"{path}: unknown task {name!r}")
+        if name not in (POSITION_TASKS if kind == "position" else FOCK_TASKS):
+            raise ConfigError(f"{path}: task {name!r} is not valid for family "
+                              f"kind {kind!r}")
+        # the summary keeps one report per task name
+        if name in tasks:
+            raise ConfigError(f"{path}: task {name!r} is listed twice")
+        known = ["task"] + [key for key, (_, kinds, *_) in TASK_PARAMS[name].items()
+                            if kind in kinds]
+        _refuse_unknown(item, known, f"{path}.", f"task {name!r} of family kind {kind!r}")
+        tasks[name] = dict(item)
+    return kind, fam, list(tasks.values())
+
+
+def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
+    """Parse and range-check, in place, the keys the task sets, fill in the
+    defaults of the others, and refuse a task the config cannot run."""
+    name, kind, q, dim = task["task"], cfg["family"]["kind"], cfg["q"], cfg["K"]
+    for key, (kind_of, kinds, default, ends) in TASK_PARAMS[name].items():
+        if kind not in kinds:
+            continue
+        if key not in task:
+            task[key] = default(dim) if callable(default) else default
+        elif kind_of is not bool:
+            lo, hi = ends
+            task[key] = _parse_ranged(kind_of, task[key], f"{path}.{key}", lo,
+                                      dim if hi == "K" else hi)
+        elif not isinstance(task[key], bool):
+            raise ConfigError(f"{path}.{key}: expected true or false, got {task[key]!r}")
+    if name in ("bicoherent", "resolution") and not 0.0 < q < 1.0:
+        raise ConfigError(f"{path}: task {name!r} requires 0 < q < 1 "
+                          f"(convergence radius undefined at q={q})")
+    if name in ("family", "theta") and kind != "position" \
+            and cfg["family"]["deformation"].alpha_def == 0:
+        # with S = 1 every residual of these tasks is exactly 0.0
+        raise ConfigError(f"{path}: S = 1 leaves nothing to check in task {name!r}; "
+                          f"use a rank_one family with alpha_def != 0")
+    if name == "bicoherent":
         # At the sweep's largest |z| the truncated undeformed state obeys
         # c e_K(z) - z e_K(z) = -z c_{K-1} e_{K-1}, so its relative eigen
         # residual |z| |c_{K-1}| / ||c_{<K}|| is exact, and N(|z|) cancels.
-        r = task.get("r_frac", 0.7) * qcore.disc_radius(q)
+        r = task["r_frac"] * qcore.disc_radius(q)
         log_mod = bicoherent.log_coefficients(q, r, dim)
         mod = np.exp(log_mod - np.max(log_mod))
         resid = r * mod[-1] / np.linalg.norm(mod)
@@ -178,24 +242,18 @@ def _validate_task_params(task: dict, path: str, cfg: dict, tol_scale: float) ->
                               f"K = {dim} truncation leaves an eigen residual "
                               f"{resid:.3e} above the bound {bound:.3e}; lower "
                               f"r_frac or raise K")
-    if task["task"] == "resolution":
+    if name == "resolution":
         try:
             resolution.atom_count(q)
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
         # the overlaps of f, g with the family reach past their support to
-        # the end of the deformation's block, which ends below K - 2
-        reach = max(task.get("support", min(6, dim)),
-                    cfg["family"]["deformation"].support_extent)
-        for key, n in (("K_mom", task.get("K_mom", 2)), ("support", reach)):
-            if n > dim:
-                raise ConfigError(f"{path}.{key}: needs rho_k for k < {n}, "
-                                  f"past K = {dim}")
-        n_theta = task.get("n_theta", 64)
-        if n_theta <= 2 * (reach - 1):
+        # the end of the deformation's block
+        reach = max(task["support"], cfg["family"]["deformation"].support_extent)
+        if task["n_theta"] <= 2 * (reach - 1):
             raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "
                               f"support extent) - 1) = {2 * (reach - 1)}, "
-                              f"got {n_theta}")
+                              f"got {task['n_theta']}")
 
 
 def _position_lattice(cfg: dict, tasks: list[dict],
@@ -214,11 +272,11 @@ def _position_lattice(cfg: dict, tasks: list[dict],
     needs = []
     for i, task in enumerate(tasks):
         name = task["task"]
-        if name in ("family", "position"):
-            path, n_max = f"tasks[{i}].n_max", task.get("n_max", POSITION_N_MAX[name])
-            remedy = "n_max or q"
+        if "n_max" in task:
+            path, n_max, remedy = f"tasks[{i}].n_max", task["n_max"], "n_max or q"
         else:
-            path, n_max, remedy = f"tasks[{i}]", POSITION_N_MAX[name], "q"
+            n_max = MUTATOR_N_MAX if name == "mutator" else THETA_N_MAX
+            path, remedy = f"tasks[{i}]", "q"
         gamma = cfg["family"]["gamma"] if name in ("mutator", "position") else 0.0
         needs.append((path, remedy, name, n_max, gamma))
     # the ladder check of the position task reads one row past its n_max
@@ -240,35 +298,29 @@ def _position_lattice(cfg: dict, tasks: list[dict],
 
 def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     """Parse and check a config; tol_scale is the run's --tolerance-scale,
-    which the bicoherent truncation check applies."""
+    which the bicoherent truncation check applies.  An unknown key is the
+    first error named: every key is checked before any value is read."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
+    kind, fam, tasks = _check_keys(cfg)
     if "q" not in cfg:
         raise ConfigError("q: missing")
     out: dict = {"q": _parse_float(cfg["q"], "q")}
-    out["K"] = _parse_int(cfg.get("K", 64), "K")
-    if out["K"] < 2:
-        raise ConfigError(f"K: must be at least 2, got {out['K']}")
+    out["K"] = _parse_ranged(int, cfg.get("K", 64), "K", 2)
 
-    fam = cfg.get("family", {"kind": "identity"})
-    if not isinstance(fam, dict) or "kind" not in fam:
-        raise ConfigError("family: expected object with a 'kind' field")
-    kind = fam["kind"]
-    if kind not in ("identity", "rank_one", "position"):
-        raise ConfigError(f"family.kind: unknown kind {kind!r}")
     out["family"] = {"kind": kind}
     if kind == "position":
-        gamma = _parse_float(fam.get("gamma", 0.0), "family.gamma")
-        if not abs(gamma) < GAMMA_MAX:
-            raise ConfigError(f"family.gamma: |gamma| must stay below {GAMMA_MAX:.4g}, "
-                              f"where ||phi_n||^2 ~ exp(gamma^2) overflows; got {gamma}")
-        out["family"]["gamma"] = gamma
+        out["family"]["gamma"] = _parse_ranged(float, fam.get("gamma", 0.0), "family.gamma",
+                                               -GAMMA_MAX, GAMMA_MAX)
     else:
         if kind == "identity":
             deformation = pseudoquon.Deformation()
         else:
             alpha = _parse_complex(fam.get("alpha_def", [0.0, 1.0]), "family.alpha_def")
-            worked = fam.get("preset") == "worked" or ("u" not in fam and "v" not in fam)
+            worked = "u" not in fam and "v" not in fam
+            if "preset" in fam and (fam["preset"] != "worked" or not worked):
+                raise ConfigError(f"family.preset: got {fam['preset']!r} with keys "
+                                  f"{list(fam)}; the one preset, 'worked', fixes u and v")
             if not worked:
                 u = _parse_sparse_vector(fam.get("u"), "family.u", out["K"])
                 v = _parse_sparse_vector(fam.get("v"), "family.v", out["K"])
@@ -291,44 +343,16 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     except ValueError as exc:
         raise ConfigError(f"q: {exc}") from None
 
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object")
-    for key in tol:
-        if key not in TASK_ORDER:
-            raise ConfigError(f"tolerances.{key}: unknown task")
-    out["tolerances"] = {key: _parse_positive(value, f"tolerances.{key}")
-                         for key, value in tol.items()}
-    tasks = _normalize_tasks(cfg.get("tasks"), "tasks")
-    allowed = POSITION_TASKS if kind == "position" else FOCK_TASKS
+    out["tolerances"] = {key: _parse_ranged(float, value, f"tolerances.{key}", 0.0)
+                         for key, value in cfg.get("tolerances", {}).items()}
     for i, task in enumerate(tasks):
-        name = task["task"]
-        if name not in FOCK_TASKS | POSITION_TASKS:
-            raise ConfigError(f"tasks[{i}]: unknown task {name!r}")
-        if name not in allowed:
-            raise ConfigError(f"tasks[{i}]: task {name!r} is not valid for "
-                              f"family kind {kind!r}")
-        if "n_max" in task and not (kind == "position"
-                                    and name in ("family", "position")):
-            raise ConfigError(f"tasks[{i}].n_max: only the family and position "
-                              f"tasks of the position family read n_max, not "
-                              f"task {name!r} of family kind {kind!r}")
-        if name in ("bicoherent", "resolution") and not (0.0 < out["q"] < 1.0):
-            raise ConfigError(f"tasks[{i}]: task {name!r} requires 0 < q < 1 "
-                              f"(convergence radius undefined at q={out['q']})")
-        if name in ("family", "theta") and kind == "identity":
-            # with S = 1 every residual of these tasks is exactly 0.0
-            raise ConfigError(f"tasks[{i}]: S = 1 leaves nothing to check in task "
-                              f"{name!r}; use a rank_one family")
-        _validate_task_params(task, f"tasks[{i}]", out, tol_scale)
+        _validate_task(task, f"tasks[{i}]", out, tol_scale)
     if kind == "position":
         out["family"]["lattice"] = _position_lattice(out, tasks, tol_scale)
-    order = {name: i for i, name in enumerate(TASK_ORDER)}
-    out["tasks"] = sorted(tasks, key=lambda t: order[t["task"]])
+    order = list(TASK_PARAMS)
+    out["tasks"] = sorted(tasks, key=lambda t: order.index(t["task"]))
 
-    out["seed"] = _parse_int(cfg.get("seed", DEFAULT_SEED), "seed")
-    if out["seed"] < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {out['seed']}")
+    out["seed"] = _parse_ranged(int, cfg.get("seed", DEFAULT_SEED), "seed", 0)
     return out
 
 
@@ -381,13 +405,12 @@ def _finish(ws: _Workspace, task: str, metrics: dict, **info) -> dict:
 
 def _task_mutator(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        states = positionrep.build_families(ws.params, POSITION_N_MAX["mutator"],
-                                            ws.lattice)[0]
+        states = positionrep.build_families(ws.params, MUTATOR_N_MAX, ws.lattice)[0]
         resid = positionrep.qmutation_grid_check(ws.params, states)
         return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="analytic")
     fam = ws.family
     resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
-    if task.get("dump_operators"):
+    if task["dump_operators"]:
         for op, name in ((fam.a, "a.json"), (fam.b, "b.json")):
             ws.write_text(name, json.dumps({"format": FORMAT, **operator_json(op)},
                                            sort_keys=True))
@@ -397,10 +420,9 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
 
 def _task_family(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        n_max = int(task.get("n_max", POSITION_N_MAX["family"]))
         return _finish(ws, "family",
-                       positionrep.similarity_check(ws.params, n_max, ws.lattice),
-                       n_max=n_max)
+                       positionrep.similarity_check(ws.params, task["n_max"], ws.lattice),
+                       n_max=task["n_max"])
     fam = ws.family
     metrics = {
         "gram_deviation": pseudoquon.gram_deviation(fam),
@@ -417,8 +439,7 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
 
 def _task_theta(ws: _Workspace, task: dict) -> dict:
     if ws.kind == "position":
-        resid = positionrep.theta_conjugacy_check(ws.params, POSITION_N_MAX["theta"],
-                                                  ws.lattice)
+        resid = positionrep.theta_conjugacy_check(ws.params, THETA_N_MAX, ws.lattice)
         return _finish(ws, "theta", {"conjugacy_residual": resid}, realization="analytic")
     fam = ws.family
     theta = pseudoquon.build_theta(fam)
@@ -431,11 +452,9 @@ def _task_theta(ws: _Workspace, task: dict) -> dict:
 
 
 def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
-    n_r = int(task.get("n_r", 4))
-    n_theta = int(task.get("n_theta", 8))
     # validate_config refused an r_frac whose K-term truncation misses the
     # bound at the rim of the sweep (r_frac 0.9 needs K around 256 at q = 0.5)
-    r_frac = float(task.get("r_frac", 0.7))
+    n_r, n_theta, r_frac = task["n_r"], task["n_theta"], task["r_frac"]
     fam = ws.family
     rho = qcore.disc_radius(fam.q)
     # the whole n_r x n_theta grid, ring by ring, is one column batch
@@ -469,17 +488,14 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
 
 
 def _task_resolution(ws: _Workspace, task: dict) -> dict:
-    k_mom = int(task.get("K_mom", min(12, ws.family.K)))
-    n_theta = int(task.get("n_theta", 64))
-    n_pairs = int(task.get("n_pairs", 20))
-    support = int(task.get("support", min(6, ws.family.K)))
-    quad = resolution.solve_moment_measure(ws.cfg["q"], k_mom)
+    n_pairs, support = task["n_pairs"], task["support"]
+    quad = resolution.solve_moment_measure(ws.cfg["q"], task["K_mom"])
     # the draws of pair j are re f_j, im f_j, re g_j, im g_j, in that order
     draws = ws.rng.standard_normal((n_pairs, 2, 2, support))
     f, g = np.zeros((2, ws.family.K, n_pairs), dtype=complex)
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T
-    val = resolution.resolution_check(ws.family, quad, n_theta, f, g)
+    val = resolution.resolution_check(ws.family, quad, task["n_theta"], f, g)
     stream = ws.open_csv("quadrature.csv")
     if stream:
         with stream:
@@ -494,7 +510,7 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
 
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
-    n_max = int(task.get("n_max", POSITION_N_MAX["position"]))
+    n_max = task["n_max"]
     stream = ws.open_csv("coefficients.csv")
     if stream:
         # the rows csv.writer would write, with its \r\n line ends; the
@@ -506,7 +522,7 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
             stream.write("n,k,re,im\r\n" + "".join(lines))
     norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
     ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
-    if task.get("dump_states"):
+    if task["dump_states"]:
         x = positionrep.default_grid(ws.params.gamma)
         phi = positionrep.build_families(ws.params, n_max, ws.lattice)[0]
         for n in range(n_max + 1):
@@ -534,7 +550,7 @@ TASK_RUNNERS = {
 def run_config(cfg: dict, out_dir: Path | None = None,
                tol_scale: float = 1.0) -> tuple[dict, int]:
     """Execute every task; returns (summary, exit_code)."""
-    tol_scale = _parse_positive(tol_scale, "--tolerance-scale")
+    tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     cfg = validate_config(cfg, tol_scale)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -547,15 +563,14 @@ def run_config(cfg: dict, out_dir: Path | None = None,
         "tasks": {},
     }
     timings = {}
-    all_pass = True
     for task in cfg["tasks"]:
         name = task["task"]
         start = time.perf_counter()
         report = TASK_RUNNERS[name](ws, task)
         timings[name] = time.perf_counter() - start
         summary["tasks"][name] = report
-        all_pass = all_pass and report["passed"]
-    summary["all_pass"] = all_pass
+    # validate_config refused a task named twice, so every report is here
+    all_pass = summary["all_pass"] = all(r["passed"] for r in summary["tasks"].values())
     if out_dir is not None:
         with (out_dir / "summary.json").open("w") as fh:
             json.dump({**summary, "timings": timings}, fh, sort_keys=True, indent=2)
@@ -575,32 +590,18 @@ def run_config(cfg: dict, out_dir: Path | None = None,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _mini_config(args, tasks: list) -> dict:
-    fam: dict = {"kind": args.family}
-    if args.family == "rank_one":
-        fam["preset"] = "worked"
-        fam["alpha_def"] = [0.0, 1.0]
-    if args.family == "position":
-        fam["gamma"] = args.gamma
-    return {"q": args.q, "K": args.dim, "family": fam, "tasks": tasks,
-            "seed": args.seed}
-
-
 def _cmd_beta(args) -> int:
-    if args.n_max < 0:
-        raise ConfigError(f"n_max: must be nonnegative, got {args.n_max}")
+    _parse_ranged(int, args.n_max, "n_max", 0)
     try:
         bs = BetaSequence(args.q, args.n_max)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"q: {exc}") from None
-    # the log-number eigenvalue log(1 - (1-q) beta_{n-1}^2) / log q is
-    # log(q^n) / log q = n exactly
-    lines = ["n,beta,beta_factorial" + (",log_number" if 0 < args.q < 1 else "")]
+    lines = ["n,beta,beta_factorial"]
     for n, (beta, fact) in enumerate(zip(bs.beta[1:].tolist(), bs.factorial[1:].tolist())):
         if not math.isfinite(fact):
             raise ConfigError(f"n_max: beta_{n}! overflows at q={args.q}; "
                               f"the largest n_max is {n - 1}")
-        lines.append(f"{n},{beta:.17g},{fact:.17g}" + (f",{n}" if 0 < args.q < 1 else ""))
+        lines.append(f"{n},{beta:.17g},{fact:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)
@@ -617,14 +618,16 @@ def _run_and_report(cfg: dict, args) -> int:
     return code
 
 
-def _cmd_simple_task(task_name: str, options: list[str]):
-    def cmd(args) -> int:
-        task: dict = {"task": task_name}
-        for opt in options:
-            if getattr(args, opt) is not None:
-                task["K_mom" if opt == "k_mom" else opt] = getattr(args, opt)
-        return _run_and_report(_mini_config(args, [task]), args)
-    return cmd
+def _cmd_task(args) -> int:
+    task = {"task": args.command}
+    task.update((key, getattr(args, key)) for key in TASK_PARAMS[args.command]
+                if getattr(args, key) is not None)
+    # a rank_one family with neither u nor v is the worked preset
+    family = {"kind": args.family}
+    if args.family == "position":
+        family["gamma"] = args.gamma
+    return _run_and_report({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
+                            "seed": args.seed}, args)
 
 
 def _cmd_run(args) -> int:
@@ -682,26 +685,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=16)
     p.set_defaults(func=_cmd_beta)
 
-    for name, extra in [
-        ("mutator", ["dump_operators"]),
-        ("family", ["n_max"]),
-        ("theta", []),
-        ("bicoherent", ["n_r", "n_theta", "r_frac"]),
-        ("resolution", ["k_mom", "n_theta", "n_pairs"]),
-        ("position", ["n_max", "dump_states"]),
-    ]:
+    for name, params in TASK_PARAMS.items():
         p = sub.add_parser(name, help=f"run the {name} checks")
         _add_common(p)
-        for opt in extra:
-            flag = "--" + opt.replace("_", "-")
-            if opt.startswith("dump_"):
-                p.add_argument(flag, action="store_true", default=None)
+        # a flag left out sets nothing, so validate_config fills its default
+        for key, (kind_of, *_) in params.items():
+            flag = "--" + key.lower().replace("_", "-")
+            if kind_of is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None)
             else:
-                p.add_argument(flag, type=float if opt == "r_frac" else int)
+                p.add_argument(flag, dest=key, type=kind_of)
         if name in ("family", "theta", "position"):
             # S = 1 leaves the Fock family and theta tasks nothing to check
             p.set_defaults(family="position" if name == "position" else "rank_one")
-        p.set_defaults(func=_cmd_simple_task(name, extra))
+        p.set_defaults(func=_cmd_task)
 
     p = sub.add_parser("run", help="execute a full experiment config")
     p.add_argument("--config", type=str, required=True)

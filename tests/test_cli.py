@@ -1,5 +1,6 @@
 """Tests for the command-line front-end: configs, artifacts, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +39,7 @@ class TestValidation:
         cfg = validate_config({"q": 0.5, "K": 64,
                                "family": {"kind": "identity"},
                                "tasks": ["mutator"]})
-        assert cfg["tasks"] == [{"task": "mutator"}]
+        assert cfg["tasks"] == [{"task": "mutator", "dump_operators": False}]
 
     def test_missing_q(self):
         with pytest.raises(ConfigError, match="q"):
@@ -85,6 +87,27 @@ class TestValidation:
                                "tasks": ["mutator"], "tolerances": tolerances})
         assert cfg["tolerances"] == {"mutator": 1e-3}
         assert tolerances == {"mutator": "1e-3"}
+
+    def test_defaults_are_filled_in(self):
+        cfg = validate_config({"q": 0.5, "tasks": ["resolution", "bicoherent"]})
+        assert cfg["tasks"] == [
+            {"task": "bicoherent", "n_r": 4, "n_theta": 8, "r_frac": 0.7},
+            {"task": "resolution", "K_mom": 12, "n_theta": 64, "n_pairs": 20, "support": 6}]
+        # K_mom and support stop at K
+        cfg = validate_config({"q": 0.5, "K": 4, "tasks": ["resolution"]})
+        assert cfg["tasks"][0] | {"K_mom": 4, "support": 4} == cfg["tasks"][0]
+
+    def test_support_extent_budget_is_inclusive(self):
+        def family(extent):
+            return {"kind": "rank_one", "u": [[0, 1, 0], [extent - 1, 1, 0]],
+                    "v": [[0, 1, 0]]}
+        budget = cli.MAX_SUPPORT_EXTENT
+        cfg = validate_config({"q": 0.5, "K": 2 * budget, "tasks": ["mutator"],
+                               "family": family(budget)})
+        assert cfg["family"]["deformation"].support_extent == budget
+        with pytest.raises(ConfigError, match=r"^family.v\[0\]: index"):
+            validate_config({"q": 0.5, "K": 2 * budget, "tasks": ["mutator"],
+                             "family": {**family(2), "v": [[budget, 1, 0]]}})
 
     def test_unknown_tolerance_key(self):
         with pytest.raises(ConfigError, match="tolerances"):
@@ -199,12 +222,46 @@ BAD_CONFIGS = {
                               "family.alpha_def"),
     "u-part-not-number": ({"K": 16, "family": {**UNIT, "u": [[0, "a", 0]]}},
                           r"family.u\[0\]"),
+    # a JSON true passed as index 1 at the parent
+    "u-index-true": ({"K": 16, "family": {**UNIT, "u": [[0, 0.6, 0], [True, 0.8, 0]]}},
+                     r"family.u\[1\]"),
     # the parent allocated the 10^9 + 1 entries before its K check
     "u-index-past-K": ({"K": 16, "family": {**UNIT, "u": [[10 ** 9, 1, 0]]}},
                        r"family.u\[0\]"),
     # with S = 1 every family and theta residual is exactly 0.0
     "identity-family-task": ({"tasks": ["family"]}, r"tasks\[0\]"),
     "identity-theta-task": ({"tasks": ["mutator", "theta"]}, r"tasks\[1\]"),
+    # each of these ran at the parent: an unknown key was ignored, the string
+    # "false" dumped, the second task's report replaced the first's, S = 1
+    # passed with every residual exactly 0.0, a misspelt preset ran the
+    # worked family and the worked preset ignored an explicit u
+    "bicoherent-key-misspelt": ({"K": 64, "tasks": [{"task": "bicoherent", "rfrac": 0.95}]},
+                                r"tasks\[0\].rfrac"),
+    "bicoherent-n_pairs": ({"K": 64, "tasks": [{"task": "bicoherent", "n_pairs": 0}]},
+                           r"tasks\[0\].n_pairs"),
+    "config-key-unknown": ({"Kk": 4}, "Kk"),
+    # a JSON true read as 1 and 1.0 at the parent
+    "resolution-n_pairs-true": ({"tasks": [{"task": "resolution", "n_pairs": True}]},
+                                r"tasks\[0\].n_pairs"),
+    "q-true": ({"q": True}, "q"),
+    "rank_one-gamma": ({"family": {**WORKED, "gamma": 0.5}}, "family.gamma"),
+    "position-alpha_def": ({"family": {**POSITION, "alpha_def": [0, 1]}},
+                           "family.alpha_def"),
+    "dump_operators-string": ({"tasks": [{"task": "mutator", "dump_operators": "false"}]},
+                              r"tasks\[0\].dump_operators"),
+    "task-twice": ({"tasks": [{"task": "resolution", "n_pairs": 3},
+                              {"task": "resolution", "n_pairs": 7}]}, r"tasks\[1\]"),
+    "alpha-zero-family-task": ({"family": {**WORKED, "alpha_def": [0, 0]},
+                                "tasks": ["family"]}, r"tasks\[0\]"),
+    "alpha-zero-theta-task": ({"family": {**UNIT, "alpha_def": 0}, "tasks": ["theta"]},
+                              r"tasks\[0\]"),
+    "preset-misspelt": ({"family": {**WORKED, "preset": "worke"}}, "family.preset"),
+    "preset-with-u": ({"family": {**UNIT, "preset": "worked"}}, "family.preset"),
+    # the parent asked for 2^44 entries of a dense block and exited 1
+    "u-extent-over-budget": ({"K": 2 ** 23, "family": {**UNIT, "u": [[0, 1, 0],
+                                                                     [2 ** 22, 1, 0]],
+                                                       "v": [[0, 1, 0]]}},
+                             r"family.u\[1\]"),
 }
 
 # the largest K whose beta_K^2 = [K + 1] is a finite float, per q; one past it
@@ -234,6 +291,9 @@ BAD_ARGS = {
                               "tasks[0].r_frac"),
     "family-identity": (["family", "--family", "identity"], "tasks[0]"),
     "theta-identity": (["theta", "--family", "identity"], "tasks[0]"),
+    "resolution-support": (["resolution", "--support", "0"], "tasks[0].support"),
+    "position-mutator-dump-operators": (["mutator", "--family", "position",
+                                         "--dump-operators"], "tasks[0].dump_operators"),
 }
 
 
@@ -583,11 +643,11 @@ class TestMainEntry:
         # factorial at q = 0.999
         assert main(["beta", "--q", str(q), "--n-max", str(n_max)]) == 0
         header, *rows = capsys.readouterr().out.strip().splitlines()
-        assert header == "n,beta,beta_factorial,log_number"
+        assert header == "n,beta,beta_factorial"
         assert len(rows) == n_max + 1
         for n, row in enumerate(rows):
             fields = row.split(",")
-            assert fields[0] == fields[3] == str(n)     # log_number is n exactly
+            assert fields[0] == str(n)
             assert all(math.isfinite(float(x)) for x in fields[1:3])
 
     def test_run_subcommand(self, tmp_path, capsys):
@@ -630,6 +690,16 @@ class TestMainEntry:
         assert "01-qmutator-identity" in out
         assert "FAIL(expected)" in out      # the documented radius discrepancy
         assert "\nFAIL " not in out
+
+    def test_subcommand_flags_are_the_task_keys(self):
+        common = argparse.ArgumentParser()
+        cli._add_common(common)
+        parser = cli.build_parser()
+        [subcommands] = [action.choices for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        for name, params in cli.TASK_PARAMS.items():
+            flags = {action.dest for action in subcommands[name]._actions}
+            assert flags - {action.dest for action in common._actions} == set(params), name
 
     def test_successive_calls_share_no_state(self, tmp_path, monkeypatch, capsys):
         from biquon import cli, selftest
@@ -761,6 +831,23 @@ def _position_config(draw) -> dict:
             "tasks": tasks, "seed": 5}
 
 
+@st.composite
+def _with_unknown_key(draw, configs) -> tuple[dict, str]:
+    """A drawn config with one key that no table lists, added at the top
+    level, in the family or in the first task, and that key's path."""
+    cfg = draw(configs)
+    key = draw(st.sampled_from(["Kk", "rfrac", "nmax", "n-max", "kmom", "dump_operator",
+                                "seeds", "gama", "alpha"]))
+    value = draw(st.integers(0, 3) | st.booleans())
+    where = draw(st.sampled_from(["config", "family", "task"]))
+    if where == "config":
+        return {**cfg, key: value}, key
+    if where == "family":
+        return {**cfg, "family": {**cfg["family"], key: value}}, f"family.{key}"
+    first, *rest = cfg["tasks"]
+    return {**cfg, "tasks": [{**first, key: value}, *rest]}, f"tasks[0].{key}"
+
+
 # report fields that describe a run rather than measure it, and the verdict
 INFO = {"safe_dim", "n_points", "rho", "n_pairs", "n_max", "realization", "quadrature",
         "L_bound_ok", "max_residual", "tolerance"}
@@ -787,6 +874,14 @@ class TestConfigFuzz:
     @given(cfg=_position_config())
     def test_position_config_keeps_exit_code_contract(self, cfg):
         self._check(cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_with_unknown_key(_fock_config() | _position_config()))
+    def test_unknown_key_exits_2_with_its_path(self, case):
+        # every key is checked before any value, so no other error comes first
+        cfg, path = case
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            run_config(cfg)
 
     @staticmethod
     def _check(cfg):

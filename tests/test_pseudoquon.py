@@ -9,11 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biquon import qcore
-from biquon.cli import TOLERANCES, main, run_config
+from biquon.cli import TOLERANCES, ConfigError, main, run_config
 from biquon.fock import FORMAT, FockOperator, identity_plus, make_quon_c, qmutator_residual
 from biquon.pseudoquon import (
     HEAD,
@@ -511,6 +511,7 @@ def deformations(draw):
 class TestAgainstDenseOracles:
     @settings(max_examples=60, deadline=None)
     @given(d=deformations(), q=st.floats(0.01, 0.99), extra=st.integers(3, 64))
+    @example(d=worked_deformation(0), q=0.5, extra=8)
     def test_structured_matches_dense(self, d, q, extra):
         dim = min(d.support_extent + extra, 128)
         family = build_family(d, q, dim)
@@ -529,6 +530,11 @@ class TestAgainstDenseOracles:
         assert close(build_theta(family).dense(), theta)
         assert close(closed_form_theta(d, dim).dense(), theta)
 
+        if d.alpha_def == 0:
+            # S = 1: every family and theta residual would read exactly 0.0
+            with pytest.raises(ConfigError, match=r"^tasks\[0\]: S = 1"):
+                run_metrics(d, q, dim)
+            return
         dense = dense_checks(d, q, dim, family.safe_dim)
         structured = run_metrics(d, q, dim)
         for key, bound in BOUNDS.items():

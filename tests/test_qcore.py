@@ -172,7 +172,8 @@ class TestBetaSequence:
 
 class TestLogNumber:
     """The log-number eigenvalue log(1 - (1-q) beta_{n-1}^2) / log q is n
-    exactly: the argument telescopes to q^n.  `biquon beta` prints n."""
+    exactly: the argument telescopes to q^n.  `biquon beta` prints n and no
+    column for the eigenvalue, which would repeat it."""
 
     @staticmethod
     def table(q, n_max, capsys):
@@ -180,7 +181,7 @@ class TestLogNumber:
         return [row.split(",") for row in capsys.readouterr().out.split()]
 
     def test_vacuum(self, capsys):
-        assert self.table(0.5, 0, capsys)[1] == ["0", "1", "1", "0"]
+        assert self.table(0.5, 0, capsys)[1] == ["0", "1", "1"]
 
     @pytest.mark.parametrize("q,n", [(0.5, 5), (0.9, 12)])
     def test_closed_form_points(self, q, n):
@@ -190,8 +191,8 @@ class TestLogNumber:
     @pytest.mark.parametrize("q", [0.01, 0.25, 0.5, 0.75, 0.99])
     def test_integer_spectrum(self, q, capsys):
         header, *rows = self.table(q, 100, capsys)
-        assert header[-1] == "log_number"
-        assert [row[-1] for row in rows] == [str(n) for n in range(101)]
+        assert header == ["n", "beta", "beta_factorial"]
+        assert [row[0] for row in rows] == [str(n) for n in range(101)]
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_matches_direct_expression_where_stable(self, q):
@@ -205,7 +206,7 @@ class TestLogNumber:
 
     @pytest.mark.parametrize("q", [-0.5, 0.0, 1.0, 1.2])
     def test_rejects_outside_unit_interval(self, q, capsys):
-        # log q is not a finite negative number: the table has no such column
+        # log q is not a finite negative number; the table is the same
         assert self.table(q, 3, capsys)[0] == ["n", "beta", "beta_factorial"]
 
     def test_rows_are_the_table(self, capsys):
