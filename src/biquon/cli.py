@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -357,6 +357,36 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# artefacts
+# ---------------------------------------------------------------------------
+
+def _write_text(out: Path | None, name: str, text: str) -> None:
+    """Write text to out/name as it stands, CRLF line ends kept, making out
+    if it is missing; nothing without --out.  An unusable --out is a config
+    error."""
+    if out is None:
+        return
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+
+
+def _write_table(out: Path | None, name: str, header: list[str], columns) -> None:
+    """A float table, one column per array, as csv.writer writes the strings
+    f"{v:.17g}" of its rows, CRLF line ends included, from one template:
+    '%.17g' % v is f"{v:.17g}" for every double, nan, +-inf, -0 and
+    subnormals included."""
+    if out is None:
+        return
+    rows = np.column_stack(columns)
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    _write_text(out, name, ",".join(header) + "\r\n"
+                + template * len(rows) % tuple(rows.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
 # task runners
 # ---------------------------------------------------------------------------
 
@@ -376,15 +406,6 @@ class _Workspace:
         else:
             self.family = pseudoquon.build_family(cfg["family"]["deformation"],
                                                   cfg["q"], cfg["K"])
-
-    def write_text(self, name: str, text: str) -> None:
-        if self.out is not None:
-            (self.out / name).write_text(text)
-
-    def open_csv(self, name: str):
-        if self.out is None:
-            return None
-        return (self.out / name).open("w", newline="")
 
 
 def _finish(ws: _Workspace, task: str, metrics: dict, **info) -> dict:
@@ -410,10 +431,10 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
         return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="analytic")
     fam = ws.family
     resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
-    if task["dump_operators"]:
+    if task["dump_operators"] and ws.out is not None:
         for op, name in ((fam.a, "a.json"), (fam.b, "b.json")):
-            ws.write_text(name, json.dumps({"format": FORMAT, **operator_json(op)},
-                                           sort_keys=True))
+            _write_text(ws.out, name,
+                        json.dumps({"format": FORMAT, **operator_json(op)}, sort_keys=True))
     return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="fock",
                    safe_dim=fam.safe_dim)
 
@@ -429,11 +450,9 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
         **pseudoquon.check_ladder(fam),
         **pseudoquon.number_eigencheck(fam),
     }
-    stream = ws.open_csv("family.json")
-    if stream:
-        with stream:
-            pseudoquon.family_to_json(fam, stream,
-                                      residual_report={**metrics, "safe_dim": fam.safe_dim})
+    if ws.out is not None:
+        _write_text(ws.out, "family.json", pseudoquon.family_to_json(
+            fam, {**metrics, "safe_dim": fam.safe_dim}))
     return _finish(ws, "family", metrics, safe_dim=fam.safe_dim)
 
 
@@ -465,19 +484,11 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
     r_phi, r_psi = bicoherent.eigen_check(state, fam.a, fam.b)
     pair = bicoherent.pairing(state)
     unc = bicoherent.uncertainty_product(state, fam.a, fam.b)
-    stream = ws.open_csv("bicoherent.csv")
-    if stream:
-        rows = np.column_stack([zs.real, zs.imag, state.norm_const, r_phi, r_psi,
-                                pair.real, pair.imag, unc.product.real,
-                                unc.product.imag, unc.predicted])
-        # the rows csv.writer would write, with its \r\n line ends, from one
-        # template: '%.17g' % x is f"{x:.17g}" for every double
-        with stream:
-            stream.write("re_z,im_z,norm_const,eigen_phi,eigen_psi,pairing_re,"
-                         "pairing_im,uncertainty_re,uncertainty_im,"
-                         "uncertainty_predicted\r\n"
-                         + ("%.17g," * 9 + "%.17g\r\n") * len(rows)
-                         % tuple(rows.ravel().tolist()))
+    _write_table(ws.out, "bicoherent.csv",
+                 ["re_z", "im_z", "norm_const", "eigen_phi", "eigen_psi", "pairing_re",
+                  "pairing_im", "uncertainty_re", "uncertainty_im", "uncertainty_predicted"],
+                 [zs.real, zs.imag, state.norm_const, r_phi, r_psi, pair.real, pair.imag,
+                  unc.product.real, unc.product.imag, unc.predicted])
     # np.max keeps a NaN, where Python's max may drop it
     metrics = {
         "eigen_residual": np.max([r_phi, r_psi]),
@@ -496,12 +507,8 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T
     val = resolution.resolution_check(ws.family, quad, task["n_theta"], f, g)
-    stream = ws.open_csv("quadrature.csv")
-    if stream:
-        with stream:
-            resolution.quadrature_to_csv(quad, stream)
     moments = resolution.residual_report(quad)
-    ws.write_text("moments.json", json.dumps(moments, sort_keys=True, indent=2))
+    _write_text(ws.out, "moments.json", json.dumps(moments, sort_keys=True, indent=2))
     metrics = {
         "resolution_residual": np.max(np.abs(val - np.sum(f.conj() * g, axis=0))),
         "moment_residual": quad.max_residual,
@@ -511,26 +518,19 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
     n_max = task["n_max"]
-    stream = ws.open_csv("coefficients.csv")
-    if stream:
-        # the rows csv.writer would write, with its \r\n line ends; the
-        # recursion is real, so every im entry is 0
-        lines = [f"{n},{k},{c:.17g},0\r\n"
-                 for n in range(n_max + 1)
-                 for k, c in enumerate(ws.lattice.coeffs[n, :n + 1].tolist())]
-        with stream:
-            stream.write("n,k,re,im\r\n" + "".join(lines))
+    # the recursion is real, so every im entry is 0
+    rows, cols = np.tril_indices(n_max + 1)
+    _write_table(ws.out, "coefficients.csv", ["n", "k", "re", "im"],
+                 [rows, cols, ws.lattice.coeffs[rows, cols], np.zeros(len(rows))])
     norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
     ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
-    if task["dump_states"]:
+    if task["dump_states"] and ws.out is not None:
         x = positionrep.default_grid(ws.params.gamma)
         phi = positionrep.build_families(ws.params, n_max, ws.lattice)[0]
-        for n in range(n_max + 1):
-            stream = ws.open_csv(f"phi_{n}.csv")
-            if stream:
-                with stream:
-                    row = dataclasses.replace(phi, coeffs=phi.coeffs[n:n + 1, :n + 1])
-                    positionrep.state_to_csv(row, x, stream)
+        # the zero coefficients past row n add +0 to every sum: the values of
+        # row n are those of phi_n alone
+        for n, vals in enumerate(phi.sample(x)):
+            _write_table(ws.out, f"phi_{n}.csv", ["x", "re", "im"], [x, vals.real, vals.imag])
     # where the formula's side claim L_n <= (n+1)^2 fails, the formula fails
     rel = norm_rep["max_rel_err"] if norm_rep["L_bound_ok"] else math.inf
     metrics = {"norm_formula_max_rel": rel, "ladder_residual": ladder["max_residual"]}
@@ -552,8 +552,6 @@ def run_config(cfg: dict, out_dir: Path | None = None,
     """Execute every task; returns (summary, exit_code)."""
     tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     cfg = validate_config(cfg, tol_scale)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     ws = _Workspace(cfg, out_dir, tol_scale)
     summary: dict = {
         "q": cfg["q"],
@@ -572,17 +570,17 @@ def run_config(cfg: dict, out_dir: Path | None = None,
     # validate_config refused a task named twice, so every report is here
     all_pass = summary["all_pass"] = all(r["passed"] for r in summary["tasks"].values())
     if out_dir is not None:
-        with (out_dir / "summary.json").open("w") as fh:
-            json.dump({**summary, "timings": timings}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with (out_dir / "residuals.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task", "metric", "value", "bound", "passed"])
-            for name, report in summary["tasks"].items():
-                for metric, bound in report["bounds"].items():
-                    value = report[metric]
-                    writer.writerow([name, metric, f"{value:.17g}", f"{bound:.17g}",
-                                     str(value <= bound).lower()])
+        _write_text(out_dir, "summary.json",
+                    json.dumps({**summary, "timings": timings}, sort_keys=True, indent=2) + "\n")
+        # task and metric are strings, which csv.writer renders
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["task", "metric", "value", "bound", "passed"])
+        writer.writerows([name, metric, f"{report[metric]:.17g}", f"{bound:.17g}",
+                          str(report[metric] <= bound).lower()]
+                         for name, report in summary["tasks"].items()
+                         for metric, bound in report["bounds"].items())
+        _write_text(out_dir, "residuals.csv", table.getvalue())
     return summary, 0 if all_pass else 1
 
 
@@ -603,10 +601,7 @@ def _cmd_beta(args) -> int:
                               f"the largest n_max is {n - 1}")
         lines.append(f"{n},{beta:.17g},{fact:.17g}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "beta.csv").write_text(text)
+    _write_text(Path(args.out) if args.out else None, "beta.csv", text)
     print(text, end="")
     return 0
 
@@ -631,14 +626,14 @@ def _cmd_task(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"--config: no such file {path}")
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from None
+    except ValueError as exc:     # undecodable bytes or invalid JSON
         raise ConfigError(f"--config: invalid JSON ({exc})") from None
-    if args.seed is not None:
+    # validate_config refuses a config that is no JSON object
+    if args.seed is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
     return _run_and_report(cfg, args)
 

@@ -18,11 +18,9 @@ multiplication operator exp(gamma x).
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -52,7 +50,6 @@ __all__ = [
     "norm_formula_check",
     "family_norms",
     "theta_conjugacy_check",
-    "state_to_csv",
 ]
 
 
@@ -460,10 +457,3 @@ def theta_conjugacy_check(params: PositionParams, n_max: int,
     gram, c = inner(phi, phi.shift_exponent(-2.0 * params.gamma))
     return float(np.max(np.abs(gram * math.exp(c) - np.eye(n_max + 1))))
 
-
-def state_to_csv(state: LatticeState, x: np.ndarray, stream: IO[str]) -> None:
-    """Write the first row of state, sampled at x, as x,re,im lines."""
-    writer = csv.writer(stream)
-    writer.writerow(["x", "re", "im"])
-    for xi, v in zip(x, state.sample(x)[0]):
-        writer.writerow([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,24 +321,20 @@ def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> di
     }
 
 
-def family_to_json(family: BiorthogonalFamily, stream: IO[str],
-                   residual_report: dict | None = None) -> None:
-    """Write the family data and an optional residual report as one JSON
-    document with sorted keys.
+def family_to_json(family: BiorthogonalFamily, residual_report: dict) -> str:
+    """The family data and its residual report as one JSON document with
+    sorted keys.
 
     phi = S (column n is phi_n) and psi = S^{-dag} (column n is psi_n) are
     written in the stored form of :func:`~biquon.fock.operator_json`, which
     the "format" key names, so the document is O(K) in size.
     """
-    doc = {
+    return json.dumps({
         "K": family.K,
         "q": family.q,
         "format": FORMAT,
         "source": family.source.describe(),
         "phi": operator_json(family.phi),
         "psi": operator_json(family.psi),
-    }
-    if residual_report is not None:
-        doc["residuals"] = residual_report
-    # one write: json.dump would issue thousands of small ones
-    stream.write(json.dumps(doc, sort_keys=True))
+        "residuals": residual_report,
+    }, sort_keys=True)

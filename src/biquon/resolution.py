@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "atom_count",
     "solve_moment_measure",
     "resolution_check",
-    "quadrature_to_csv",
     "residual_report",
 ]
 
@@ -163,12 +162,6 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
                          f"index {reach - 1} (need n_theta > {2 * (reach - 1)})")
     rho_k = _scaled_moments(quad.q, quad.weights, reach)
     return rho_k @ (f_phi[:reach] * psi_g[:reach])
-
-
-def quadrature_to_csv(quad: RadialQuadrature, stream: IO[str]) -> None:
-    """The (r, w) rows as csv.writer would write them, from one template."""
-    rows = np.column_stack([quad.nodes, quad.weights])
-    stream.write("r,w\r\n" + "%.17g,%.17g\r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def residual_report(quad: RadialQuadrature) -> dict:

@@ -317,6 +317,27 @@ class TestExitCodeContract:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    # each raised at the parent (FileExistsError, IsADirectoryError,
+    # UnicodeDecodeError, and a TypeError from setting the seed of a list)
+    @pytest.mark.parametrize("case", ["mutator-out-is-a-file", "beta-out-is-a-file",
+                                      "config-is-a-directory", "config-not-utf8",
+                                      "config-list-with-seed"])
+    def test_unusable_path_exits_2(self, case, tmp_path, capsys):
+        not_utf8 = tmp_path / "not-utf8.json"
+        not_utf8.write_bytes(b'{"q": "\xff"}')
+        a_list = tmp_path / "list.json"
+        a_list.write_text("[1]")
+        argv, path = {
+            "mutator-out-is-a-file": (["mutator", "--out", str(a_list)], "--out"),
+            "beta-out-is-a-file": (["beta", "--out", str(a_list)], "--out"),
+            "config-is-a-directory": (["run", "--config", str(tmp_path)], "--config"),
+            "config-not-utf8": (["run", "--config", str(not_utf8)], "--config"),
+            "config-list-with-seed": (["run", "--config", str(a_list), "--seed", "3"],
+                                      "config"),
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     @pytest.mark.parametrize("q,K", LARGEST_K.items())
     def test_largest_finite_K_is_accepted(self, q, K):
         _, code = run_config({"q": q, "K": K, "family": {"kind": "identity"},
@@ -434,6 +455,13 @@ def csv_writer_rendering(header: list[str], rows) -> bytes:
     return out.getvalue().encode()
 
 
+def test_table_writer_is_the_csv_writer_rendering(tmp_path):
+    columns = [SPECIAL, SPECIAL[::-1], np.arange(len(SPECIAL))]
+    cli._write_table(tmp_path, "table.csv", ["a", "b", "n"], columns)
+    assert (tmp_path / "table.csv").read_bytes() == \
+        csv_writer_rendering(["a", "b", "n"], np.column_stack(columns))
+
+
 def test_bicoherent_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch):
     states = []
     real_state = bicoherent.bicoherent_state
@@ -545,15 +573,40 @@ class TestRunConfig:
         assert summary["all_pass"]
         assert summary["tasks"]["mutator"]["max_residual"] < 1e-12
 
-    def test_worked_reproduction(self, tmp_path):
-        summary, code = run_config(WORKED_CONFIG, tmp_path)
+    def test_worked_reproduction(self):
+        summary, code = run_config(WORKED_CONFIG)
         assert code == 0
         assert summary["all_pass"]
         for name in ("mutator", "family", "theta", "bicoherent", "resolution"):
             assert summary["tasks"][name]["passed"], name
-        for artifact in ("summary.json", "residuals.csv", "family.json",
-                         "bicoherent.csv", "quadrature.csv", "moments.json"):
-            assert (tmp_path / artifact).exists(), artifact
+
+    # per case: the task, its family kind, and the files it adds to the
+    # summary.json and residuals.csv of every run with --out
+    ARTEFACTS = {
+        "mutator": ({"task": "mutator"}, "rank_one", set()),
+        "mutator-dump-operators": ({"task": "mutator", "dump_operators": True}, "rank_one",
+                                   {"a.json", "b.json"}),
+        "family": ({"task": "family"}, "rank_one", {"family.json"}),
+        "theta": ({"task": "theta"}, "rank_one", set()),
+        "bicoherent": ({"task": "bicoherent"}, "rank_one", {"bicoherent.csv"}),
+        "resolution": ({"task": "resolution"}, "rank_one", {"moments.json"}),
+        "position-mutator": ({"task": "mutator"}, "position", set()),
+        "position-family": ({"task": "family"}, "position", set()),
+        "position-theta": ({"task": "theta"}, "position", set()),
+        "position": ({"task": "position", "n_max": 2}, "position", {"coefficients.csv"}),
+        "position-dump-states": ({"task": "position", "n_max": 2, "dump_states": True},
+                                 "position",
+                                 {"coefficients.csv", "phi_0.csv", "phi_1.csv", "phi_2.csv"}),
+    }
+
+    @pytest.mark.parametrize("task,kind,files", ARTEFACTS.values(), ids=ARTEFACTS.keys())
+    def test_artefact_set(self, task, kind, files, tmp_path):
+        family = ({"kind": "position", "gamma": 0.5} if kind == "position"
+                  else WORKED_CONFIG["family"])
+        _, code = run_config({"q": 0.5, "family": family, "tasks": [task]}, tmp_path)
+        assert code == 0
+        assert {f.name for f in tmp_path.iterdir()} == \
+            {"summary.json", "residuals.csv", *files}
 
     def test_position_family_run(self, tmp_path):
         cfg = {"q": 0.5, "K": 32,

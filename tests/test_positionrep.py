@@ -33,7 +33,6 @@ from biquon.positionrep import (
     norm_formula_check,
     qmutation_grid_check,
     similarity_check,
-    state_to_csv,
     theta_conjugacy_check,
 )
 
@@ -587,11 +586,6 @@ def test_state_csv(tmp_path):
         writer.writerows([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
                          for xi, v in zip(x, vals))
         assert (tmp_path / f"phi_{n}.csv").read_bytes() == expected.getvalue().encode()
-    out = io.StringIO()
-    state_to_csv(row(phi, 1), X, out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == len(X) + 1
 
 
 def test_coefficient_csv_is_the_csv_writer_rendering(tmp_path):

@@ -396,9 +396,7 @@ def assert_same_operator(got: FockOperator, want: FockOperator):
 
 def test_family_export_round_trip(worked):
     _, family, _, _ = worked
-    buf = io.StringIO()
-    family_to_json(family, buf, residual_report={"gram": 0.0})
-    parsed = json.loads(buf.getvalue())
+    parsed = json.loads(family_to_json(family, {"gram": 0.0}))
     assert parsed["K"] == DIM
     assert parsed["q"] == Q
     assert parsed["format"] == FORMAT
@@ -630,12 +628,6 @@ def dense_document(text: str) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def exported(family, residual_report=None) -> str:
-    buf = io.StringIO()
-    family_to_json(family, buf, residual_report=residual_report)
-    return buf.getvalue()
-
-
 @pytest.mark.parametrize("dim", [32, 64])
 @pytest.mark.parametrize("deformation", [worked_deformation(1j), COMPACT],
                          ids=["worked", "compact"])
@@ -644,7 +636,7 @@ def test_export_bytes_match_legacy_writer(deformation, dim):
     report = check_ladder(family)
     old = io.StringIO()
     legacy_family_json(family, *dense_similarity(deformation, dim), old, report)
-    new = dense_document(exported(family, report))
+    new = dense_document(family_to_json(family, report))
     assert new == old.getvalue()
     assert "[0.0, -0.0]" in new         # psi's signed zeros survive
 
@@ -654,10 +646,10 @@ def test_identity_export_bytes_match_legacy_writer():
     old = io.StringIO()
     eye = np.eye(16, dtype=complex)
     legacy_family_json(family, eye, eye, old, {})
-    assert dense_document(exported(family, {})) == old.getvalue()
+    assert dense_document(family_to_json(family, {})) == old.getvalue()
 
 
-def dense_family_json(family, residual_report=None) -> str:
+def dense_family_json(family, residual_report) -> str:
     """The dense writer of the earlier format: the rows of S^T and of
     conj(S^{-1}) as nested lists, in one json.dumps call."""
     doc = {
@@ -666,22 +658,20 @@ def dense_family_json(family, residual_report=None) -> str:
         "source": family.source.describe(),
         "phi": dense_rows(family.phi.dense().T),
         "psi": dense_rows(family.psi.adjoint().dense().conj()),
+        "residuals": residual_report,
     }
-    if residual_report is not None:
-        doc["residuals"] = residual_report
     return json.dumps(doc, sort_keys=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(deformation=st.one_of(st.none(), deformations()),
-       q=st.floats(-1.0, 2.0), extra=st.integers(3, 300),
-       with_report=st.booleans())
-def test_export_bytes_match_dense_writer(deformation, q, extra, with_report):
+       q=st.floats(-1.0, 2.0), extra=st.integers(3, 300))
+def test_export_bytes_match_dense_writer(deformation, q, extra):
     source = Deformation() if deformation is None else deformation
     dim = min(source.support_extent + extra, 300)
     family = build_family(source, q, dim)
-    report = check_ladder(family) if with_report else None
-    assert dense_document(exported(family, report)) == dense_family_json(family, report)
+    report = check_ladder(family)
+    assert dense_document(family_to_json(family, report)) == dense_family_json(family, report)
 
 
 def test_operator_dumps_rebuild_the_pair(tmp_path, capsys):
@@ -694,19 +684,18 @@ def test_operator_dumps_rebuild_the_pair(tmp_path, capsys):
         assert_same_operator(rebuild(doc), op)
 
 
-def test_export_holds_no_dense_square(tmp_path):
+def test_export_holds_no_dense_square():
     # one 1024 x 1024 complex array is 16 MB, its tolist() several times that
     family = build_family(worked_deformation(1j), 0.5, 1024)
     report = check_ladder(family)
-    with open(tmp_path / "family.json", "w") as stream:
-        tracemalloc.start()
-        try:
-            family_to_json(family, stream, residual_report=report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        text = family_to_json(family, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 2 * 2 ** 20
-    assert (tmp_path / "family.json").read_text().startswith('{"K": 1024, ')
+    assert text.startswith('{"K": 1024, ')
 
 
 def test_worked_run_at_K_65536_holds_no_dense_square():

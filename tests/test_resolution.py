@@ -1,8 +1,5 @@
 """Tests for the Jackson radial quadrature and the resolution check."""
 
-import csv
-import dataclasses
-import io
 import math
 import time
 import tracemalloc
@@ -21,7 +18,6 @@ from biquon.pseudoquon import (
 )
 from biquon.resolution import (
     ROUNDOFF,
-    quadrature_to_csv,
     residual_report,
     resolution_check,
     solve_moment_measure,
@@ -141,28 +137,6 @@ class TestSolver:
     def test_small_kmom_rejected(self):
         with pytest.raises(ValueError):
             solve_moment_measure(0.5, 1)
-
-    def test_csv_export(self):
-        quad = solve_moment_measure(0.5, 8)
-        buf = io.StringIO()
-        quadrature_to_csv(quad, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "r,w"
-        assert len(lines) == len(quad.nodes) + 1
-
-    def test_csv_is_the_csv_writer_rendering(self):
-        # nan, +-inf, -0, the least subnormal and 1e308 among ordinary values
-        special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
-        quad = solve_moment_measure(0.5, 8)
-        for nodes, weights in ((quad.nodes, quad.weights), (special, special[::-1])):
-            quad = dataclasses.replace(quad, nodes=nodes, weights=weights)
-            buf = io.StringIO(newline="")
-            quadrature_to_csv(quad, buf)
-            want = io.StringIO(newline="")
-            writer = csv.writer(want)
-            writer.writerow(["r", "w"])
-            writer.writerows([f"{r:.17g}", f"{w:.17g}"] for r, w in zip(nodes, weights))
-            assert buf.getvalue().encode() == want.getvalue().encode()
 
 
 class TestAngularExactness:
