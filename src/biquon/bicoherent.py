@@ -146,33 +146,25 @@ def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BiCoherentState:
-    """Truncated phi(z), psi(z) with their norm-tail bounds: one column (and
-    one entry of z, norm_const and the tails) per point of a batch, or 1-D
-    states and scalars for a single z."""
+    """Truncated phi(z), psi(z) with the bound on their dropped norm: one
+    column (and one entry of z, norm_const and tail_bound) per point of a
+    batch, or 1-D states and scalars for a single z."""
 
     z: complex | np.ndarray
     q: float
-    terms: int
     norm_const: float | np.ndarray
     phi_z: np.ndarray = field(repr=False)
     psi_z: np.ndarray = field(repr=False)
-    tail_phi: float | np.ndarray = 0.0
-    tail_psi: float | np.ndarray = 0.0
-
-    @property
-    def tail_bound(self) -> float | np.ndarray:
-        return np.maximum(self.tail_phi, self.tail_psi)
+    tail_bound: float | np.ndarray
 
 
-def bicoherent_state(family: BiorthogonalFamily, z,
-                     terms: int | None = None) -> BiCoherentState:
-    """Evaluate phi(z), psi(z) by truncating the series at ``terms``.
+def bicoherent_state(family: BiorthogonalFamily, z) -> BiCoherentState:
+    """Evaluate phi(z), psi(z) by truncating the series at the family's K.
 
     z is one point or a 1-D array of points, each strictly inside the
     family's convergence disc; a batch costs two K x P operator products.
-    The dropped mass is bounded by the uniform family norm times the
-    geometric tail |c_terms| / (1 - |z| / beta_terms) of the coefficients
-    c_k.
+    The dropped mass is bounded by the larger uniform family norm times the
+    geometric tail |c_K| / (1 - |z| / beta_K) of the coefficients c_k.
     """
     q = validate_q_disc(family.q)
     # a compactly supported S keeps the family norm-bounded, so the disc is
@@ -185,30 +177,24 @@ def bicoherent_state(family: BiorthogonalFamily, z,
     if not np.all(r < rho):
         raise ValueError(f"|z| up to {np.max(r)} outside the convergence disc "
                          f"of radius {rho}")
-    if terms is None:
-        terms = family.K
-    if not (1 <= terms <= family.K):
-        raise ValueError(f"terms={terms} outside [1, K={family.K}]")
+    dim = family.K
 
     # log N and N share one sort of |z|; N stays a call of normalization,
     # which traced runs count
     log_n, norm_const = _per_ring(r, lambda x: -0.5 * norm_series(q, x)[0],
                                   lambda x: normalization(q, x))
-    ez = _coherent_columns(q, z, log_n, family.K + 1)
-    a_phi = np.max(family.phi.column_norms(family.K))
-    a_psi = np.max(family.psi.column_norms(family.K))
-    ratio = r / math.sqrt(bracket(q, terms + 1))      # |z| / beta_terms
-    tail = np.divide(np.abs(ez[terms]), 1.0 - ratio,
+    ez = _coherent_columns(q, z, log_n, dim + 1)
+    a_max = max(np.max(family.phi.column_norms(dim)), np.max(family.psi.column_norms(dim)))
+    ratio = r / math.sqrt(bracket(q, dim + 1))      # |z| / beta_K
+    tail = np.divide(np.abs(ez[dim]), 1.0 - ratio,
                      out=np.full(z.shape, math.inf), where=ratio < 1.0)
-    ez[terms:] = 0.0
     # [()] turns the 0-d results of a scalar z back into scalars
     return BiCoherentState(
-        z=z[()], q=q, terms=terms,
+        z=z[()], q=q,
         norm_const=norm_const[()],
         phi_z=family.phi @ ez[:-1],     # N (e(z) + alpha <u, e(z)> v)
         psi_z=family.psi @ ez[:-1],
-        tail_phi=(a_phi * tail)[()],
-        tail_psi=(a_psi * tail)[()],
+        tail_bound=(a_max * tail)[()],
     )
 
 

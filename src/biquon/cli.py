@@ -9,9 +9,8 @@ their own key and are the only nondeterministic field).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import sys
@@ -84,6 +83,11 @@ GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
 # Fock family cost extent^3 time: family, mutator and theta take about 5 s
 # and 330 MB peak RSS at extent 1024 on a 2-core Xeon, 7.5 s and 505 MB at 1300.
 MAX_SUPPORT_EXTENT = 1024
+# The most entries of any one array a run may ask for: a Fock family holds
+# arrays of K, a bicoherent task of (K + 1) n_r n_theta, a resolution task of
+# K n_pairs, a position lattice of (n_max + 2)^2 and a beta table of n_max + 2
+# entries.  2^40 doubles are 8 TiB, so every refused size would fail to allocate.
+MAX_ARRAY_ENTRIES = 2 ** 40
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,17 @@ def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
                                       dim if hi == "K" else hi)
         elif not isinstance(task[key], bool):
             raise ConfigError(f"{path}.{key}: expected true or false, got {task[key]!r}")
+    keys, entries = (), 0
+    if name == "bicoherent":
+        keys, entries = ("n_r", "n_theta"), (dim + 1) * task["n_r"] * task["n_theta"]
+    elif name == "resolution":
+        keys, entries = ("n_pairs",), dim * task["n_pairs"]
+    elif "n_max" in task:
+        keys, entries = ("n_max",), (task["n_max"] + 2) ** 2
+    if entries >= MAX_ARRAY_ENTRIES:
+        raise ConfigError(f"{path}.{max(keys, key=task.get)}: the task's largest array "
+                          f"would hold {entries} entries, at least MAX_ARRAY_ENTRIES = "
+                          f"2^40; lower {' or '.join(keys)}")
     if name in ("bicoherent", "resolution") and not 0.0 < q < 1.0:
         raise ConfigError(f"{path}: task {name!r} requires 0 < q < 1 "
                           f"(convergence radius undefined at q={q})")
@@ -306,7 +321,7 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     if "q" not in cfg:
         raise ConfigError("q: missing")
     out: dict = {"q": _parse_float(cfg["q"], "q")}
-    out["K"] = _parse_ranged(int, cfg.get("K", 64), "K", 2)
+    out["K"] = _parse_ranged(int, cfg.get("K", 64), "K", 2, MAX_ARRAY_ENTRIES - 1)
 
     out["family"] = {"kind": kind}
     if kind == "position":
@@ -374,16 +389,18 @@ def _write_text(out: Path | None, name: str, text: str) -> None:
 
 
 def _write_table(out: Path | None, name: str, header: list[str], columns) -> None:
-    """A float table, one column per array, as csv.writer writes the strings
-    f"{v:.17g}" of its rows, CRLF line ends included, from one template:
-    '%.17g' % v is f"{v:.17g}" for every double, nan, +-inf, -0 and
-    subnormals included."""
+    """A table, one column per array or sequence, as csv.writer writes its
+    rows with each number as the string f"{v:.17g}", CRLF line ends
+    included, from one template: '%.17g' % v is f"{v:.17g}" for every
+    double, nan, +-inf, -0 and subnormals included.  A column of strings,
+    none of which csv.writer would quote, is written as '%s'."""
     if out is None:
         return
-    rows = np.column_stack(columns)
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\r\n"
+    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     _write_text(out, name, ",".join(header) + "\r\n"
-                + template * len(rows) % tuple(rows.ravel().tolist()))
+                + template * len(columns[0]) % tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +524,12 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T
     val = resolution.resolution_check(ws.family, quad, task["n_theta"], f, g)
-    moments = resolution.residual_report(quad)
-    _write_text(ws.out, "moments.json", json.dumps(moments, sort_keys=True, indent=2))
     metrics = {
         "resolution_residual": np.max(np.abs(val - np.sum(f.conj() * g, axis=0))),
         "moment_residual": quad.max_residual,
     }
-    return _finish(ws, "resolution", metrics, quadrature=moments, n_pairs=n_pairs)
+    return _finish(ws, "resolution", metrics, quadrature=resolution.residual_report(quad),
+                   n_pairs=n_pairs)
 
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
@@ -572,15 +588,13 @@ def run_config(cfg: dict, out_dir: Path | None = None,
     if out_dir is not None:
         _write_text(out_dir, "summary.json",
                     json.dumps({**summary, "timings": timings}, sort_keys=True, indent=2) + "\n")
-        # task and metric are strings, which csv.writer renders
-        table = io.StringIO()
-        writer = csv.writer(table)
-        writer.writerow(["task", "metric", "value", "bound", "passed"])
-        writer.writerows([name, metric, f"{report[metric]:.17g}", f"{bound:.17g}",
-                          str(report[metric] <= bound).lower()]
-                         for name, report in summary["tasks"].items()
-                         for metric, bound in report["bounds"].items())
-        _write_text(out_dir, "residuals.csv", table.getvalue())
+        checks = [(name, metric, report[metric], bound)
+                  for name, report in summary["tasks"].items()
+                  for metric, bound in report["bounds"].items()]
+        names, metrics, values, bounds = zip(*checks)
+        _write_table(out_dir, "residuals.csv", ["task", "metric", "value", "bound", "passed"],
+                     [names, metrics, values, bounds,
+                      ["true" if v <= b else "false" for v, b in zip(values, bounds)]])
     return summary, 0 if all_pass else 1
 
 
@@ -589,7 +603,7 @@ def run_config(cfg: dict, out_dir: Path | None = None,
 # ---------------------------------------------------------------------------
 
 def _cmd_beta(args) -> int:
-    _parse_ranged(int, args.n_max, "n_max", 0)
+    _parse_ranged(int, args.n_max, "n_max", 0, MAX_ARRAY_ENTRIES - 1)
     try:
         bs = BetaSequence(args.q, args.n_max)
     except (ValueError, OverflowError) as exc:
@@ -640,8 +654,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from . import selftest      # selftest runs its criteria through this module
-    results = selftest.run_all(seed=args.seed if args.seed is not None
-                               else DEFAULT_SEED)
+    results = selftest.run_all(args.seed)
     print(selftest.format_results(results))
     unexpected = [r for r in results if r.unexpected_failure]
     expected = [r for r in results if r.known_discrepancy and not r.passed]
@@ -703,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_selftest)
     return parser
 
@@ -714,6 +727,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size below MAX_ARRAY_ENTRIES can still exceed the memory there is
+        print(f"config error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "operator_json",
 ]
 
-DEFAULT_SAFE_MARGIN = 2
 # the "format" an artefact names: operators as {"shift", "diag", "block"}
 FORMAT = "band+block"
 EMPTY = np.zeros((0, 0), dtype=complex)
@@ -129,16 +128,15 @@ def make_quon_c(q: float, dim: int) -> FockOperator:
     return FockOperator(-1, BetaSequence(q, dim - 2).beta, EMPTY)
 
 
-def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
-                      safe_dim: int | None = None) -> float:
+def qmutator_residual(x: FockOperator, y: FockOperator, q: float, safe_dim: int) -> float:
     """max_n || (XY - q YX - I) e_n || / (||XY e_n|| + |q| ||YX e_n|| + 1)
     over the safe block n < safe_dim: each column against the size of the
     terms that cancel in it, so a residual at the rounding of entries that
     grow with q reads eps, not their size.
 
-    The default safe_dim = K - 2 excludes the columns where the truncation
-    edge corrupts the identity.  From one ladder step past both blocks on,
-    column n is the band entry alone, beta_n^2 - q beta_{n-1}^2 - 1 for a
+    safe_dim excludes the columns where the truncation edge corrupts the
+    identity, at least the last two.  From one ladder step past both blocks
+    on, column n is the band entry alone, beta_n^2 - q beta_{n-1}^2 - 1 for a
     quon pair against beta_n^2 + |q| beta_{n-1}^2 + 1, read as one vector
     expression; the columns before it come from products of the leading
     windows, two rows wider than they reach.
@@ -148,8 +146,6 @@ def qmutator_residual(x: FockOperator, y: FockOperator, q: float,
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if x.shift + y.shift != 0:
         raise ValueError(f"band shifts {x.shift} and {y.shift} do not cancel")
-    if safe_dim is None:
-        safe_dim = x.dim - DEFAULT_SAFE_MARGIN
     if not (0 < safe_dim < x.dim):
         raise ValueError(f"safe_dim={safe_dim} outside (0, dim={x.dim})")
     reach = max(len(x.block), len(y.block)) + 1

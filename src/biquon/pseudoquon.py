@@ -154,7 +154,7 @@ class Deformation:
         }
 
 
-def worked_deformation(alpha_def: complex = 1j) -> Deformation:
+def worked_deformation(alpha_def: complex) -> Deformation:
     """Canonical test configuration: u = c0 + c1, v = c0 + c2.
 
     The blocks c0 (indices 0, 1, unit norm), c1 (indices 2, 3) and c2

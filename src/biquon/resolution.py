@@ -118,7 +118,7 @@ def _scaled_moments(q: float, weights: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def solve_moment_measure(q: float, K_mom: int = 12) -> RadialQuadrature:
+def solve_moment_measure(q: float, K_mom: int) -> RadialQuadrature:
     """Jackson atoms on [0, rho], with moments m_0 .. m_{K_mom - 1} verified."""
     q = validate_q_disc(q)
     if K_mom < 2:

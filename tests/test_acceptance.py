@@ -16,7 +16,7 @@ from biquon import cli, positionrep, pseudoquon, selftest
 from biquon.cli import run_config
 from biquon.fock import FockOperator
 
-RESULTS = selftest.run_all(seed=selftest.DEFAULT_SEED)
+RESULTS = selftest.run_all(cli.DEFAULT_SEED)
 BY_NAME = {r.criterion: r for r in RESULTS}
 
 
@@ -66,7 +66,7 @@ def test_criterion_equals_run_report(criterion):
     """selftest and `biquon run` on the equivalent configs give the same number."""
     row = ROWS[criterion]
     reports = []
-    for cfg in row.configs(selftest.DEFAULT_SEED):
+    for cfg in row.configs(cli.DEFAULT_SEED):
         report, = run_config(cfg)[0]["tasks"].values()
         reports.append(report)
     assert BY_NAME[criterion].value == max(r[m] for r in reports for m in row.metrics)
@@ -81,9 +81,9 @@ def test_each_config_runs_once(monkeypatch):
         calls[json.dumps(cfg, sort_keys=True)] += 1
         return _fn(cfg, *args)
     monkeypatch.setattr(cli, "run_config", counted)
-    selftest.run_all()
+    selftest.run_all(cli.DEFAULT_SEED)
     table = {json.dumps(cfg, sort_keys=True) for row in selftest.TASK_CRITERIA
-             for cfg in row.configs(selftest.DEFAULT_SEED)}
+             for cfg in row.configs(cli.DEFAULT_SEED)}
     assert set(calls) == table
     assert set(calls.values()) == {1}
     # 04a shares 03a's configs and 09a 06's at q = 0.5
@@ -98,7 +98,7 @@ def _radii(monkeypatch, scale) -> dict:
                         lambda op, n: column_norms(op, n) * scale(np.arange(n)))
     monkeypatch.setattr(positionrep, "family_norms",
                         lambda params, n: family_norms(params, n) * scale(np.arange(n + 1)))
-    results = selftest.check_radii(selftest.TaskReports(selftest.DEFAULT_SEED))
+    results = selftest.check_radii(selftest.TaskReports(cli.DEFAULT_SEED))
     return {r.criterion[:3]: r for r in results}
 
 
@@ -128,5 +128,5 @@ def test_each_family_builds_its_pair_once(monkeypatch):
                 "tasks": ["mutator", "family", "theta"]})
     assert calls == {"make_pair": 1, "build_family": 1}
     calls.clear()
-    selftest.run_all()
+    selftest.run_all(cli.DEFAULT_SEED)
     assert calls["make_pair"] == calls["build_family"]

@@ -204,11 +204,9 @@ class TestStates:
         # doubling the truncation must shrink the residual at least by the
         # geometric factor prod |z|/beta_j over the added terms
         q = 0.9
-        family = build_family(Deformation(), q, 128)
-        a, b = family.a, family.b
-        z = 0.85 * qcore.disc_radius(family.q)
-        r32 = max(eigen_check(bicoherent_state(family, z, terms=32), a, b))
-        r64 = max(eigen_check(bicoherent_state(family, z, terms=64), a, b))
+        z = 0.85 * qcore.disc_radius(q)
+        families = [build_family(Deformation(), q, dim) for dim in (32, 64)]
+        r32, r64 = (max(eigen_check(bicoherent_state(f, z), f.a, f.b)) for f in families)
         factor = np.prod(z / qcore.BetaSequence(q, 64).beta[33:65])    # beta_32 .. beta_63
         assert r64 <= r32 * factor * 10 + 1e-14
         assert r32 > 1e-9   # the probe point must actually exercise the tail

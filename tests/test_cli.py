@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -257,6 +258,18 @@ BAD_CONFIGS = {
                               r"tasks\[0\]"),
     "preset-misspelt": ({"family": {**WORKED, "preset": "worke"}}, "family.preset"),
     "preset-with-u": ({"family": {**UNIT, "preset": "worked"}}, "family.preset"),
+    # each exited 1 with a traceback at the parent: a MemoryError for the
+    # 8 PiB of K = 2^50, numpy's "Maximum allowed dimension exceeded" for
+    # the others
+    "K-2^50": ({"K": 2 ** 50}, "K"),
+    "K-1e20": ({"K": 10 ** 20}, "K"),
+    "bicoherent-n_r-1e20": ({"K": 64, "tasks": [{"task": "bicoherent", "n_r": 10 ** 20}]},
+                            r"tasks\[0\].n_r"),
+    "resolution-n_pairs-1e20": ({"tasks": [{"task": "resolution", "n_pairs": 10 ** 20}]},
+                                r"tasks\[0\].n_pairs"),
+    "position-family-n_max-1e20": ({"family": POSITION,
+                                    "tasks": [{"task": "family", "n_max": 10 ** 20}]},
+                                   r"tasks\[0\].n_max(?=: the task's largest array)"),
     # the parent asked for 2^44 entries of a dense block and exited 1
     "u-extent-over-budget": ({"K": 2 ** 23, "family": {**UNIT, "u": [[0, 1, 0],
                                                                      [2 ** 22, 1, 0]],
@@ -280,6 +293,8 @@ BAD_ARGS = {
     "position-n-max": (["position", "--n-max", "-1"], r"tasks[0].n_max"),
     "beta-q-nan": (["beta", "--q", "nan"], "q"),
     "beta-n-max": (["beta", "--n-max", "-1"], "n_max"),
+    # named q at the parent, from numpy's "Maximum allowed size exceeded"
+    "beta-n-max-1e20": (["beta", "--n-max", str(10 ** 20)], "n_max"),
     "beta-overflow": (["beta", "--q", "1.5", "--n-max", "5000"], "q"),
     "beta-factorial-overflow": (["beta", "--q", "0.999", "--n-max", "3000"], "n_max"),
     "tolerance-scale-zero": (["mutator", "--tolerance-scale", "0"], "--tolerance-scale"),
@@ -447,19 +462,21 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def csv_writer_rendering(header: list[str], rows) -> bytes:
-    """The table as csv.writer writes the f"{v:.17g}" strings of its rows."""
+    """The table as csv.writer writes its rows, each number as the string
+    f"{v:.17g}" and each string as it stands."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(header)
-    writer.writerows([[f"{v:.17g}" for v in row] for row in rows])
+    writer.writerows([[v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows])
     return out.getvalue().encode()
 
 
 def test_table_writer_is_the_csv_writer_rendering(tmp_path):
-    columns = [SPECIAL, SPECIAL[::-1], np.arange(len(SPECIAL))]
-    cli._write_table(tmp_path, "table.csv", ["a", "b", "n"], columns)
+    names = ["mutator", "qmutator_residual", "true", "false", "n_max", "x", "1e-9", "-0"]
+    columns = [SPECIAL, names, SPECIAL[::-1], np.arange(len(SPECIAL))]
+    cli._write_table(tmp_path, "table.csv", ["a", "s", "b", "n"], columns)
     assert (tmp_path / "table.csv").read_bytes() == \
-        csv_writer_rendering(["a", "b", "n"], np.column_stack(columns))
+        csv_writer_rendering(["a", "s", "b", "n"], zip(*columns))
 
 
 def test_bicoherent_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch):
@@ -589,7 +606,7 @@ class TestRunConfig:
         "family": ({"task": "family"}, "rank_one", {"family.json"}),
         "theta": ({"task": "theta"}, "rank_one", set()),
         "bicoherent": ({"task": "bicoherent"}, "rank_one", {"bicoherent.csv"}),
-        "resolution": ({"task": "resolution"}, "rank_one", {"moments.json"}),
+        "resolution": ({"task": "resolution"}, "rank_one", set()),
         "position-mutator": ({"task": "mutator"}, "position", set()),
         "position-family": ({"task": "family"}, "position", set()),
         "position-theta": ({"task": "theta"}, "position", set()),
@@ -744,6 +761,30 @@ class TestMainEntry:
         assert "FAIL(expected)" in out      # the documented radius discrepancy
         assert "\nFAIL " not in out
 
+    def test_selftest_table_reads_as_the_benchmark_parses_it(self, capsys):
+        # bench/worker.py gates the selftest workload on these rows
+        spec = importlib.util.spec_from_file_location(
+            "bench_worker", Path(__file__).parents[1] / "bench" / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        assert main(["selftest"]) == 0
+        rows = [m.groups() for m in map(worker._SELFTEST_LINE.match,
+                                        capsys.readouterr().out.splitlines()) if m]
+        status = {criterion: state for state, criterion, _, _ in rows}
+        assert len(rows) == len(status) == 25
+        assert {c for c, state in status.items() if state != "PASS"} == \
+            {"07d-radius-position-empirical"}
+        assert status["07d-radius-position-empirical"] == "FAIL(expected)"
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        # a size below MAX_ARRAY_ENTRIES may still not fit in memory
+        def exhausted(ws, task):
+            raise MemoryError("Unable to allocate 8.00 PiB")
+        monkeypatch.setitem(cli.TASK_RUNNERS, "mutator", exhausted)
+        assert main(["mutator"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and "Traceback" not in err
+
     def test_subcommand_flags_are_the_task_keys(self):
         common = argparse.ArgumentParser()
         cli._add_common(common)
@@ -886,8 +927,10 @@ def _position_config(draw) -> dict:
 
 @st.composite
 def _with_unknown_key(draw, configs) -> tuple[dict, str]:
-    """A drawn config with one key that no table lists, added at the top
-    level, in the family or in the first task, and that key's path."""
+    """A drawn config with one key that no table lists, added last at the
+    top level, in the family or in the first task, and the path of the
+    first unknown key there: a Fock family task may already hold the
+    unknown key n_max, as its one out-of-range parameter."""
     cfg = draw(configs)
     key = draw(st.sampled_from(["Kk", "rfrac", "nmax", "n-max", "kmom", "dump_operator",
                                 "seeds", "gama", "alpha"]))
@@ -898,7 +941,11 @@ def _with_unknown_key(draw, configs) -> tuple[dict, str]:
     if where == "family":
         return {**cfg, "family": {**cfg["family"], key: value}}, f"family.{key}"
     first, *rest = cfg["tasks"]
-    return {**cfg, "tasks": [{**first, key: value}, *rest]}, f"tasks[0].{key}"
+    first = {**first, key: value}
+    reads = [name for name, (_, kinds, *_) in cli.TASK_PARAMS[first["task"]].items()
+             if cfg["family"]["kind"] in kinds]
+    named = next(name for name in first if name not in ["task", *reads])
+    return {**cfg, "tasks": [first, *rest]}, f"tasks[0].{named}"
 
 
 # report fields that describe a run rather than measure it, and the verdict
@@ -930,6 +977,10 @@ class TestConfigFuzz:
 
     @settings(max_examples=80, deadline=None)
     @given(case=_with_unknown_key(_fock_config() | _position_config()))
+    # the drawn key came after the Fock family task's n_max, which is named
+    @example(case=({"q": 0.5, "K": 2, "family": {"kind": "identity"},
+                    "tasks": [{"task": "family", "n_max": 0, "Kk": 0}, {"task": "mutator"}],
+                    "seed": 5}, "tasks[0].n_max"))
     def test_unknown_key_exits_2_with_its_path(self, case):
         # every key is checked before any value, so no other error comes first
         cfg, path = case

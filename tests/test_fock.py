@@ -101,11 +101,11 @@ class TestQMutator:
         i = identity_plus(5)
         assert np.allclose(qmutator(i, i, 1.0), 0.0)
         # each column reads |1 - 1 - 1| against the scale 1 + 1 + 1
-        assert qmutator_residual(i, i, 1.0) == 1.0 / 3.0
+        assert qmutator_residual(i, i, 1.0, 3) == 1.0 / 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            qmutator_residual(identity_plus(4), identity_plus(5), 0.5)
+            qmutator_residual(identity_plus(4), identity_plus(5), 0.5, 2)
 
 
 class TestResidual:
@@ -113,10 +113,6 @@ class TestResidual:
     def test_quon_pair_below_edge(self, q):
         c = make_quon_c(q, 64)
         assert qmutator_residual(c, c.adjoint(), q, 62) < 1e-12
-
-    def test_default_safe_dim(self):
-        c = make_quon_c(0.4, 32)
-        assert qmutator_residual(c, c.adjoint(), 0.4) < 1e-12
 
     def test_wrong_pair_fails_loudly(self):
         c = make_quon_c(0.5, 16)
@@ -133,7 +129,7 @@ class TestResidual:
     def test_pair_of_a_nearby_q_fails(self, q):
         # column n reads (q' - q) beta_{n-1}^2 against about 2 beta_n^2
         c = make_quon_c(q * (1.0 + 1e-9), 64)
-        assert qmutator_residual(c, c.adjoint(), q) > 1e-11
+        assert qmutator_residual(c, c.adjoint(), q, 62) > 1e-11
 
     def test_deformed_pair(self):
         source = worked_deformation(1j)

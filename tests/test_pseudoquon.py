@@ -202,7 +202,7 @@ class TestBuildFamily:
         # alpha + beta + alpha beta = 0 holds to roundoff, yet B_S B_inv
         # carries the rounding of alpha beta <u, v>, ~1e9 eps and up; on
         # u = v = e_0 the blocks cancel exactly, and only their size shows
-        worked = worked_deformation()
+        worked = worked_deformation(1j)
         cases = [(worked.u, worked.v, -1 + 1e-9), (worked.u, worked.v, 1e300),
                  ([0.6, 0.8], [0.6, 0.8], -1 - 1e-9), ([1.0], [1.0], 1e198)]
         for u, v, alpha in cases:
