@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -393,14 +394,15 @@ def _write_table(out: Path | None, name: str, header: list[str], columns) -> Non
     rows with each number as the string f"{v:.17g}", CRLF line ends
     included, from one template: '%.17g' % v is f"{v:.17g}" for every
     double, nan, +-inf, -0 and subnormals included.  A column of strings,
-    none of which csv.writer would quote, is written as '%s'."""
+    none of which csv.writer would quote, is written as '%s', and one of
+    signed integers as '%d', the digits of '%.17g' for every |n| < 2^53."""
     if out is None:
         return
     columns = [np.asarray(c) for c in columns]
-    template = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\r\n"
+    template = ",".join({"U": "%s", "i": "%d"}.get(c.dtype.kind, "%.17g") for c in columns)
     values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     _write_text(out, name, ",".join(header) + "\r\n"
-                + template * len(columns[0]) % tuple(values))
+                + (template + "\r\n") * len(columns[0]) % tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +565,11 @@ TASK_RUNNERS = {
 }
 
 
-def run_config(cfg: dict, out_dir: Path | None = None,
-               tol_scale: float = 1.0) -> tuple[dict, int]:
-    """Execute every task; returns (summary, exit_code)."""
+def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
+               echo: Callable[[str], object] | None = None) -> tuple[dict, int]:
+    """Execute every task; returns (summary, exit_code).  The summary is
+    encoded once, for summary.json in out_dir and for echo, which is given
+    that text without the timings, and not at all without either."""
     tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     cfg = validate_config(cfg, tol_scale)
     ws = _Workspace(cfg, out_dir, tol_scale)
@@ -585,9 +589,13 @@ def run_config(cfg: dict, out_dir: Path | None = None,
         summary["tasks"][name] = report
     # validate_config refused a task named twice, so every report is here
     all_pass = summary["all_pass"] = all(r["passed"] for r in summary["tasks"].values())
+    if out_dir is None and echo is None:
+        return summary, 0 if all_pass else 1
+    text = json.dumps(summary, sort_keys=True, indent=2)
     if out_dir is not None:
-        _write_text(out_dir, "summary.json",
-                    json.dumps({**summary, "timings": timings}, sort_keys=True, indent=2) + "\n")
+        # "timings" sorts after every other key: '{\n  "timings": ...}' goes on after a comma
+        timed = json.dumps({"timings": timings}, sort_keys=True, indent=2)
+        _write_text(out_dir, "summary.json", text[:-2] + "," + timed[1:] + "\n")
         checks = [(name, metric, report[metric], bound)
                   for name, report in summary["tasks"].items()
                   for metric, bound in report["bounds"].items()]
@@ -595,6 +603,8 @@ def run_config(cfg: dict, out_dir: Path | None = None,
         _write_table(out_dir, "residuals.csv", ["task", "metric", "value", "bound", "passed"],
                      [names, metrics, values, bounds,
                       ["true" if v <= b else "false" for v, b in zip(values, bounds)]])
+    if echo is not None:
+        echo(text)
     return summary, 0 if all_pass else 1
 
 
@@ -621,10 +631,8 @@ def _cmd_beta(args) -> int:
 
 
 def _run_and_report(cfg: dict, args) -> int:
-    summary, code = run_config(cfg, Path(args.out) if args.out else None,
-                               args.tolerance_scale)
-    print(json.dumps(summary, sort_keys=True, indent=2))
-    return code
+    return run_config(cfg, Path(args.out) if args.out else None, args.tolerance_scale,
+                      echo=print)[1]
 
 
 def _cmd_task(args) -> int:

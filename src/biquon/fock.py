@@ -11,8 +11,8 @@ deformation of the quon pair keeps that form, with a block one index past
 the support extent, so storage and matvecs cost O(K) plus the block.
 Checks read products of the leading W x W windows (:meth:`FockOperator.dense`)
 that the blocks and a few ladder steps reach; past them a residual column
-is a band entry alone.  Artefacts are written in the stored form by
-:func:`operator_json`.
+is a band entry alone.  The operator dumps are written in the stored form
+by :func:`operator_json`; a family's S needs none, its deformation fixes it.
 
 Truncation breaks the q-mutation identity on the top basis vectors, so
 every residual check takes a ``safe_dim`` argument restricting it to the
@@ -36,7 +36,7 @@ __all__ = [
     "operator_json",
 ]
 
-# the "format" an artefact names: operators as {"shift", "diag", "block"}
+# the "format" an operator dump names: {"shift", "diag", "block"}
 FORMAT = "band+block"
 EMPTY = np.zeros((0, 0), dtype=complex)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FORMAT, FockOperator, identity_plus, make_quon_c, operator_json
+from .fock import FockOperator, identity_plus, make_quon_c
 from .qcore import validate_q_algebraic
 
 __all__ = [
@@ -322,19 +322,14 @@ def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> di
 
 
 def family_to_json(family: BiorthogonalFamily, residual_report: dict) -> str:
-    """The family data and its residual report as one JSON document with
-    sorted keys.
-
-    phi = S (column n is phi_n) and psi = S^{-dag} (column n is psi_n) are
-    written in the stored form of :func:`~biquon.fock.operator_json`, which
-    the "format" key names, so the document is O(K) in size.
-    """
+    """K, q, the source (u, v, alpha_def, beta_def) and the residual report
+    as one JSON document with sorted keys.  The source fixes both families,
+    phi_n = S e_n = e_n + alpha conj(u_n) v and psi_n = S^{-dag} e_n = e_n +
+    conj(beta) conj(v_n) u, bit for bit through ``Deformation.blocks``, so
+    the document is the size of the support, whatever K."""
     return json.dumps({
         "K": family.K,
         "q": family.q,
-        "format": FORMAT,
         "source": family.source.describe(),
-        "phi": operator_json(family.phi),
-        "psi": operator_json(family.psi),
         "residuals": residual_report,
     }, sort_keys=True)

@@ -479,6 +479,14 @@ def test_table_writer_is_the_csv_writer_rendering(tmp_path):
         csv_writer_rendering(["a", "s", "b", "n"], zip(*columns))
 
 
+def test_table_writer_integer_column_is_the_float_rendering(tmp_path):
+    # '%d' writes the digits '%.17g' writes for every |n| < 2^53
+    n = np.array([0, -1, 7, 10 ** 15, 2 ** 53 - 1, -(2 ** 53 - 1)])
+    cli._write_table(tmp_path, "n.csv", ["n"], [n])
+    assert (tmp_path / "n.csv").read_bytes() == \
+        csv_writer_rendering(["n"], zip(n.astype(float)))
+
+
 def test_bicoherent_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch):
     states = []
     real_state = bicoherent.bicoherent_state
@@ -650,6 +658,37 @@ class TestRunConfig:
         s1.pop("timings")
         s2.pop("timings")
         assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
+
+    POSITION_CONFIG = {"q": 0.5, "K": 32, "family": {"kind": "position", "gamma": 0.6},
+                       "tasks": ["mutator", "family", "theta", {"task": "position", "n_max": 4}]}
+
+    @pytest.mark.parametrize("cfg", [WORKED_CONFIG, POSITION_CONFIG], ids=["fock", "position"])
+    def test_summary_bytes(self, cfg, tmp_path, capsys, monkeypatch):
+        """Standard output is the summary's sorted, indented encoding and
+        summary.json the same with its timings, from one encoding of the
+        summary."""
+        summary, _ = run_config(cfg)
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(cfg))
+        encoded = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: encoded.append(obj) or real(obj, **kw))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert [obj for obj in encoded if "all_pass" in obj] == [summary]
+        monkeypatch.undo()
+        timings = json.loads((out / "summary.json").read_text())["timings"]
+        assert set(timings) == set(summary["tasks"])
+        assert (out / "summary.json").read_text() == \
+            json.dumps({**summary, "timings": timings}, sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+    def test_run_without_out_encodes_nothing(self, monkeypatch):
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        for cfg in (WORKED_CONFIG, self.POSITION_CONFIG):
+            assert run_config(cfg)[1] == 0
+        assert calls == []
 
     def test_residuals_csv_holds_every_judged_metric(self, tmp_path):
         summary, _ = run_config(WORKED_CONFIG, tmp_path)

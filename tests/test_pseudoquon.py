@@ -374,17 +374,34 @@ class TestNormBounds:
         assert np.all(norms_psi <= 1.0 + abs(d.beta_def) + 1e-12)
 
 
+def array(entries, ndim):
+    """Lists of numbers as a real array, lists of [re, im] pairs as a
+    complex one, signed zeros kept."""
+    x = np.array(entries, dtype=float)
+    if x.ndim > ndim:           # reinterpret the pairs
+        x = np.ascontiguousarray(x).view(complex)[..., 0]
+    return x
+
+
 def rebuild(doc: dict) -> FockOperator:
-    """The operator an artefact's {"shift", "diag", "block"} stores: lists
-    of numbers are real arrays, lists of [re, im] pairs complex ones, and an
+    """The operator an artefact's {"shift", "diag", "block"} stores; an
     empty block is the engine's complex EMPTY."""
-    def array(entries, ndim):
-        x = np.array(entries, dtype=float)
-        if x.ndim > ndim:           # reinterpret the pairs, signed zeros kept
-            x = np.ascontiguousarray(x).view(complex)[..., 0]
-        return x
     block = array(doc["block"], 2) if doc["block"] else np.zeros((0, 0), complex)
     return FockOperator(doc["shift"], array(doc["diag"], 1), block)
+
+
+def rebuild_family(doc: dict) -> tuple[FockOperator, FockOperator]:
+    """phi = S and psi = S^{-dag} from a family.json: its source is u, v,
+    alpha_def and beta_def, so S = 1 + B_S and S^{-1} = 1 + B_inv on the
+    K of the document, with phi_n = e_n + alpha conj(u_n) v and
+    psi_n = e_n + conj(beta) conj(v_n) u."""
+    src = doc["source"]
+    source = Deformation() if src["kind"] == "identity" else Deformation(
+        array(src["u"], 1), array(src["v"], 1),
+        complex(*src["alpha_def"]), complex(*src["beta_def"]))
+    s_block, inv_block = source.blocks()
+    return (identity_plus(doc["K"], s_block),
+            identity_plus(doc["K"], inv_block).adjoint())
 
 
 def assert_same_operator(got: FockOperator, want: FockOperator):
@@ -397,13 +414,14 @@ def assert_same_operator(got: FockOperator, want: FockOperator):
 def test_family_export_round_trip(worked):
     _, family, _, _ = worked
     parsed = json.loads(family_to_json(family, {"gram": 0.0}))
+    assert set(parsed) == {"K", "q", "source", "residuals"}
     assert parsed["K"] == DIM
     assert parsed["q"] == Q
-    assert parsed["format"] == FORMAT
     assert parsed["source"]["kind"] == "rank_one"
     assert parsed["residuals"] == {"gram": 0.0}
-    assert_same_operator(rebuild(parsed["phi"]), family.phi)
-    assert_same_operator(rebuild(parsed["psi"]), family.psi)
+    phi, psi = rebuild_family(parsed)
+    assert_same_operator(phi, family.phi)
+    assert_same_operator(psi, family.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +636,11 @@ def dense_rows(m: np.ndarray) -> list:
 
 
 def dense_document(text: str) -> str:
-    """A family.json with phi and psi rebuilt and written back as the dense
-    rows the earlier format held: the rows of S^T and of conj(S^{-1})."""
+    """A family.json with phi and psi rebuilt from its source and written
+    back as the dense rows the earlier format held: the rows of S^T and of
+    conj(S^{-1})."""
     doc = json.loads(text)
-    assert doc.pop("format") == FORMAT
-    phi, psi = rebuild(doc.pop("phi")), rebuild(doc.pop("psi"))
+    phi, psi = rebuild_family(doc)
     doc["phi"] = dense_rows(phi.dense().T)
     doc["psi"] = dense_rows(psi.adjoint().dense().conj())
     return json.dumps(doc, sort_keys=True)
@@ -696,6 +714,18 @@ def test_export_holds_no_dense_square():
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
     assert text.startswith('{"K": 1024, ')
+
+
+def test_family_json_size_does_not_grow_with_K(tmp_path):
+    # the document is K, q, the source and the residuals: K = 65536 adds
+    # digits to K and safe_dim, and nothing that grows with K
+    sizes = {}
+    for K in (64, 65536):
+        cfg = {"q": 0.5, "K": K, "tasks": ["family"],
+               "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}}
+        assert run_config(cfg, tmp_path / str(K))[1] == 0
+        sizes[K] = (tmp_path / str(K) / "family.json").stat().st_size
+    assert abs(sizes[65536] - sizes[64]) <= 16, sizes
 
 
 def test_worked_run_at_K_65536_holds_no_dense_square():
