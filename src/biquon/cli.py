@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -146,10 +147,10 @@ def _parse_complex(value, path: str) -> complex:
 
 def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
     """A vector from [index, re, im] triples, each index below dim and
-    MAX_SUPPORT_EXTENT."""
+    MAX_SUPPORT_EXTENT and named once."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: expected nonempty list of [index, re, im]")
-    parsed = []
+    parsed: dict[int, tuple[int, complex]] = {}
     for i, item in enumerate(entries):
         if not (isinstance(item, list) and len(item) == 3):
             raise ConfigError(f"{path}[{i}]: expected [index, re, im]")
@@ -157,10 +158,13 @@ def _parse_sparse_vector(entries, path: str, dim: int) -> np.ndarray:
         if type(k) is not int or not 0 <= k < min(dim, MAX_SUPPORT_EXTENT):
             raise ConfigError(f"{path}[{i}]: index must be an integer below K = {dim} "
                               f"and MAX_SUPPORT_EXTENT = {MAX_SUPPORT_EXTENT}, got {k!r}")
-        parsed.append((k, _parse_complex(item[1:], f"{path}[{i}]")))
-    vec = np.zeros(max(k for k, _ in parsed) + 1, dtype=complex)
-    for k, z in parsed:
-        vec[k] += z
+        if k in parsed:
+            raise ConfigError(f"{path}[{i}]: index {k} is already set by "
+                              f"{path}[{parsed[k][0]}]")
+        parsed[k] = (i, _parse_complex(item[1:], f"{path}[{i}]"))
+    vec = np.zeros(max(parsed) + 1, dtype=complex)
+    # += on +0 turns a -0.0 part into +0.0, as the parse always has
+    vec[list(parsed)] += [z for _, z in parsed.values()]
     return vec
 
 
@@ -390,16 +394,15 @@ def _write_text(out: Path | None, name: str, text: str) -> None:
 
 
 def _write_table(out: Path | None, name: str, header: list[str], columns) -> None:
-    """A table, one column per array or sequence, as csv.writer writes its
-    rows with each number as the string f"{v:.17g}", CRLF line ends
-    included, from one template: '%.17g' % v is f"{v:.17g}" for every
-    double, nan, +-inf, -0 and subnormals included.  A column of strings,
-    none of which csv.writer would quote, is written as '%s', and one of
-    signed integers as '%d', the digits of '%.17g' for every |n| < 2^53."""
+    """A table, one numeric column per array or sequence, as csv.writer
+    writes its rows with each number as the string f"{v:.17g}", CRLF line
+    ends included, from one template: '%.17g' % v is f"{v:.17g}" for every
+    double, nan, +-inf, -0 and subnormals included.  A column of signed
+    integers is written as '%d', the digits of '%.17g' for every |n| < 2^53."""
     if out is None:
         return
     columns = [np.asarray(c) for c in columns]
-    template = ",".join({"U": "%s", "i": "%d"}.get(c.dtype.kind, "%.17g") for c in columns)
+    template = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns)
     values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     _write_text(out, name, ",".join(header) + "\r\n"
                 + (template + "\r\n") * len(columns[0]) % tuple(values))
@@ -469,10 +472,8 @@ def _task_family(ws: _Workspace, task: dict) -> dict:
         **pseudoquon.check_ladder(fam),
         **pseudoquon.number_eigencheck(fam),
     }
-    if ws.out is not None:
-        _write_text(ws.out, "family.json", pseudoquon.family_to_json(
-            fam, {**metrics, "safe_dim": fam.safe_dim}))
-    return _finish(ws, "family", metrics, safe_dim=fam.safe_dim)
+    return _finish(ws, "family", metrics, safe_dim=fam.safe_dim,
+                   source=pseudoquon.family_to_json(fam))
 
 
 def _task_theta(ws: _Workspace, task: dict) -> dict:
@@ -569,7 +570,8 @@ def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
                echo: Callable[[str], object] | None = None) -> tuple[dict, int]:
     """Execute every task; returns (summary, exit_code).  The summary is
     encoded once, for summary.json in out_dir and for echo, which is given
-    that text without the timings, and not at all without either."""
+    that text without the timings, and not at all without either.  out_dir
+    holds only it, with every verdict, and the tables the tasks write."""
     tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     cfg = validate_config(cfg, tol_scale)
     ws = _Workspace(cfg, out_dir, tol_scale)
@@ -596,13 +598,6 @@ def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
         # "timings" sorts after every other key: '{\n  "timings": ...}' goes on after a comma
         timed = json.dumps({"timings": timings}, sort_keys=True, indent=2)
         _write_text(out_dir, "summary.json", text[:-2] + "," + timed[1:] + "\n")
-        checks = [(name, metric, report[metric], bound)
-                  for name, report in summary["tasks"].items()
-                  for metric, bound in report["bounds"].items()]
-        names, metrics, values, bounds = zip(*checks)
-        _write_table(out_dir, "residuals.csv", ["task", "metric", "value", "bound", "passed"],
-                     [names, metrics, values, bounds,
-                      ["true" if v <= b else "false" for v, b in zip(values, bounds)]])
     if echo is not None:
         echo(text)
     return summary, 0 if all_pass else 1
@@ -732,7 +727,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush while a broken pipe can still exit 2; print skips a None stdout
+        print(end="", flush=True)
+        return code
+    except BrokenPipeError as exc:
+        # the flush at exit would meet the same pipe and set the status to 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"config error: standard output: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

