@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bicoherent, positionrep, pseudoquon, qcore, resolution
-from .fock import FORMAT, operator_json, qmutator_residual
+from .fock import qmutator_residual
 from .qcore import BetaSequence
 
 __all__ = ["main", "ConfigError", "run_config", "DEFAULT_SEED"]
@@ -56,13 +56,13 @@ TOLERANCES = {
     "position.ladder_residual": 1e-10,
 }
 # Every key a task reads, in the order the runs take the tasks, as (type,
-# the family kinds that read it, default, admissible range).  A default may
-# be a function of K.  A range is closed for an int and open for a float,
-# and "K" stands for the config's K: the moments and the overlaps of a
-# resolution task read rho_k for k below K_mom and support.
+# the family kinds that read it, default, admissible range); the type is int
+# or float.  A default may be a function of K.  A range is closed for an int
+# and open for a float, and "K" stands for the config's K: the moments and
+# the overlaps of a resolution task read rho_k for k below K_mom and support.
 TASK_PARAMS = {
     "family": {"n_max": (int, ("position",), 6, (0, math.inf))},
-    "mutator": {"dump_operators": (bool, FOCK_KINDS, False, None)},
+    "mutator": {},
     "theta": {},
     "bicoherent": {"n_r": (int, FOCK_KINDS, 4, (1, math.inf)),
                    "n_theta": (int, FOCK_KINDS, 8, (1, math.inf)),
@@ -71,8 +71,7 @@ TASK_PARAMS = {
                    "n_theta": (int, FOCK_KINDS, 64, (1, math.inf)),
                    "n_pairs": (int, FOCK_KINDS, 20, (1, math.inf)),
                    "support": (int, FOCK_KINDS, lambda dim: min(6, dim), (1, "K"))},
-    "position": {"n_max": (int, ("position",), 5, (0, math.inf)),
-                 "dump_states": (bool, ("position",), False, None)},
+    "position": {"n_max": (int, ("position",), 5, (0, math.inf))},
 }
 CONFIG_KEYS = ("q", "K", "family", "tasks", "tolerances", "seed")
 FAMILY_KEYS = {"identity": ("kind",), "rank_one": ("kind", "alpha_def", "preset", "u", "v"),
@@ -106,11 +105,13 @@ def _bound(cfg: dict, tol_scale: float, task: str, metric: str | None = None) ->
 
 
 def _parse_int(value, path: str) -> int:
-    # a JSON true or false is no number, though Python's bool is an int
+    # a JSON true or false is no number, though Python's bool is an int; an
+    # int is taken as it is, where float(value) would round it past 2^53
     try:
-        out = int(value)
-        if out == float(value) and not isinstance(value, bool):
-            return out
+        if not isinstance(value, bool):
+            out = int(value)
+            if isinstance(value, int) or out == float(value):
+                return out
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{path}: not an integer ({value!r})")
@@ -223,12 +224,10 @@ def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
             continue
         if key not in task:
             task[key] = default(dim) if callable(default) else default
-        elif kind_of is not bool:
+        else:
             lo, hi = ends
             task[key] = _parse_ranged(kind_of, task[key], f"{path}.{key}", lo,
                                       dim if hi == "K" else hi)
-        elif not isinstance(task[key], bool):
-            raise ConfigError(f"{path}.{key}: expected true or false, got {task[key]!r}")
     keys, entries = (), 0
     if name == "bicoherent":
         keys, entries = ("n_r", "n_theta"), (dim + 1) * task["n_r"] * task["n_theta"]
@@ -453,10 +452,6 @@ def _task_mutator(ws: _Workspace, task: dict) -> dict:
         return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="analytic")
     fam = ws.family
     resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
-    if task["dump_operators"] and ws.out is not None:
-        for op, name in ((fam.a, "a.json"), (fam.b, "b.json")):
-            _write_text(ws.out, name,
-                        json.dumps({"format": FORMAT, **operator_json(op)}, sort_keys=True))
     return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="fock",
                    safe_dim=fam.safe_dim)
 
@@ -543,13 +538,6 @@ def _task_position(ws: _Workspace, task: dict) -> dict:
                  [rows, cols, ws.lattice.coeffs[rows, cols], np.zeros(len(rows))])
     norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
     ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
-    if task["dump_states"] and ws.out is not None:
-        x = positionrep.default_grid(ws.params.gamma)
-        phi = positionrep.build_families(ws.params, n_max, ws.lattice)[0]
-        # the zero coefficients past row n add +0 to every sum: the values of
-        # row n are those of phi_n alone
-        for n, vals in enumerate(phi.sample(x)):
-            _write_table(ws.out, f"phi_{n}.csv", ["x", "re", "im"], [x, vals.real, vals.imag])
     # where the formula's side claim L_n <= (n+1)^2 fails, the formula fails
     rel = norm_rep["max_rel_err"] if norm_rep["L_bound_ok"] else math.inf
     metrics = {"norm_formula_max_rel": rel, "ladder_residual": ladder["max_residual"]}
@@ -701,11 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         # a flag left out sets nothing, so validate_config fills its default
         for key, (kind_of, *_) in params.items():
-            flag = "--" + key.lower().replace("_", "-")
-            if kind_of is bool:
-                p.add_argument(flag, dest=key, action="store_true", default=None)
-            else:
-                p.add_argument(flag, dest=key, type=kind_of)
+            p.add_argument("--" + key.lower().replace("_", "-"), dest=key, type=kind_of)
         if name in ("family", "theta", "position"):
             # S = 1 leaves the Fock family and theta tasks nothing to check
             p.set_defaults(family="position" if name == "position" else "rank_one")
@@ -724,6 +708,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence(stream) -> None:
+    """Point stream's file descriptor at the null device: the flush at exit
+    would meet the same broken pipe and set the status to 120."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _config_error(message: str) -> int:
+    """Report a refusal on standard error, which may be a closed pipe too;
+    the exit status is 2 either way."""
+    try:
+        print(f"config error: {message}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _silence(sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -732,17 +732,13 @@ def main(argv: list[str] | None = None) -> int:
         print(end="", flush=True)
         return code
     except BrokenPipeError as exc:
-        # the flush at exit would meet the same pipe and set the status to 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"config error: standard output: {exc}", file=sys.stderr)
-        return 2
+        _silence(sys.stdout)
+        return _config_error(f"standard output: {exc}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(str(exc))
     except MemoryError as exc:
         # a size below MAX_ARRAY_ENTRIES can still exceed the memory there is
-        print(f"config error: out of memory ({exc})", file=sys.stderr)
-        return 2
+        return _config_error(f"out of memory ({exc})")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ deformation of the quon pair keeps that form, with a block one index past
 the support extent, so storage and matvecs cost O(K) plus the block.
 Checks read products of the leading W x W windows (:meth:`FockOperator.dense`)
 that the blocks and a few ladder steps reach; past them a residual column
-is a band entry alone.  The operator dumps are written in the stored form
-by :func:`operator_json`; S needs none, the family report's source fixes it.
+is a band entry alone.  No operator is written out: the family report's
+source, with q and K, fixes S, a and b.
 
 Truncation breaks the q-mutation identity on the top basis vectors, so
 every residual check takes a ``safe_dim`` argument restricting it to the
@@ -32,12 +32,8 @@ __all__ = [
     "identity_plus",
     "make_quon_c",
     "qmutator_residual",
-    "FORMAT",
-    "operator_json",
 ]
 
-# the "format" an operator dump names: {"shift", "diag", "block"}
-FORMAT = "band+block"
 EMPTY = np.zeros((0, 0), dtype=complex)
 
 
@@ -166,18 +162,3 @@ def qmutator_residual(x: FockOperator, y: FockOperator, q: float, safe_dim: int)
                         0.5, np.abs)
     return float(max(np.max(head_rel), np.max(band_rel, initial=0.0)))
 
-
-def _entries(x: np.ndarray) -> list:
-    """x as nested lists, each complex entry as its [re, im] pair."""
-    if np.iscomplexobj(x):
-        x = np.stack([x.real, x.imag], axis=-1)
-    return x.tolist()
-
-
-def operator_json(op: FockOperator) -> dict:
-    """op as stored, {"shift", "diag", "block"}, ready for json.dumps.
-
-    Entries of a real array are numbers and those of a complex array
-    [re, im] pairs, so the parsed lists rebuild op bit for bit.
-    """
-    return {"shift": op.shift, "diag": _entries(op.diag), "block": _entries(op.block)}

@@ -48,7 +48,6 @@ __all__ = [
     "l_value",
     "cancellation",
     "norm_formula_check",
-    "family_norms",
     "theta_conjugacy_check",
 ]
 
@@ -264,18 +263,22 @@ def lattice(params: PositionParams, n_max: int) -> Lattice:
     return Lattice(coeffs, BetaSequence(params.q, n_max))
 
 
-def _table_for(params: PositionParams, n_max: int, table: Lattice | None) -> Lattice:
-    """table, or a lattice of its own where table is missing or too short."""
-    return lattice(params, n_max) if table is None or table.n_max < n_max else table
+def _fitting(params: PositionParams, n_max: int, table: Lattice) -> Lattice:
+    """table, once it is the lattice of params.q and holds row n_max."""
+    if table.beta.q != params.q or table.n_max < n_max:
+        raise ValueError(f"a lattice of q={table.beta.q} up to row {table.n_max} does "
+                         f"not fit a call at q={params.q} that reads row {n_max}")
+    return table
 
 
-def build_families(params: PositionParams, n_max: int, table: Lattice | None = None
-                   ) -> tuple[LatticeState, LatticeState]:
+def build_families(params: PositionParams, n_max: int,
+                   table: Lattice) -> tuple[LatticeState, LatticeState]:
     """phi_n = b^n phi_0 / beta_{n-1}! and psi_n = (a^dag)^n psi_0 / beta_{n-1}!
     for n <= n_max, as the rows P[n, k] = pref_n c_k^(n) of one
     lower-triangular matrix, pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}!,
-    over the lattices w0 = +-gamma + 1.5 i alpha with step 2 i alpha."""
-    coeffs = _table_for(params, n_max, table).states[:n_max + 1, :n_max + 1]
+    over the lattices w0 = +-gamma + 1.5 i alpha with step 2 i alpha, read
+    from table."""
+    coeffs = _fitting(params, n_max, table).states[:n_max + 1, :n_max + 1]
     al = params.alpha
     return (LatticeState(coeffs, params.gamma + 1.5j * al, 2j * al),
             LatticeState(coeffs, -params.gamma + 1.5j * al, 2j * al))
@@ -293,15 +296,14 @@ def qmutation_grid_check(params: PositionParams, states: LatticeState) -> float:
     return float(np.max(norm(resid) / norm(states)))
 
 
-def ladder_check(params: PositionParams, n_max: int, table: Lattice | None = None) -> dict:
+def ladder_check(params: PositionParams, n_max: int, table: Lattice) -> dict:
     """Residuals of the four ladder relations for n <= n_max, each relative
     to the norm of the state the operator acts on: the operator applied to
     a closed-form row against beta times the neighbouring closed-form row.
     The rows come from table, which needs row n_max + 1."""
-    table = _table_for(params, n_max + 1, table)
+    phi, psi = build_families(params, n_max + 1, table)
     beta = table.beta.beta[1:n_max + 2]
     below = table.beta.beta[:n_max + 1]             # beta_{n-1}, beta_{-1} = 0
-    phi, psi = build_families(params, n_max + 1, table)
     report = {}
     for name, fam, up, down in (("phi", phi, apply_b, apply_a),
                                 ("psi", psi, apply_a_dagger, apply_b_dagger)):
@@ -319,8 +321,7 @@ def ladder_check(params: PositionParams, n_max: int, table: Lattice | None = Non
     return report
 
 
-def similarity_check(params: PositionParams, n_max: int,
-                     table: Lattice | None = None) -> dict:
+def similarity_check(params: PositionParams, n_max: int, table: Lattice) -> dict:
     """The multiplication-similarity structure, and biorthogonality.
 
     phi_n with shift gamma must equal exp(gamma x) times the unshifted
@@ -383,7 +384,7 @@ def _lag_sums(params: PositionParams, beta: BetaSequence,
     return windowed_sums(u), windowed_sums(np.abs(u)) @ weights
 
 
-def l_value(params: PositionParams, n_max: int, table: Lattice | None = None) -> np.ndarray:
+def l_value(params: PositionParams, n_max: int, table: Lattice) -> np.ndarray:
     """L_0 .. L_n_max, the double sums of the closed norm formula; each is
     real and at most (n+1)^2.
 
@@ -392,7 +393,7 @@ def l_value(params: PositionParams, n_max: int, table: Lattice | None = None) ->
     Hermitian and u real, so L_n = a_0 + 2 sum_{d>=1} Re(t_d) a_d over the
     gamma-free lag sums a_d of table (see :class:`Lattice`): one product.
     """
-    lags = _table_for(params, n_max, table).lag_sums[0][:n_max + 1]
+    lags = _fitting(params, n_max, table).lag_sums[0][:n_max + 1]
     d = np.arange(lags.shape[1])
     al = params.alpha
     weights = 2.0 * np.exp(-al * al * d * d) * np.cos(2.0 * al * params.gamma * d)
@@ -400,8 +401,7 @@ def l_value(params: PositionParams, n_max: int, table: Lattice | None = None) ->
     return lags @ weights
 
 
-def cancellation(params: PositionParams, n_max: int,
-                 table: Lattice | None = None) -> np.ndarray:
+def cancellation(params: PositionParams, n_max: int, table: Lattice) -> np.ndarray:
     """For each n <= n_max, the largest |u|^T |T| |u| / |L_m| over m <= n.
 
     The factor by which the alternating terms of L_m amplify rounding; the
@@ -410,7 +410,6 @@ def cancellation(params: PositionParams, n_max: int,
     infinite where L_m rounds to 0, and at least 1.  Only L_m depends on
     gamma.
     """
-    table = _table_for(params, n_max, table)
     l_sum = l_value(params, n_max, table)
     ratio = np.full(n_max + 1, math.inf)
     np.divide(table.lag_sums[1][:n_max + 1], np.abs(l_sum), out=ratio,
@@ -418,8 +417,7 @@ def cancellation(params: PositionParams, n_max: int,
     return np.maximum.accumulate(np.maximum(ratio, 1.0))
 
 
-def norm_formula_check(params: PositionParams, n_max: int,
-                       table: Lattice | None = None) -> dict:
+def norm_formula_check(params: PositionParams, n_max: int, table: Lattice) -> dict:
     """Exact norms against the closed formula
     ||phi_n||^2 = [n]! e^{gamma^2} (1-q)^{-n} L_n, plus its side claims.
 
@@ -427,7 +425,6 @@ def norm_formula_check(params: PositionParams, n_max: int,
     compared without their common factor exp(gamma^2), which overflows
     first.
     """
-    table = _table_for(params, n_max, table)
     nphi = _norms_sq(build_families(params, n_max, table)[0])[0]
     lvs = l_value(params, n_max, table)
     n = np.arange(n_max + 1)
@@ -437,13 +434,7 @@ def norm_formula_check(params: PositionParams, n_max: int,
             "L_bound_ok": bool(np.all(lvs <= (n + 1) ** 2 + 1e-12))}
 
 
-def family_norms(params: PositionParams, n_max: int) -> np.ndarray:
-    """Exact ||phi_n|| for n = 0..n_max (the input of criteria 07b and 07d)."""
-    return norm(build_families(params, n_max)[0])
-
-
-def theta_conjugacy_check(params: PositionParams, n_max: int,
-                          table: Lattice | None = None) -> float:
+def theta_conjugacy_check(params: PositionParams, n_max: int, table: Lattice) -> float:
     """max |<phi_n, Theta phi_m> - delta_nm| over n, m <= n_max.
 
     Theta = exp(-2 gamma x) is the metric that conjugates a into

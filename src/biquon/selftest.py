@@ -188,7 +188,9 @@ def check_radii(reports: TaskReports) -> list[CheckResult]:
             worst_emp = max(worst_emp,
                             abs(bicoherent.empirical_radius(coeffs) - target) / target)
 
-        pos_norms = positionrep.family_norms(positionrep.PositionParams(q, gamma), 40)
+        params = positionrep.PositionParams(q, gamma)
+        pos_norms = positionrep.norm(
+            positionrep.build_families(params, 40, positionrep.lattice(params, 40))[0])
         ratios = bicoherent.radius_bound_ratios(pos_norms, q, 0.5 * gamma ** 2)
         worst_bound = max(worst_bound, float(np.max(ratios[1:])))
         target_pos = math.sqrt(1.0 - q)
@@ -242,10 +244,11 @@ def check_position_example(reports: TaskReports) -> list[CheckResult]:
     for q in (0.3, 0.6):
         for gamma in (0.0, 0.5, 1.0):
             params = positionrep.PositionParams(q, gamma)
-            rep = positionrep.norm_formula_check(params, 5)
+            rep = positionrep.norm_formula_check(params, 5, positionrep.lattice(params, 5))
             norm_dev = max(norm_dev, rep["max_rel_err"])
         # L_0 = 1 = (0 + 1)^2 always, so n = 0 would pin the value at the bound
-        lvs = positionrep.l_value(positionrep.PositionParams(q, 0.5), 8)
+        params = positionrep.PositionParams(q, 0.5)
+        lvs = positionrep.l_value(params, 8, positionrep.lattice(params, 8))
         bound_margin = max(bound_margin, float(np.max(lvs[1:] / np.arange(2, 10) ** 2)))
     return [
         _result("10a-position-coefficients", coeff_dev, 1e-14,

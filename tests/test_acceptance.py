@@ -92,12 +92,11 @@ def test_each_config_runs_once(monkeypatch):
 
 def _radii(monkeypatch, scale) -> dict:
     """check_radii with every family's norm n multiplied by scale(n)."""
-    column_norms = FockOperator.column_norms
-    family_norms = positionrep.family_norms
+    column_norms, norm = FockOperator.column_norms, positionrep.norm
     monkeypatch.setattr(FockOperator, "column_norms",
                         lambda op, n: column_norms(op, n) * scale(np.arange(n)))
-    monkeypatch.setattr(positionrep, "family_norms",
-                        lambda params, n: family_norms(params, n) * scale(np.arange(n + 1)))
+    monkeypatch.setattr(positionrep, "norm",
+                        lambda states: norm(states) * scale(np.arange(len(states.coeffs))))
     results = selftest.check_radii(selftest.TaskReports(cli.DEFAULT_SEED))
     return {r.criterion[:3]: r for r in results}
 

@@ -40,7 +40,15 @@ class TestValidation:
         cfg = validate_config({"q": 0.5, "K": 64,
                                "family": {"kind": "identity"},
                                "tasks": ["mutator"]})
-        assert cfg["tasks"] == [{"task": "mutator", "dump_operators": False}]
+        assert cfg["tasks"] == [{"task": "mutator"}]
+
+    def test_seed_past_2_53_is_taken_exactly(self):
+        # 2^53 + 1 has no float; the parent refused it as "not an integer"
+        seed = 2 ** 53 + 1
+        cfg = {"q": 0.5, "K": 32, "family": {"kind": "identity"}, "tasks": ["mutator"],
+               "seed": seed}
+        assert validate_config(cfg)["seed"] == seed
+        assert run_config(cfg)[0]["seed"] == seed
 
     def test_missing_q(self):
         with pytest.raises(ConfigError, match="q"):
@@ -255,8 +263,12 @@ BAD_CONFIGS = {
     "rank_one-gamma": ({"family": {**WORKED, "gamma": 0.5}}, "family.gamma"),
     "position-alpha_def": ({"family": {**POSITION, "alpha_def": [0, 1]}},
                            "family.alpha_def"),
+    # the dump options are gone: each key is an unknown one
     "dump_operators-string": ({"tasks": [{"task": "mutator", "dump_operators": "false"}]},
-                              r"tasks\[0\].dump_operators"),
+                              r"tasks\[0\].dump_operators(?=: unknown key)"),
+    "dump_states-true": ({"family": POSITION,
+                          "tasks": [{"task": "position", "dump_states": True}]},
+                         r"tasks\[0\].dump_states(?=: unknown key)"),
     "task-twice": ({"tasks": [{"task": "resolution", "n_pairs": 3},
                               {"task": "resolution", "n_pairs": 7}]}, r"tasks\[1\]"),
     "alpha-zero-family-task": ({"family": {**WORKED, "alpha_def": [0, 0]},
@@ -270,6 +282,8 @@ BAD_CONFIGS = {
     # the others
     "K-2^50": ({"K": 2 ** 50}, "K"),
     "K-1e20": ({"K": 10 ** 20}, "K"),
+    # "not an integer" at the parent, which compared the int with its float
+    "K-2^53+1": ({"K": 2 ** 53 + 1}, r"K(?=: must lie in \[2, )"),
     "bicoherent-n_r-1e20": ({"K": 64, "tasks": [{"task": "bicoherent", "n_r": 10 ** 20}]},
                             r"tasks\[0\].n_r"),
     "resolution-n_pairs-1e20": ({"tasks": [{"task": "resolution", "n_pairs": 10 ** 20}]},
@@ -314,8 +328,6 @@ BAD_ARGS = {
     "family-identity": (["family", "--family", "identity"], "tasks[0]"),
     "theta-identity": (["theta", "--family", "identity"], "tasks[0]"),
     "resolution-support": (["resolution", "--support", "0"], "tasks[0].support"),
-    "position-mutator-dump-operators": (["mutator", "--family", "position",
-                                         "--dump-operators"], "tasks[0].dump_operators"),
 }
 
 
@@ -338,6 +350,18 @@ class TestExitCodeContract:
     def test_bad_arguments_exit_2(self, argv, path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    @pytest.mark.parametrize("argv", [["mutator", "--family", "position", "--dump-operators"],
+                                      ["mutator", "--dump-operators"],
+                                      ["position", "--dump-states"]],
+                             ids=["position-mutator-dump-operators", "mutator-dump-operators",
+                                  "position-dump-states"])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --dump-" in err and "Traceback" not in err
 
     # each raised at the parent (FileExistsError, IsADirectoryError,
     # UnicodeDecodeError, and a TypeError from setting the seed of a list)
@@ -607,6 +631,26 @@ def test_closed_standard_output_exits_2(argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,closed", [(["mutator", "--q", "nan"], ("stderr",)),
+                                         (["family", "--q", "0.5"], ("stdout", "stderr"))],
+                         ids=["config-error", "summary"])
+def test_closed_standard_error_exits_2(argv, closed):
+    # exit 1 at the parent: the handler's own line to standard error raised
+    ends = {}
+    for name in closed:
+        read_end, ends[name] = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biquon.cli", *argv],
+                              env=_package_env(), stdout=ends.get("stdout", subprocess.PIPE),
+                              stderr=ends["stderr"], timeout=60)
+    finally:
+        for end in ends.values():
+            os.close(end)
+    assert proc.returncode == 2
+    assert proc.stdout in (None, b"")
+
+
 def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import sys, biquon.cli; assert 'scipy' not in sys.modules"],
@@ -633,8 +677,6 @@ class TestRunConfig:
     # summary.json of every run with --out
     ARTEFACTS = {
         "mutator": ({"task": "mutator"}, "rank_one", set()),
-        "mutator-dump-operators": ({"task": "mutator", "dump_operators": True}, "rank_one",
-                                   {"a.json", "b.json"}),
         "family": ({"task": "family"}, "rank_one", set()),
         "theta": ({"task": "theta"}, "rank_one", set()),
         "bicoherent": ({"task": "bicoherent"}, "rank_one", {"bicoherent.csv"}),
@@ -643,9 +685,6 @@ class TestRunConfig:
         "position-family": ({"task": "family"}, "position", set()),
         "position-theta": ({"task": "theta"}, "position", set()),
         "position": ({"task": "position", "n_max": 2}, "position", {"coefficients.csv"}),
-        "position-dump-states": ({"task": "position", "n_max": 2, "dump_states": True},
-                                 "position",
-                                 {"coefficients.csv", "phi_0.csv", "phi_1.csv", "phi_2.csv"}),
     }
 
     @pytest.mark.parametrize("task,kind,files", ARTEFACTS.values(), ids=ARTEFACTS.keys())
@@ -810,12 +849,6 @@ class TestMainEntry:
 
     def test_mutator_subcommand(self, capsys):
         assert main(["mutator", "--q", "0.3", "--family", "rank_one"]) == 0
-
-    def test_mutator_dump_operators(self, tmp_path, capsys):
-        assert main(["mutator", "--q", "0.3", "--family", "rank_one",
-                     "--dump-operators", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "a.json").exists()
-        assert (tmp_path / "b.json").exists()
 
     def test_bicoherent_rim_needs_larger_dim(self, capsys):
         assert main(["bicoherent", "--q", "0.5", "--family", "rank_one",
@@ -1113,8 +1146,6 @@ def _run_argv(draw) -> list[str]:
     for flag, values in options.items():
         if draw(st.booleans()):
             argv.append(f"--{flag}={draw(values)!r}")
-    if name in ("mutator", "position") and draw(st.booleans()):
-        argv.append("--dump-operators" if name == "mutator" else "--dump-states")
     return argv
 
 

@@ -1,7 +1,5 @@
 """Tests for the truncated Fock-space engine."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from biquon.fock import (
     FockOperator,
     identity_plus,
     make_quon_c,
-    operator_json,
     qmutator_residual,
 )
 from biquon.pseudoquon import (
@@ -165,18 +162,6 @@ class TestNormGrowthProbe:
                  * np.linalg.norm(family.c.dense(), 2)
                  * np.linalg.norm(family.psi.dense(), 2)) ** 2
         assert np.all(probe <= bound + 1e-12)
-
-
-def test_operator_json_round_trip():
-    c = make_quon_c(0.5, 3)
-    doc = json.loads(json.dumps(operator_json(c)))
-    assert doc == {"shift": -1, "diag": c.diag.tolist(), "block": []}
-    x = random_operator(np.random.default_rng(3), 5, 1, 2)
-    doc = json.loads(json.dumps(operator_json(x)))
-    assert doc["shift"] == 1
-    for entries, want in ((doc["diag"], x.diag), (doc["block"], x.block)):
-        pairs = np.array(entries)
-        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], want)
 
 
 def random_operator(rng, dim, shift, p):

@@ -24,7 +24,6 @@ from biquon.positionrep import (
     cancellation,
     coefficient_recursion,
     default_grid,
-    family_norms,
     inner,
     l_value,
     ladder_check,
@@ -52,6 +51,11 @@ def exact(f, g):
     """<f_0, g_0> from the lattice Gram."""
     gram, c = inner(f, g)
     return complex(gram[0, 0] * math.exp(c))
+
+
+def families(params, n_max):
+    """phi and psi up to n_max, on the lattice of params.q up to row n_max."""
+    return build_families(params, n_max, lattice(params, n_max))
 
 
 def row(fam, n):
@@ -87,7 +91,7 @@ class TestAnalyticState:
         al, g = PARAMS.alpha, PARAMS.gamma
         pref = 1j / PARAMS.sqrt_1mq
         x = np.linspace(-4.0, 4.0, 81)
-        phi, psi = build_families(PARAMS, 3)
+        phi, psi = families(PARAMS, 3)
         for fam, s, down, up in ((phi, 1.0, apply_a, apply_b),
                                  (psi, -1.0, apply_b_dagger, apply_a_dagger)):
             f = on_lattice(fam, [0.3, -0.2 + 0.5j, 1.0, 0.4j])
@@ -101,7 +105,7 @@ class TestAnalyticState:
             assert np.max(np.abs(up(PARAMS, f).sample(x)[0] - raised)) < 1e-12 * scale
 
     def test_exponent_shift(self):
-        state = build_families(PARAMS, 2)[0]
+        state = families(PARAMS, 2)[0]
         assert np.allclose(state.shift_exponent(0.3).sample(X),
                            np.exp(0.3 * X) * state.sample(X), atol=1e-12)
 
@@ -110,7 +114,7 @@ class TestAnalyticState:
 
 
 def _oracle_pairs():
-    phi, psi = build_families(PARAMS, 4)
+    phi, psi = families(PARAMS, 4)
     pairs = [pytest.param(row(phi, 0), row(psi, 0), id="vacuum")]
     pairs += [pytest.param(row(phi, n), row(psi, m), id=f"family-{n}{m}")
               for n in range(5) for m in range(5)]
@@ -134,7 +138,7 @@ class TestExactInner:
         assert abs(exact(f, g) - trapezoid(f, g)) <= 1e-12 * norm(f)[0] * norm(g)[0]
 
     def test_empty_state(self):
-        phi = build_families(PARAMS, 0)[0]
+        phi = families(PARAMS, 0)[0]
         empty = LatticeState(np.zeros((1, 0)), phi.w0, phi.step)
         assert exact(empty, phi) == 0.0
         assert norm(empty)[0] == 0.0
@@ -152,17 +156,17 @@ class TestVacua:
     def test_annihilation_is_exact(self):
         # the k = 0 factor is exactly 0 on the vacuum's own lattice, so the
         # lowered vacuum has no term left (off it, _step_down raises)
-        phi0, psi0 = build_families(PARAMS, 0)
+        phi0, psi0 = families(PARAMS, 0)
         assert apply_a(PARAMS, phi0).coeffs.size == 0
         assert apply_b_dagger(PARAMS, psi0).coeffs.size == 0
 
     def test_pairing_normalized(self):
-        phi0, psi0 = build_families(PARAMS, 0)
+        phi0, psi0 = families(PARAMS, 0)
         assert abs(exact(phi0, psi0) - 1.0) < 1e-10
 
     def test_vacuum_norm_squared(self):
         # ||phi_0||^2 = e^{gamma^2} since L_0 = 1
-        got = norm(build_families(PARAMS, 0)[0])[0] ** 2
+        got = norm(families(PARAMS, 0)[0])[0] ** 2
         assert got == pytest.approx(math.exp(PARAMS.gamma ** 2), rel=1e-12)
 
 
@@ -171,7 +175,7 @@ def ladder_built(params, n_max):
     applied one step at a time to the vacua."""
     out = []
     beta = qcore.BetaSequence(params.q, n_max).beta     # beta[n + 1] = beta_n
-    for fam, up in zip(build_families(params, 0), (apply_b, apply_a_dagger)):
+    for fam, up in zip(families(params, 0), (apply_b, apply_a_dagger)):
         rows, state = [fam.coeffs[0]], fam
         for n in range(n_max):
             state = up(params, state)
@@ -183,7 +187,7 @@ def ladder_built(params, n_max):
 
 class TestLadderAction:
     def test_first_excited_closed_form(self):
-        phi0 = build_families(PARAMS, 0)[0]
+        phi0 = families(PARAMS, 0)[0]
         got = apply_b(PARAMS, phi0)
         al = PARAMS.alpha
         pref = -1j / PARAMS.sqrt_1mq * math.pi ** -0.25
@@ -193,25 +197,25 @@ class TestLadderAction:
 
     def test_gamma_zero_collapses_to_adjoint_pair(self):
         p0 = PositionParams(0.5, 0.0)
-        f = on_lattice(build_families(p0, 0)[0], [0.2, 0.0, 1.0])
+        f = on_lattice(families(p0, 0)[0], [0.2, 0.0, 1.0])
         assert np.allclose(apply_b(p0, f).coeffs, apply_a_dagger(p0, f).coeffs,
                            rtol=0, atol=1e-15)
         assert np.allclose(apply_a(p0, f).coeffs, apply_b_dagger(p0, f).coeffs,
                            rtol=0, atol=1e-15)
 
     def test_lowering_refuses_a_foreign_lattice(self):
-        phi, psi = build_families(PARAMS, 1)
+        phi, psi = families(PARAMS, 1)
         with pytest.raises(ValueError, match="lattice"):
             apply_a(PARAMS, psi)
         with pytest.raises(ValueError, match="lattice"):
             apply_b_dagger(PARAMS, phi)
 
     def test_ladder_relations_on_grid(self):
-        rep = ladder_check(PARAMS, 6)
+        rep = ladder_check(PARAMS, 6, lattice(PARAMS, 7))
         assert 0.0 < rep["max_residual"] < 1e-14
 
     def test_qmutation_identity(self):
-        phi = build_families(PARAMS, 2)[0]
+        phi = families(PARAMS, 2)[0]
         states = on_lattice(phi, [phi.coeffs[0], [0.2, 0.0, 1.0], phi.coeffs[2]])
         assert qmutation_grid_check(PARAMS, states) < 1e-14
 
@@ -251,12 +255,13 @@ class TestCoefficients:
 
 class TestSimilarity:
     def test_gamma_zero_is_identity(self):
-        rep = similarity_check(PositionParams(0.5, 0.0), 4)
+        params = PositionParams(0.5, 0.0)
+        rep = similarity_check(params, 4, lattice(params, 4))
         assert rep["similarity_phi"] < 1e-13
         assert rep["similarity_psi"] < 1e-13
 
     def test_pointwise_match(self):
-        rep = similarity_check(PARAMS, 6)
+        rep = similarity_check(PARAMS, 6, lattice(PARAMS, 6))
         assert rep["similarity_phi"] < 1e-11
         assert rep["similarity_psi"] < 1e-11
 
@@ -271,15 +276,15 @@ class TestSimilarity:
         assert family["max_residual"] < 1e-9
 
     def test_biorthogonality(self):
-        rep = similarity_check(PARAMS, 6)
+        rep = similarity_check(PARAMS, 6, lattice(PARAMS, 6))
         assert rep["biorthogonality"] < 1e-9
 
     def test_specific_level(self):
         p = PositionParams(0.5, 0.7)
         base = PositionParams(0.5, 0.0)
         x = default_grid(p.gamma)
-        got = build_families(p, 2)[0].sample(x)[2]
-        ref = np.exp(p.gamma * x) * build_families(base, 2)[0].sample(x)[2]
+        got = families(p, 2)[0].sample(x)[2]
+        ref = np.exp(p.gamma * x) * families(base, 2)[0].sample(x)[2]
         assert np.max(np.abs(got - ref)) < 1e-11
 
 
@@ -308,30 +313,31 @@ def norm_sq_formula(params, n):
 
 class TestNormFormula:
     def test_ground_level(self):
-        assert l_value(PARAMS, 0)[0] == pytest.approx(1.0, abs=1e-15)
-        assert norm(build_families(PARAMS, 0)[0])[0] ** 2 == pytest.approx(
+        assert l_value(PARAMS, 0, lattice(PARAMS, 0))[0] == pytest.approx(1.0, abs=1e-15)
+        assert norm(families(PARAMS, 0)[0])[0] ** 2 == pytest.approx(
             norm_sq_formula(PARAMS, 0), rel=1e-14)
 
     def test_first_level_quadrature_vs_formula(self):
         p = PositionParams(0.5, 0.3)
-        phi1 = row(build_families(p, 1)[0], 1)
+        phi1 = row(families(p, 1)[0], 1)
         got = trapezoid(phi1, phi1, p.gamma).real
         assert abs(got - norm_sq_formula(p, 1)) / norm_sq_formula(p, 1) < 1e-6
 
     @pytest.mark.parametrize("q", [0.3, 0.6])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_formula_matches_quadrature(self, q, gamma):
-        rep = norm_formula_check(PositionParams(q, gamma), 5)
+        params = PositionParams(q, gamma)
+        rep = norm_formula_check(params, 5, lattice(params, 5))
         assert rep["max_rel_err"] < 1e-6
 
     def test_norm_symmetry_between_families(self):
-        phi, psi = build_families(PARAMS, 6)
+        phi, psi = families(PARAMS, 6)
         assert np.allclose(norm(psi), norm(phi), rtol=1e-10, atol=0)
 
     def test_l_values_real_and_bounded(self):
         for q in (0.3, 0.6):
             p = PositionParams(q, 0.5)
-            lvs = l_value(p, 8)
+            lvs = l_value(p, 8, lattice(p, 8))
             for n, lv in enumerate(lvs):
                 ref, terms = l_value_double_sum(p, n)
                 assert abs(ref.imag) < 1e-14 * terms
@@ -345,7 +351,7 @@ class TestLattice:
     @given(q=st.floats(0.1, 0.7), gamma=st.floats(-3.0, 3.0), n_max=st.integers(0, 20))
     def test_gram_norms_and_l_values_match_per_state_oracles(self, q, gamma, n_max):
         params = PositionParams(q, gamma)
-        phi, psi = build_families(params, n_max)
+        phi, psi = families(params, n_max)
         for f, g in ((phi, psi), (phi, phi)):
             gram, shift = inner(f, g)
             s = np.add.outer(f.exponents.conj(), g.exponents)
@@ -355,22 +361,23 @@ class TestLattice:
                               for n in range(n_max + 1)])
             assert np.all(np.abs(gram * math.exp(shift) - pairs) <= 1e-12 * scale)
         norms_sq = np.array([exact(row(phi, n), row(phi, n)).real for n in range(n_max + 1)])
-        assert np.all(np.abs(family_norms(params, n_max) ** 2 - norms_sq)
+        assert np.all(np.abs(norm(phi) ** 2 - norms_sq)
                       <= 1e-12 * np.diagonal(scale))
         worst, factors = 1.0, []
-        for n, lv in enumerate(l_value(params, n_max)):
+        table = lattice(params, n_max)
+        for n, lv in enumerate(l_value(params, n_max, table)):
             ref, terms = l_value_double_sum(params, n)
             assert abs(lv - ref) <= 1e-12 * terms
             worst = max(worst, terms / abs(ref))
             factors.append(worst)
-        assert np.allclose(cancellation(params, n_max), factors, rtol=1e-6)
+        assert np.allclose(cancellation(params, n_max, table), factors, rtol=1e-6)
 
     def test_states_are_rows_of_one_matrix(self):
-        phi, psi = build_families(PARAMS, 6)
+        phi, psi = families(PARAMS, 6)
         assert phi.coeffs is psi.coeffs
         assert np.all(np.triu(phi.coeffs, 1) == 0)
         for n in range(7):
-            assert np.array_equal(build_families(PARAMS, n)[0].coeffs,
+            assert np.array_equal(families(PARAMS, n)[0].coeffs,
                                   phi.coeffs[:n + 1, :n + 1])
 
 
@@ -424,13 +431,25 @@ class TestSharedLagPass:
         assert np.all(factors[~finite] * 8 * eps >= 1.0)
         assert np.all(expected[~finite] * 8 * eps >= 1.0)
 
-    def test_without_a_table(self):
+    def test_a_longer_table_adds_only_zero_lags(self):
         params = PositionParams(0.3, 0.5)
-        table = lattice(params, 12)
+        table, longer = lattice(params, 9), lattice(params, 12)
         # the longer table adds only zero lags to rows n <= 9
-        assert np.allclose(l_value(params, 9), l_value(params, 9, table), rtol=1e-14, atol=0)
-        assert np.allclose(cancellation(params, 9), cancellation(params, 9, table),
+        assert np.allclose(l_value(params, 9, table), l_value(params, 9, longer),
                            rtol=1e-14, atol=0)
+        assert np.allclose(cancellation(params, 9, table), cancellation(params, 9, longer),
+                           rtol=1e-14, atol=0)
+
+    # each ran at the parent, on a lattice of its own or on the wrong q's
+    @pytest.mark.parametrize("call,reads", [(build_families, 4), (l_value, 4),
+                                            (ladder_check, 5)],
+                             ids=["build_families", "l_value", "ladder_check"])
+    def test_an_unfit_lattice_is_refused(self, call, reads):
+        with pytest.raises(ValueError, match=rf"up to row {reads - 1} .* reads row {reads}$"):
+            call(PARAMS, 4, lattice(PARAMS, reads - 1))
+        with pytest.raises(ValueError, match=r"of q=0\.6 .* at q=0\.5 "):
+            call(PARAMS, 4, lattice(PositionParams(0.6), reads))
+        call(PARAMS, 4, lattice(PARAMS, reads))
 
     def test_memory_is_linear_in_the_lags(self):
         # at q = 0.999 no |t_d| rounds to 0 below n_max = 400, so every lag
@@ -519,7 +538,7 @@ class TestScaleAwareResiduals:
         assert 0.0 < summary["tasks"]["position"]["ladder_residual"] < 1e-14
 
     def test_norm_is_finite_where_its_square_overflows(self):
-        phi0 = build_families(PositionParams(0.5, 26.64), 0)[0]
+        phi0 = families(PositionParams(0.5, 26.64), 0)[0]
         assert norm(phi0)[0] == pytest.approx(math.exp(26.64 ** 2 / 2.0), rel=1e-13)
 
 
@@ -529,7 +548,7 @@ class TestRadius:
         # ||phi_n|| <= e^{gamma^2/2} (n+1) beta_{n-1}! (1-q)^{-n/2}, the bound
         # behind the radius sqrt(1-q); n = 0 meets it exactly
         for gamma in (0.0, 0.5, 2.0, -3.0, 6.0):
-            norms = family_norms(PositionParams(q, gamma), 40)
+            norms = norm(families(PositionParams(q, gamma), 40)[0])
             ratios = bicoherent.radius_bound_ratios(norms, q, 0.5 * gamma ** 2)
             assert ratios[0] == pytest.approx(1.0, rel=1e-14)
             assert 0.0 < np.max(ratios[1:]) < 0.9
@@ -538,7 +557,7 @@ class TestRadius:
         # measured coefficient decay reflects the true convergence radius
         # 1/sqrt(1-q), strictly larger than the guaranteed bound sqrt(1-q)
         q = 0.5
-        norms = family_norms(PositionParams(q, 0.5), 40)
+        norms = norm(families(PositionParams(q, 0.5), 40)[0])
         emp = bicoherent.empirical_radius(norms / qcore.BetaSequence(q, 41).factorial[:41])
         assert emp == pytest.approx(qcore.disc_radius(q), rel=0.02)
         assert emp > math.sqrt(1.0 - q)
@@ -546,7 +565,7 @@ class TestRadius:
 
 class TestTheta:
     def test_conjugacy_on_decaying_states(self):
-        assert 0.0 < theta_conjugacy_check(PARAMS, 3) < 1e-13
+        assert 0.0 < theta_conjugacy_check(PARAMS, 3, lattice(PARAMS, 3)) < 1e-13
 
     def test_perturbed_theta_exponent_fails(self, monkeypatch):
         # Theta = exp(-2 gamma x + 1e-3 x) in place of exp(-2 gamma x)
@@ -560,32 +579,31 @@ class TestTheta:
 
 
 def test_gram_condition_is_finite_evidence():
-    phi = build_families(PARAMS, 6)[0]
+    phi = families(PARAMS, 6)[0]
     cond = np.linalg.cond(inner(phi, phi)[0])
     assert 1.0 <= cond < 1e6
 
 
-def test_state_csv(tmp_path):
-    # every dumped row is byte for byte the per-term sum
-    # sum_k P[n, k] exp(-x^2/2 + w_k x) over k <= n, in term order
+def test_coefficient_csv_rebuilds_the_states(tmp_path):
+    # row n of the states is pref_n c^(n), bit for bit, with
+    # pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}! and c^(n) read back
+    # from coefficients.csv: no sampled state needs writing out
     params, n_max = PositionParams(0.45, 0.8), 12
-    summary, code = run_config({"q": params.q, "family": {"kind": "position",
-                                                          "gamma": params.gamma},
-                                "tasks": [{"task": "position", "n_max": n_max,
-                                           "dump_states": True}]}, tmp_path)
-    assert code == 0
-    phi = build_families(params, n_max)[0]
-    x = default_grid(params.gamma)
+    cfg = {"q": params.q, "family": {"kind": "position", "gamma": params.gamma},
+           "tasks": [{"task": "position", "n_max": n_max}]}
+    assert run_config(cfg, tmp_path)[1] == 0
+    with open(tmp_path / "coefficients.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    coeffs = np.zeros((n_max + 1, n_max + 1))
+    for r in rows:
+        assert float(r["im"]) == 0.0
+        coeffs[int(r["n"]), int(r["k"])] = float(r["re"])
+    fact = qcore.BetaSequence(params.q, n_max).factorial
+    states = cli.validate_config(cfg)["family"]["lattice"].states
     for n in range(n_max + 1):
-        vals = np.zeros(len(x), dtype=complex)
-        for c, w in zip(phi.coeffs[n, :n + 1], phi.exponents):
-            vals += np.polynomial.polynomial.polyval(x, [c]) * np.exp(-x * x / 2.0 + w * x)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["x", "re", "im"])
-        writer.writerows([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-                         for xi, v in zip(x, vals))
-        assert (tmp_path / f"phi_{n}.csv").read_bytes() == expected.getvalue().encode()
+        pref = math.pi ** -0.25 / fact[n] * (-1j / params.sqrt_1mq) ** n
+        assert (pref * coeffs[n, :n + 1]).tobytes() == states[n, :n + 1].tobytes()
+        assert not states[n, n + 1:].any()
 
 
 def test_coefficient_csv_is_the_csv_writer_rendering(tmp_path):

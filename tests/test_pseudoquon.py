@@ -13,8 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biquon import qcore
-from biquon.cli import TOLERANCES, ConfigError, main, run_config
-from biquon.fock import FORMAT, FockOperator, identity_plus, make_quon_c, qmutator_residual
+from biquon.cli import TOLERANCES, ConfigError, main, run_config, validate_config
+from biquon.fock import FockOperator, identity_plus, make_quon_c, qmutator_residual
 from biquon.pseudoquon import (
     HEAD,
     REACH,
@@ -383,27 +383,24 @@ def array(entries, ndim):
     return x
 
 
-def rebuild(doc: dict) -> FockOperator:
-    """The operator an artefact's {"shift", "diag", "block"} stores; an
-    empty block is the engine's complex EMPTY."""
-    block = array(doc["block"], 2) if doc["block"] else np.zeros((0, 0), complex)
-    return FockOperator(doc["shift"], array(doc["diag"], 1), block)
-
-
 def source_record(family) -> dict:
     """The family's source record as the summary carries it: through the
     summary's sorted, indented JSON encoding and back."""
     return json.loads(json.dumps(family_to_json(family), sort_keys=True, indent=2))
 
 
-def rebuild_family(src: dict, dim: int) -> tuple[FockOperator, FockOperator]:
-    """phi = S and psi = S^{-dag} from a source record: u, v, alpha_def and
-    beta_def, so S = 1 + B_S and S^{-1} = 1 + B_inv on K = dim, with
-    phi_n = e_n + alpha conj(u_n) v and psi_n = e_n + conj(beta) conj(v_n) u."""
-    source = Deformation() if src["kind"] == "identity" else Deformation(
+def parse_source(src: dict) -> Deformation:
+    """The deformation a source record names: u, v, alpha_def and beta_def."""
+    return Deformation() if src["kind"] == "identity" else Deformation(
         array(src["u"], 1), array(src["v"], 1),
         complex(*src["alpha_def"]), complex(*src["beta_def"]))
-    s_block, inv_block = source.blocks()
+
+
+def rebuild_family(src: dict, dim: int) -> tuple[FockOperator, FockOperator]:
+    """phi = S and psi = S^{-dag} from a source record, so S = 1 + B_S and
+    S^{-1} = 1 + B_inv on K = dim, with phi_n = e_n + alpha conj(u_n) v and
+    psi_n = e_n + conj(beta) conj(v_n) u."""
+    s_block, inv_block = parse_source(src).blocks()
     return identity_plus(dim, s_block), identity_plus(dim, inv_block).adjoint()
 
 
@@ -702,14 +699,23 @@ def test_export_bytes_match_dense_writer(deformation, q, extra):
     assert dense_document(family, report) == dense_family_json(family, report)
 
 
-def test_operator_dumps_rebuild_the_pair(tmp_path, capsys):
-    assert main(["mutator", "--q", "0.3", "--family", "rank_one", "--dim", "48",
-                 "--dump-operators", "--out", str(tmp_path)]) == 0
-    family = build_family(worked_deformation(1j), 0.3, 48)
-    for name, op in (("a.json", family.a), ("b.json", family.b)):
-        doc = json.loads((tmp_path / name).read_text())
-        assert doc.pop("format") == FORMAT
-        assert_same_operator(rebuild(doc), op)
+@pytest.mark.parametrize("family", [
+    {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]},
+    {"kind": "rank_one", "alpha_def": [0.3, -0.7], "u": [[0, 0.6, 0.8], [3, 0.25, -0.1]],
+     "v": [[0, 0.6, 0.8], [5, -0.3, 0.2]]}], ids=["worked", "explicit"])
+def test_source_rebuilds_the_pair(family, tmp_path, capsys):
+    # make_pair on the source the family report records, at the run's q and
+    # K, is the run's a and b bit for bit: no operator needs writing out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"q": 0.3, "K": 48, "family": family, "tasks": ["family"]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    a, b = make_pair(parse_source(summary["tasks"]["family"]["source"]),
+                     summary["q"], summary["K"])[:2]
+    run = build_family(validate_config(json.loads(config.read_text()))["family"]["deformation"],
+                       0.3, 48)
+    assert_same_operator(a, run.a)
+    assert_same_operator(b, run.b)
 
 
 def test_export_holds_no_dense_square():
@@ -758,7 +764,7 @@ def test_run_artefacts_at_K_65536_stay_small(tmp_path, capsys):
     config.write_text(json.dumps({
         "q": 0.5, "K": 65536,
         "family": {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]},
-        "tasks": ["family", {"task": "mutator", "dump_operators": True}]}))
+        "tasks": ["family", "mutator"]}))
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -769,7 +775,7 @@ def test_run_artefacts_at_K_65536_stay_small(tmp_path, capsys):
     assert code == 0
     assert peak < 64 * 2 ** 20
     sizes = {f.name: f.stat().st_size for f in out.iterdir()}
-    assert set(sizes) == {"summary.json", "a.json", "b.json"}
+    assert set(sizes) == {"summary.json"}
     assert max(sizes.values()) < 2 * 2 ** 20, sizes
 
 
