@@ -105,10 +105,10 @@ def _bound(cfg: dict, tol_scale: float, task: str, metric: str | None = None) ->
 
 
 def _parse_int(value, path: str) -> int:
-    # a JSON true or false is no number, though Python's bool is an int; an
+    # a JSON true, false or string is no number, though int() takes each; an
     # int is taken as it is, where float(value) would round it past 2^53
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, (bool, str)):
             out = int(value)
             if isinstance(value, int) or out == float(value):
                 return out
@@ -119,7 +119,7 @@ def _parse_int(value, path: str) -> int:
 
 def _parse_float(value, path: str) -> float:
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, (bool, str)):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -396,13 +396,11 @@ def _write_table(out: Path | None, name: str, header: list[str], columns) -> Non
     """A table, one numeric column per array or sequence, as csv.writer
     writes its rows with each number as the string f"{v:.17g}", CRLF line
     ends included, from one template: '%.17g' % v is f"{v:.17g}" for every
-    double, nan, +-inf, -0 and subnormals included.  A column of signed
-    integers is written as '%d', the digits of '%.17g' for every |n| < 2^53."""
+    double, nan, +-inf, -0 and subnormals included."""
     if out is None:
         return
-    columns = [np.asarray(c) for c in columns]
-    template = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns)
-    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    template = ",".join(["%.17g"] * len(columns))
+    values = itertools.chain.from_iterable(zip(*(np.asarray(c).tolist() for c in columns)))
     _write_text(out, name, ",".join(header) + "\r\n"
                 + (template + "\r\n") * len(columns[0]) % tuple(values))
 
@@ -532,10 +530,6 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
 
 def _task_position(ws: _Workspace, task: dict) -> dict:
     n_max = task["n_max"]
-    # the recursion is real, so every im entry is 0
-    rows, cols = np.tril_indices(n_max + 1)
-    _write_table(ws.out, "coefficients.csv", ["n", "k", "re", "im"],
-                 [rows, cols, ws.lattice.coeffs[rows, cols], np.zeros(len(rows))])
     norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
     ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
     # where the formula's side claim L_n <= (n+1)^2 fails, the formula fails

@@ -80,7 +80,8 @@ class LatticeState:
     w0: complex
     step: complex
 
-    @property
+    # a state is frozen and every change makes a new one, so no cache goes stale
+    @functools.cached_property
     def exponents(self) -> np.ndarray:
         return self.w0 + self.step * np.arange(self.coeffs.shape[1])
 
@@ -104,7 +105,7 @@ GRID_POINTS = 4096
 
 
 def default_grid(gamma: float) -> np.ndarray:
-    """Sample points for pointwise comparisons and state export."""
+    """Sample points for pointwise comparisons."""
     half = 12.0 + abs(gamma)
     return np.linspace(-half, half, GRID_POINTS)
 
@@ -238,11 +239,10 @@ class Lattice:
     @functools.cached_property
     def states(self) -> np.ndarray:
         """The family rows P[n] = pref_n c^(n) of :func:`build_families`."""
-        params = PositionParams(self.beta.q)
-        out = np.zeros(self.coeffs.shape, dtype=complex)
-        for n, fact in enumerate(self.beta.factorial[:self.n_max + 1].tolist()):
-            pref = math.pi ** -0.25 / fact * (-1j / params.sqrt_1mq) ** n
-            out[n, :n + 1] = pref * self.coeffs[n, :n + 1]
+        step = -1j / PositionParams(self.beta.q).sqrt_1mq
+        pref = np.array([math.pi ** -0.25 / fact * step ** n for n, fact
+                         in enumerate(self.beta.factorial[:self.n_max + 1].tolist())])
+        out = np.tril(pref[:, None] * self.coeffs)
         out.setflags(write=False)
         return out
 
@@ -308,7 +308,8 @@ def ladder_check(params: PositionParams, n_max: int, table: Lattice) -> dict:
     for name, fam, up, down in (("phi", phi, apply_b, apply_a),
                                 ("psi", psi, apply_a_dagger, apply_b_dagger)):
         head = replace(fam, coeffs=fam.coeffs[:n_max + 1, :n_max + 1])
-        prev = np.pad(fam.coeffs[:n_max, :n_max], ((1, 0), (0, 0)))
+        prev = np.zeros((n_max + 1, n_max), dtype=complex)
+        prev[1:] = fam.coeffs[:n_max, :n_max]
         scale = norm(head)
         for kind, resid in (
                 ("raise", up(params, head).coeffs - beta[:, None] * fam.coeffs[1:]),

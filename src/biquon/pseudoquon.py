@@ -132,7 +132,7 @@ class Deformation:
         v[:len(self.v)] = self.v
         rank_one = np.outer(v, u.conj())
         # array times scalar: the operand order the dense K x K construction
-        # took, so exported rows keep their last bits
+        # took, so a, b and the residuals a run reports keep their last bits
         return rank_one * self.alpha_def, rank_one * self.beta_def
 
     def safe_dim(self, dim: int) -> int:

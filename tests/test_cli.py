@@ -91,11 +91,12 @@ class TestValidation:
                 "tasks": ["mutator"]})
 
     def test_tolerances_copied_not_rewritten(self):
-        tolerances = {"mutator": "1e-3"}
+        # the JSON int 1 is parsed to the float 1.0 in the copy alone
+        tolerances = {"mutator": 1}
         cfg = validate_config({"q": 0.5, "family": {"kind": "identity"},
                                "tasks": ["mutator"], "tolerances": tolerances})
-        assert cfg["tolerances"] == {"mutator": 1e-3}
-        assert tolerances == {"mutator": "1e-3"}
+        assert type(cfg["tolerances"]["mutator"]) is float
+        assert type(tolerances["mutator"]) is int
 
     def test_defaults_are_filled_in(self):
         cfg = validate_config({"q": 0.5, "tasks": ["resolution", "bicoherent"]})
@@ -260,6 +261,20 @@ BAD_CONFIGS = {
     "resolution-n_pairs-true": ({"tasks": [{"task": "resolution", "n_pairs": True}]},
                                 r"tasks\[0\].n_pairs"),
     "q-true": ({"q": True}, "q"),
+    # a JSON string is no number either: each of these ran at the parent,
+    # which parsed the string
+    "q-string": ({"q": "0.5"}, "q"),
+    "q-string-spaces": ({"q": " 0.5 "}, "q"),
+    "K-string": ({"K": "32"}, "K"),
+    "seed-string": ({"seed": "7"}, "seed"),
+    "gamma-string": ({"family": {**POSITION, "gamma": "0.5"}}, "family.gamma"),
+    "resolution-n_pairs-string": ({"tasks": [{"task": "resolution", "n_pairs": "3"}]},
+                                  r"tasks\[0\].n_pairs"),
+    "tolerance-string": ({"tolerances": {"mutator": "1e-3"}}, "tolerances.mutator"),
+    "alpha-strings": ({"K": 16, "family": {**WORKED, "alpha_def": ["0", "1"]}},
+                      "family.alpha_def"),
+    "u-part-string": ({"K": 16, "family": {**UNIT, "u": [[0, "0.6", 0], [1, 0.8, 0]]}},
+                      r"family.u\[0\]"),
     "rank_one-gamma": ({"family": {**WORKED, "gamma": 0.5}}, "family.gamma"),
     "position-alpha_def": ({"family": {**POSITION, "alpha_def": [0, 1]}},
                            "family.alpha_def"),
@@ -684,7 +699,7 @@ class TestRunConfig:
         "position-mutator": ({"task": "mutator"}, "position", set()),
         "position-family": ({"task": "family"}, "position", set()),
         "position-theta": ({"task": "theta"}, "position", set()),
-        "position": ({"task": "position", "n_max": 2}, "position", {"coefficients.csv"}),
+        "position": ({"task": "position", "n_max": 2}, "position", set()),
     }
 
     @pytest.mark.parametrize("task,kind,files", ARTEFACTS.values(), ids=ARTEFACTS.keys())
@@ -695,7 +710,15 @@ class TestRunConfig:
         assert code == 0
         assert {f.name for f in tmp_path.iterdir()} == {"summary.json", *files}
 
-    def test_position_family_run(self, tmp_path):
+    def test_position_family_run(self, tmp_path, monkeypatch):
+        tables = []
+        real_lattice = positionrep.lattice
+
+        def recorded(params, n_max):
+            tables.append(real_lattice(params, n_max))
+            return tables[-1]
+
+        monkeypatch.setattr(positionrep, "lattice", recorded)
         cfg = {"q": 0.5, "K": 32,
                "family": {"kind": "position", "gamma": 0.6},
                "tasks": ["mutator", "family", "theta",
@@ -703,7 +726,15 @@ class TestRunConfig:
         summary, code = run_config(cfg, tmp_path)
         assert code == 0
         assert summary["tasks"]["position"]["L_bound_ok"]
-        assert (tmp_path / "coefficients.csv").exists()
+        assert {f.name for f in tmp_path.iterdir()} == {"summary.json"}
+        # summary.json fixes the run's lattice rows, bit for bit: its q, and
+        # its largest n_max plus the row past it that the ladder check reads
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        rows = 1 + max(cli.MUTATOR_N_MAX, *(report["n_max"] for report
+                                            in saved["tasks"].values() if "n_max" in report))
+        [table] = tables
+        assert table.coeffs.tobytes() == positionrep.coefficient_recursion(
+            positionrep.PositionParams(saved["q"]), rows).tobytes()
 
     def test_tolerance_scale_can_force_failure(self):
         _, code = run_config({"q": 0.5, "K": 64,

@@ -1,9 +1,9 @@
 """Tests for the position-space realization on its Gaussian lattice."""
 
-import csv
-import io
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -584,39 +584,61 @@ def test_gram_condition_is_finite_evidence():
     assert 1.0 <= cond < 1e6
 
 
-def test_coefficient_csv_rebuilds_the_states(tmp_path):
-    # row n of the states is pref_n c^(n), bit for bit, with
-    # pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}! and c^(n) read back
-    # from coefficients.csv: no sampled state needs writing out
-    params, n_max = PositionParams(0.45, 0.8), 12
+def recorded_run(params, n_max, tmp_path, monkeypatch):
+    """A position task's run with --out: its saved summary and the
+    (lattice, phi, psi) of every family its checks built."""
+    built = []
+    real = positionrep.build_families
+
+    def recorded(params, n_max, table):
+        built.append((table, *real(params, n_max, table)))
+        return built[-1][1:]
+
+    monkeypatch.setattr(positionrep, "build_families", recorded)
     cfg = {"q": params.q, "family": {"kind": "position", "gamma": params.gamma},
            "tasks": [{"task": "position", "n_max": n_max}]}
     assert run_config(cfg, tmp_path)[1] == 0
-    with open(tmp_path / "coefficients.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
-    coeffs = np.zeros((n_max + 1, n_max + 1))
-    for r in rows:
-        assert float(r["im"]) == 0.0
-        coeffs[int(r["n"]), int(r["k"])] = float(r["re"])
-    fact = qcore.BetaSequence(params.q, n_max).factorial
-    states = cli.validate_config(cfg)["family"]["lattice"].states
-    for n in range(n_max + 1):
-        pref = math.pi ** -0.25 / fact[n] * (-1j / params.sqrt_1mq) ** n
-        assert (pref * coeffs[n, :n + 1]).tobytes() == states[n, :n + 1].tobytes()
-        assert not states[n, n + 1:].any()
+    assert {f.name for f in tmp_path.iterdir()} == {"summary.json"}
+    return json.loads((tmp_path / "summary.json").read_text()), built
 
 
-def test_coefficient_csv_is_the_csv_writer_rendering(tmp_path):
-    params, n_max = PositionParams(0.45, -0.8), 40
-    summary, code = run_config({"q": params.q, "family": {"kind": "position",
-                                                          "gamma": params.gamma},
-                                "tasks": [{"task": "position", "n_max": n_max}]}, tmp_path)
-    assert code == 0
-    table = coefficient_recursion(params, n_max)
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["n", "k", "re", "im"])
-    for n in range(n_max + 1):
-        for k, c in enumerate(table[n, :n + 1]):
-            writer.writerow([n, k, f"{c.real:.17g}", f"{c.imag:.17g}"])
-    assert (tmp_path / "coefficients.csv").read_bytes() == expected.getvalue().encode()
+def test_summary_rebuilds_the_lattice_rows(tmp_path, monkeypatch):
+    # q and n_max in summary.json fix every lattice row the run read, bit
+    # for bit: the ladder check reads row n_max + 1
+    summary, built = recorded_run(PositionParams(0.45, -0.8), 40, tmp_path, monkeypatch)
+    rows = coefficient_recursion(PositionParams(summary["q"]),
+                                 summary["tasks"]["position"]["n_max"] + 1)
+    assert all(table is built[0][0] for table, *_ in built)
+    assert built[0][0].coeffs.tobytes() == rows.tobytes()
+
+
+def test_summary_rebuilds_the_states(tmp_path, monkeypatch):
+    # row n of every state the run built is pref_n c^(n), bit for bit, with
+    # pref_n = pi^{-1/4} (-i/sqrt(1-q))^n / beta_{n-1}! and c^(n) from
+    # coefficient_recursion at the summary's q: no state needs writing out
+    summary, built = recorded_run(PositionParams(0.45, 0.8), 12, tmp_path, monkeypatch)
+    params, n_max = PositionParams(summary["q"]), summary["tasks"]["position"]["n_max"]
+    coeffs = coefficient_recursion(params, n_max + 1)
+    fact = qcore.BetaSequence(params.q, n_max + 1).factorial
+    assert max(len(phi.coeffs) for _, phi, _ in built) == n_max + 1
+    for _, phi, psi in built:
+        assert phi.coeffs is psi.coeffs
+        for n, state in enumerate(phi.coeffs):
+            pref = math.pi ** -0.25 / fact[n] * (-1j / params.sqrt_1mq) ** n
+            assert (pref * coeffs[n, :n + 1]).tobytes() == state[:n + 1].tobytes()
+            assert not state[n + 1:].any()
+
+
+def test_exponents_are_each_new_states_own():
+    # a state computes its exponents once; every state made from another,
+    # whose lattice may move or grow, computes its own
+    phi, psi = families(PARAMS, 4)
+    assert phi.exponents is phi.exponents and psi.exponents is psi.exponents
+    made = [replace(phi, coeffs=phi.coeffs[:, :3]), replace(phi, w0=phi.w0 + 0.25),
+            phi.shift_exponent(-2.0 * PARAMS.gamma),
+            positionrep._step_up(PARAMS, phi, +1.0), positionrep._step_up(PARAMS, psi, -1.0),
+            positionrep._step_down(PARAMS, phi, +1.0),
+            positionrep._step_down(PARAMS, psi, -1.0)]
+    for f in made:
+        fresh = f.w0 + f.step * np.arange(f.coeffs.shape[1])
+        assert f.exponents.tobytes() == fresh.tobytes()
