@@ -68,7 +68,6 @@ TASK_PARAMS = {
                    "n_theta": (int, FOCK_KINDS, 8, (1, math.inf)),
                    "r_frac": (float, FOCK_KINDS, 0.7, (0.0, 1.0))},
     "resolution": {"K_mom": (int, FOCK_KINDS, lambda dim: min(12, dim), (2, "K")),
-                   "n_theta": (int, FOCK_KINDS, 64, (1, math.inf)),
                    "n_pairs": (int, FOCK_KINDS, 20, (1, math.inf)),
                    "support": (int, FOCK_KINDS, lambda dim: min(6, dim), (1, "K"))},
     "position": {"n_max": (int, ("position",), 5, (0, math.inf))},
@@ -266,13 +265,6 @@ def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
             resolution.atom_count(q)
         except ValueError as exc:
             raise ConfigError(f"q: {exc}") from None
-        # the overlaps of f, g with the family reach past their support to
-        # the end of the deformation's block
-        reach = max(task["support"], cfg["family"]["deformation"].support_extent)
-        if task["n_theta"] <= 2 * (reach - 1):
-            raise ConfigError(f"{path}.n_theta: must exceed 2 (max(support, "
-                              f"support extent) - 1) = {2 * (reach - 1)}, "
-                              f"got {task['n_theta']}")
 
 
 def _position_lattice(cfg: dict, tasks: list[dict],
@@ -519,7 +511,7 @@ def _task_resolution(ws: _Workspace, task: dict) -> dict:
     f, g = np.zeros((2, ws.family.K, n_pairs), dtype=complex)
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T
-    val = resolution.resolution_check(ws.family, quad, task["n_theta"], f, g)
+    val = resolution.resolution_check(ws.family, quad, f, g)
     metrics = {
         "resolution_residual": np.max(np.abs(val - np.sum(f.conj() * g, axis=0))),
         "moment_residual": quad.max_residual,
@@ -616,10 +608,11 @@ def _cmd_task(args) -> int:
     task = {"task": args.command}
     task.update((key, getattr(args, key)) for key in TASK_PARAMS[args.command]
                 if getattr(args, key) is not None)
-    # a rank_one family with neither u nor v is the worked preset
+    # a rank_one family with neither u nor v is the worked preset; a given
+    # --gamma is passed on, so that a Fock family refuses it
     family = {"kind": args.family}
-    if args.family == "position":
-        family["gamma"] = args.gamma
+    if args.gamma is not None or args.family == "position":
+        family["gamma"] = 0.5 if args.gamma is None else args.gamma
     return _run_and_report({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
                             "seed": args.seed}, args)
 
@@ -649,18 +642,17 @@ def _cmd_selftest(args) -> int:
     return 1 if unexpected else 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_family=True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=0.5)
     parser.add_argument("--out", type=str, default=None,
                         help="directory for JSON/CSV artifacts")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--tolerance-scale", type=float, default=1.0)
-    if with_family:
-        parser.add_argument("--dim", type=int, default=64)
-        parser.add_argument("--family", type=str, default="identity",
-                            choices=["identity", "rank_one", "position"])
-        parser.add_argument("--gamma", type=float, default=0.5,
-                            help="shift parameter (position family)")
+    parser.add_argument("--dim", type=int, default=64)
+    parser.add_argument("--family", type=str, default="identity",
+                        choices=["identity", "rank_one", "position"])
+    parser.add_argument("--gamma", type=float,
+                        help="shift parameter of a position family (default 0.5)")
 
 
 @functools.cache
@@ -674,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("beta", help="tabulate the coefficient sequence")
-    _add_common(p, with_family=False)
+    p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_beta)
 
     for name, params in TASK_PARAMS.items():

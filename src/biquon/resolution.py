@@ -23,17 +23,16 @@ Every check reads the scaled moments
 which equal 1 for every k: no power of rho is formed, and each scaled term
 stays at or below 1.  Above q ~ 0.998 the first weights underflow; their
 terms are carried by the exact ratio (1 - q^{j+1}) / q^{k+1} of neighbouring
-terms, so every rho_k is held.  The moment residuals are |rho_k - 1|.  The
-resolution integral of N^{-1}<f, phi(z)> N^{-1}<psi(z), g> over the atoms
-and the uniform n_theta-point rule in the angle is
+terms, so every rho_k is held.  The moment residuals are |rho_k - 1|.
+
+The measure is rotation invariant, so the resolution integral of
+N^{-1}<f, phi(z)> N^{-1}<psi(z), g> over the atoms and the angle is
 
     sum_{k,l} <f, phi_k><psi_l, g> / (beta_{k-1}! beta_{l-1}!)
-        sum_j w_j r_j^{k+l}  (2 pi / n_theta) sum_theta e^{i(k-l) theta}.
+        sum_j w_j r_j^{k+l}  int_0^{2 pi} e^{i(k-l) theta} d theta,
 
-For k, l < n with n_theta > 2 (n - 1) the angular sum is n_theta delta_kl,
-the discrete orthogonality of the n_theta-th roots of unity (the trapezoid
-rule is exact on trigonometric polynomials; Trefethen & Weideman, SIAM Rev.
-56, 2014), so the integral is sum_{k < n} <f, phi_k><psi_k, g> rho_k.
+and the angle integral is exactly 2 pi delta_kl.  So the integral is
+sum_{k < n} <f, phi_k><psi_k, g> rho_k, with n the reach of the overlaps.
 """
 
 from __future__ import annotations
@@ -136,15 +135,15 @@ def solve_moment_measure(q: float, K_mom: int) -> RadialQuadrature:
 
 
 def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
-                     n_theta: int, f: np.ndarray, g: np.ndarray):
-    """Discretized weak resolution integral; must reproduce <f, g>.
+                     f: np.ndarray, g: np.ndarray):
+    """Weak resolution integral over the atoms and the angle; must
+    reproduce <f, g>.
 
     f and g are vectors, or K x P batches of them paired column by column,
     which give one value per column.  The integral is sum_{k < n} <f,
     phi_k><psi_k, g> rho_k (see the module docstring), with n the reach:
-    one plus the last index at which an overlap of any column is nonzero,
-    and n_theta > 2 (n - 1).  rho_k is computed once per call, up to that
-    reach.
+    one plus the last index at which an overlap of any column is nonzero.
+    rho_k is computed once per call, up to that reach.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -157,9 +156,6 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     psi_g = family.psi.adjoint() @ g            # <psi_k, g>
     hit = ((f_phi != 0) | (psi_g != 0)).reshape(family.K, -1).any(axis=1)
     reach = int(np.flatnonzero(hit).max(initial=-1)) + 1
-    if n_theta <= 2 * (reach - 1):
-        raise ValueError(f"n_theta={n_theta} too small for overlaps reaching "
-                         f"index {reach - 1} (need n_theta > {2 * (reach - 1)})")
     rho_k = _scaled_moments(quad.q, quad.weights, reach)
     return rho_k @ (f_phi[:reach] * psi_g[:reach])
 

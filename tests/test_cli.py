@@ -102,7 +102,7 @@ class TestValidation:
         cfg = validate_config({"q": 0.5, "tasks": ["resolution", "bicoherent"]})
         assert cfg["tasks"] == [
             {"task": "bicoherent", "n_r": 4, "n_theta": 8, "r_frac": 0.7},
-            {"task": "resolution", "K_mom": 12, "n_theta": 64, "n_pairs": 20, "support": 6}]
+            {"task": "resolution", "K_mom": 12, "n_pairs": 20, "support": 6}]
         # K_mom and support stop at K
         cfg = validate_config({"q": 0.5, "K": 4, "tasks": ["resolution"]})
         assert cfg["tasks"][0] | {"K_mom": 4, "support": 4} == cfg["tasks"][0]
@@ -210,12 +210,9 @@ BAD_CONFIGS = {
                              r"tasks\[0\].support"),
     "resolution-support-above-K": ({"tasks": [{"task": "resolution", "support": 33}]},
                                    r"tasks\[0\].support"),
-    "resolution-n_theta": ({"tasks": [{"task": "resolution", "n_theta": 4}]},
-                           r"tasks\[0\].n_theta"),
-    "resolution-n_theta-below-extent": ({"K": 64, "family": COMPACT,
-                                         "tasks": [{"task": "resolution", "K_mom": 24,
-                                                    "n_theta": 12}]},
-                                        r"tasks\[0\].n_theta"),
+    # the angle integral is exact, so a resolution task reads no n_theta
+    "resolution-n_theta": ({"tasks": [{"task": "resolution", "n_theta": 64}]},
+                           r"tasks\[0\].n_theta(?=: unknown key)"),
     # S and S^-1 whose blocks fail to invert each other by 1.2e-7 and 7e283
     # (a traceback at the parent); NaN parts passed every tolerance test
     # there and left NaN residuals
@@ -343,6 +340,22 @@ BAD_ARGS = {
     "family-identity": (["family", "--family", "identity"], "tasks[0]"),
     "theta-identity": (["theta", "--family", "identity"], "tasks[0]"),
     "resolution-support": (["resolution", "--support", "0"], "tasks[0].support"),
+    # a Fock family reads no gamma; each of these exited 0 at the parent,
+    # which dropped the flag
+    "mutator-rank_one-gamma": (["mutator", "--family", "rank_one", "--gamma", "99"],
+                               "family.gamma"),
+    "bicoherent-gamma-nan": (["bicoherent", "--gamma", "nan"], "family.gamma"),
+}
+
+# flags that no longer exist; the last three each exited 0 at the parent,
+# which read nothing of them
+REMOVED_FLAGS = {
+    "position-mutator-dump-operators": ["mutator", "--family", "position", "--dump-operators"],
+    "mutator-dump-operators": ["mutator", "--dump-operators"],
+    "position-dump-states": ["position", "--dump-states"],
+    "resolution-n-theta": ["resolution", "--n-theta", "64"],
+    "beta-seed": ["beta", "--seed", "5"],
+    "beta-tolerance-scale": ["beta", "--tolerance-scale", "2"],
 }
 
 
@@ -366,17 +379,15 @@ class TestExitCodeContract:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
-    @pytest.mark.parametrize("argv", [["mutator", "--family", "position", "--dump-operators"],
-                                      ["mutator", "--dump-operators"],
-                                      ["position", "--dump-states"]],
-                             ids=["position-mutator-dump-operators", "mutator-dump-operators",
-                                  "position-dump-states"])
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS.keys())
     def test_removed_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: --dump-" in err and "Traceback" not in err
+        flag = max(i for i, arg in enumerate(argv) if arg.startswith("--"))
+        assert f"unrecognized arguments: {' '.join(argv[flag:])}\n" in err
+        assert "Traceback" not in err
 
     # each raised at the parent (FileExistsError, IsADirectoryError,
     # UnicodeDecodeError, and a TypeError from setting the seed of a list)
@@ -593,9 +604,9 @@ class TestColumnBatches:
         seen = {}
         real = resolution.resolution_check
 
-        def spy(family, quad, n_theta, f, g):
+        def spy(family, quad, f, g):
             seen["f"], seen["g"] = f, g
-            return real(family, quad, n_theta, f, g)
+            return real(family, quad, f, g)
 
         monkeypatch.setattr(resolution, "resolution_check", spy)
         K, support, n_pairs, seed = 32, 5, 7, 11
@@ -840,6 +851,36 @@ def test_one_metric_above_its_bound_fails_the_run(task, monkeypatch):
     assert failed == [metric]
 
 
+# one admissible value of each task key other than its default
+OTHER_VALUES = {
+    ("family", "n_max"): 3,
+    ("bicoherent", "n_r"): 2,
+    ("bicoherent", "n_theta"): 3,
+    ("bicoherent", "r_frac"): 0.5,
+    ("resolution", "K_mom"): 4,
+    ("resolution", "n_pairs"): 2,
+    ("resolution", "support"): 3,
+    ("position", "n_max"): 2,
+}
+TASK_KEYS = [(task, key) for task, params in cli.TASK_PARAMS.items() for key in params]
+
+
+@pytest.mark.parametrize("task,key", TASK_KEYS, ids=[f"{t}-{k}" for t, k in TASK_KEYS])
+def test_every_task_key_changes_the_summary(task, key):
+    """Each task key, at its default and at one other admissible value,
+    gives a different summary (summary.json without its timings): a key
+    that changes no number would only decide which configs are refused."""
+    assert (task, key) in OTHER_VALUES, "name an admissible value other than the default"
+    kinds = cli.TASK_PARAMS[task][key][1]
+    family = POSITION if "position" in kinds else WORKED
+    texts = []
+    for spec in ({"task": task}, {"task": task, key: OTHER_VALUES[task, key]}):
+        _, code = run_config({"q": 0.5, "family": family, "tasks": [spec]},
+                             echo=texts.append)
+        assert code == 0
+    assert texts[0] != texts[1]
+
+
 class TestMainEntry:
     def test_beta_subcommand(self, capsys):
         assert main(["beta", "--q", "0.5", "--n-max", "3"]) == 0
@@ -955,8 +996,8 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 
 
 @st.composite
-def _fock_family(draw) -> tuple[dict, int]:
-    """A Fock family config and the support extent of its deformation.
+def _fock_family(draw) -> dict:
+    """A Fock family config.
 
     alpha_def is a unit phase, any pair of floats, or -1 +- 1e-9, where S
     is all but singular; the entries of u and v past e_0 are floats in
@@ -964,13 +1005,13 @@ def _fock_family(draw) -> tuple[dict, int]:
     """
     kind = draw(st.sampled_from(["identity", "worked", "compact"]))
     if kind == "identity":
-        return {"kind": "identity"}, 0
+        return {"kind": "identity"}
     theta = st.floats(-2.5, 2.5).map(lambda t: [math.cos(t), math.sin(t)])
     alpha = draw(theta | st.lists(ANY_FLOAT, min_size=2, max_size=2)
                  | st.sampled_from([[-1 + 1e-9, 0.0], [-1 - 1e-9, 0.0]]))
     family = {"kind": "rank_one", "alpha_def": alpha}
     if kind == "worked":
-        return {**family, "preset": "worked"}, 6
+        return {**family, "preset": "worked"}
     # u = e_0 + (entries on some indices), v = e_0 + (entries on others), so
     # <u, v> = 1; the last index of the extent belongs to u or v
     extent = draw(st.integers(1, 14))
@@ -983,20 +1024,15 @@ def _fock_family(draw) -> tuple[dict, int]:
     for index, owner in enumerate(owners, start=1):
         if owner:
             vectors[owner].append([index, draw(part), draw(part)])
-    return {**family, **vectors}, extent
+    return {**family, **vectors}
 
 
-def _task_params(draw, K: int, extent: int) -> dict:
-    """(in range, out of range) strategies per task parameter; the n_theta
-    bound follows the support drawn before it."""
-    support = draw(st.none() | st.integers(1, K))
-    reach = max(min(6, K) if support is None else support, extent)
+def _task_params(K: int) -> dict:
+    """(in range, out of range) strategies per task parameter."""
     return {
         "resolution": {
             "K_mom": (st.integers(2, K), st.integers(-1, 1) | st.integers(K + 1, K + 20)),
-            "support": (st.just(support), st.integers(-1, 0) | st.integers(K + 1, K + 20)),
-            "n_theta": (st.integers(2 * reach - 1, 2 * reach + 40),
-                        st.integers(-1, 2 * reach - 2)),
+            "support": (st.integers(1, K), st.integers(-1, 0) | st.integers(K + 1, K + 20)),
             "n_pairs": (st.integers(1, 3), st.integers(-1, 0)),
         },
         "bicoherent": {
@@ -1018,8 +1054,8 @@ def _fock_config(draw) -> dict:
     """A config of one to three Fock tasks; each task leaves its parameters
     out or sets them in range, except at most one set out of range."""
     K = draw(st.integers(2, 64))
-    family, extent = draw(_fock_family())
-    params = _task_params(draw, K, extent)
+    family = draw(_fock_family())
+    params = _task_params(K)
     tasks = []
     for name in draw(st.lists(st.sampled_from(sorted(params)),
                               min_size=1, max_size=3, unique=True)):
@@ -1171,8 +1207,7 @@ def _run_argv(draw) -> list[str]:
         **{"family": {"n-max": st.integers(-1, 40)},
            "position": {"n-max": st.integers(-1, 40)},
            "bicoherent": {"n-r": small, "n-theta": small, "r-frac": ANY_FLOAT | st.floats(0.0, 0.9)},
-           "resolution": {"k-mom": st.integers(-1, 40), "n-theta": st.integers(-1, 512),
-                          "n-pairs": small}}.get(name, {}),
+           "resolution": {"k-mom": st.integers(-1, 40), "n-pairs": small}}.get(name, {}),
     }
     for flag, values in options.items():
         if draw(st.booleans()):

@@ -168,7 +168,7 @@ class TestResolutionCheck:
     def test_vacuum_identity(self, setup):
         _, dim, quad, identity, _ = setup
         e0 = self.basis(dim, 0)
-        val = resolution_check(identity, quad, 64, e0, e0)
+        val = resolution_check(identity, quad, e0, e0)
         assert abs(val - 1.0) < 1e-10
 
     def test_moment_telescoping_identity_family(self, setup):
@@ -179,7 +179,7 @@ class TestResolutionCheck:
         fact_sq = qcore.BetaSequence(q, 6).factorial_sq         # (beta_{k-1}!)^2
         for k in range(6):
             e_k = self.basis(dim, k)
-            val = resolution_check(identity, quad, 64, e_k, e_k)
+            val = resolution_check(identity, quad, e_k, e_k)
             reduced = 2.0 * math.pi * quad_moment(quad, k) / fact_sq[k]
             assert abs(val - reduced) < 1e-12
             exact = 2.0 * math.pi * moment(q, k) / fact_sq[k]
@@ -188,14 +188,14 @@ class TestResolutionCheck:
 
     def test_off_diagonal_vanishes(self, setup):
         _, dim, quad, _, worked = setup
-        val = resolution_check(worked, quad, 64, self.basis(dim, 1),
+        val = resolution_check(worked, quad, self.basis(dim, 1),
                                self.basis(dim, 3))
         assert abs(val) < 1e-9
 
     def test_superposition_pair(self, setup):
         _, dim, quad, _, worked = setup
         f = (self.basis(dim, 0) + self.basis(dim, 2)) / math.sqrt(2.0)
-        val = resolution_check(worked, quad, 64, f, f)
+        val = resolution_check(worked, quad, f, f)
         assert abs(val - 1.0) < 1e-8
 
     @pytest.mark.parametrize("kind", ["identity", "worked"])
@@ -208,20 +208,14 @@ class TestResolutionCheck:
             g = np.zeros(dim, dtype=complex)
             f[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             g[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            val = resolution_check(family, quad, 64, f, g)
+            val = resolution_check(family, quad, f, g)
             assert abs(val - np.vdot(f, g)) < 1e-8
-
-    def test_too_few_angles_rejected(self, setup):
-        _, dim, quad, identity, _ = setup
-        f = self.basis(dim, 5)
-        with pytest.raises(ValueError):
-            resolution_check(identity, quad, 10, f, f)
 
     def test_q_mismatch_rejected(self, setup):
         _, dim, quad, identity, _ = setup
         other = build_family(Deformation(), 0.4, dim)
         with pytest.raises(ValueError):
-            resolution_check(other, quad, 64, self.basis(dim, 0),
+            resolution_check(other, quad, self.basis(dim, 0),
                              self.basis(dim, 0))
 
 
@@ -236,13 +230,19 @@ SOURCES = {
 }
 
 
-def per_atom_resolution(family, quad, n_theta, f, g) -> complex:
-    """Reference: the resolution sum evaluated atom by atom and angle by angle,
-    up to the last index where either overlap is nonzero."""
+def overlaps(family, f, g) -> tuple[np.ndarray, np.ndarray, int]:
+    """<f, phi_k> / beta_{k-1}!, <psi_l, g> / beta_{l-1}! and their reach,
+    one plus the last index where either is nonzero."""
     fact = qcore.BetaSequence(family.q, family.K).factorial[:family.K]
     a_k = (family.phi.adjoint() @ np.asarray(f, dtype=complex)).conj() / fact
     b_l = (family.psi.adjoint() @ np.asarray(g, dtype=complex)) / fact
-    reach = 1 + int(np.flatnonzero((a_k != 0) | (b_l != 0)).max(initial=-1))
+    return a_k, b_l, 1 + int(np.flatnonzero((a_k != 0) | (b_l != 0)).max(initial=-1))
+
+
+def per_atom_resolution(family, quad, n_theta, f, g) -> complex:
+    """Reference: the resolution sum evaluated atom by atom and on n_theta
+    equally spaced angles, up to the reach of the overlaps."""
+    a_k, b_l, reach = overlaps(family, f, g)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     total = 0.0 + 0.0j
     for r_j, w_j in zip(quad.nodes, quad.weights):
@@ -273,9 +273,15 @@ class TestJacksonProperties:
         g = np.zeros(dim, dtype=complex)
         f[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         g[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        expected = per_atom_resolution(family, quad, 64, f, g)
-        assert abs(resolution_check(family, quad, 64, f, g) - expected) \
-            <= 1e-12 * max(1.0, abs(expected))
+        got = resolution_check(family, quad, f, g)
+        # n angles are exact on e^{i(k-l) theta} for |k - l| < n, so the
+        # fewest exact points are the reach; one fewer aliases the corners
+        reach = overlaps(family, f, g)[2]
+        for n_theta in (reach, 64):
+            expected = per_atom_resolution(family, quad, n_theta, f, g)
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+        aliased = per_atom_resolution(family, quad, reach - 1, f, g)
+        assert abs(aliased - got) > 1e-6 * max(1.0, abs(got))
 
 
     @settings(max_examples=30, deadline=None)
@@ -293,10 +299,10 @@ class TestJacksonProperties:
             n = 1 + j % 6
             f[:n, j] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             g[:n, j] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        batch = resolution_check(family, quad, 64, f, g)
+        batch = resolution_check(family, quad, f, g)
         assert batch.shape == (n_pairs,)
         for j in range(n_pairs):
-            one = resolution_check(family, quad, 64, f[:, j], g[:, j])
+            one = resolution_check(family, quad, f[:, j], g[:, j])
             assert abs(batch[j] - one) <= 1e-13 * max(1.0, abs(one))
 
 
@@ -313,7 +319,7 @@ class TestWholeSafeBlock:
             {"kind": "rank_one", "preset": "worked", "alpha_def": [0, 1]}
         cfg = {"q": q, "K": K, "family": family, "seed": 7,
                "tasks": [{"task": "resolution", "support": safe_dim, "K_mom": K,
-                          "n_theta": 2 * safe_dim, "n_pairs": 2}]}
+                          "n_pairs": 2}]}
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -335,6 +341,6 @@ class TestWholeSafeBlock:
         # near k = 350; the overlaps reach the whole safe block all the same
         summary, code = run_config({"q": 0.999, "K": 1024, "seed": 7,
                                     "tasks": [{"task": "resolution", "support": support,
-                                               "n_theta": 2 * support, "n_pairs": 2}]})
+                                               "n_pairs": 2}]})
         assert code == 0
         assert summary["tasks"]["resolution"]["max_residual"] <= 1e-8
