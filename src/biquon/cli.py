@@ -94,13 +94,10 @@ MAX_ARRAY_ENTRIES = 2 ** 40
 # config handling
 # ---------------------------------------------------------------------------
 
-def _bound(cfg: dict, tol_scale: float, task: str, metric: str | None = None) -> float:
-    """The bound a run applies to a task, or to one of its metrics."""
-    default = TOLERANCES.get(f"{task}.{cfg['family']['kind']}", TOLERANCES[task])
-    tol = cfg["tolerances"].get(task, default) * tol_scale
-    if metric is None or f"{task}.{metric}" not in TOLERANCES:
-        return tol
-    return TOLERANCES[f"{task}.{metric}"] * (tol / default)
+def _bound(cfg: dict, task: str, metric: str | None = None) -> float:
+    """The bound a run applies to a task, or to one of its metrics, as
+    validate_config resolved it."""
+    return cfg["bounds"].get(f"{task}.{metric}", cfg["bounds"][task])
 
 
 def _parse_int(value, path: str) -> int:
@@ -214,7 +211,7 @@ def _check_keys(cfg: dict) -> tuple[str, dict, list[dict]]:
     return kind, fam, list(tasks.values())
 
 
-def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
+def _validate_task(task: dict, path: str, cfg: dict) -> None:
     """Parse and range-check, in place, the keys the task sets, fill in the
     defaults of the others, and refuse a task the config cannot run."""
     name, kind, q, dim = task["task"], cfg["family"]["kind"], cfg["q"], cfg["K"]
@@ -254,7 +251,7 @@ def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
         log_mod = bicoherent.log_coefficients(q, r, dim)
         mod = np.exp(log_mod - np.max(log_mod))
         resid = r * mod[-1] / np.linalg.norm(mod)
-        bound = _bound(cfg, tol_scale, "bicoherent")
+        bound = _bound(cfg, "bicoherent")
         if not resid <= bound:
             raise ConfigError(f"{path}.r_frac: at |z| = r_frac rho = {r:.6g} the "
                               f"K = {dim} truncation leaves an eigen residual "
@@ -267,8 +264,7 @@ def _validate_task(task: dict, path: str, cfg: dict, tol_scale: float) -> None:
             raise ConfigError(f"q: {exc}") from None
 
 
-def _position_lattice(cfg: dict, tasks: list[dict],
-                      tol_scale: float) -> positionrep.Lattice:
+def _position_lattice(cfg: dict, tasks: list[dict]) -> positionrep.Lattice:
     """The run's lattice, up to the largest row a task reads, once its
     rounding is known to fit every position task's bound.
 
@@ -280,37 +276,37 @@ def _position_lattice(cfg: dict, tasks: list[dict],
     them from the one lattice; the refusal reads nothing else of it, so a
     refused lattice never forms its states.
     """
-    needs = []
-    for i, task in enumerate(tasks):
-        name = task["task"]
-        if "n_max" in task:
-            path, n_max, remedy = f"tasks[{i}].n_max", task["n_max"], "n_max or q"
-        else:
-            n_max = MUTATOR_N_MAX if name == "mutator" else THETA_N_MAX
-            path, remedy = f"tasks[{i}]", "q"
-        gamma = cfg["family"]["gamma"] if name in ("mutator", "position") else 0.0
-        needs.append((path, remedy, name, n_max, gamma))
+    def n_max(task: dict) -> int:
+        return task.get("n_max", MUTATOR_N_MAX if task["task"] == "mutator" else THETA_N_MAX)
+
+    def params(task: dict) -> positionrep.PositionParams:
+        return (cfg["family"]["params"] if task["task"] in ("mutator", "position")
+                else positionrep.PositionParams(cfg["q"]))
+
     # the ladder check of the position task reads one row past its n_max
-    table = positionrep.lattice(positionrep.PositionParams(cfg["q"]),
-                                max(need[3] for need in needs) + 1)
-    factors = {gamma: positionrep.cancellation(positionrep.PositionParams(cfg["q"], gamma),
-                                               table.n_max, table)
-               for gamma in {need[-1] for need in needs}}
-    for path, remedy, name, n_max, gamma in needs:
-        floor = sys.float_info.epsilon * factors[gamma][n_max]
-        bound = _bound(cfg, tol_scale, name)
+    table = positionrep.lattice(cfg["family"]["params"], max(map(n_max, tasks)) + 1)
+    factors = {p: positionrep.cancellation(p, table.n_max, table) for p in set(map(params, tasks))}
+    for i, task in enumerate(tasks):
+        row = n_max(task)
+        floor = sys.float_info.epsilon * factors[params(task)][row]
+        bound = _bound(cfg, task["task"])
         if not floor <= bound:
+            path, remedy = ((f"tasks[{i}].n_max", "n_max or q") if "n_max" in task
+                            else (f"tasks[{i}]", "q"))
             raise ConfigError(f"{path}: the lattice coefficients of phi_n, "
-                              f"n <= {n_max}, cancel so far at q={cfg['q']} that "
+                              f"n <= {row}, cancel so far at q={cfg['q']} that "
                               f"rounding alone reaches {floor:.3e}, above the "
                               f"bound {bound:.3e}; lower {remedy}")
     return table
 
 
 def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
-    """Parse and check a config; tol_scale is the run's --tolerance-scale,
-    which the bicoherent truncation check applies.  An unknown key is the
-    first error named: every key is checked before any value is read."""
+    """Parse and check a config; tol_scale is the run's --tolerance-scale.
+    The result is the run: "bounds" holds every bound it applies, resolved
+    once, and a position family its PositionParams and lattice.  An unknown
+    key is the first error named: every key is checked before any value is
+    read."""
+    tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     kind, fam, tasks = _check_keys(cfg)
@@ -356,10 +352,19 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
 
     out["tolerances"] = {key: _parse_ranged(float, value, f"tolerances.{key}", 0.0)
                          for key, value in cfg.get("tolerances", {}).items()}
+    out["bounds"] = bounds = {}
+    for task in TASK_PARAMS:
+        default = TOLERANCES.get(f"{task}.{kind}", TOLERANCES[task])
+        bounds[task] = out["tolerances"].get(task, default) * tol_scale
+        for key, value in TOLERANCES.items():
+            owner, _, metric = key.partition(".")
+            if owner == task and metric and metric not in FAMILY_KEYS:
+                bounds[key] = value * (bounds[task] / default)
     for i, task in enumerate(tasks):
-        _validate_task(task, f"tasks[{i}]", out, tol_scale)
+        _validate_task(task, f"tasks[{i}]", out)
     if kind == "position":
-        out["family"]["lattice"] = _position_lattice(out, tasks, tol_scale)
+        out["family"]["params"] = positionrep.PositionParams(out["q"], out["family"]["gamma"])
+        out["family"]["lattice"] = _position_lattice(out, tasks)
     order = list(TASK_PARAMS)
     out["tasks"] = sorted(tasks, key=lambda t: order.index(t["task"]))
 
@@ -401,25 +406,7 @@ def _write_table(out: Path | None, name: str, header: list[str], columns) -> Non
 # task runners
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Shared state built once per run: family, rng, output dir."""
-
-    def __init__(self, cfg: dict, out_dir: Path | None, tol_scale: float):
-        self.cfg = cfg
-        self.out = out_dir
-        self.tol_scale = tol_scale
-        self.rng = np.random.default_rng(cfg["seed"])
-        self.kind = cfg["family"]["kind"]
-        self.params = self.family = self.lattice = None
-        if self.kind == "position":
-            self.params = positionrep.PositionParams(cfg["q"], cfg["family"]["gamma"])
-            self.lattice = cfg["family"]["lattice"]
-        else:
-            self.family = pseudoquon.build_family(cfg["family"]["deformation"],
-                                                  cfg["q"], cfg["K"])
-
-
-def _finish(ws: _Workspace, task: str, metrics: dict, **info) -> dict:
+def _finish(cfg: dict, task: str, metrics: dict, **info) -> dict:
     """The task's report: each metric judged against its bound, which
     report["bounds"] records, and the info fields, which are not judged.
 
@@ -427,69 +414,72 @@ def _finish(ws: _Workspace, task: str, metrics: dict, **info) -> dict:
     metric fails.
     """
     metrics = {m: float(v) for m, v in metrics.items()}
-    bounds = {m: _bound(ws.cfg, ws.tol_scale, task, m) for m in metrics}
+    bounds = {m: _bound(cfg, task, m) for m in metrics}
     # np.max keeps a NaN, where Python's max may drop it
     resid = np.max([v for m, v in metrics.items() if f"{task}.{m}" not in TOLERANCES])
     return {**info, **metrics, "bounds": bounds, "max_residual": float(resid),
-            "tolerance": _bound(ws.cfg, ws.tol_scale, task),
+            "tolerance": _bound(cfg, task),
             "passed": all(v <= bounds[m] for m, v in metrics.items())}
 
 
-def _task_mutator(ws: _Workspace, task: dict) -> dict:
-    if ws.kind == "position":
-        states = positionrep.build_families(ws.params, MUTATOR_N_MAX, ws.lattice)[0]
-        resid = positionrep.qmutation_grid_check(ws.params, states)
-        return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="analytic")
-    fam = ws.family
-    resid = qmutator_residual(fam.a, fam.b, ws.cfg["q"], fam.safe_dim)
-    return _finish(ws, "mutator", {"qmutator_residual": resid}, realization="fock",
-                   safe_dim=fam.safe_dim)
+def _task_mutator(cfg: dict, task: dict, out: Path | None) -> dict:
+    fam = cfg["family"]
+    if fam["kind"] == "position":
+        states = positionrep.build_families(fam["params"], MUTATOR_N_MAX, fam["lattice"])[0]
+        resid = positionrep.qmutation_grid_check(fam["params"], states)
+        return _finish(cfg, "mutator", {"qmutator_residual": resid}, realization="analytic")
+    fock = fam["fock"]
+    resid = qmutator_residual(fock.a, fock.b, cfg["q"], fock.safe_dim)
+    return _finish(cfg, "mutator", {"qmutator_residual": resid}, realization="fock",
+                   safe_dim=fock.safe_dim)
 
 
-def _task_family(ws: _Workspace, task: dict) -> dict:
-    if ws.kind == "position":
-        return _finish(ws, "family",
-                       positionrep.similarity_check(ws.params, task["n_max"], ws.lattice),
+def _task_family(cfg: dict, task: dict, out: Path | None) -> dict:
+    fam = cfg["family"]
+    if fam["kind"] == "position":
+        return _finish(cfg, "family",
+                       positionrep.similarity_check(fam["params"], task["n_max"], fam["lattice"]),
                        n_max=task["n_max"])
-    fam = ws.family
+    fock = fam["fock"]
     metrics = {
-        "gram_deviation": pseudoquon.gram_deviation(fam),
-        **pseudoquon.check_ladder(fam),
-        **pseudoquon.number_eigencheck(fam),
+        "gram_deviation": pseudoquon.gram_deviation(fock),
+        **pseudoquon.check_ladder(fock),
+        **pseudoquon.number_eigencheck(fock),
     }
-    return _finish(ws, "family", metrics, safe_dim=fam.safe_dim,
-                   source=pseudoquon.family_to_json(fam))
+    return _finish(cfg, "family", metrics, safe_dim=fock.safe_dim,
+                   source=pseudoquon.family_to_json(fock))
 
 
-def _task_theta(ws: _Workspace, task: dict) -> dict:
-    if ws.kind == "position":
-        resid = positionrep.theta_conjugacy_check(ws.params, THETA_N_MAX, ws.lattice)
-        return _finish(ws, "theta", {"conjugacy_residual": resid}, realization="analytic")
-    fam = ws.family
-    theta = pseudoquon.build_theta(fam)
-    closed = pseudoquon.closed_form_theta(fam.source, fam.K)
+def _task_theta(cfg: dict, task: dict, out: Path | None) -> dict:
+    fam = cfg["family"]
+    if fam["kind"] == "position":
+        resid = positionrep.theta_conjugacy_check(fam["params"], THETA_N_MAX, fam["lattice"])
+        return _finish(cfg, "theta", {"conjugacy_residual": resid}, realization="analytic")
+    fock = fam["fock"]
+    theta = pseudoquon.build_theta(fock)
+    closed = pseudoquon.closed_form_theta(fock.source, fock.K)
     metrics = {
         "series_vs_closed": np.max(np.abs(theta.block - closed.block), initial=0.0),
-        **pseudoquon.check_theta_conjugate(fam, theta),
+        **pseudoquon.check_theta_conjugate(fock, theta),
     }
-    return _finish(ws, "theta", metrics)
+    return _finish(cfg, "theta", metrics)
 
 
-def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
+def _task_bicoherent(cfg: dict, task: dict, out: Path | None) -> dict:
     # validate_config refused an r_frac whose K-term truncation misses the
     # bound at the rim of the sweep (r_frac 0.9 needs K around 256 at q = 0.5)
     n_r, n_theta, r_frac = task["n_r"], task["n_theta"], task["r_frac"]
-    fam = ws.family
-    rho = qcore.disc_radius(fam.q)
+    fock = cfg["family"]["fock"]
+    rho = qcore.disc_radius(fock.q)
     # the whole n_r x n_theta grid, ring by ring, is one column batch
     fracs = np.linspace(r_frac / n_r, r_frac, n_r)
     angs = 2 * np.pi * np.arange(n_theta) / n_theta
     zs = (fracs[:, None] * rho * np.exp(1j * angs)).ravel()
-    state = bicoherent.bicoherent_state(fam, zs)
-    r_phi, r_psi = bicoherent.eigen_check(state, fam.a, fam.b)
+    state = bicoherent.bicoherent_state(fock, zs)
+    r_phi, r_psi = bicoherent.eigen_check(state, fock.a, fock.b)
     pair = bicoherent.pairing(state)
-    unc = bicoherent.uncertainty_product(state, fam.a, fam.b)
-    _write_table(ws.out, "bicoherent.csv",
+    unc = bicoherent.uncertainty_product(state, fock.a, fock.b)
+    _write_table(out, "bicoherent.csv",
                  ["re_z", "im_z", "norm_const", "eigen_phi", "eigen_psi", "pairing_re",
                   "pairing_im", "uncertainty_re", "uncertainty_im", "uncertainty_predicted"],
                  [zs.real, zs.imag, state.norm_const, r_phi, r_psi, pair.real, pair.imag,
@@ -500,34 +490,36 @@ def _task_bicoherent(ws: _Workspace, task: dict) -> dict:
         "pairing_residual": np.max(np.abs(pair - 1.0)),
         "uncertainty_residual": np.max(unc.residual),
     }
-    return _finish(ws, "bicoherent", metrics, n_points=len(zs), rho=rho)
+    return _finish(cfg, "bicoherent", metrics, n_points=len(zs), rho=rho)
 
 
-def _task_resolution(ws: _Workspace, task: dict) -> dict:
+def _task_resolution(cfg: dict, task: dict, out: Path | None) -> dict:
     n_pairs, support = task["n_pairs"], task["support"]
-    quad = resolution.solve_moment_measure(ws.cfg["q"], task["K_mom"])
-    # the draws of pair j are re f_j, im f_j, re g_j, im g_j, in that order
-    draws = ws.rng.standard_normal((n_pairs, 2, 2, support))
-    f, g = np.zeros((2, ws.family.K, n_pairs), dtype=complex)
+    fock = cfg["family"]["fock"]
+    quad = resolution.solve_moment_measure(cfg["q"], task["K_mom"])
+    # the draws of pair j are re f_j, im f_j, re g_j, im g_j, in that order;
+    # this task is the one consumer of the seed's stream
+    draws = np.random.default_rng(cfg["seed"]).standard_normal((n_pairs, 2, 2, support))
+    f, g = np.zeros((2, fock.K, n_pairs), dtype=complex)
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T
-    val = resolution.resolution_check(ws.family, quad, f, g)
+    val = resolution.resolution_check(fock, quad, f, g)
     metrics = {
         "resolution_residual": np.max(np.abs(val - np.sum(f.conj() * g, axis=0))),
         "moment_residual": quad.max_residual,
     }
-    return _finish(ws, "resolution", metrics, quadrature=resolution.residual_report(quad),
+    return _finish(cfg, "resolution", metrics, quadrature=resolution.residual_report(quad),
                    n_pairs=n_pairs)
 
 
-def _task_position(ws: _Workspace, task: dict) -> dict:
-    n_max = task["n_max"]
-    norm_rep = positionrep.norm_formula_check(ws.params, n_max, ws.lattice)
-    ladder = positionrep.ladder_check(ws.params, min(n_max, 6), ws.lattice)
+def _task_position(cfg: dict, task: dict, out: Path | None) -> dict:
+    n_max, fam = task["n_max"], cfg["family"]
+    norm_rep = positionrep.norm_formula_check(fam["params"], n_max, fam["lattice"])
+    ladder = positionrep.ladder_check(fam["params"], min(n_max, 6), fam["lattice"])
     # where the formula's side claim L_n <= (n+1)^2 fails, the formula fails
     rel = norm_rep["max_rel_err"] if norm_rep["L_bound_ok"] else math.inf
     metrics = {"norm_formula_max_rel": rel, "ladder_residual": ladder["max_residual"]}
-    return _finish(ws, "position", metrics, L_bound_ok=norm_rep["L_bound_ok"], n_max=n_max)
+    return _finish(cfg, "position", metrics, L_bound_ok=norm_rep["L_bound_ok"], n_max=n_max)
 
 
 TASK_RUNNERS = {
@@ -546,13 +538,14 @@ def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
     encoded once, for summary.json in out_dir and for echo, which is given
     that text without the timings, and not at all without either.  out_dir
     holds only it, with every verdict, and the tables the tasks write."""
-    tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
     cfg = validate_config(cfg, tol_scale)
-    ws = _Workspace(cfg, out_dir, tol_scale)
+    if cfg["family"]["kind"] != "position":
+        cfg["family"]["fock"] = pseudoquon.build_family(cfg["family"]["deformation"],
+                                                        cfg["q"], cfg["K"])
     summary: dict = {
         "q": cfg["q"],
         "K": cfg["K"],
-        "family_kind": ws.kind,
+        "family_kind": cfg["family"]["kind"],
         "seed": cfg["seed"],
         "tasks": {},
     }
@@ -560,7 +553,7 @@ def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
     for task in cfg["tasks"]:
         name = task["task"]
         start = time.perf_counter()
-        report = TASK_RUNNERS[name](ws, task)
+        report = TASK_RUNNERS[name](cfg, task, out_dir)
         timings[name] = time.perf_counter() - start
         summary["tasks"][name] = report
     # validate_config refused a task named twice, so every report is here
@@ -599,11 +592,6 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def _run_and_report(cfg: dict, args) -> int:
-    return run_config(cfg, Path(args.out) if args.out else None, args.tolerance_scale,
-                      echo=print)[1]
-
-
 def _cmd_task(args) -> int:
     task = {"task": args.command}
     task.update((key, getattr(args, key)) for key in TASK_PARAMS[args.command]
@@ -613,8 +601,9 @@ def _cmd_task(args) -> int:
     family = {"kind": args.family}
     if args.gamma is not None or args.family == "position":
         family["gamma"] = 0.5 if args.gamma is None else args.gamma
-    return _run_and_report({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
-                            "seed": args.seed}, args)
+    return run_config({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
+                       "seed": args.seed}, Path(args.out) if args.out else None,
+                      args.tolerance_scale, echo=print)[1]
 
 
 def _cmd_run(args) -> int:
@@ -627,7 +616,8 @@ def _cmd_run(args) -> int:
     # validate_config refuses a config that is no JSON object
     if args.seed is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
-    return _run_and_report(cfg, args)
+    return run_config(cfg, Path(args.out) if args.out else None, args.tolerance_scale,
+                      echo=print)[1]
 
 
 def _cmd_selftest(args) -> int:

@@ -125,6 +125,14 @@ class TestValidation:
                              "tasks": ["mutator"],
                              "tolerances": {"nonsense": 1.0}})
 
+    @pytest.mark.parametrize("scale", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("task", ["mutator", "bicoherent"])
+    def test_tolerance_scale_is_parsed_where_the_bounds_are(self, scale, task):
+        # the parent accepted each of these, and blamed tasks[0].r_frac for a
+        # bicoherent task: "eigen residual 1.727e-77 above the bound nan"
+        with pytest.raises(ConfigError, match=r"^--tolerance-scale: must lie in"):
+            validate_config({"q": 0.5, "tasks": [task]}, scale)
+
 
 POSITION = {"kind": "position", "gamma": 0.5}
 WORKED = WORKED_CONFIG["family"]
@@ -806,14 +814,23 @@ class TestRunConfig:
     }
 
     def test_summary_judges_every_metric_against_its_bound(self):
-        summary, _ = run_config(WORKED_CONFIG)
-        cfg = validate_config(WORKED_CONFIG)
-        assert set(summary["tasks"]) == set(self.JUDGED)
-        for task, report in summary["tasks"].items():
-            assert report["bounds"] == {m: cli._bound(cfg, 1.0, task, m)
-                                        for m in self.JUDGED[task]}
-            assert all(report[m] <= bound for m, bound in report["bounds"].items()), task
-            assert report["passed"] is True
+        reports = {}
+        for scale in (1.0, 0.5):
+            summary, _ = run_config(WORKED_CONFIG, tol_scale=scale)
+            cfg = validate_config(WORKED_CONFIG, scale)
+            assert set(summary["tasks"]) == set(self.JUDGED)
+            for task, report in summary["tasks"].items():
+                assert report["bounds"] == {m: cli._bound(cfg, task, m)
+                                            for m in self.JUDGED[task]}
+                assert report["tolerance"] == cli._bound(cfg, task)
+                assert all(report[m] <= bound for m, bound in report["bounds"].items()), task
+                assert report["passed"] is True
+            reports[scale] = summary["tasks"]
+        # a power-of-two scale is exact: every bound is halved bit for bit
+        for task, report in reports[0.5].items():
+            full = reports[1.0][task]
+            assert report["tolerance"] == full["tolerance"] / 2, task
+            assert report["bounds"] == {m: b / 2 for m, b in full["bounds"].items()}, task
 
 
 # per task: its spec, a producer to edit, the edit, which pushes one metric to
@@ -954,7 +971,7 @@ class TestMainEntry:
 
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         # a size below MAX_ARRAY_ENTRIES may still not fit in memory
-        def exhausted(ws, task):
+        def exhausted(*args):
             raise MemoryError("Unable to allocate 8.00 PiB")
         monkeypatch.setitem(cli.TASK_RUNNERS, "mutator", exhausted)
         assert main(["mutator"]) == 2
@@ -975,8 +992,9 @@ class TestMainEntry:
         from biquon import cli, selftest
         seeds, kinds = [], []
         monkeypatch.setattr(selftest, "run_all", lambda seed: seeds.append(seed) or [])
-        monkeypatch.setattr(cli, "_run_and_report",
-                            lambda cfg, args: kinds.append(cfg["family"]["kind"]) or 0)
+        monkeypatch.setattr(cli, "run_config",
+                            lambda cfg, *args, **kw: kinds.append(cfg["family"]["kind"])
+                            or ({}, 0))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"q": 0.5, "K": 32, "family": {"kind": "identity"}, "tasks": ["mutator"]}))

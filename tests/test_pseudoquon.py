@@ -674,29 +674,18 @@ def test_identity_export_bytes_match_legacy_writer():
     assert dense_document(family, {}) == old.getvalue()
 
 
-def dense_family_json(family, residual_report) -> str:
-    """The dense writer of the earlier format: the rows of S^T and of
-    conj(S^{-1}) as nested lists, in one json.dumps call."""
-    doc = {
-        "K": family.K,
-        "q": family.q,
-        "source": family.source.describe(),
-        "phi": dense_rows(family.phi.dense().T),
-        "psi": dense_rows(family.psi.adjoint().dense().conj()),
-        "residuals": residual_report,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(deformation=st.one_of(st.none(), deformations()),
        q=st.floats(-1.0, 2.0), extra=st.integers(3, 300))
-def test_export_bytes_match_dense_writer(deformation, q, extra):
+def test_source_rebuilds_phi_and_psi(deformation, q, extra):
+    # phi and psi rebuilt from the source record the summary carries are
+    # the family's, bit for bit
     source = Deformation() if deformation is None else deformation
     dim = min(source.support_extent + extra, 300)
     family = build_family(source, q, dim)
-    report = check_ladder(family)
-    assert dense_document(family, report) == dense_family_json(family, report)
+    phi, psi = rebuild_family(source_record(family), dim)
+    assert_same_operator(phi, family.phi)
+    assert_same_operator(psi, family.psi)
 
 
 @pytest.mark.parametrize("family", [

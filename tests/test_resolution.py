@@ -139,17 +139,6 @@ class TestSolver:
             solve_moment_measure(0.5, 1)
 
 
-class TestAngularExactness:
-    def test_trapezoid_kills_cross_terms(self):
-        n_theta, k_max = 64, 12
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        for k in range(k_max + 1):
-            for l in range(k_max + 1):
-                val = np.sum(np.exp(1j * (k - l) * theta)) * (2 * np.pi / n_theta)
-                expected = 2.0 * np.pi if k == l else 0.0
-                assert abs(val - expected) < 1e-12
-
-
 @pytest.fixture(scope="module")
 def setup():
     q, dim = 0.5, 64
