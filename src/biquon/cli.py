@@ -42,7 +42,7 @@ POSITION_TASKS = {"mutator", "family", "theta", "position"}
 # bound on that kind, and "task.<metric>" the bound of a metric judged on
 # its own; every other metric of the task is held to the task's bound.
 # tolerances.<task> replaces the task's bound and scales its metric bounds
-# in proportion; --tolerance-scale multiplies every bound.
+# in proportion.
 TOLERANCES = {
     "mutator": 1e-12,
     "mutator.position": 1e-10,
@@ -173,14 +173,10 @@ def _refuse_unknown(keys, known, path: str, owner: str) -> None:
 
 def _check_keys(cfg: dict) -> tuple[str, dict, list[dict]]:
     """The config's family kind, family and tasks, once every key of the
-    config, its tolerances, its family and each task is one that
-    CONFIG_KEYS, TASK_PARAMS and FAMILY_KEYS list there, and no task is
-    named twice."""
+    config, its family and each task is one that CONFIG_KEYS, FAMILY_KEYS
+    and TASK_PARAMS list there, every tolerances key names a listed task,
+    and no task is named twice."""
     _refuse_unknown(cfg, CONFIG_KEYS, "", "a config")
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object")
-    _refuse_unknown(tol, TASK_PARAMS, "tolerances.", "tolerances")
     fam = cfg.get("family", {"kind": "identity"})
     if not isinstance(fam, dict) or "kind" not in fam:
         raise ConfigError("family: expected object with a 'kind' field")
@@ -208,6 +204,11 @@ def _check_keys(cfg: dict) -> tuple[str, dict, list[dict]]:
                             if kind in kinds]
         _refuse_unknown(item, known, f"{path}.", f"task {name!r} of family kind {kind!r}")
         tasks[name] = dict(item)
+    tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances: expected an object")
+    # a bound for a task the config does not run would change no number
+    _refuse_unknown(tol, tasks, "tolerances.", "tolerances")
     return kind, fam, list(tasks.values())
 
 
@@ -300,13 +301,11 @@ def _position_lattice(cfg: dict, tasks: list[dict]) -> positionrep.Lattice:
     return table
 
 
-def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
-    """Parse and check a config; tol_scale is the run's --tolerance-scale.
-    The result is the run: "bounds" holds every bound it applies, resolved
-    once, and a position family its PositionParams and lattice.  An unknown
-    key is the first error named: every key is checked before any value is
-    read."""
-    tol_scale = _parse_ranged(float, tol_scale, "--tolerance-scale", 0.0)
+def validate_config(cfg: dict) -> dict:
+    """Parse and check a config.  The result is the run: "bounds" holds
+    every bound it applies, resolved once, and a position family its
+    PositionParams and lattice.  An unknown key is the first error named:
+    every key is checked before any value is read."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     kind, fam, tasks = _check_keys(cfg)
@@ -317,7 +316,7 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
 
     out["family"] = {"kind": kind}
     if kind == "position":
-        out["family"]["gamma"] = _parse_ranged(float, fam.get("gamma", 0.0), "family.gamma",
+        out["family"]["gamma"] = _parse_ranged(float, fam.get("gamma", 0.5), "family.gamma",
                                                -GAMMA_MAX, GAMMA_MAX)
     else:
         if kind == "identity":
@@ -355,7 +354,7 @@ def validate_config(cfg: dict, tol_scale: float = 1.0) -> dict:
     out["bounds"] = bounds = {}
     for task in TASK_PARAMS:
         default = TOLERANCES.get(f"{task}.{kind}", TOLERANCES[task])
-        bounds[task] = out["tolerances"].get(task, default) * tol_scale
+        bounds[task] = out["tolerances"].get(task, default)
         for key, value in TOLERANCES.items():
             owner, _, metric = key.partition(".")
             if owner == task and metric and metric not in FAMILY_KEYS:
@@ -532,13 +531,13 @@ TASK_RUNNERS = {
 }
 
 
-def run_config(cfg: dict, out_dir: Path | None = None, tol_scale: float = 1.0,
+def run_config(cfg: dict, out_dir: Path | None = None,
                echo: Callable[[str], object] | None = None) -> tuple[dict, int]:
     """Execute every task; returns (summary, exit_code).  The summary is
     encoded once, for summary.json in out_dir and for echo, which is given
     that text without the timings, and not at all without either.  out_dir
     holds only it, with every verdict, and the tables the tasks write."""
-    cfg = validate_config(cfg, tol_scale)
+    cfg = validate_config(cfg)
     if cfg["family"]["kind"] != "position":
         cfg["family"]["fock"] = pseudoquon.build_family(cfg["family"]["deformation"],
                                                         cfg["q"], cfg["K"])
@@ -586,9 +585,7 @@ def _cmd_beta(args) -> int:
             raise ConfigError(f"n_max: beta_{n}! overflows at q={args.q}; "
                               f"the largest n_max is {n - 1}")
         lines.append(f"{n},{beta:.17g},{fact:.17g}")
-    text = "\n".join(lines) + "\n"
-    _write_text(Path(args.out) if args.out else None, "beta.csv", text)
-    print(text, end="")
+    print("\n".join(lines))
     return 0
 
 
@@ -599,11 +596,10 @@ def _cmd_task(args) -> int:
     # a rank_one family with neither u nor v is the worked preset; a given
     # --gamma is passed on, so that a Fock family refuses it
     family = {"kind": args.family}
-    if args.gamma is not None or args.family == "position":
-        family["gamma"] = 0.5 if args.gamma is None else args.gamma
+    if args.gamma is not None:
+        family["gamma"] = args.gamma
     return run_config({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
-                       "seed": args.seed}, Path(args.out) if args.out else None,
-                      args.tolerance_scale, echo=print)[1]
+                       "seed": args.seed}, Path(args.out) if args.out else None, echo=print)[1]
 
 
 def _cmd_run(args) -> int:
@@ -613,11 +609,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--config: {exc}") from None
     except ValueError as exc:     # undecodable bytes or invalid JSON
         raise ConfigError(f"--config: invalid JSON ({exc})") from None
-    # validate_config refuses a config that is no JSON object
-    if args.seed is not None and isinstance(cfg, dict):
-        cfg["seed"] = args.seed
-    return run_config(cfg, Path(args.out) if args.out else None, args.tolerance_scale,
-                      echo=print)[1]
+    return run_config(cfg, Path(args.out) if args.out else None, echo=print)[1]
 
 
 def _cmd_selftest(args) -> int:
@@ -637,7 +629,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None,
                         help="directory for JSON/CSV artifacts")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--tolerance-scale", type=float, default=1.0)
     parser.add_argument("--dim", type=int, default=64)
     parser.add_argument("--family", type=str, default="identity",
                         choices=["identity", "rank_one", "position"])
@@ -658,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta", help="tabulate the coefficient sequence")
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_beta)
 
     for name, params in TASK_PARAMS.items():
@@ -675,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a full experiment config")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

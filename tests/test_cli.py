@@ -125,14 +125,6 @@ class TestValidation:
                              "tasks": ["mutator"],
                              "tolerances": {"nonsense": 1.0}})
 
-    @pytest.mark.parametrize("scale", [math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("task", ["mutator", "bicoherent"])
-    def test_tolerance_scale_is_parsed_where_the_bounds_are(self, scale, task):
-        # the parent accepted each of these, and blamed tasks[0].r_frac for a
-        # bicoherent task: "eigen residual 1.727e-77 above the bound nan"
-        with pytest.raises(ConfigError, match=r"^--tolerance-scale: must lie in"):
-            validate_config({"q": 0.5, "tasks": [task]}, scale)
-
 
 POSITION = {"kind": "position", "gamma": 0.5}
 WORKED = WORKED_CONFIG["family"]
@@ -185,6 +177,13 @@ BAD_CONFIGS = {
                               "tasks": [{"task": "theta", "n_max": -3}]},
                              r"tasks\[0\].n_max"),
     "tolerance-negative": ({"tolerances": {"mutator": -1e-3}}, "tolerances.mutator"),
+    # a bound for a task the config does not list changes no number; each
+    # exited 0 at the parent, the first with tasks its family cannot run
+    "tolerances-unlisted-position": ({"family": POSITION, "tasks": ["mutator"],
+                                      "tolerances": {"bicoherent": 1e-3, "resolution": 5.0}},
+                                     "tolerances.bicoherent(?=: unknown key)"),
+    "tolerances-unlisted-fock": ({"family": WORKED, "tolerances": {"theta": 1e-3}},
+                                 "tolerances.theta(?=: unknown key)"),
     "K-not-integer": ({"K": "abc"}, "K"),
     "K-fractional": ({"K": 64.5}, "K"),
     "identity-K-no-safe-block": ({"K": 2}, "K"),
@@ -338,8 +337,6 @@ BAD_ARGS = {
     "beta-n-max-1e20": (["beta", "--n-max", str(10 ** 20)], "n_max"),
     "beta-overflow": (["beta", "--q", "1.5", "--n-max", "5000"], "q"),
     "beta-factorial-overflow": (["beta", "--q", "0.999", "--n-max", "3000"], "n_max"),
-    "tolerance-scale-zero": (["mutator", "--tolerance-scale", "0"], "--tolerance-scale"),
-    "tolerance-scale-nan": (["mutator", "--tolerance-scale", "nan"], "--tolerance-scale"),
     "selftest-seed-negative": (["selftest", "--seed", "-1"], "seed"),
     "family-rank_one-n-max": (["family", "--family", "rank_one", "--n-max", "3"],
                               "tasks[0].n_max"),
@@ -355,8 +352,10 @@ BAD_ARGS = {
     "bicoherent-gamma-nan": (["bicoherent", "--gamma", "nan"], "family.gamma"),
 }
 
-# flags that no longer exist; the last three each exited 0 at the parent,
-# which read nothing of them
+# flags that no longer exist: the dump options; flags that changed no number
+# (resolution --n-theta, beta --seed, beta --tolerance-scale); and second
+# ways in, --tolerance-scale to tolerances.<task>, run --seed to the config's
+# seed and beta --out to a copy of standard output
 REMOVED_FLAGS = {
     "position-mutator-dump-operators": ["mutator", "--family", "position", "--dump-operators"],
     "mutator-dump-operators": ["mutator", "--dump-operators"],
@@ -364,6 +363,10 @@ REMOVED_FLAGS = {
     "resolution-n-theta": ["resolution", "--n-theta", "64"],
     "beta-seed": ["beta", "--seed", "5"],
     "beta-tolerance-scale": ["beta", "--tolerance-scale", "2"],
+    "mutator-tolerance-scale": ["mutator", "--tolerance-scale", "0.5"],
+    "run-seed": ["run", "--config", "c", "--seed", "3"],
+    "run-tolerance-scale": ["run", "--config", "c", "--tolerance-scale", "2"],
+    "beta-out": ["beta", "--out", "d"],
 }
 
 
@@ -397,11 +400,10 @@ class TestExitCodeContract:
         assert f"unrecognized arguments: {' '.join(argv[flag:])}\n" in err
         assert "Traceback" not in err
 
-    # each raised at the parent (FileExistsError, IsADirectoryError,
-    # UnicodeDecodeError, and a TypeError from setting the seed of a list)
-    @pytest.mark.parametrize("case", ["mutator-out-is-a-file", "beta-out-is-a-file",
-                                      "config-is-a-directory", "config-not-utf8",
-                                      "config-list-with-seed"])
+    # the first three once raised FileExistsError, IsADirectoryError and
+    # UnicodeDecodeError; validate_config refuses a config that is no object
+    @pytest.mark.parametrize("case", ["mutator-out-is-a-file", "config-is-a-directory",
+                                      "config-not-utf8", "config-is-a-list"])
     def test_unusable_path_exits_2(self, case, tmp_path, capsys):
         not_utf8 = tmp_path / "not-utf8.json"
         not_utf8.write_bytes(b'{"q": "\xff"}')
@@ -409,11 +411,9 @@ class TestExitCodeContract:
         a_list.write_text("[1]")
         argv, path = {
             "mutator-out-is-a-file": (["mutator", "--out", str(a_list)], "--out"),
-            "beta-out-is-a-file": (["beta", "--out", str(a_list)], "--out"),
             "config-is-a-directory": (["run", "--config", str(tmp_path)], "--config"),
             "config-not-utf8": (["run", "--config", str(not_utf8)], "--config"),
-            "config-list-with-seed": (["run", "--config", str(a_list), "--seed", "3"],
-                                      "config"),
+            "config-is-a-list": (["run", "--config", str(a_list)], "config"),
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
@@ -461,7 +461,6 @@ class TestExitCodeContract:
         argv = ["bicoherent", "--q", "0.5", "--dim", "256", "--r-frac", "0.99",
                 "--n-r", "1", "--n-theta", "2"]
         assert main(argv) == 2
-        assert main(argv + ["--tolerance-scale", "1e8"]) == 0
         _, code = run_config({"q": 0.5, "K": 256, "family": {"kind": "identity"},
                               "tasks": [{"task": "bicoherent", "r_frac": 0.99,
                                          "n_r": 1, "n_theta": 2}],
@@ -758,8 +757,24 @@ class TestRunConfig:
     def test_tolerance_scale_can_force_failure(self):
         _, code = run_config({"q": 0.5, "K": 64,
                               "family": {"kind": "identity"},
-                              "tasks": ["mutator"]}, tol_scale=1e-20)
+                              "tasks": ["mutator"], "tolerances": {"mutator": 1e-30}})
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["family", "--family", "position"], ["position"]],
+                             ids=["family", "position"])
+    def test_position_gamma_has_one_default(self, argv, capsys):
+        # the subcommands ran at gamma = 0.5 and a config without gamma at 0,
+        # where the similarity e^{gamma x} is the identity and the family
+        # task's similarity metrics read exactly 0.0
+        texts = []
+        cfg = {"q": 0.5, "family": {"kind": "position"}, "tasks": [argv[0]]}
+        summary, code = run_config(cfg, echo=texts.append)
+        assert code == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == texts[0] + "\n"
+        if argv[0] == "family":
+            report = summary["tasks"]["family"]
+            assert report["similarity_phi"] != 0.0 and report["similarity_psi"] != 0.0
 
     def test_determinism_modulo_timings(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -816,8 +831,10 @@ class TestRunConfig:
     def test_summary_judges_every_metric_against_its_bound(self):
         reports = {}
         for scale in (1.0, 0.5):
-            summary, _ = run_config(WORKED_CONFIG, tol_scale=scale)
-            cfg = validate_config(WORKED_CONFIG, scale)
+            config = {**WORKED_CONFIG, "tolerances": {task: cli.TOLERANCES[task] * scale
+                                                      for task in self.JUDGED}}
+            summary, _ = run_config(config)
+            cfg = validate_config(config)
             assert set(summary["tasks"]) == set(self.JUDGED)
             for task, report in summary["tasks"].items():
                 assert report["bounds"] == {m: cli._bound(cfg, task, m)
@@ -826,7 +843,7 @@ class TestRunConfig:
                 assert all(report[m] <= bound for m, bound in report["bounds"].items()), task
                 assert report["passed"] is True
             reports[scale] = summary["tasks"]
-        # a power-of-two scale is exact: every bound is halved bit for bit
+        # halving each task's bound halves its metric bounds bit for bit
         for task, report in reports[0.5].items():
             full = reports[1.0][task]
             assert report["tolerance"] == full["tolerance"] / 2, task
@@ -998,7 +1015,7 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"q": 0.5, "K": 32, "family": {"kind": "identity"}, "tasks": ["mutator"]}))
-        assert main(["run", "--config", str(cfg_path), "--seed", "7"]) == 0
+        assert main(["run", "--config", str(cfg_path)]) == 0
         assert main(["selftest"]) == 0
         assert main(["mutator", "--family", "rank_one"]) == 0
         assert main(["position"]) == 0
@@ -1221,7 +1238,6 @@ def _run_argv(draw) -> list[str]:
     small = st.integers(-1, 4)
     options = {
         "gamma": ANY_FLOAT | st.floats(-30.0, 30.0),
-        "tolerance-scale": st.sampled_from([math.nan, 0.0, 1e-20, 1.0, 1.0, 1e8]),
         **{"family": {"n-max": st.integers(-1, 40)},
            "position": {"n-max": st.integers(-1, 40)},
            "bicoherent": {"n-r": small, "n-theta": small, "r-frac": ANY_FLOAT | st.floats(0.0, 0.9)},
