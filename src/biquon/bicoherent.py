@@ -54,7 +54,7 @@ def _check_q_series(q: float) -> float:
     return q
 
 
-def norm_series(q: float, r: float) -> tuple[float, float, int]:
+def norm_series(q: float, r) -> tuple:
     """log sum_k r^{2k} / [k]! in closed form, with its tail bound and length.
 
     With x = (1-q) r^2 the q-binomial theorem gives sum_k x^k / (q; q)_k =
@@ -66,30 +66,46 @@ def norm_series(q: float, r: float) -> tuple[float, float, int]:
     the sum stops at the first M with (xq)^M <= 2^-53 and the dropped terms
     are bounded by the geometric tail.  At q = 1, x = 0 and the one term
     left gives r^2.  Returns (log_sum, tail_bound, terms).
+
+    An array r gives log_sum and tail_bound per modulus, each with the bits
+    of that modulus alone (it sums its own leading M terms of one table),
+    and terms summed over the moduli.
     """
     q = _check_q_series(q)
-    r = float(r)
-    if not 0.0 <= r < math.inf:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r < math.inf)):
         raise ValueError(f"radius r={r} must be nonnegative and finite")
-    if q < 1.0 and r >= disc_radius(q):
+    if q < 1.0 and np.any(r >= disc_radius(q)):
         raise ValueError(f"r={r} outside the convergence disc of radius {disc_radius(q)}")
-    x = (1.0 - q) * r * r
-    xq = x * q
-    terms = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(xq, UNIT_ROUNDOFF)))
-    m = np.arange(1, terms + 2)
-    scaled = q * np.power(xq, m - 1) / (m * bracket(q, m))
-    log_sum = -math.log1p(-x) + r * r * float(np.sum(scaled[:-1]))
-    return log_sum, r * r * float(scaled[-1]) / (1.0 - xq), terms
+    rs = r.ravel().tolist()
+    x = [(1.0 - q) * ri * ri for ri in rs]
+    counts = [math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(xi * q, UNIT_ROUNDOFF)))
+              for xi in x]
+    m = np.arange(1, max(counts, default=0) + 2)
+    table = q * np.power(np.multiply(x, q)[:, None], m - 1) / (m * bracket(q, m))
+    # -log1p(-x) per modulus: numpy's log1p may round otherwise
+    log_sum = [-math.log1p(-xi) + ri * ri * float(np.sum(row[:n]))
+               for ri, xi, n, row in zip(rs, x, counts, table)]
+    tail = [ri * ri * float(row[n]) / (1.0 - xi * q)
+            for ri, xi, n, row in zip(rs, x, counts, table)]
+    if not r.ndim:
+        return log_sum[0], tail[0], counts[0]
+    return np.reshape(log_sum, r.shape), np.reshape(tail, r.shape), sum(counts)
 
 
-def normalization(q: float, r: float) -> float:
-    """N(r) = (sum_k r^{2k} / (beta_{k-1}!)^2)^{-1/2}.
+def normalization(q: float, r):
+    """N(r) = (sum_k r^{2k} / (beta_{k-1}!)^2)^{-1/2}, per modulus of an
+    array r.
 
     At q = 1 this is the ordinary coherent-state normalization exp(-r^2 / 2).
     Far out in the disc of q near 1 it underflows to 0; states are built
     from log N instead (:func:`quon_coherent_vector`).
     """
-    return math.exp(-0.5 * norm_series(q, r)[0])
+    log_sum = norm_series(q, r)[0]
+    if not np.ndim(log_sum):
+        return math.exp(-0.5 * log_sum)
+    # math.exp per modulus: numpy's exp may round otherwise
+    return np.reshape([math.exp(-0.5 * v) for v in log_sum.ravel().tolist()], log_sum.shape)
 
 
 def log_coefficients(q: float, r, terms: int) -> np.ndarray:
@@ -111,22 +127,18 @@ def log_coefficients(q: float, r, terms: int) -> np.ndarray:
     return out
 
 
-def _per_ring(r: np.ndarray, *fns) -> list[np.ndarray]:
-    """Each fn at each distinct modulus of r, spread back to r's shape; the
-    moduli are sorted out once for all of them."""
-    rings, ring = np.unique(r.ravel(), return_inverse=True)
-    ring = ring.reshape(r.shape)
-    return [np.array([fn(x) for x in rings])[ring] for fn in fns]
-
-
-def _coherent_columns(q: float, z: np.ndarray, log_n: np.ndarray, dim: int) -> np.ndarray:
-    """e(z) from log N per entry of z (see :func:`quon_coherent_vector`)."""
+def _coherent_columns(q: float, z: np.ndarray, dim: int) -> tuple:
+    """e(z) (see :func:`quon_coherent_vector`), the distinct moduli of z,
+    sorted, and the index of each entry's modulus among them."""
+    rings, ring = np.unique(np.abs(z).ravel(), return_inverse=True)
+    ring = ring.reshape(z.shape)
     out = np.empty((dim,) + z.shape, dtype=complex)
     out[0] = 1.0
     out[1:] = np.exp(1j * np.angle(z))      # z / |z| fails on a subnormal z
     np.cumprod(out, axis=0, out=out)
-    out *= np.exp(log_n + log_coefficients(q, np.abs(z), dim))
-    return out
+    log_n = -0.5 * norm_series(q, rings)[0]
+    out *= np.exp((log_n + log_coefficients(q, rings, dim))[:, ring])
+    return out, rings, ring
 
 
 def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
@@ -136,12 +148,10 @@ def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
     Formed as exp(log N + log |z^k / beta_{k-1}!|) times a running product
     of the unit phase e^{i arg z}: every entry has modulus at most 1, none
     overflows where N underflows, and the phase of e_k carries k roundings
-    of one multiplication, not the rounding of arg(z) k.  log N comes from
-    one closed-form sum per distinct |z|.
+    of one multiplication, not the rounding of arg(z) k.  log N and the log
+    coefficients come from one evaluation over the distinct |z|.
     """
-    z = np.asarray(z, dtype=complex)
-    [log_n] = _per_ring(np.abs(z), lambda x: -0.5 * norm_series(q, x)[0])
-    return _coherent_columns(q, z, log_n, dim)
+    return _coherent_columns(q, np.asarray(z, dtype=complex), dim)[0]
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,9 @@ def bicoherent_state(family: BiorthogonalFamily, z) -> BiCoherentState:
                          f"of radius {rho}")
     dim = family.K
 
-    # log N and N share one sort of |z|; N stays a call of normalization,
-    # which traced runs count
-    log_n, norm_const = _per_ring(r, lambda x: -0.5 * norm_series(q, x)[0],
-                                  lambda x: normalization(q, x))
-    ez = _coherent_columns(q, z, log_n, dim + 1)
+    # N is a second evaluation over the distinct |z|, after log N's; it
+    # stays a call of normalization, which traced runs count
+    ez, rings, ring = _coherent_columns(q, z, dim + 1)
     a_max = max(np.max(family.phi.column_norms(dim)), np.max(family.psi.column_norms(dim)))
     ratio = r / math.sqrt(bracket(q, dim + 1))      # |z| / beta_K
     tail = np.divide(np.abs(ez[dim]), 1.0 - ratio,
@@ -191,7 +199,7 @@ def bicoherent_state(family: BiorthogonalFamily, z) -> BiCoherentState:
     # [()] turns the 0-d results of a scalar z back into scalars
     return BiCoherentState(
         z=z[()], q=q,
-        norm_const=norm_const[()],
+        norm_const=normalization(q, rings)[ring][()],
         phi_z=family.phi @ ez[:-1],     # N (e(z) + alpha <u, e(z)> v)
         psi_z=family.psi @ ez[:-1],
         tail_bound=(a_max * tail)[()],

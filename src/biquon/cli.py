@@ -239,9 +239,9 @@ def _validate_task(task: dict, path: str, cfg: dict) -> None:
     if name in ("bicoherent", "resolution") and not 0.0 < q < 1.0:
         raise ConfigError(f"{path}: task {name!r} requires 0 < q < 1 "
                           f"(convergence radius undefined at q={q})")
-    if name in ("family", "theta") and kind != "position" \
-            and cfg["family"]["deformation"].alpha_def == 0:
-        # with S = 1 every residual of these tasks is exactly 0.0
+    if name in ("family", "theta") and kind != "position" and 1.0 + np.max(
+            np.abs(cfg["family"]["deformation"].blocks()[0]), initial=0.0) == 1.0:
+        # where S rounds to 1 every residual of these tasks is exactly 0.0
         raise ConfigError(f"{path}: S = 1 leaves nothing to check in task {name!r}; "
                           f"use a rank_one family with alpha_def != 0")
     if name == "bicoherent":

@@ -24,6 +24,7 @@ product, b a S, moves those columns down the ladder.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -182,7 +183,8 @@ class Window(NamedTuple):
 class BiorthogonalFamily:
     """phi_n = phi e_n and psi_n = psi e_n with phi = S and psi = S^{-dag},
     the plain lowering operator c (its band is the family's beta array),
-    the pair (a, b) built from S and c, and their leading windows."""
+    the pair (a, b) built from S and c, and their leading windows, built on
+    their first read."""
 
     K: int
     q: float
@@ -192,11 +194,19 @@ class BiorthogonalFamily:
     c: FockOperator = field(repr=False)
     a: FockOperator = field(repr=False)
     b: FockOperator = field(repr=False)
-    window: Window = field(repr=False)
 
     @property
     def safe_dim(self) -> int:
         return self.source.safe_dim(self.K)
+
+    @functools.cached_property
+    def window(self) -> Window:
+        """The dense W x W windows the Fock checks read; S^{-1} is psi^dag,
+        which the adjoint gives back bit for bit."""
+        w = min(self.K, self.source.support_extent + HEAD + REACH)
+        return Window(*(x.dense(w) for x in (self.phi, self.psi.adjoint(), self.c,
+                                             self.a, self.b)),
+                      cols=min(self.safe_dim, self.source.support_extent + HEAD))
 
 
 def _pad(block: np.ndarray, n: int) -> np.ndarray:
@@ -226,14 +236,11 @@ def make_pair(source: Deformation, q: float, dim: int) -> tuple:
 
 
 def build_family(source: Deformation, q: float, dim: int) -> BiorthogonalFamily:
-    """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c,
-    the pair (a, b) and their leading windows; check_ladder verifies that b
-    raises and a lowers them."""
+    """The families phi_n = S e_n and psi_n = S^{-dag} e_n with the plain c
+    and the pair (a, b); check_ladder verifies that b raises and a lowers
+    them."""
     a, b, s, s_inv, c = make_pair(source, q, dim)
-    w = min(dim, source.support_extent + HEAD + REACH)
-    window = Window(*(x.dense(w) for x in (s, s_inv, c, a, b)),
-                    cols=min(source.safe_dim(dim), source.support_extent + HEAD))
-    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b, window)
+    return BiorthogonalFamily(dim, q, s, s_inv.adjoint(), source, c, a, b)
 
 
 def _worst_columns(residual: np.ndarray, n: int) -> float:

@@ -63,14 +63,15 @@ MAX_ATOMS = 1_000_000
 
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Jackson atoms r_j, w_j and the residuals |rho_k - 1| of the first
-    K_mom moments."""
+    """Jackson atoms r_j, w_j, the scaled moments rho_k of the first K_mom
+    moments and their residuals |rho_k - 1|."""
 
     q: float
     rho: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     K_mom: int
+    moments: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     tail_bound: float
     method: ClassVar[str] = "jackson"
@@ -128,9 +129,10 @@ def solve_moment_measure(q: float, K_mom: int) -> RadialQuadrature:
     # (q^{j+1}; q)_inf as a reverse running product of 1 - q^i, i = j+1..J
     tail_products = np.cumprod((1.0 - q * t)[::-1])[::-1]
     weights = t * tail_products / (2.0 * math.pi)
-    residuals = np.abs(_scaled_moments(q, weights, K_mom) - 1.0)
+    moments = _scaled_moments(q, weights, K_mom)
     return RadialQuadrature(q=q, rho=rho, nodes=rho * np.sqrt(t),
-                            weights=weights, K_mom=K_mom, residuals=residuals,
+                            weights=weights, K_mom=K_mom, moments=moments,
+                            residuals=np.abs(moments - 1.0),
                             tail_bound=q ** n_atoms / (1.0 - q))
 
 
@@ -143,7 +145,8 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     which give one value per column.  The integral is sum_{k < n} <f,
     phi_k><psi_k, g> rho_k (see the module docstring), with n the reach:
     one plus the last index at which an overlap of any column is nonzero.
-    rho_k is computed once per call, up to that reach.
+    rho_k is the quadrature's own up to K_mom, and computed once per call
+    for a longer reach: the running product is the same from k = 0.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -156,7 +159,8 @@ def resolution_check(family: BiorthogonalFamily, quad: RadialQuadrature,
     psi_g = family.psi.adjoint() @ g            # <psi_k, g>
     hit = ((f_phi != 0) | (psi_g != 0)).reshape(family.K, -1).any(axis=1)
     reach = int(np.flatnonzero(hit).max(initial=-1)) + 1
-    rho_k = _scaled_moments(quad.q, quad.weights, reach)
+    rho_k = (quad.moments[:reach] if reach <= len(quad.moments)
+             else _scaled_moments(quad.q, quad.weights, reach))
     return rho_k @ (f_phi[:reach] * psi_g[:reach])
 
 

@@ -95,19 +95,31 @@ TASK_CRITERIA = [
 ]
 
 
+def _group(cfg: dict) -> str:
+    """The (family, q, K) of a config, as one key."""
+    return repr((cfg["family"], cfg["q"], cfg["K"]))
+
+
 class TaskReports:
-    """The task reports of one :func:`run_all`: each distinct config runs
-    once, when a check first needs it."""
+    """The task reports of one :func:`run_all`.  The table's configs are
+    grouped by (family, q, K), and each group runs once, with every task
+    its rows name, when a check first needs it."""
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._tasks: dict[str, list[dict]] = {}
+        for row in TASK_CRITERIA:
+            for cfg in row.configs(seed):
+                tasks = self._tasks.setdefault(_group(cfg), [])
+                if row.task not in tasks:
+                    tasks.append(row.task)
         self._reports: dict[str, dict] = {}
 
     def _report(self, cfg: dict) -> dict:
-        key = repr(cfg)
+        key = _group(cfg)
         if key not in self._reports:
-            self._reports[key], = cli.run_config(cfg)[0]["tasks"].values()
-        return self._reports[key]
+            self._reports[key] = cli.run_config({**cfg, "tasks": self._tasks[key]})[0]["tasks"]
+        return self._reports[key][cfg["tasks"][0]["task"]]
 
     def results(self, number: str) -> list[CheckResult]:
         """The table's criteria numbered ``number`` ("01" .. "12"), in table
@@ -242,9 +254,10 @@ def check_position_example(reports: TaskReports) -> list[CheckResult]:
     norm_dev = 0.0
     bound_margin = 0.0
     for q in (0.3, 0.6):
+        # the lattice is gamma-free, so the three gammas read one
+        table = positionrep.lattice(positionrep.PositionParams(q), 5)
         for gamma in (0.0, 0.5, 1.0):
-            params = positionrep.PositionParams(q, gamma)
-            rep = positionrep.norm_formula_check(params, 5, positionrep.lattice(params, 5))
+            rep = positionrep.norm_formula_check(positionrep.PositionParams(q, gamma), 5, table)
             norm_dev = max(norm_dev, rep["max_rel_err"])
         # L_0 = 1 = (0 + 1)^2 always, so n = 0 would pin the value at the bound
         params = positionrep.PositionParams(q, 0.5)

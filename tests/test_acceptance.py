@@ -75,19 +75,32 @@ def test_criterion_equals_run_report(criterion):
 
 
 def test_each_config_runs_once(monkeypatch):
-    calls = Counter()
+    """run_config runs once per (family, q, K) of the table, with exactly
+    the tasks that the table's rows name there."""
+    calls = []
 
     def counted(cfg, *args, _fn=cli.run_config):
-        calls[json.dumps(cfg, sort_keys=True)] += 1
+        calls.append(cfg)
         return _fn(cfg, *args)
     monkeypatch.setattr(cli, "run_config", counted)
     selftest.run_all(cli.DEFAULT_SEED)
-    table = {json.dumps(cfg, sort_keys=True) for row in selftest.TASK_CRITERIA
-             for cfg in row.configs(cli.DEFAULT_SEED)}
-    assert set(calls) == table
-    assert set(calls.values()) == {1}
-    # 04a shares 03a's configs and 09a 06's at q = 0.5
-    assert len(table) < sum(len(row.configs(0)) for row in selftest.TASK_CRITERIA)
+
+    def group(cfg: dict) -> str:
+        return json.dumps({k: v for k, v in cfg.items() if k != "tasks"}, sort_keys=True)
+    table = {}
+    for row in selftest.TASK_CRITERIA:
+        for cfg in row.configs(cli.DEFAULT_SEED):
+            table.setdefault(group(cfg), set()).add(json.dumps(row.task, sort_keys=True))
+    assert sorted(map(group, calls)) == sorted(table)
+    for cfg in calls:
+        tasks = [json.dumps(t, sort_keys=True) for t in cfg["tasks"]]
+        assert sorted(tasks) == sorted(table[group(cfg)])
+    # 14 runs for the rows' 19 distinct configs: worked q = 0.3 and 0.7 run
+    # mutator + family, worked q = 0.4 family + theta, and identity and
+    # worked at q = 0.5 mutator + resolution
+    distinct = {json.dumps(cfg, sort_keys=True) for row in selftest.TASK_CRITERIA
+                for cfg in row.configs(cli.DEFAULT_SEED)}
+    assert (len(calls), len(distinct)) == (14, 19)
 
 
 def _radii(monkeypatch, scale) -> dict:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biquon import qcore
+from biquon import bicoherent, qcore
 from biquon.bicoherent import (
     _moments,
     bicoherent_state,
@@ -80,6 +80,19 @@ class TestNormalization:
         for q, r_frac, terms in ((0.5, 0.9, 41), (0.5, 0.999, 53),
                                  (0.999, 0.9, 174), (0.999, 0.99, 1741)):
             assert norm_series(q, r_frac * qcore.disc_radius(q))[2] == terms
+
+    def test_array_of_moduli_gives_each_modulus_bits(self):
+        # an array sums each modulus's own leading terms of one table, so
+        # every entry is the scalar call's, and terms is their total
+        q = 0.5
+        r = np.array([0.0, 0.3, 0.9, 0.999]) * qcore.disc_radius(q)
+        r[2] = np.nextafter(r[2], 0.0)
+        log_sum, tail, terms = norm_series(q, r)
+        one = [norm_series(q, x) for x in r.tolist()]
+        assert log_sum.tolist() == [x[0] for x in one]
+        assert tail.tolist() == [x[1] for x in one]
+        assert terms == sum(x[2] for x in one)
+        assert normalization(q, r).tolist() == [normalization(q, x) for x in r.tolist()]
 
     def test_outside_disc_rejected(self):
         with pytest.raises(ValueError):
@@ -368,6 +381,32 @@ class TestColumnBatch:
             one_unc = uncertainty_product(one, a, b)
             for field in ("product", "predicted", "dq_sq", "dp_sq", "residual"):
                 assert close(getattr(unc, field)[j], getattr(one_unc, field))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_ring_moduli_an_ulp_apart_keep_their_bits(self, kind, monkeypatch):
+        """One ring of eight angles has moduli an ulp apart.  Each column of
+        the batch keeps the bits its point gives alone, and the batch sums
+        the closed-form series twice: once for log N and once for N."""
+        family = build_family(FAMILIES[kind], 0.5, 64)
+        zs = 0.9 * qcore.disc_radius(0.5) * np.exp(2j * np.pi * np.arange(8) / 8)
+        assert len(np.unique(np.abs(zs))) > 1
+        points = [bicoherent_state(family, z) for z in zs]
+        calls = []
+        real = bicoherent.norm_series
+        monkeypatch.setattr(bicoherent, "norm_series",
+                            lambda *args: calls.append(args) or real(*args))
+        batch = bicoherent_state(family, zs)
+        assert len(calls) <= 2
+        ez = quon_coherent_vector(0.5, zs, family.K)
+        for j, one in enumerate(points):
+            assert batch.norm_const[j] == one.norm_const
+            assert batch.tail_bound[j] == one.tail_bound
+            assert np.array_equal(ez[:, j], quon_coherent_vector(0.5, zs[j], family.K))
+            if kind == "identity":
+                # a deformed family's block product is one matrix product
+                # for the batch, which BLAS may round apart from a point's
+                assert np.array_equal(batch.phi_z[:, j], one.phi_z)
+                assert np.array_equal(batch.psi_z[:, j], one.psi_z)
 
     def test_single_point_keeps_scalar_shapes(self, worked_256):
         family, a, b = worked_256

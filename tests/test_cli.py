@@ -252,6 +252,10 @@ BAD_CONFIGS = {
     # with S = 1 every family and theta residual is exactly 0.0
     "identity-family-task": ({"tasks": ["family"]}, r"tasks\[0\]"),
     "identity-theta-task": ({"tasks": ["mutator", "theta"]}, r"tasks\[1\]"),
+    # S = 1 + alpha P rounds to 1, so these ran with every residual 0.0
+    **{f"alpha-def-{alpha:g}-rounds-to-identity": (
+        {"K": 64, "family": {**WORKED, "alpha_def": [alpha, 0.0]},
+         "tasks": ["family", "theta"]}, r"tasks\[0\]") for alpha in (1e-300, 1e-17)},
     # each of these ran at the parent: an unknown key was ignored, the string
     # "false" dumped, the second task's report replaced the first's, S = 1
     # passed with every residual exactly 0.0, a misspelt preset ran the
@@ -322,6 +326,15 @@ BAD_CONFIGS = {
 LARGEST_K = {1.05: 14485, 1.5: 1747, 2.0: 1022, 2.9: 665, 7.3: 356, 1e3: 101, 1e50: 5}
 BAD_CONFIGS.update({f"q-{q:g}-K-{K + 1}-beta-overflow": ({"q": q, "K": K + 1}, "q")
                     for q, K in LARGEST_K.items()})
+
+
+def test_smallest_deformation_that_moves_a_bit_runs():
+    # alpha_def = 1e-15 moves S off the identity, so its checks have work
+    summary, code = run_config({"q": 0.5, "K": 64,
+                                "family": {**WORKED, "alpha_def": [1e-15, 0.0]},
+                                "tasks": ["family", "theta"]})
+    assert code == 0
+    assert summary["tasks"]["family"]["gram_deviation"] > 0.0
 
 
 BAD_ARGS = {

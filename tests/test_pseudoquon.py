@@ -530,6 +530,7 @@ class TestAgainstDenseOracles:
     @settings(max_examples=60, deadline=None)
     @given(d=deformations(), q=st.floats(0.01, 0.99), extra=st.integers(3, 64))
     @example(d=worked_deformation(0), q=0.5, extra=8)
+    @example(d=worked_deformation(1e-300j), q=0.5, extra=8)
     def test_structured_matches_dense(self, d, q, extra):
         dim = min(d.support_extent + extra, 128)
         family = build_family(d, q, dim)
@@ -548,8 +549,8 @@ class TestAgainstDenseOracles:
         assert close(build_theta(family).dense(), theta)
         assert close(closed_form_theta(d, dim).dense(), theta)
 
-        if d.alpha_def == 0:
-            # S = 1: every family and theta residual would read exactly 0.0
+        if 1.0 + np.max(np.abs(d.blocks()[0]), initial=0.0) == 1.0:
+            # S rounds to 1: every family and theta residual would read exactly 0.0
             with pytest.raises(ConfigError, match=r"^tasks\[0\]: S = 1"):
                 run_metrics(d, q, dim)
             return
