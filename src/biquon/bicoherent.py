@@ -156,15 +156,18 @@ def quon_coherent_vector(q: float, z, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BiCoherentState:
-    """Truncated phi(z), psi(z) with the bound on their dropped norm: one
-    column (and one entry of z, norm_const and tail_bound) per point of a
-    batch, or 1-D states and scalars for a single z."""
+    """Truncated phi(z), psi(z) of one family, with the bound on their
+    dropped norm and their images a phi(z) and b^dag psi(z) under its pair:
+    one column (and one entry of z, norm_const and tail_bound) per point of
+    a batch, or 1-D states and scalars for a single z."""
 
     z: complex | np.ndarray
-    q: float
+    family: BiorthogonalFamily = field(repr=False)
     norm_const: float | np.ndarray
     phi_z: np.ndarray = field(repr=False)
     psi_z: np.ndarray = field(repr=False)
+    a_phi: np.ndarray = field(repr=False)
+    b_dag_psi: np.ndarray = field(repr=False)
     tail_bound: float | np.ndarray
 
 
@@ -172,7 +175,8 @@ def bicoherent_state(family: BiorthogonalFamily, z) -> BiCoherentState:
     """Evaluate phi(z), psi(z) by truncating the series at the family's K.
 
     z is one point or a 1-D array of points, each strictly inside the
-    family's convergence disc; a batch costs two K x P operator products.
+    family's convergence disc; a batch costs four K x P operator products,
+    phi(z), psi(z) and the images a phi(z) and b^dag psi(z) both checks read.
     The dropped mass is bounded by the larger uniform family norm times the
     geometric tail |c_K| / (1 - |z| / beta_K) of the coefficients c_k.
     """
@@ -196,12 +200,12 @@ def bicoherent_state(family: BiorthogonalFamily, z) -> BiCoherentState:
     ratio = r / math.sqrt(bracket(q, dim + 1))      # |z| / beta_K
     tail = np.divide(np.abs(ez[dim]), 1.0 - ratio,
                      out=np.full(z.shape, math.inf), where=ratio < 1.0)
+    phi = family.phi @ ez[:-1]      # N (e(z) + alpha <u, e(z)> v)
+    psi = family.psi @ ez[:-1]
     # [()] turns the 0-d results of a scalar z back into scalars
     return BiCoherentState(
-        z=z[()], q=q,
-        norm_const=normalization(q, rings)[ring][()],
-        phi_z=family.phi @ ez[:-1],     # N (e(z) + alpha <u, e(z)> v)
-        psi_z=family.psi @ ez[:-1],
+        z=z[()], family=family, norm_const=normalization(q, rings)[ring][()],
+        phi_z=phi, psi_z=psi, a_phi=family.a @ phi, b_dag_psi=family.b.adjoint() @ psi,
         tail_bound=(a_max * tail)[()],
     )
 
@@ -211,18 +215,16 @@ def pairing(state: BiCoherentState) -> complex | np.ndarray:
     return np.sum(state.phi_z.conj() * state.psi_z, axis=0)
 
 
-def eigen_check(state: BiCoherentState, a, b) -> tuple:
+def eigen_check(state: BiCoherentState) -> tuple:
     """Relative eigenvalue residuals of phi(z) under a and of psi(z) under b^dag.
 
     ||a phi(z) - z phi(z)|| / ||phi(z)|| and ||b^dag psi(z) - z psi(z)|| /
     ||psi(z)||, per column: judged against the scale of the states, a state
     whose normalization underflows cannot pass.
     """
-    if a.dim != len(state.phi_z) or b.dim != len(state.psi_z):
-        raise ValueError("operator dimension does not match state")
     phi, psi = state.phi_z, state.psi_z
-    r_phi = np.linalg.norm(a @ phi - state.z * phi, axis=0) / np.linalg.norm(phi, axis=0)
-    r_psi = np.linalg.norm(b.adjoint() @ psi - state.z * psi, axis=0) \
+    r_phi = np.linalg.norm(state.a_phi - state.z * phi, axis=0) / np.linalg.norm(phi, axis=0)
+    r_psi = np.linalg.norm(state.b_dag_psi - state.z * psi, axis=0) \
         / np.linalg.norm(psi, axis=0)
     return r_phi, r_psi
 
@@ -288,23 +290,23 @@ class UncertaintyResult:
     residual: float | np.ndarray
 
 
-def _moments(state: BiCoherentState, a, b) -> dict:
+def _moments(state: BiCoherentState) -> dict:
     """The pseudo-moments <a>, <b> and <XY>, X, Y in {a, b}, keyed "a" ..
     "bb", one entry per column.
 
-    <XY> = <X^dag psi(z), Y phi(z)>, so the six are column inner products of
-    four operator products: a phi, b phi, a^dag psi and b^dag psi.
-    np.vecdot conjugates its first argument and forms no K x P temporary.
+    <XY> = <X^dag psi(z), Y phi(z)>: column inner products of the state's
+    a phi and b^dag psi, and of b phi and a^dag psi.  np.vecdot conjugates
+    its first argument and forms no K x P temporary.
     """
-    psi = state.psi_z
-    a_phi, b_phi = a @ state.phi_z, b @ state.phi_z
-    a_psi, b_psi = a.adjoint() @ psi, b.adjoint() @ psi
+    family, psi = state.family, state.psi_z
+    a_phi, b_phi = state.a_phi, family.b @ state.phi_z
+    a_psi, b_psi = family.a.adjoint() @ psi, state.b_dag_psi
     pairs = {"a": (psi, a_phi), "b": (psi, b_phi), "aa": (a_psi, a_phi),
              "ab": (a_psi, b_phi), "ba": (b_psi, a_phi), "bb": (b_psi, b_phi)}
     return {key: np.vecdot(left, right, axis=0) for key, (left, right) in pairs.items()}
 
 
-def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
+def uncertainty_product(state: BiCoherentState) -> UncertaintyResult:
     """Compute Delta Q Delta P at state.z against the closed form (|z|^2 (q-1) + 1)/2.
 
     Q = (b + a)/sqrt(2), P = i (b - a)/sqrt(2), and expectations are the
@@ -317,12 +319,12 @@ def uncertainty_product(state: BiCoherentState, a, b) -> UncertaintyResult:
     from four operator products on the state columns (:func:`_moments`),
     never from Q^2 or P^2 as matrices.
     """
-    m = _moments(state, a, b)
+    m = _moments(state)
     dq_sq = 0.5 * (m["aa"] + m["ab"] + m["ba"] + m["bb"] - (m["a"] + m["b"]) ** 2)
     dp_sq = 0.5 * (m["ab"] + m["ba"] - m["aa"] - m["bb"] + (m["b"] - m["a"]) ** 2)
     product = np.sqrt(dq_sq) * np.sqrt(dp_sq)
     r_sq = np.abs(state.z) ** 2
-    predicted = 0.5 * (r_sq * (state.q - 1.0) + 1.0)
+    predicted = 0.5 * (r_sq * (state.family.q - 1.0) + 1.0)
     return UncertaintyResult(product=product, predicted=predicted,
                              dq_sq=dq_sq, dp_sq=dp_sq,
                              residual=np.abs(product - predicted) / (1.0 + r_sq))

@@ -242,8 +242,11 @@ def _validate_task(task: dict, path: str, cfg: dict) -> None:
     if name in ("family", "theta") and kind != "position" and 1.0 + np.max(
             np.abs(cfg["family"]["deformation"].blocks()[0]), initial=0.0) == 1.0:
         # where S rounds to 1 every residual of these tasks is exactly 0.0
+        remedy = ("use a rank_one family" if kind == "identity" else
+                  f"alpha_def = {cfg['family']['deformation'].alpha_def} rounds "
+                  f"S = 1 + alpha_def P_{{u,v}} to the identity; raise |alpha_def|")
         raise ConfigError(f"{path}: S = 1 leaves nothing to check in task {name!r}; "
-                          f"use a rank_one family with alpha_def != 0")
+                          f"{remedy}")
     if name == "bicoherent":
         # At the sweep's largest |z| the truncated undeformed state obeys
         # c e_K(z) - z e_K(z) = -z c_{K-1} e_{K-1}, so its relative eigen
@@ -335,7 +338,7 @@ def validate_config(cfg: dict) -> dict:
                                else pseudoquon.Deformation.from_alpha(u, v, alpha))
             except ValueError as exc:
                 raise ConfigError(f"family: {exc}") from None
-        if out["K"] < deformation.support_extent + 3:
+        if deformation.safe_dim(out["K"]) < 1:
             raise ConfigError(f"K: must be at least support extent + 3 = "
                               f"{deformation.support_extent + 3} to leave a safe "
                               f"block, got {out['K']}")
@@ -475,9 +478,9 @@ def _task_bicoherent(cfg: dict, task: dict, out: Path | None) -> dict:
     angs = 2 * np.pi * np.arange(n_theta) / n_theta
     zs = (fracs[:, None] * rho * np.exp(1j * angs)).ravel()
     state = bicoherent.bicoherent_state(fock, zs)
-    r_phi, r_psi = bicoherent.eigen_check(state, fock.a, fock.b)
+    r_phi, r_psi = bicoherent.eigen_check(state)
     pair = bicoherent.pairing(state)
-    unc = bicoherent.uncertainty_product(state, fock.a, fock.b)
+    unc = bicoherent.uncertainty_product(state)
     _write_table(out, "bicoherent.csv",
                  ["re_z", "im_z", "norm_const", "eigen_phi", "eigen_psi", "pairing_re",
                   "pairing_im", "uncertainty_re", "uncertainty_im", "uncertainty_predicted"],

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .qcore import BetaSequence
+from .qcore import BetaSequence, validate_q_disc
 
 __all__ = [
     "PositionParams",
@@ -60,8 +60,7 @@ class PositionParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q={self.q} outside (0, 1)")
+        validate_q_disc(self.q)
 
     @property
     def alpha(self) -> float:

@@ -244,10 +244,8 @@ def build_family(source: Deformation, q: float, dim: int) -> BiorthogonalFamily:
 
 
 def _worst_columns(residual: np.ndarray, n: int) -> float:
-    """Largest norm among the leading n columns (the square root of the
-    largest sum of squares, as np.linalg.norm forms each)."""
-    x = residual[:, :n]
-    return float(np.sqrt(np.max((x.conj() * x).real.sum(axis=0), initial=0.0)))
+    """Largest norm among the leading n columns."""
+    return float(np.max(np.linalg.norm(residual[:, :n], axis=0), initial=0.0))
 
 
 def gram_deviation(family: BiorthogonalFamily) -> float:

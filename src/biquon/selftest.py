@@ -23,7 +23,7 @@ from . import bicoherent, cli, positionrep, pseudoquon, qcore
 __all__ = ["CheckResult", "TASK_CRITERIA", "run_all", "format_results"]
 
 IDENTITY = {"kind": "identity"}
-WORKED = {"kind": "rank_one", "preset": "worked", "alpha_def": [0.0, 1.0]}
+WORKED = {"kind": "rank_one"}
 POSITION = {"kind": "position", "gamma": 0.6}
 WORKED_SOURCE = pseudoquon.worked_deformation(1j)
 
@@ -229,33 +229,23 @@ def check_resolution(reports: TaskReports) -> list[CheckResult]:
 
 def check_uncertainty(reports: TaskReports) -> list[CheckResult]:
     fam1 = pseudoquon.build_family(pseudoquon.Deformation(), 1.0 - 1e-6, 64)
-    res1 = bicoherent.uncertainty_product(
-        bicoherent.bicoherent_state(fam1, 0.9 + 0.2j), fam1.a, fam1.b)
+    res1 = bicoherent.uncertainty_product(bicoherent.bicoherent_state(fam1, 0.9 + 0.2j))
     return reports.results("09") + [
         _result("09b-uncertainty-boson-limit", abs(res1.product - 0.5), 1e-4),
     ]
 
 
 def check_position_example(reports: TaskReports) -> list[CheckResult]:
-    coeff_dev = 0.0
+    coeff_dev = norm_dev = bound_margin = 0.0
     for q in (0.3, 0.6):
-        params = positionrep.PositionParams(q, 0.5)
+        # the lattice is gamma-free, so the coefficient rows and the three
+        # gammas read one
+        params = positionrep.PositionParams(q)
+        table = positionrep.lattice(params, 5)
         e = math.exp(-params.alpha ** 2)
-        table = positionrep.coefficient_recursion(params, 2)
-        expected = [
-            np.array([1.0]),
-            np.array([-e, 1.0]),
-            np.array([e * e, -e - e ** 3, 1.0]),
-        ]
-        for n in range(3):
-            coeff_dev = max(coeff_dev,
-                            float(np.max(np.abs(table[n, :n + 1] - expected[n]))))
-
-    norm_dev = 0.0
-    bound_margin = 0.0
-    for q in (0.3, 0.6):
-        # the lattice is gamma-free, so the three gammas read one
-        table = positionrep.lattice(positionrep.PositionParams(q), 5)
+        expected = [[1.0], [-e, 1.0], [e * e, -e - e ** 3, 1.0]]
+        for n, row in enumerate(expected):
+            coeff_dev = max(coeff_dev, float(np.max(np.abs(table.coeffs[n, :n + 1] - row))))
         for gamma in (0.0, 0.5, 1.0):
             rep = positionrep.norm_formula_check(positionrep.PositionParams(q, gamma), 5, table)
             norm_dev = max(norm_dev, rep["max_rel_err"])

@@ -337,6 +337,18 @@ def test_smallest_deformation_that_moves_a_bit_runs():
     assert summary["tasks"]["family"]["gram_deviation"] > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-17])
+def test_rounded_deformation_refusal_names_alpha_def(alpha):
+    # the parent told a rank_one family to use a rank_one family
+    with pytest.raises(ConfigError) as err:
+        validate_config({"q": 0.5, "K": 64, "family": {**WORKED, "alpha_def": [alpha, 0.0]},
+                         "tasks": ["family"]})
+    assert "alpha_def" in str(err.value)
+    assert "use a rank_one family" not in str(err.value)
+    with pytest.raises(ConfigError, match="use a rank_one family$"):
+        validate_config({"q": 0.5, "family": {"kind": "identity"}, "tasks": ["family"]})
+
+
 BAD_ARGS = {
     "mutator-q-nan": (["mutator", "--q", "nan"], "q"),
     "mutator-q-below-minus-one": (["mutator", "--q", "-2"], "q"),
@@ -518,8 +530,9 @@ class TestBicoherentResiduals:
     def test_uncertainty_residual_still_sees_a_shifted_prediction(self, monkeypatch):
         real = bicoherent.uncertainty_product
 
-        def shifted(state, a, b):
-            return real(dataclasses.replace(state, q=state.q + 1e-5), a, b)
+        def shifted(state):
+            return real(dataclasses.replace(
+                state, family=dataclasses.replace(state.family, q=state.family.q + 1e-5)))
 
         monkeypatch.setattr(bicoherent, "uncertainty_product", shifted)
         summary, code = run_config(_identity_bicoherent(0.9999, 32768, 0.9, 2, 4))
@@ -575,10 +588,10 @@ def test_bicoherent_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch):
                                        predicted=SPECIAL, dq_sq=SPECIAL, dp_sq=SPECIAL,
                                        residual=np.zeros(len(SPECIAL)))
     monkeypatch.setattr(bicoherent, "bicoherent_state", recorded)
-    monkeypatch.setattr(bicoherent, "eigen_check", lambda state, a, b: (SPECIAL, -SPECIAL))
+    monkeypatch.setattr(bicoherent, "eigen_check", lambda state: (SPECIAL, -SPECIAL))
     monkeypatch.setattr(bicoherent, "pairing",
                         lambda state: _complex(np.roll(SPECIAL, 3), SPECIAL[::-1]))
-    monkeypatch.setattr(bicoherent, "uncertainty_product", lambda state, a, b: unc)
+    monkeypatch.setattr(bicoherent, "uncertainty_product", lambda state: unc)
     run_config(_identity_bicoherent(0.5, 64, 0.7, 1, len(SPECIAL)), tmp_path)
     [state] = states
     rows = np.column_stack([state.z.real, state.z.imag, state.norm_const, SPECIAL, -SPECIAL,
@@ -614,6 +627,13 @@ class TestColumnBatches:
             {"task": "bicoherent", "n_r": n_r, "n_theta": n_theta, "r_frac": 0.9}]})
             for n_r, n_theta in ((1, 2), (5, 8))]
         assert counts[0] == counts[1]
+
+    def test_bicoherent_task_makes_six_products(self, monkeypatch):
+        # phi, psi, a phi and b^dag psi in the state, b phi and a^dag psi in
+        # the moments; the parent formed a phi and b^dag psi twice (8)
+        cfg = {"q": 0.5, "K": 256, "family": {"kind": "rank_one"},
+               "tasks": [{"task": "bicoherent", "n_r": 4, "n_theta": 8}]}
+        assert self._matmuls(monkeypatch, cfg) == 6
 
     def test_resolution_products_independent_of_pairs(self, monkeypatch):
         counts = [self._matmuls(monkeypatch, {**WORKED_CONFIG, "tasks": [
