@@ -79,9 +79,9 @@ FAMILY_KEYS = {"identity": ("kind",), "rank_one": ("kind", "alpha_def", "preset"
 MUTATOR_N_MAX, THETA_N_MAX = 3, 2
 # position families: ||phi_n||^2 scales as exp(gamma^2), finite below this
 GAMMA_MAX = math.sqrt(math.log(sys.float_info.max))
-# The largest support extent of u and v.  The dense blocks and windows of a
-# Fock family cost extent^3 time: family, mutator and theta take about 5 s
-# and 330 MB peak RSS at extent 1024 on a 2-core Xeon, 7.5 s and 505 MB at 1300.
+# The largest support extent of u and v.  The checks' dense windows cost
+# extent^3 time: family, mutator and theta take about 4 s and 325 MB peak RSS
+# at extent 1024, K = 4096, on a 2-core Xeon with one BLAS thread.
 MAX_SUPPORT_EXTENT = 1024
 # The most entries of any one array a run may ask for: a Fock family holds
 # arrays of K, a bicoherent task of (K + 1) n_r n_theta, a resolution task of
@@ -239,11 +239,12 @@ def _validate_task(task: dict, path: str, cfg: dict) -> None:
     if name in ("bicoherent", "resolution") and not 0.0 < q < 1.0:
         raise ConfigError(f"{path}: task {name!r} requires 0 < q < 1 "
                           f"(convergence radius undefined at q={q})")
-    if name in ("family", "theta") and kind != "position" and 1.0 + np.max(
-            np.abs(cfg["family"]["deformation"].blocks()[0]), initial=0.0) == 1.0:
-        # where S rounds to 1 every residual of these tasks is exactly 0.0
+    d = cfg["family"].get("deformation")
+    if name in ("family", "theta") and d is not None and 1.0 + abs(d.alpha_def) * np.max(
+            np.abs(d.u), initial=0.0) * np.max(np.abs(d.v), initial=0.0) == 1.0:
+        # where S = 1 + alpha v u^dag rounds to 1 every residual of these tasks is 0.0
         remedy = ("use a rank_one family" if kind == "identity" else
-                  f"alpha_def = {cfg['family']['deformation'].alpha_def} rounds "
+                  f"alpha_def = {d.alpha_def} rounds "
                   f"S = 1 + alpha_def P_{{u,v}} to the identity; raise |alpha_def|")
         raise ConfigError(f"{path}: S = 1 leaves nothing to check in task {name!r}; "
                           f"{remedy}")
@@ -335,7 +336,7 @@ def validate_config(cfg: dict) -> dict:
                 v = _parse_sparse_vector(fam.get("v"), "family.v", out["K"])
             try:
                 deformation = (pseudoquon.worked_deformation(alpha) if worked
-                               else pseudoquon.Deformation.from_alpha(u, v, alpha))
+                               else pseudoquon.Deformation(u, v, alpha))
             except ValueError as exc:
                 raise ConfigError(f"family: {exc}") from None
         if deformation.safe_dim(out["K"]) < 1:
@@ -459,7 +460,7 @@ def _task_theta(cfg: dict, task: dict, out: Path | None) -> dict:
         return _finish(cfg, "theta", {"conjugacy_residual": resid}, realization="analytic")
     fock = fam["fock"]
     theta = pseudoquon.build_theta(fock)
-    closed = pseudoquon.closed_form_theta(fock.source, fock.K)
+    closed = pseudoquon.closed_form_theta(fock)
     metrics = {
         "series_vs_closed": np.max(np.abs(theta.block - closed.block), initial=0.0),
         **pseudoquon.check_theta_conjugate(fock, theta),

@@ -61,46 +61,43 @@ REACH = 3
 @dataclass(frozen=True)
 class Deformation:
     """S = 1 + alpha P_{u,v} with P_{u,v} f = <u, f> v, and S^{-1} =
-    1 + beta P_{u,v}; the empty value ``Deformation()`` is S = 1.
+    1 + beta P_{u,v} with beta = -alpha / (1 + alpha) (Sherman-Morrison);
+    the empty value ``Deformation()`` is S = 1.
 
     u, v are given as compactly supported coefficient vectors (trailing
     zeros implied), whose longer length is the support extent.  Every part
-    must be finite, alpha + beta + alpha*beta = 0, and on a nonempty support
-    <u, v> = 1, so that P_{u,v} is idempotent; the blocks of S and S^{-1}
-    must invert each other to INVERSE_TOL, at a size whose rounding stays
-    below it.
+    must be finite, alpha != -1, and on a nonempty support <u, v> = 1, so
+    that P_{u,v} is idempotent.  S S^{-1} - 1 = (alpha + beta + alpha beta
+    <u, v>) v u^dag must vanish to INVERSE_TOL, at a size whose rounding
+    stays below it.
     """
 
     u: np.ndarray = field(default=(), repr=False)
     v: np.ndarray = field(default=(), repr=False)
     alpha_def: complex = 0j
-    beta_def: complex = 0j
 
     def __post_init__(self):
         for name in ("u", "v"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
-        a, b = complex(self.alpha_def), complex(self.beta_def)
+        a = complex(self.alpha_def)
         object.__setattr__(self, "alpha_def", a)
-        object.__setattr__(self, "beta_def", b)
         # NaN passes no tolerance test, so it is refused by name; a value
         # that overflows below is inf or NaN and fails its test
-        if not (cmath.isfinite(a) and cmath.isfinite(b)
-                and np.isfinite(self.u).all() and np.isfinite(self.v).all()):
-            raise ValueError("deformation parameters alpha_def, beta_def, u, v "
-                             "must be finite")
+        if not (cmath.isfinite(a) and np.isfinite(self.u).all() and np.isfinite(self.v).all()):
+            raise ValueError("deformation parameters alpha_def, u, v must be finite")
+        if a == -1:
+            raise ValueError("alpha_def = -1 leaves no admissible beta_def")
+        b = self.beta_def
         n = min(len(self.u), len(self.v))
         with np.errstate(over="ignore", invalid="ignore"):
-            constraint = np.abs(a + b + a * b)
             pairing = np.vdot(self.u[:n], self.v[:n])
-            s_block, inv_block = self.blocks()
-            resid = np.max(np.abs(s_block + inv_block + s_block @ inv_block), initial=0.0)
-            # the product rounds by up to eps ||B_S|| ||B_inv||, which must
-            # sit below the tolerance too, or huge blocks that happen to
-            # cancel exactly would pass
-            rounding = EPS * np.linalg.norm(s_block) * np.linalg.norm(inv_block)
-        if not constraint <= PAIR_CONSTRAINT_TOL:
-            raise ValueError(f"deformation parameters violate alpha+beta+alpha*beta=0 "
-                             f"(got {a + b + a * b})")
+            # the largest entry of S S^-1 - 1; it rounds by up to
+            # eps ||alpha v u^dag|| ||beta v u^dag||, which must sit below
+            # the tolerance too, or a huge S that happens to cancel would pass
+            resid = (np.abs(a + b + a * b * pairing) * np.max(np.abs(self.u), initial=0.0)
+                     * np.max(np.abs(self.v), initial=0.0))
+            rounding = (EPS * np.abs(a) * np.abs(b) * np.vdot(self.u, self.u).real
+                        * np.vdot(self.v, self.v).real)
         if self.support_extent and not abs(pairing - 1.0) <= PAIR_CONSTRAINT_TOL:
             raise ValueError(f"<u, v> = {pairing} differs from 1")
         if not (resid <= INVERSE_TOL and rounding <= INVERSE_TOL):
@@ -108,13 +105,10 @@ class Deformation:
                              f"(S S^-1 deviates from 1 by {resid:.2e}, its rounding "
                              f"by up to {rounding:.2e})")
 
-    @classmethod
-    def from_alpha(cls, u, v, alpha_def: complex) -> "Deformation":
-        """Solve beta from alpha via beta = -alpha / (1 + alpha)."""
-        a = complex(alpha_def)
-        if a == -1:
-            raise ValueError("alpha_def = -1 leaves no admissible beta_def")
-        return cls(u, v, a, -a / (1.0 + a))
+    @property
+    def beta_def(self) -> complex:
+        a = self.alpha_def
+        return -a / (1.0 + a)
 
     @property
     def support_extent(self) -> int:
@@ -123,18 +117,6 @@ class Deformation:
     @property
     def kind(self) -> str:
         return "rank_one" if self.support_extent else "identity"
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks B_S and B_inv of S = 1 + B_S and S^{-1} = 1 + B_inv on
-        the leading support_extent indices."""
-        u = np.zeros(self.support_extent, dtype=complex)
-        v = np.zeros(self.support_extent, dtype=complex)
-        u[:len(self.u)] = self.u
-        v[:len(self.v)] = self.v
-        rank_one = np.outer(v, u.conj())
-        # array times scalar: the operand order the dense K x K construction
-        # took, so a, b and the residuals a run reports keep their last bits
-        return rank_one * self.alpha_def, rank_one * self.beta_def
 
     def safe_dim(self, dim: int) -> int:
         """Leading block on which truncated products reproduce the exact
@@ -163,7 +145,7 @@ def worked_deformation(alpha_def: complex) -> Deformation:
     h = 1 / np.sqrt(2)
     u = np.array([h, h, 0.4, -0.3 + 0.2j, 0.0, 0.0])
     v = np.array([h, h, 0.0, 0.0, 0.5j, -0.2])
-    return Deformation.from_alpha(u, v, alpha_def)
+    return Deformation(u, v, alpha_def)
 
 
 class Window(NamedTuple):
@@ -209,29 +191,32 @@ class BiorthogonalFamily:
                       cols=min(self.safe_dim, self.source.support_extent + HEAD))
 
 
-def _pad(block: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=block.dtype)
-    out[:len(block), :len(block)] = block
-    return out
-
-
 def make_pair(source: Deformation, q: float, dim: int) -> tuple:
     """Build a = S c S^{-1} and b = S c^dag S^{-1} on the truncation, and
     return (a, b, S, S^{-1}, c).
 
-    a is c's band plus the block B_S c + c B_inv + B_S c B_inv, and b the
-    same with c^dag, on the leading support extent + 1 indices, the ones
-    the ladder step moves the blocks of S and S^{-1} onto.
+    For X = c or c^dag, S X S^{-1} - X = v (alpha u^dag X + alpha beta
+    <u, X v> u^dag) + beta (X v) u^dag: a is c's band plus that block, and
+    b c^dag's, on the leading support extent + 1 indices, the ones the
+    ladder step moves u and v onto.
     """
     validate_q_algebraic(q)
-    s_block, inv_block = source.blocks()
-    s, s_inv = identity_plus(dim, s_block), identity_plus(dim, inv_block)
+    p = source.support_extent
+    u, v = np.zeros((2, p + 1), dtype=complex)
+    u[:len(source.u)], v[:len(source.v)] = source.u, source.v
+    alpha, beta = source.alpha_def, source.beta_def
+    rank_one = np.outer(v[:p], u[:p].conj())
+    # array times scalar: the operand order the dense K x K construction
+    # took, so S, phi and psi keep their last bits
+    s, s_inv = identity_plus(dim, rank_one * alpha), identity_plus(dim, rank_one * beta)
     c = make_quon_c(q, dim)
-    w = min(dim, len(s_block) + 1)
-    b_s, b_inv, cw = _pad(s_block, w), _pad(inv_block, w), c.dense(w)
+    w = min(dim, p + 1)
+    u_dag, v, cw = u[:w].conj(), v[:w], c.dense(w)
 
     def deformed(x: FockOperator, xw: np.ndarray) -> FockOperator:
-        return FockOperator(x.shift, x.diag, b_s @ xw + xw @ b_inv + b_s @ xw @ b_inv)
+        xv = xw @ v
+        row = alpha * (u_dag @ xw) + alpha * beta * (u_dag @ xv) * u_dag
+        return FockOperator(x.shift, x.diag, np.outer(v, row) + beta * np.outer(xv, u_dag))
     return deformed(c, cw), deformed(c.adjoint(), cw.T), s, s_inv, c
 
 
@@ -300,12 +285,13 @@ def build_theta(family: BiorthogonalFamily) -> FockOperator:
     return identity_plus(family.K, b + b.conj().T + b @ b.conj().T)
 
 
-def closed_form_theta(source: Deformation, dim: int) -> FockOperator:
+def closed_form_theta(family: BiorthogonalFamily) -> FockOperator:
     """(S S^dag)^{-1}, the closed form the series must reproduce: with
-    S S^dag = 1 + M on the block, its inverse is 1 - (1 + M)^{-1} M."""
-    b, _ = source.blocks()
+    S S^dag = 1 + M on the block, its inverse is 1 - (1 + M)^{-1} M.  It
+    reads S's block, alpha's, where the series reads psi's, beta's."""
+    b = family.phi.block
     m = b + b.conj().T + b @ b.conj().T
-    return identity_plus(dim, np.linalg.solve(np.eye(len(m)) + m, -m))
+    return identity_plus(family.K, np.linalg.solve(np.eye(len(m)) + m, -m))
 
 
 def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> dict:

@@ -100,21 +100,26 @@ class TestDeformationParameters:
         assert d.beta_def == pytest.approx(-(1j + 1) / 2)
         assert abs(d.alpha_def + d.beta_def + d.alpha_def * d.beta_def) < 1e-15
 
-    def test_rejects_constraint_violation(self):
-        u = np.array([1.0 + 0j])
-        with pytest.raises(ValueError):
-            Deformation(u, u, 1j, 0.5 + 0j)
+    def test_large_alpha_is_judged_by_its_rounding(self):
+        # with beta = -alpha / (1 + alpha), alpha + beta + alpha beta is
+        # only beta's rounding, so a large alpha is refused by the rounding
+        # bound on |alpha beta| ||u||^2 ||v||^2 alone
+        worked = worked_deformation(1j)
+        for alpha in (1000, 500j, 1000j):
+            assert Deformation(worked.u, worked.v, alpha).alpha_def == alpha
+        with pytest.raises(ValueError, match=r"not invertible.*rounding by up to 3\.69e-12"):
+            Deformation(worked.u, worked.v, 1e4)
 
     def test_rejects_bad_pairing(self):
         u = np.array([1.0 + 0j])
         v = np.array([2.0 + 0j])
         with pytest.raises(ValueError):
-            Deformation.from_alpha(u, v, 1j)
+            Deformation(u, v, 1j)
 
     def test_rejects_alpha_minus_one(self):
         u = np.array([1.0 + 0j])
-        with pytest.raises(ValueError):
-            Deformation.from_alpha(u, u, -1.0)
+        with pytest.raises(ValueError, match="alpha_def = -1"):
+            Deformation(u, u, -1.0)
 
     @pytest.mark.parametrize("parts", [
         {"alpha_def": np.nan}, {"alpha_def": np.inf},
@@ -123,19 +128,30 @@ class TestDeformationParameters:
         # NaN passes no tolerance test, so it is refused by name
         fields = {"u": [1.0, 0.0], "v": [1.0, 0.0], "alpha_def": 1j, **parts}
         with pytest.raises(ValueError, match="must be finite"):
-            Deformation.from_alpha(**fields)
+            Deformation(**fields)
+
+    def test_construction_holds_no_dense_square(self):
+        # S S^-1 - 1 is judged from the rank-one identity: one 1000 x 1000
+        # complex block would be 16 MB
+        u, v = np.zeros((2, 1000), dtype=complex)
+        u[[0, 999]], v[[0, 998]] = [1.0, 0.5], [1.0, 0.3j]
+        tracemalloc.start()
+        try:
+            d = Deformation(u, v, 0.7 - 0.4j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.support_extent == 1000
+        assert peak < 2 ** 20
 
     def test_empty_value_is_the_identity(self):
         s = Deformation()
         assert (s.kind, s.describe(), s.support_extent) == ("identity", {"kind": "identity"}, 0)
         assert s.safe_dim(16) == 14
-        assert all(block.shape == (0, 0) for block in s.blocks())
+        assert all(x.block.shape == (0, 0) for x in make_pair(s, Q, 16)[2:4])
 
     def test_inverse_is_exact(self):
-        source = worked_deformation(0.3 + 0.7j)
-        s_block, inv_block = source.blocks()
-        s = identity_plus(32, s_block).dense()
-        s_inv = identity_plus(32, inv_block).dense()
+        s, s_inv = (x.dense() for x in make_pair(worked_deformation(0.3 + 0.7j), Q, 32)[2:4])
         assert np.max(np.abs(s @ s_inv - np.eye(32))) < 1e-14
         assert np.max(np.abs(s_inv @ s - np.eye(32))) < 1e-14
 
@@ -199,15 +215,15 @@ class TestBuildFamily:
         assert g[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_singular_source(self):
-        # alpha + beta + alpha beta = 0 holds to roundoff, yet B_S B_inv
-        # carries the rounding of alpha beta <u, v>, ~1e9 eps and up; on
-        # u = v = e_0 the blocks cancel exactly, and only their size shows
+        # alpha + beta + alpha beta <u, v> carries the rounding of
+        # alpha beta, ~1e9 eps and up; on u = v = e_0 it cancels exactly,
+        # and only the rounding bound, the size of S and S^-1, shows
         worked = worked_deformation(1j)
         cases = [(worked.u, worked.v, -1 + 1e-9), (worked.u, worked.v, 1e300),
                  ([0.6, 0.8], [0.6, 0.8], -1 - 1e-9), ([1.0], [1.0], 1e198)]
         for u, v, alpha in cases:
             with pytest.raises(ValueError, match="not invertible"):
-                Deformation.from_alpha(u, v, alpha)
+                Deformation(u, v, alpha)
 
 class TestLadder:
     def test_identity_residuals(self):
@@ -273,7 +289,7 @@ class TestTheta:
         closed = np.linalg.inv(dense_similarity(source, DIM)[0]
                                @ dense_similarity(source, DIM)[0].conj().T)
         assert np.max(np.abs(theta.dense() - closed)) < 1e-11
-        assert np.max(np.abs(theta.dense() - closed_form_theta(source, DIM).dense())) < 1e-11
+        assert np.max(np.abs(theta.dense() - closed_form_theta(family).dense())) < 1e-11
 
     def test_positive_definite(self, worked):
         _, family, _, _ = worked
@@ -366,7 +382,7 @@ class TestNormBounds:
     def test_unit_vector_bound(self):
         # with ||u|| = ||v|| = 1 the textbook bounds 1+|alpha|, 1+|beta| hold
         u = np.array([0.6, 0.8j], dtype=complex)
-        d = Deformation.from_alpha(u, u, 1j)
+        d = Deformation(u, u, 1j)
         family = build_family(d, Q, 32)
         norms_phi = family.phi.column_norms(32)
         norms_psi = family.psi.column_norms(32)
@@ -390,18 +406,21 @@ def source_record(family) -> dict:
 
 
 def parse_source(src: dict) -> Deformation:
-    """The deformation a source record names: u, v, alpha_def and beta_def."""
-    return Deformation() if src["kind"] == "identity" else Deformation(
-        array(src["u"], 1), array(src["v"], 1),
-        complex(*src["alpha_def"]), complex(*src["beta_def"]))
+    """The deformation a source record names: u, v and alpha_def; the
+    record's beta_def is the one alpha_def fixes."""
+    if src["kind"] == "identity":
+        return Deformation()
+    d = Deformation(array(src["u"], 1), array(src["v"], 1), complex(*src["alpha_def"]))
+    assert complex(*src["beta_def"]) == d.beta_def
+    return d
 
 
-def rebuild_family(src: dict, dim: int) -> tuple[FockOperator, FockOperator]:
-    """phi = S and psi = S^{-dag} from a source record, so S = 1 + B_S and
-    S^{-1} = 1 + B_inv on K = dim, with phi_n = e_n + alpha conj(u_n) v and
-    psi_n = e_n + conj(beta) conj(v_n) u."""
-    s_block, inv_block = parse_source(src).blocks()
-    return identity_plus(dim, s_block), identity_plus(dim, inv_block).adjoint()
+def rebuild_family(src: dict, q: float, dim: int) -> tuple[FockOperator, FockOperator]:
+    """phi = S and psi = S^{-dag} from a source record, by make_pair at the
+    run's q and K = dim: phi_n = e_n + alpha conj(u_n) v and psi_n = e_n +
+    conj(beta) conj(v_n) u."""
+    s, s_inv = make_pair(parse_source(src), q, dim)[2:4]
+    return s, s_inv.adjoint()
 
 
 def assert_same_operator(got: FockOperator, want: FockOperator):
@@ -421,7 +440,7 @@ def test_family_export_round_trip(worked, tmp_path):
     assert src == source_record(family)
     assert set(src) == {"kind", "u", "v", "alpha_def", "beta_def"}
     assert src["kind"] == "rank_one"
-    phi, psi = rebuild_family(src, DIM)
+    phi, psi = rebuild_family(src, Q, DIM)
     assert_same_operator(phi, family.phi)
     assert_same_operator(psi, family.psi)
 
@@ -511,7 +530,7 @@ def random_deformation(extent: int, seed: int, alpha: complex):
     pairing = np.vdot(u, v)
     if abs(pairing) <= 0.3:
         return None
-    return Deformation.from_alpha(u, v / pairing, alpha)
+    return Deformation(u, v / pairing, alpha)
 
 
 @st.composite
@@ -547,9 +566,9 @@ class TestAgainstDenseOracles:
         assert close(family.phi.dense(), s)
         assert close(family.psi.dense(), s_inv.conj().T)
         assert close(build_theta(family).dense(), theta)
-        assert close(closed_form_theta(d, dim).dense(), theta)
+        assert close(closed_form_theta(family).dense(), theta)
 
-        if 1.0 + np.max(np.abs(d.blocks()[0]), initial=0.0) == 1.0:
+        if 1.0 + abs(d.alpha_def) * np.max(np.abs(d.u)) * np.max(np.abs(d.v)) == 1.0:
             # S rounds to 1: every family and theta residual would read exactly 0.0
             with pytest.raises(ConfigError, match=r"^tasks\[0\]: S = 1"):
                 run_metrics(d, q, dim)
@@ -629,7 +648,7 @@ def legacy_family_json(family, s, s_inv, stream, residual_report):
 # and the dense construction's alpha * outer runs as outer * alpha only once
 # numpy elides the K x K temporary (256 KiB, K >= 128), which the block
 # form follows.
-COMPACT = Deformation.from_alpha(
+COMPACT = Deformation(
     np.array([0.6, 0.8j, 0.0, 0.3 - 0.1j]),
     np.array([0.6, 0.8j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.2j]), -0.5)
 
@@ -643,7 +662,7 @@ def dense_document(family, residual_report) -> str:
     family's source record and written as the dense rows that format held:
     the rows of S^T and of conj(S^{-1})."""
     src = source_record(family)
-    phi, psi = rebuild_family(src, family.K)
+    phi, psi = rebuild_family(src, family.q, family.K)
     return json.dumps({
         "K": family.K,
         "q": family.q,
@@ -684,7 +703,7 @@ def test_source_rebuilds_phi_and_psi(deformation, q, extra):
     source = Deformation() if deformation is None else deformation
     dim = min(source.support_extent + extra, 300)
     family = build_family(source, q, dim)
-    phi, psi = rebuild_family(source_record(family), dim)
+    phi, psi = rebuild_family(source_record(family), q, dim)
     assert_same_operator(phi, family.phi)
     assert_same_operator(psi, family.psi)
 

@@ -210,7 +210,7 @@ class TestResolutionCheck:
 
 # u = e_0 + 0.3 e_6 + (0.2 + 0.1i) e_11 and v = e_0 + (0.1 + 0.2i) e_8: the
 # overlaps of vectors supported on the first 6 indices reach index 11
-COMPACT = Deformation.from_alpha(
+COMPACT = Deformation(
     [1, 0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.2 + 0.1j], [1, 0, 0, 0, 0, 0, 0, 0, 0.1 + 0.2j], 1j)
 SOURCES = {
     "identity": Deformation(),
