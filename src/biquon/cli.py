@@ -594,16 +594,16 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_task(args) -> int:
-    task = {"task": args.command}
-    task.update((key, getattr(args, key)) for key in TASK_PARAMS[args.command]
-                if getattr(args, key) is not None)
-    # a rank_one family with neither u nor v is the worked preset; a given
-    # --gamma is passed on, so that a Fock family refuses it
-    family = {"kind": args.family}
-    if args.gamma is not None:
-        family["gamma"] = args.gamma
-    return run_config({"q": args.q, "K": args.dim, "family": family, "tasks": [task],
-                       "seed": args.seed}, Path(args.out) if args.out else None, echo=print)[1]
+    def given(*keys) -> dict:
+        # a flag left out is not in args, so validate_config fills its default
+        return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+
+    cfg = {"q": args.q, "tasks": [{"task": args.command, **given(*TASK_PARAMS[args.command])}],
+           **given("K", "seed")}
+    # a given --gamma is passed on, so that a Fock or kindless family refuses it
+    if family := given("kind", "gamma"):
+        cfg["family"] = family
+    return run_config(cfg, Path(args.out) if args.out else None, echo=print)[1]
 
 
 def _cmd_run(args) -> int:
@@ -628,18 +628,6 @@ def _cmd_selftest(args) -> int:
     return 1 if unexpected else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=float, default=0.5)
-    parser.add_argument("--out", type=str, default=None,
-                        help="directory for JSON/CSV artifacts")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--family", type=str, default="identity",
-                        choices=["identity", "rank_one", "position"])
-    parser.add_argument("--gamma", type=float,
-                        help="shift parameter of a position family (default 0.5)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -656,14 +644,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_beta)
 
     for name, params in TASK_PARAMS.items():
-        p = sub.add_parser(name, help=f"run the {name} checks")
-        _add_common(p)
-        # a flag left out sets nothing, so validate_config fills its default
+        p = sub.add_parser(name, help=f"run the {name} checks", argument_default=argparse.SUPPRESS)
+        p.add_argument("--q", type=float, default=0.5)
+        p.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
+        # a flag is offered where a family kind that can run the task reads it
+        kinds = [*FOCK_KINDS] * (name in FOCK_TASKS) + ["position"] * (name in POSITION_TASKS)
+        if len(kinds) > 1:
+            # S = 1 leaves the Fock family and theta tasks nothing to check; a
+            # rank_one family with neither u nor v is the worked preset
+            p.add_argument("--family", dest="kind", choices=kinds, default="rank_one"
+                           if name in ("family", "theta") else argparse.SUPPRESS)
+        else:
+            p.set_defaults(kind=kinds[0])
+        if name in POSITION_TASKS:
+            p.add_argument("--gamma", type=float, help="shift of a position family")
+        if name in FOCK_TASKS:
+            p.add_argument("--dim", dest="K", type=int)
+        if name == "resolution":
+            p.add_argument("--seed", type=int)
         for key, (kind_of, *_) in params.items():
             p.add_argument("--" + key.lower().replace("_", "-"), dest=key, type=kind_of)
-        if name in ("family", "theta", "position"):
-            # S = 1 leaves the Fock family and theta tasks nothing to check
-            p.set_defaults(family="position" if name == "position" else "rank_one")
         p.set_defaults(func=_cmd_task)
 
     p = sub.add_parser("run", help="execute a full experiment config")

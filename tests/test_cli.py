@@ -374,13 +374,17 @@ BAD_ARGS = {
     # which dropped the flag
     "mutator-rank_one-gamma": (["mutator", "--family", "rank_one", "--gamma", "99"],
                                "family.gamma"),
-    "bicoherent-gamma-nan": (["bicoherent", "--gamma", "nan"], "family.gamma"),
+    "theta-rank_one-gamma": (["theta", "--gamma", "0.3"], "family.gamma"),
+    # the mutator subcommand sets no family kind of its own
+    "mutator-gamma-without-family": (["mutator", "--gamma", "0.3"], "family"),
 }
 
 # flags that no longer exist: the dump options; flags that changed no number
-# (resolution --n-theta, beta --seed, beta --tolerance-scale); and second
-# ways in, --tolerance-scale to tolerances.<task>, run --seed to the config's
-# seed and beta --out to a copy of standard output
+# (resolution --n-theta, beta --seed, beta --tolerance-scale, --seed on every
+# task subcommand but resolution, position --dim); flags that could only exit
+# 2 (position --family, --gamma on the Fock-only bicoherent and resolution);
+# and second ways in, --tolerance-scale to tolerances.<task>, run --seed to
+# the config's seed and beta --out to a copy of standard output
 REMOVED_FLAGS = {
     "position-mutator-dump-operators": ["mutator", "--family", "position", "--dump-operators"],
     "mutator-dump-operators": ["mutator", "--dump-operators"],
@@ -392,6 +396,15 @@ REMOVED_FLAGS = {
     "run-seed": ["run", "--config", "c", "--seed", "3"],
     "run-tolerance-scale": ["run", "--config", "c", "--tolerance-scale", "2"],
     "beta-out": ["beta", "--out", "d"],
+    "mutator-seed": ["mutator", "--seed", "5"],
+    "family-seed": ["family", "--seed", "5"],
+    "theta-seed": ["theta", "--seed", "5"],
+    "bicoherent-seed": ["bicoherent", "--seed", "5"],
+    "position-seed": ["position", "--seed", "5"],
+    "position-dim": ["position", "--dim", "32"],
+    "position-family": ["position", "--family", "rank_one"],
+    "bicoherent-gamma-nan": ["bicoherent", "--gamma", "nan"],
+    "resolution-gamma": ["resolution", "--gamma", "0.3"],
 }
 
 
@@ -948,6 +961,68 @@ def test_every_task_key_changes_the_summary(task, key):
     assert texts[0] != texts[1]
 
 
+def _task_flags(name: str) -> dict[str, argparse.Action]:
+    """The flags of a task subcommand, -h excepted, by option string."""
+    [subcommands] = [action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return {action.option_strings[-1]: action for action in subcommands[name]._actions
+            if action.option_strings and action.dest != "help"}
+
+
+# the flags a task subcommand takes besides --q, --out and its task keys:
+# --family where more than one family kind can run the task, --gamma where a
+# position family can, --dim where a Fock family can, and --seed where the
+# task draws from it
+SHARED_FLAGS = {
+    "family": {"--family", "--gamma", "--dim"},
+    "mutator": {"--family", "--gamma", "--dim"},
+    "theta": {"--family", "--gamma", "--dim"},
+    "bicoherent": {"--family", "--dim"},
+    "resolution": {"--family", "--dim", "--seed"},
+    "position": {"--gamma"},
+}
+# one value of each shared flag other than the one a run without it takes;
+# --family takes its last choice, which no subcommand defaults to.  The Fock
+# theta checks read windows of min(K, support extent + HEAD + REACH) = min(K, 12)
+# rows on the worked family, and --dim moves them only below 11; the default
+# r_frac of bicoherent, 0.7, needs K >= 60.
+SHARED_VALUES = {"--q": 0.3, "--gamma": 0.3, "--dim": 10, "--seed": 5,
+                 ("bicoherent", "--dim"): 128}
+# flags that a task reads and that still leave its report as it was, each
+# with its reason
+UNMOVED = {
+    # the lattice shift shift_exponent(-2 gamma) cancels gamma exactly, so
+    # the conjugacy residual is the same at every gamma (ROADMAP item 11)
+    ("theta", "--gamma"),
+}
+SUBCOMMAND_FLAGS = [(name, flag) for name in cli.TASK_PARAMS for flag in _task_flags(name)
+                    if flag != "--out"]
+
+
+@pytest.mark.parametrize("name,flag", SUBCOMMAND_FLAGS,
+                         ids=[f"{n}-{f[2:]}" for n, f in SUBCOMMAND_FLAGS])
+def test_every_subcommand_flag_changes_a_task_report(name, flag, capsys):
+    """Each flag of a task subcommand, on a family kind that reads it, given
+    once and left out once, gives different task reports: a flag that only
+    changes the echoed q, K or seed, or only exits 2, is no input."""
+    action = _task_flags(name)[flag]
+    # a Fock flag runs on the worked family, as OTHER_VALUES were chosen for
+    # it: on the identity the resolution residual is a few rounding units
+    # and may repeat at another support
+    position_only = flag == "--gamma" or "position" in cli.TASK_PARAMS[name].get(
+        action.dest, (None, ()))[1]
+    argv = [name] + (["--family", "position" if position_only else "rank_one"]
+                     if flag != "--family" and "--family" in _task_flags(name) else [])
+    value = (action.choices[-1] if flag == "--family" else
+             OTHER_VALUES.get((name, action.dest),
+                              SHARED_VALUES.get((name, flag), SHARED_VALUES.get(flag))))
+    reports = []
+    for run in (argv, argv + [flag, str(value)]):
+        assert main(run) == 0, run
+        reports.append(json.loads(capsys.readouterr().out)["tasks"])
+    assert (reports[0] == reports[1]) == ((name, flag) in UNMOVED)
+
+
 class TestMainEntry:
     def test_beta_subcommand(self, capsys):
         assert main(["beta", "--q", "0.5", "--n-max", "3"]) == 0
@@ -1029,14 +1104,21 @@ class TestMainEntry:
         assert err.startswith("config error: out of memory") and "Traceback" not in err
 
     def test_subcommand_flags_are_the_task_keys(self):
-        common = argparse.ArgumentParser()
-        cli._add_common(common)
-        parser = cli.build_parser()
-        [subcommands] = [action.choices for action in parser._actions
-                         if isinstance(action, argparse._SubParsersAction)]
+        """A task subcommand takes --q, --out, its task keys and the shared
+        flags that a family kind running it reads, and sets no default that
+        validate_config sets: a flag left out is not in the namespace."""
         for name, params in cli.TASK_PARAMS.items():
-            flags = {action.dest for action in subcommands[name]._actions}
-            assert flags - {action.dest for action in common._actions} == set(params), name
+            keys = {"--" + key.lower().replace("_", "-") for key in params}
+            assert set(_task_flags(name)) == {"--q", "--out"} | SHARED_FLAGS[name] | keys, name
+            kinds = {"bicoherent": ["identity", "rank_one"],
+                     "resolution": ["identity", "rank_one"]}.get(name, cli.FAMILY_KEYS)
+            if "--family" in SHARED_FLAGS[name]:
+                assert list(_task_flags(name)["--family"].choices) == list(kinds), name
+            defaults = vars(cli.build_parser().parse_args([name]))
+            kind = {"family": "rank_one", "theta": "rank_one", "position": "position"}
+            assert defaults == {"command": name, "func": cli._cmd_task, "q": 0.5, "out": None,
+                                **({"kind": kind[name]} if name in kind else {})}, name
+        assert sum(len(_task_flags(name)) for name in cli.TASK_PARAMS) == 35
 
     def test_successive_calls_share_no_state(self, tmp_path, monkeypatch, capsys):
         from biquon import cli, selftest
@@ -1259,26 +1341,25 @@ def _main_exit(argv: list[str]) -> tuple[int, str]:
 
 @st.composite
 def _run_argv(draw) -> list[str]:
-    """One run subcommand with --dim <= 256, n_max <= 40 and every option
-    drawn in and out of range; no --out, so nothing is written."""
-    name = draw(st.sampled_from(["mutator", "family", "theta", "bicoherent",
-                                 "resolution", "position"]))
-    q = ANY_FLOAT | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.floats(-1.0, 3.0)
-    argv = [name, f"--q={draw(q)!r}", f"--dim={draw(st.integers(-2, 256))}",
-            f"--seed={draw(st.integers(-1, 9))}"]
-    if name != "position":
-        argv.append(f"--family={draw(st.sampled_from(['identity', 'rank_one', 'position']))}")
+    """One run subcommand with any of its flags but --out, each drawn in and
+    out of range, --dim <= 256 and n_max <= 40; no --out, so nothing is
+    written."""
+    name = draw(st.sampled_from(sorted(cli.TASK_PARAMS)))
     small = st.integers(-1, 4)
-    options = {
-        "gamma": ANY_FLOAT | st.floats(-30.0, 30.0),
-        **{"family": {"n-max": st.integers(-1, 40)},
-           "position": {"n-max": st.integers(-1, 40)},
-           "bicoherent": {"n-r": small, "n-theta": small, "r-frac": ANY_FLOAT | st.floats(0.0, 0.9)},
-           "resolution": {"k-mom": st.integers(-1, 40), "n-pairs": small}}.get(name, {}),
+    values = {
+        "--q": ANY_FLOAT | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.floats(-1.0, 3.0),
+        "--dim": st.integers(-2, 256), "--seed": st.integers(-1, 9),
+        "--gamma": ANY_FLOAT | st.floats(-30.0, 30.0), "--n-max": st.integers(-1, 40),
+        "--n-r": small, "--n-theta": small, "--r-frac": ANY_FLOAT | st.floats(0.0, 0.9),
+        "--k-mom": st.integers(-1, 40), "--n-pairs": small, "--support": small,
     }
-    for flag, values in options.items():
-        if draw(st.booleans()):
-            argv.append(f"--{flag}={draw(values)!r}")
+    argv = [name]
+    for flag, action in _task_flags(name).items():
+        if flag == "--out" or not draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from(action.choices) if action.choices else values[flag])
+        argv.append(f"{flag}={value}" if flag == "--family" else f"{flag}={value!r}")
     return argv
 
 
