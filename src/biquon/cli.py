@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import time
 from collections.abc import Callable
@@ -496,13 +497,29 @@ def _task_bicoherent(cfg: dict, task: dict, out: Path | None) -> dict:
     return _finish(cfg, "bicoherent", metrics, n_points=len(zs), rho=rho)
 
 
+def uniform_draws(seed: int, n: int) -> np.ndarray:
+    """The first n uniforms in [0, 1) of the seed's stream: 53 bits each,
+    from eight bytes of random.Random(seed).randbytes, which a longer
+    request extends without changing."""
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u8")
+    return (bits >> 11) * 2.0 ** -53
+
+
+def normal_draws(seed: int, n: int) -> np.ndarray:
+    """The first n standard normals of the seed's stream, by Box-Muller:
+    uniforms 2i and 2i + 1 give normals 2i and 2i + 1, the real and
+    imaginary part of sqrt(-2 log(1 - u_2i)) exp(2 pi i u_2i+1)."""
+    u = uniform_draws(seed, n + n % 2).reshape(-1, 2)
+    return (np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])).view(float)[:n]
+
+
 def _task_resolution(cfg: dict, task: dict, out: Path | None) -> dict:
     n_pairs, support = task["n_pairs"], task["support"]
     fock = cfg["family"]["fock"]
     quad = resolution.solve_moment_measure(cfg["q"], task["K_mom"])
     # the draws of pair j are re f_j, im f_j, re g_j, im g_j, in that order;
     # this task is the one consumer of the seed's stream
-    draws = np.random.default_rng(cfg["seed"]).standard_normal((n_pairs, 2, 2, support))
+    draws = normal_draws(cfg["seed"], n_pairs * 4 * support).reshape(n_pairs, 2, 2, support)
     f, g = np.zeros((2, fock.K, n_pairs), dtype=complex)
     f[:support] = (draws[:, 0, 0] + 1j * draws[:, 0, 1]).T
     g[:support] = (draws[:, 1, 0] + 1j * draws[:, 1, 1]).T

@@ -157,11 +157,13 @@ def _step_down(params: PositionParams, f: LatticeState, gamma_sign: float) -> La
 
     On the operator's own lattice (w0 = +-gamma + 1.5 i alpha) the k = 0
     factor is exactly 0.0, so the term that would leave the lattice is zero
-    and the vacuum is annihilated in closed form.
+    and the vacuum is annihilated in closed form.  Off that lattice no
+    lattice state is the image, so every coefficient is NaN, and so is every
+    residual read from it.
     """
     factor = 1j / params.sqrt_1mq * (1.0 - _exponent_factor(params, f, 1.5, gamma_sign))
     if factor.size and factor[0] != 0.0:
-        raise ValueError("lowering is defined here only on its vacuum's lattice")
+        factor[:] = np.nan
     return replace(f, coeffs=factor[1:] * f.coeffs[:, 1:])
 
 

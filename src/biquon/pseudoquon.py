@@ -286,28 +286,36 @@ def build_theta(family: BiorthogonalFamily) -> FockOperator:
 
 
 def closed_form_theta(family: BiorthogonalFamily) -> FockOperator:
-    """(S S^dag)^{-1}, the closed form the series must reproduce: with
-    S S^dag = 1 + M on the block, its inverse is 1 - (1 + M)^{-1} M.  It
-    reads S's block, alpha's, where the series reads psi's, beta's."""
-    b = family.phi.block
-    m = b + b.conj().T + b @ b.conj().T
-    return identity_plus(family.K, np.linalg.solve(np.eye(len(m)) + m, -m))
+    """(S S^dag)^{-1}, the closed form the series must reproduce.  With
+    U = [v, u] and C = [[|alpha|^2 ||u||^2, alpha], [conj(alpha), 0]],
+    S S^dag = 1 + U C U^dag, so by the Woodbury identity its inverse is
+    1 - U (1 + C U^dag U)^{-1} C U^dag, a 2 x 2 inverse written out.  It
+    reads alpha, where the series reads beta."""
+    d, alpha = family.source, family.source.alpha_def
+    vu = np.zeros((d.support_extent, 2), dtype=complex)      # U
+    vu[:len(d.v), 0], vu[:len(d.u), 1] = d.v, d.u
+    c = np.array([[abs(alpha) ** 2 * np.vdot(d.u, d.u).real, alpha], [alpha.conjugate(), 0.0]])
+    m = np.eye(2) + c @ (vu.conj().T @ vu)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    m_inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return identity_plus(family.K, -vu @ (m_inv @ c @ vu.conj().T))
 
 
 def check_theta_conjugate(family: BiorthogonalFamily, theta: FockOperator) -> dict:
     """Residuals of a = Theta^{-1} b^dag Theta over the safe block, of the
     equivalent psi_n = Theta phi_n, and of Theta^{-1} = sum_n |phi_n><phi_n|
     = S S^dag, for Theta the identity plus a block inside the family's
-    window."""
+    window.  The conjugation takes Theta^{-1} as S S^dag, the product the
+    inverse residual judges."""
     w = family.window
     if theta.shift != 0 or len(theta.block) > len(w.s):
         raise ValueError("Theta is not the identity plus a block inside the window")
     th = theta.dense(len(w.s))
+    s_sdag = w.s @ w.s.conj().T
     return {
-        "conjugation_residual": _worst_columns(
-            w.a - np.linalg.solve(th, w.b.conj().T @ th), w.cols),
+        "conjugation_residual": _worst_columns(w.a - s_sdag @ (w.b.conj().T @ th), w.cols),
         "mapping_residual": _worst_columns(th @ w.s - w.s_inv.conj().T, w.cols),
-        "inverse_residual": float(np.max(np.abs(th @ (w.s @ w.s.conj().T) - np.eye(len(th))))),
+        "inverse_residual": float(np.max(np.abs(th @ s_sdag - np.eye(len(th))))),
     }
 
 

@@ -263,7 +263,6 @@ def check_position_example(reports: TaskReports) -> list[CheckResult]:
 
 
 def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
-    rng = np.random.default_rng(reports.seed)
     q, dim = 0.45, 128
     deformation = WORKED_SOURCE
     family = pseudoquon.build_family(deformation, q, dim)
@@ -274,7 +273,7 @@ def check_closed_form_states(reports: TaskReports) -> list[CheckResult]:
     u[:len(deformation.u)] = deformation.u
     v[:len(deformation.v)] = deformation.v
     # ten points, each drawn as (radius, angle) in turn
-    radius, angle = rng.uniform(size=(10, 2)).T
+    radius, angle = cli.uniform_draws(reports.seed, 20).reshape(10, 2).T
     zs = 0.9 * rho * np.sqrt(radius) * np.exp(2j * np.pi * angle)
     state = bicoherent.bicoherent_state(family, zs)
     ez = bicoherent.quon_coherent_vector(q, zs, dim)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -667,14 +668,25 @@ class TestColumnBatches:
                               "tasks": [{"task": "resolution", "n_pairs": n_pairs,
                                          "support": support}], "seed": seed})
         assert code == 0
-        rng = np.random.default_rng(seed)
+        # the seed's stream, rebuilt one number at a time: 53-bit uniforms
+        # from eight bytes each of random.Random(seed).randbytes, and from
+        # uniforms 2i, 2i + 1 the Box-Muller normals r cos t, r sin t
+        raw = random.Random(seed).randbytes(8 * 4 * n_pairs * support)
+        uniforms = [(int.from_bytes(raw[i:i + 8], "little") >> 11) * 2.0 ** -53
+                    for i in range(0, len(raw), 8)]
+        normals = []
+        for u_r, u_t in zip(uniforms[::2], uniforms[1::2]):
+            r, t = math.sqrt(-2.0 * math.log(1.0 - u_r)), 2.0 * math.pi * u_t
+            normals += [r * math.cos(t), r * math.sin(t)]
+        stream = iter(normals)
         for j in range(n_pairs):
             f, g = np.zeros((2, K), dtype=complex)
             for x in (f, g):
-                x[:support] = rng.standard_normal(support) \
-                    + 1j * rng.standard_normal(support)
-            assert np.array_equal(seen["f"][:, j], f)
-            assert np.array_equal(seen["g"][:, j], g)
+                re, im = ([next(stream) for _ in range(support)] for _ in range(2))
+                x[:support] = np.array(re) + 1j * np.array(im)
+            # libm's cos and sin and numpy's complex exp may differ in the last bits
+            assert np.allclose(seen["f"][:, j], f, rtol=0, atol=1e-14)
+            assert np.allclose(seen["g"][:, j], g, rtol=0, atol=1e-14)
 
 
 def _package_env() -> dict:
@@ -734,6 +746,34 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import sys, biquon.cli; assert 'scipy' not in sys.modules"],
                    env=_package_env(), check=True, timeout=60)
+
+
+# every Fock task, and so every Fock code path a run takes
+FOCK_RUN = {"q": 0.5, "K": 64, "family": {"kind": "rank_one"},
+            "tasks": ["family", "mutator", "theta", "bicoherent", "resolution"]}
+
+
+def test_runs_do_not_load_numpy_random(tmp_path):
+    config = tmp_path / "fock.json"
+    config.write_text(json.dumps(FOCK_RUN))
+    for argv in (["run", "--config", str(config)], ["selftest"]):
+        script = ("import contextlib, io, sys\n"
+                  "from biquon.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    assert main({argv!r}) == 0\n"
+                  "assert 'numpy.random' not in sys.modules")
+        subprocess.run([sys.executable, "-c", script], env=_package_env(), check=True,
+                       timeout=60)
+
+
+def test_fock_run_calls_no_lapack_routine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock run called a LAPACK routine")
+
+    for name in ("solve", "inv", "lstsq", "eig", "eigh", "eigvals", "eigvalsh", "svd",
+                 "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run_config(FOCK_RUN)[1] == 0
 
 
 class TestRunConfig:

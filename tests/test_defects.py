@@ -7,12 +7,13 @@ tolerances are the run's own.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from biquon import positionrep, pseudoquon, resolution
-from biquon.cli import run_config
+from biquon.cli import main, run_config
 
 BICOHERENT = {"q": 0.5, "K": 256, "family": {"kind": "rank_one"},
               "tasks": [{"task": "bicoherent", "n_r": 4, "n_theta": 8}]}
@@ -72,8 +73,10 @@ def _u_entry_scaled(source):
 
 # the program functions the rows below wrap
 _REAL_MAKE_PAIR = pseudoquon.make_pair
+_REAL_MAKE_QUON_C = pseudoquon.make_quon_c
 _REAL_SOLVE = resolution.solve_moment_measure
 _REAL_RECURSION = positionrep.coefficient_recursion
+_REAL_EXPONENT_FACTOR = positionrep._exponent_factor
 
 
 def _s_inv_block_scaled(source, q, dim):
@@ -87,6 +90,22 @@ def _pair_at_shifted_q(source, q, dim):
     and c stay at q."""
     return (_REAL_MAKE_PAIR(source, q * (1 + 1e-9), dim)[:2]
             + _REAL_MAKE_PAIR(source, q, dim)[2:])
+
+
+def _beta_entry_scaled(q, dim):
+    """make_quon_c, which make_pair binds at import, with beta_3 scaled by
+    1 + 1e6 eps: c, a and b all carry it, so only the q-mutator sees it."""
+    c = _REAL_MAKE_QUON_C(q, dim)
+    diag = c.diag.copy()
+    diag[4] *= 1 + 1e6 * np.finfo(float).eps        # diag[n + 1] is beta_n
+    return dataclasses.replace(c, diag=diag)
+
+
+def _gamma_scaled(params, f, half_sq, gamma_sign):
+    """_exponent_factor with gamma scaled by 1 + 1e-9: the lowering maps
+    leave their vacuum's lattice, so their images read NaN."""
+    shifted = positionrep.PositionParams(params.q, params.gamma * (1 + 1e-9))
+    return _REAL_EXPONENT_FACTOR(shifted, f, half_sq, gamma_sign)
 
 
 def _largest_weight_scaled(q, k_mom):
@@ -119,7 +138,10 @@ def _lattice_entry_scaled(params, n_max):
 # construction.  The lattice row leaves the q-mutator, which holds on every
 # lattice state, and the similarity metrics, which read only the base
 # Gaussians; it moves the norm formula's relative error from 3e-15 to 6e-7,
-# still under that metric's 1e-6 bound.
+# still under that metric's 1e-6 bound.  The beta row moves the bicoherent
+# eigen residual to about 1e-10, under its 1e-9 bound, so it runs on FOCK
+# alone.  The gamma row fails the two metrics that apply a lowering map; the
+# family and theta tasks pair states without one and still pass.
 DEFECTS = {
     "a-block-entry": (pseudoquon, "build_family", _scaled_block_entry("a"), BICOHERENT,
                       {"eigen_residual"}),
@@ -139,6 +161,9 @@ DEFECTS = {
                        RESOLUTION, {"moment_residual", "resolution_residual"}),
     "lattice-entry": (positionrep, "coefficient_recursion", _lattice_entry_scaled,
                       POSITION, {"biorthogonality", "conjugacy_residual", "ladder_residual"}),
+    "beta-entry": (pseudoquon, "make_quon_c", _beta_entry_scaled, FOCK, {"qmutator_residual"}),
+    "gamma-scale": (positionrep, "_exponent_factor", _gamma_scaled, POSITION,
+                    {"qmutator_residual", "ladder_residual"}),
 }
 
 
@@ -151,6 +176,14 @@ def test_defect_fails_its_metrics(row, monkeypatch):
               for m, bound in report["bounds"].items() if not report[m] <= bound}
     assert code == 1
     assert failed == metrics
+
+
+@pytest.mark.parametrize("argv", [["position"], ["mutator", "--family", "position"]],
+                         ids=["position", "mutator"])
+def test_gamma_defect_exits_1_without_a_traceback(argv, monkeypatch, capsys):
+    monkeypatch.setattr(positionrep, "_exponent_factor", _gamma_scaled)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
 
 @pytest.mark.parametrize("cfg", [BICOHERENT, FOCK, {**FOCK, "q": 1.5}, RESOLUTION, POSITION],

@@ -204,11 +204,12 @@ class TestLadderAction:
                            rtol=0, atol=1e-15)
 
     def test_lowering_refuses_a_foreign_lattice(self):
+        # no lattice state is the image, so every coefficient is NaN and a
+        # check that reads it fails by name, where a raise ended in a traceback
         phi, psi = families(PARAMS, 1)
-        with pytest.raises(ValueError, match="lattice"):
-            apply_a(PARAMS, psi)
-        with pytest.raises(ValueError, match="lattice"):
-            apply_b_dagger(PARAMS, phi)
+        for got in (apply_a(PARAMS, psi), apply_b_dagger(PARAMS, phi)):
+            assert got.coeffs.shape == (2, 1)
+            assert np.isnan(got.coeffs).all()
 
     def test_ladder_relations_on_grid(self):
         rep = ladder_check(PARAMS, 6, lattice(PARAMS, 7))
